@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from mpmath import mp
 
 from .errors import InternalInvariantError, InvalidParameters
-from .genusfield import StructureConstants, delta_g, structure_constants
+from .genusfield import delta_g, structure_constants
 
 ITER_CAP_SLOPE = 8
 ITER_CAP_OFFSET = 64
@@ -103,7 +103,7 @@ def cf_step(reg, bits=160):
 class ApproxRun:
     """State of one approximation run: registers plus the integer vector A."""
 
-    def __init__(self, d, mpair, c_tensor=None, N0=1, bits=None):
+    def __init__(self, d, mpair, N0=1, bits=None):
         if N0 < 1:
             raise InvalidParameters(f"threshold N0 must be >= 1, got {N0}")
         self.d = d
@@ -112,12 +112,7 @@ class ApproxRun:
         self.m = self.basis.m
         self.N0 = N0
         self.bits = bits or max(160, 64 + int(N0).bit_length() + 8 * self.m)
-        if c_tensor is None:
-            c_tensor = structure_constants(mpair, dual=True)
-        if isinstance(c_tensor, StructureConstants):
-            assert c_tensor.dual, "approximation needs the omega_star-side tensor"
-            c_tensor = c_tensor.tensor
-        self.c = c_tensor
+        self.c = structure_constants(mpair, dual=True).tensor
         self.A = [1] + [0] * (self.m - 1)
         self.iters = 0
         t = self.basis.t
@@ -201,8 +196,8 @@ class ApproxRun:
         return out
 
 
-def run_approx(d, mpair, c_tensor=None, N0=1, bits=None, trace=None):
-    return ApproxRun(d, mpair, c_tensor, N0, bits).run(trace)
+def run_approx(d, mpair, N0=1, bits=None, trace=None):
+    return ApproxRun(d, mpair, N0, bits).run(trace)
 
 
 def approx_quality(run):

@@ -20,8 +20,8 @@ from .arith import Discriminant
 from .errors import InternalInvariantError, InvalidParameters, \
     PrecisionEscalation, PrecisionExhausted
 from .forms import enumerate_reduced, n_system, phi_class
-from .genusfield import GFElem, IMAG_PART, REAL_PART, build_basis, \
-    gf_from_json, gf_rational, gf_to_json
+from .genusfield import IMAG_PART, REAL_PART, gf_from_json, gf_rational, \
+    gf_to_json
 from .modfns import InvariantKind, theta_value
 from .recover import make_plan, recover_coords
 
@@ -157,7 +157,6 @@ def class_poly_divisor(D, kind=None, phi0=None, plan=None, max_bits=None):
     kind = kind or InvariantKind.j()
     d = Discriminant.from_D(D)
     kind.validate_for(d)
-    basis = build_basis(d)
     phi0, sel = divisor_forms(D, kind, phi0)
     h = len(enumerate_reduced(D))
     assert len(sel) == h // d.m, (len(sel), h, d.m)
@@ -170,14 +169,15 @@ def class_poly_divisor(D, kind=None, phi0=None, plan=None, max_bits=None):
                 f"divisor recovery for D={D} would need {plan.float_bits} bits "
                 f"(cap {cap}); T0 estimate too small or parameters inconsistent")
         try:
-            coeffs = _divisor_attempt(kind, basis, sel, plan)
+            coeffs = _divisor_attempt(kind, sel, plan)
             return ClassPolynomial(D, kind, phi0, coeffs)
         except PrecisionEscalation:
             # square T0: roughly doubles the working precision
             plan = make_plan(D, kind, T0=mp.mpf(plan.T0) ** 2)
 
 
-def _divisor_attempt(kind, basis, sel, plan):
+def _divisor_attempt(kind, sel, plan):
+    basis = plan.basis
     n = len(sel)
     bits = plan.float_bits + 8 * n + 32
     thetas = [theta_value(kind, f, bits) for f in sel]
@@ -188,12 +188,17 @@ def _divisor_attempt(kind, basis, sel, plan):
         approx = [(c + mp.conj(c), c - mp.conj(c)) for c in poly[:-1]]
     for g_re, g_im in approx:
         b = recover_coords(g_re, plan, REAL_PART)
-        bp = recover_coords(g_im, plan, IMAG_PART)
         z = gf_rational(basis.qstars, 0)
         for coef, elem in zip(b, basis.beta):
             z = z + coef * elem
-        for coef, elem in zip(bp, basis.beta_star):
-            z = z + coef * elem
+        if IMAG_PART in plan.sides:
+            bp = recover_coords(g_im, plan, IMAG_PART)
+            for coef, elem in zip(bp, basis.beta_star):
+                z = z + coef * elem
+        elif not abs(g_im) < plan.epsilon:
+            raise PrecisionEscalation(
+                f"coefficient of a real divisor has imaginary part "
+                f"{mp.nstr(abs(g_im) / 2, 5)} at {plan.float_bits} bits")
         coeffs.append(half * z)
     return tuple(coeffs) + (gf_rational(basis.qstars, 1),)
 
@@ -213,10 +218,9 @@ def coset_labels(D):
 def coset_product_check(D, kind=None):
     """Exact product of all coset divisors equals the full polynomial."""
     kind = kind or InvariantKind.j()
-    d = Discriminant.from_D(D)
-    basis = build_basis(d)
     full = class_poly_full(D, kind)
     plan = make_plan(D, kind)
+    basis = plan.basis
     prod = [gf_rational(basis.qstars, 1)]
     for phi0 in coset_labels(D):
         div = class_poly_divisor(D, kind, phi0, plan=plan)

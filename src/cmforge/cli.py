@@ -210,8 +210,6 @@ def build_parser():
         description="CM curves with prescribed order via genus-field class "
                     "polynomial divisors")
     ap.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="reserved; must be >= 1, execution is sequential")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("params", help="admissible (p, u, v, order) tuples")
@@ -256,8 +254,6 @@ def main(argv=None):
     args = ap.parse_args(argv)
     out = sys.stdout
     try:
-        if args.threads < 1:
-            raise InvalidParameters(f"--threads must be >= 1, got {args.threads}")
         return args.fn(args, out)
     except (InvalidParameters,) as e:
         print(f"error: {e}", file=sys.stderr)

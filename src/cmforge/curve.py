@@ -104,38 +104,26 @@ def _ptrim(f):
     return f
 
 
-def _pmod(f, g, p):
-    f = list(f)
+def _pdivmod(f, g, p):
+    """Quotient and remainder of f by g."""
+    r = list(f)
     dg = len(g) - 1
     inv = pow(g[-1], -1, p)
-    while len(f) - 1 >= dg and f:
-        c = f[-1] * inv % p
-        shift = len(f) - 1 - dg
+    q = [0] * max(0, len(r) - dg)
+    while len(r) - 1 >= dg and r:
+        c = r[-1] * inv % p
+        shift = len(r) - 1 - dg
+        q[shift] = c
         for i, gc in enumerate(g):
-            f[shift + i] = (f[shift + i] - c * gc) % p
-        _ptrim(f)
-    return f
-
-
-def _pquo(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], -1, p)
-    out = [0] * (len(f) - dg)
-    while len(f) - 1 >= dg and f:
-        c = f[-1] * inv % p
-        shift = len(f) - 1 - dg
-        out[shift] = c
-        for i, gc in enumerate(g):
-            f[shift + i] = (f[shift + i] - c * gc) % p
-        _ptrim(f)
-    return out
+            r[shift + i] = (r[shift + i] - c * gc) % p
+        _ptrim(r)
+    return q, r
 
 
 def _pgcd(f, g, p):
     f, g = list(f), list(g)
     while g:
-        f, g = g, _pmod(f, g, p)
+        f, g = g, _pdivmod(f, g, p)[1]
     if f:
         inv = pow(f[-1], -1, p)
         f = [c * inv % p for c in f]
@@ -148,12 +136,12 @@ def _pmulmod(f, g, h, p):
         if fc:
             for j, gc in enumerate(g):
                 out[i + j] = (out[i + j] + fc * gc) % p
-    return _pmod(out, h, p)
+    return _pdivmod(out, h, p)[1]
 
 
 def _ppowmod(f, e, h, p):
     out = [1]
-    f = _pmod(f, h, p)
+    f = _pdivmod(f, h, p)[1]
     while e:
         if e & 1:
             out = _pmulmod(out, f, h, p)
@@ -172,45 +160,25 @@ def _psub(f, g, p):
 
 
 def roots_in_fp(f, p, seed=0):
-    """All roots of f in F_p with multiplicity, sorted.
+    """One root of f in F_p as a one-element list, or [] when f has none.
 
-    gcd with x^p - x isolates the distinct roots, randomized equal-degree
-    splitting with (x+a)^((p-1)/2) - 1 separates them; multiplicities by
-    repeated division of the input.  Deterministic for a fixed seed.
+    gcd with x^p - x keeps the distinct linear factors; each randomized
+    equal-degree split by (x+a)^((p-1)/2) - 1 then descends into the
+    smaller factor until one linear factor is left.  Deterministic for a
+    fixed seed.
     """
     f = _ptrim([c % p for c in f])
     assert f and f[-1] == 1, "need a monic nonzero polynomial"
-    if len(f) == 1:
-        return []
     rng = random.Random(seed)
     xp = _ppowmod([0, 1], p, f, p)
-    lin = _pgcd(_psub(xp, [0, 1], p), f, p)
-
-    def split(g):
-        if len(g) <= 1:
-            return []
-        if len(g) == 2:
-            return [(-g[0]) % p]
-        while True:
-            a = rng.randrange(p)
-            h = _ppowmod([a, 1], (p - 1) // 2, g, p)
-            h = _psub(h, [1], p)
-            d = _pgcd(h, g, p)
-            if 0 < len(d) - 1 < len(g) - 1:
-                return split(d) + split(_pquo(g, d, p))
-
-    roots = []
-    for r in sorted(split(lin)):
-        g = f
-        while True:
-            rem = 0
-            for c in reversed(g):
-                rem = (rem * r + c) % p
-            if rem != 0:
-                break
-            roots.append(r)
-            g = _pquo(g, [(-r) % p, 1], p)
-    return roots
+    g = _pgcd(_psub(xp, [0, 1], p), f, p)
+    while len(g) > 2:
+        a = rng.randrange(p)
+        h = _psub(_ppowmod([a, 1], (p - 1) // 2, g, p), [1], p)
+        d = _pgcd(h, g, p)
+        if 0 < len(d) - 1 < len(g) - 1:
+            g = min(d, _pdivmod(g, d, p)[0], key=len)
+    return [(-g[0]) % p] if len(g) == 2 else []
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ class GFElem:
         return v.imag
 
 
-# -- constructors and functional aliases ------------------------------
+# -- constructors and serialization -----------------------------------
 
 def gf_rational(qstars, v):
     return GFElem(qstars, {0: Fraction(v)})
@@ -268,22 +268,6 @@ def gf_sqrt_q(qstars, i):
 def gf_sqrt_d(qstars):
     """sqrt of the discriminant: the product of all the sqrt(q_i)."""
     return GFElem(qstars, {(1 << len(qstars)) - 1: Fraction(1)})
-
-
-def gf_add(a, b):
-    return a + b
-
-
-def gf_mul(a, b):
-    return a * b
-
-
-def gf_conj(x):
-    return x.conj()
-
-
-def gf_tau(lam, x):
-    return x.tau(lam)
 
 
 def gf_to_json(x):
@@ -503,6 +487,12 @@ class MPair:
     @property
     def mid(self):
         return self.mvals[0]
+
+    @property
+    def norm(self):
+        """The omega denominator: beta_0 on the real side, beta_star_0 on
+        the imaginary side."""
+        return self.basis.beta[0] if self.variant == REAL_PART else self.basis.beta_star[0]
 
 
 def build_mpair(basis, variant=REAL_PART):

@@ -1,8 +1,8 @@
 """Modular functions evaluated at form roots: eta, Weber f/f1/f2, gamma2, j,
 the Weber class invariant g, and the double eta quotient m_{p1,p2}^s.
 
-All evaluations take a precision (bits or a PrecisionBudget) and work at
-bits + guard internally; values are principal-branch throughout, with
+All evaluations take a precision in bits and work at bits + 64 internally,
+whatever the caller's precision; values are principal-branch throughout, with
 q^(1/24) = exp(pi i z / 12).
 """
 
@@ -20,7 +20,6 @@ from .errors import InvalidParameters, UnsupportedInvariant
 from .forms import QuadForm, root_of_form
 
 __all__ = [
-    "PrecisionBudget",
     "eta",
     "weber_f",
     "weber_f1",
@@ -34,19 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrecisionBudget:
-    bits: int
-    guard: int = 64
-
-    @property
-    def total(self) -> int:
-        return self.bits + self.guard
-
-
 def _total_bits(prec) -> int:
-    if isinstance(prec, PrecisionBudget):
-        return prec.total
     return int(prec) + 64
 
 
@@ -86,26 +73,32 @@ def eta(z, prec=96):
 
 
 def weber_f(z, prec=96):
-    return mp.exp(mp.mpc(0, -1) * mp.pi / 24) * eta((z + 1) / 2, prec) / eta(z, prec)
+    with mp.workprec(_total_bits(prec)):
+        z = mp.mpc(z)
+        return mp.exp(mp.mpc(0, -1) * mp.pi / 24) * eta((z + 1) / 2, prec) / eta(z, prec)
 
 
 def weber_f1(z, prec=96):
-    return eta(z / 2, prec) / eta(z, prec)
+    with mp.workprec(_total_bits(prec)):
+        return eta(z / 2, prec) / eta(z, prec)
 
 
 def weber_f2(z, prec=96):
-    return mp.sqrt(2) * eta(2 * z, prec) / eta(z, prec)
+    with mp.workprec(_total_bits(prec)):
+        return mp.sqrt(2) * eta(2 * z, prec) / eta(z, prec)
 
 
 def gamma2(z, prec=96):
     """Cube root of j; computed from f2, whose eta arguments stay high in H."""
-    f2 = weber_f2(z, prec)
-    e8 = f2 ** 8
-    return (e8 * e8 * e8 + 16) / e8
+    with mp.workprec(_total_bits(prec)):
+        f2 = weber_f2(z, prec)
+        e8 = f2 ** 8
+        return (e8 * e8 * e8 + 16) / e8
 
 
 def jfun(z, prec=96):
-    return gamma2(z, prec) ** 3
+    with mp.workprec(_total_bits(prec)):
+        return gamma2(z, prec) ** 3
 
 
 _WEBER_CASES = {
@@ -280,6 +273,17 @@ class InvariantKind:
         raise UnsupportedInvariant(
             f"no residue b with b^2 = D (mod 4*{N}); doubleeta {self.p1},{self.p2} "
             f"unavailable for D={D}")
+
+    def conjugation_closed(self, disc: Discriminant) -> bool:
+        """Whether the N-system is closed under (A,B,C) -> (A,-B,C).
+
+        That map sends a form to its inverse class, which lies in the same
+        genus, and theta at the image is the complex conjugate of theta at
+        the form; so when it holds every genus divisor has real coefficients.
+        It holds iff b = -b (mod 2N).
+        """
+        b = self.b_target(disc)
+        return b is None or b % self.modulus(disc) == 0
 
     def height_ratio(self, disc: Discriminant) -> Fraction:
         """deg_j(Phi) / deg_theta(Phi) for the modular relation tying theta to j."""

@@ -15,7 +15,6 @@ rounding is provably correct.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -24,8 +23,8 @@ from .approx import ApproxRun, run_approx
 from .arith import Discriminant
 from .errors import InternalInvariantError, InvalidParameters, PrecisionEscalation
 from .forms import enumerate_reduced, phi_class
-from .genusfield import IMAG_PART, REAL_PART, build_basis, build_mpair, \
-    structure_constants
+from .genusfield import IMAG_PART, REAL_PART, GenusBasis, MPair, \
+    StructureConstants, build_basis, build_mpair, structure_constants
 from .modfns import InvariantKind
 
 T0_SAFETY_BITS = 8
@@ -79,31 +78,30 @@ def bound_T0_rigorous(D):
 
 
 @dataclass(frozen=True)
+class RecoverySide:
+    """What recovery on one side needs: the M-pair, the structure constants
+    and the continued-fraction run."""
+
+    mpair: MPair
+    sc: StructureConstants
+    run: ApproxRun
+
+
+@dataclass(frozen=True)
 class RecoveryPlan:
+    """T0, N0, epsilon and the working precision, plus the recovery sides.
+
+    ``sides`` always holds REAL_PART; it holds IMAG_PART only when the
+    invariant's divisor coefficients can be non-real.
+    """
+
     d: Discriminant
     T0: object
     N0: int
     epsilon: object
     float_bits: int
-    mpair_real: object
-    mpair_imag: object
-    run_real: ApproxRun
-    run_imag: ApproxRun
-    sc_real: object
-    sc_imag: object
-
-    def mpair(self, side):
-        return self.mpair_real if side == REAL_PART else self.mpair_imag
-
-    def run(self, side):
-        return self.run_real if side == REAL_PART else self.run_imag
-
-    def sc(self, side):
-        return self.sc_real if side == REAL_PART else self.sc_imag
-
-    def norm_elem(self, side):
-        basis = self.mpair_real.basis
-        return basis.beta[0] if side == REAL_PART else basis.beta_star[0]
+    basis: GenusBasis
+    sides: dict
 
 
 def _side_threshold(mpair, sc, T_eff, prec=160):
@@ -117,7 +115,6 @@ def _side_threshold(mpair, sc, T_eff, prec=160):
     m = basis.m
     if m == 1:
         return mp.mpf(0), mp.mpf(0)
-    norm = basis.beta[0] if mpair.variant == REAL_PART else basis.beta_star[0]
     with mp.workprec(prec):
         delta_cap = mp.sqrt(abs(basis.d)) ** m
         mv = [abs(v.numeric_real(prec)) for v in mpair.mvals]
@@ -127,7 +124,7 @@ def _side_threshold(mpair, sc, T_eff, prec=160):
             s = mp.mpf(0)
             for lam in range(1, m):
                 tx = abs(X.tau(lam).numeric(prec))
-                tn = abs(norm.tau(lam).numeric(prec))
+                tn = abs(mpair.norm.tau(lam).numeric(prec))
                 s += mv[lam] * tx / tn
             z_req = max(z_req, (4 * s * delta_cap * T_eff) ** (m - 1))
         return +z_req, +C
@@ -135,26 +132,33 @@ def _side_threshold(mpair, sc, T_eff, prec=160):
 
 def _side_epsilon(mpair, sc, run, prec=160):
     """epsilon < (1/4) |beta_norm| / (|M(Id) X_eta| Z) over all eta."""
-    basis = mpair.basis
-    norm = basis.beta[0] if mpair.variant == REAL_PART else basis.beta_star[0]
     with mp.workprec(prec):
         Z = run.z_value()
         mid = abs(mpair.mid.numeric_real(prec))
+        norm = abs(mpair.norm.numeric(prec))
         best = mp.inf
         for X in sc.X_set:
             xv = abs(X.numeric(prec))
-            best = min(best, abs(norm.numeric(prec)) / (4 * mid * xv * Z))
+            best = min(best, norm / (4 * mid * xv * Z))
         return +best
 
 
 def make_plan(D, kind=None, T0=None, n0_min=1):
-    """Choose N0, run both approximation sides, fix epsilon and precision."""
+    """Choose N0, run the approximation on each side the invariant needs,
+    fix epsilon and precision.
+
+    When kind's N-system is closed under (A,B,C) -> (A,-B,C), complex
+    conjugation maps each genus's theta values onto themselves, so every
+    divisor coefficient is real and the imaginary side is not built.
+    """
+    kind = kind or InvariantKind.j()
     d = Discriminant.from_D(D)
     basis = build_basis(d)
-    mp_real = build_mpair(basis, REAL_PART)
-    mp_imag = build_mpair(basis, IMAG_PART)
-    sc_real = structure_constants(mp_real, dual=False)
-    sc_imag = structure_constants(mp_imag, dual=False)
+    names = (REAL_PART,) if kind.conjugation_closed(d) else (REAL_PART, IMAG_PART)
+    pairs = {}
+    for side in names:
+        mpair = build_mpair(basis, side)
+        pairs[side] = (mpair, structure_constants(mpair, dual=False))
     if T0 is None:
         T0 = bound_T0_heuristic(D, kind)
     with mp.workprec(160):
@@ -162,23 +166,20 @@ def make_plan(D, kind=None, T0=None, n0_min=1):
         delta_cap = mp.sqrt(abs(basis.d)) ** basis.m
         N0 = int(n0_min)
         if basis.m > 1:
-            for mpair, sc in ((mp_real, sc_real), (mp_imag, sc_imag)):
+            for mpair, sc in pairs.values():
                 z_req, C = _side_threshold(mpair, sc, T_eff)
                 mid = abs(mpair.mid.numeric_real(160))
                 head = 1 + mp.mpf(2) ** -40   # so re-verification can't miss by an ulp
                 need = int(mp.floor(mid * z_req * head + C * delta_cap)) + 2
                 N0 = max(N0, need)
-    run_real = run_approx(d, mp_real, c_tensor=None, N0=N0)
-    run_imag = run_approx(d, mp_imag, c_tensor=None, N0=N0)
-    eps = min(_side_epsilon(mp_real, sc_real, run_real),
-              _side_epsilon(mp_imag, sc_imag, run_imag))
+    sides = {side: RecoverySide(mpair, sc, run_approx(d, mpair, N0=N0))
+             for side, (mpair, sc) in pairs.items()}
+    eps = min(_side_epsilon(s.mpair, s.sc, s.run) for s in sides.values())
     with mp.workprec(160):
         eps = +(eps / 2)
         float_bits = int(mp.ceil(mp.log(T_eff / eps, 2))) + FLOAT_BITS_MARGIN
     plan = RecoveryPlan(d=d, T0=T0, N0=N0, epsilon=eps, float_bits=float_bits,
-                        mpair_real=mp_real, mpair_imag=mp_imag,
-                        run_real=run_real, run_imag=run_imag,
-                        sc_real=sc_real, sc_imag=sc_imag)
+                        basis=basis, sides=sides)
     _check_plan(plan)
     return plan
 
@@ -187,17 +188,16 @@ def _check_plan(plan):
     """The two plan invariants, verified at construction."""
     with mp.workprec(192):
         T_eff = 2 * mp.mpf(plan.T0)
-        for side in (REAL_PART, IMAG_PART):
-            mpair, sc, run = plan.mpair(side), plan.sc(side), plan.run(side)
+        for name, side in plan.sides.items():
             if plan.d.m > 1:
-                z_req, _ = _side_threshold(mpair, sc, T_eff, 192)
-                Z = run.z_value()
+                z_req, _ = _side_threshold(side.mpair, side.sc, T_eff, 192)
+                Z = side.run.z_value()
                 if not Z > z_req:
                     raise InternalInvariantError(
-                        f"accuracy threshold not reached on the {side} side")
-            if not plan.epsilon < _side_epsilon(mpair, sc, run, 192):
+                        f"accuracy threshold not reached on the {name} side")
+            if not plan.epsilon < _side_epsilon(side.mpair, side.sc, side.run, 192):
                 raise InternalInvariantError(
-                    f"epsilon too large on the {side} side")
+                    f"epsilon too large on the {name} side")
 
 
 def _det_bareiss(M):
@@ -256,14 +256,13 @@ def recovery_matrix(run, sc):
 def recover_coords(gamma, plan, side):
     """Integer coordinates b with sum b_xi beta_xi ~ gamma (real side) or
     sum b'_xi beta*_xi ~ gamma (imaginary side)."""
-    if side not in (REAL_PART, IMAG_PART):
-        raise InvalidParameters(f"unknown recovery side {side!r}")
-    mpair, sc, run = plan.mpair(side), plan.sc(side), plan.run(side)
-    basis = mpair.basis
-    m = basis.m
+    if side not in plan.sides:
+        raise InvalidParameters(f"the plan has no {side!r} recovery side")
+    rec = plan.sides[side]
+    mpair, sc, run = rec.mpair, rec.sc, rec.run
     prec = plan.float_bits + FLOAT_BITS_MARGIN
     with mp.workprec(prec):
-        norm = plan.norm_elem(side).numeric(prec)
+        norm = mpair.norm.numeric(prec)
         ratio = mp.mpc(gamma) / norm
         if abs(mp.im(ratio)) > (1 + abs(mp.re(ratio))) * mp.mpf(2) ** -32:
             raise PrecisionEscalation(

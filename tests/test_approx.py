@@ -11,7 +11,7 @@ from cmforge.approx import ApproxRun, CFRegister, approx_quality, cf_step, \
 from cmforge.arith import Discriminant
 from cmforge.errors import InvalidParameters
 from cmforge.genusfield import IMAG_PART, REAL_PART, build_basis, build_mpair, \
-    delta_g, structure_constants
+    delta_g
 
 BITS = 192
 
@@ -271,21 +271,12 @@ def test_bad_threshold_rejected():
         ApproxRun(d, mpair, N0=0)
 
 
-def test_wrong_tensor_side_rejected():
-    d, basis, mpair = setup(-40)
-    sc = structure_constants(mpair, dual=False)
-    with pytest.raises(AssertionError):
-        ApproxRun(d, mpair, c_tensor=sc, N0=10)
-
-
 def test_determinism_and_explicit_tensor():
     d, basis, mpair = setup(-120)
-    sc = structure_constants(mpair, dual=True)
     r1 = run_approx(d, mpair, N0=10 ** 4)
-    r2 = run_approx(d, mpair, c_tensor=sc, N0=10 ** 4)
-    r3 = run_approx(d, mpair, c_tensor=sc.tensor, N0=10 ** 4)
-    assert r1.A == r2.A == r3.A
-    assert r1.iters == r2.iters == r3.iters
+    r2 = run_approx(d, mpair, N0=10 ** 4)
+    assert r1.A == r2.A
+    assert r1.iters == r2.iters
 
 
 def test_trace_callback_rows():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from cmforge import classpoly
 from cmforge.arith import Discriminant
 from cmforge.classpoly import ClassPolynomial, class_poly_divisor, \
     class_poly_full, coset_labels, coset_product_check, divisor_forms
@@ -178,6 +179,23 @@ def test_precision_cap_divisor():
     plan = make_plan(-40, J)
     with pytest.raises(PrecisionExhausted):
         class_poly_divisor(-40, J, plan=plan, max_bits=50)
+
+
+def test_imaginary_theta_error_fails_realness_check(monkeypatch):
+    # j's divisor coefficients are real, so only the real side is recovered;
+    # an imaginary error in one theta value must escalate, never be dropped
+    theta = classpoly.theta_value
+
+    def skewed(kind, form, prec=96):
+        v = theta(kind, form, prec)
+        with mp.workprec(prec + 64):
+            return v + mp.mpc(0, mp.mpf(2) ** -10) if form.A == 1 else v
+
+    plan = make_plan(-40, J)
+    assert class_poly_divisor(-40, J, plan=plan, max_bits=4 * plan.float_bits)
+    monkeypatch.setattr(classpoly, "theta_value", skewed)
+    with pytest.raises(PrecisionExhausted):
+        class_poly_divisor(-40, J, max_bits=4 * plan.float_bits)
 
 
 def test_plan_reuse_same_result():

@@ -142,14 +142,6 @@ def test_verify_garbage(tmp_path, capsys):
     assert rc == 2
 
 
-def test_threads_validated(capsys):
-    rc, _, err = run_cli(["--threads", "0", "params", "--disc", "-40"], capsys)
-    assert rc == 2
-    rc, _, _ = run_cli(["--threads", "4", "params", "--disc", "-40",
-                        "--p-max", "50"], capsys)
-    assert rc == 0
-
-
 def test_unsupported_invariant_exit_code(capsys):
     rc, _, _ = run_cli(["classpoly", "--disc", "-84", "--invariant", "gamma2"],
                        capsys)

@@ -6,7 +6,7 @@ import pytest
 
 from cmforge.arith import cornacchia, search_fixed_D
 from cmforge.classpoly import class_poly_divisor, class_poly_full
-from cmforge.curve import (WeierstrassCurve, curve_from_j, gen_curve,
+from cmforge.curve import (WeierstrassCurve, _pdivmod, curve_from_j, gen_curve,
                            is_on_curve, j_from_theta, make_curve, naive_count,
                            point_add, random_point, reduce_divisor_mod_p,
                            roots_in_fp, scalar_mul, select_twist, sqrt_mod_p)
@@ -17,6 +17,13 @@ from cmforge.modfns import InvariantKind
 J = InvariantKind.j()
 
 
+def peval(f, x, p):
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def test_sqrt_mod_p_examples():
     assert sqrt_mod_p(5, 41) == 13
     assert sqrt_mod_p(0, 41) == 0
@@ -25,14 +32,13 @@ def test_sqrt_mod_p_examples():
 
 def test_reduce_divisor_minus40():
     div = class_poly_divisor(-40, J)
-    full = class_poly_full(-40, J)
-    full_roots = roots_in_fp([c % 41 for c in full.coeffs], 41)
-    assert len(full_roots) == 2
-    r = roots_in_fp(reduce_divisor_mod_p(div, 41), 41)
-    assert len(r) == 1 and r[0] in full_roots
-    # flipping the sqrt(5) sign lands on the conjugate root
-    r2 = roots_in_fp(reduce_divisor_mod_p(div, 41, signs=(-1, 1)), 41)
-    assert r2 != r and r2[0] in full_roots
+    full = [c % 41 for c in class_poly_full(-40, J).coeffs]
+    red = reduce_divisor_mod_p(div, 41)
+    assert len(red) == 2
+    quo, rem = _pdivmod(full, red, 41)
+    assert rem == []
+    # flipping the sqrt(5) sign lands on the conjugate factor, the cofactor
+    assert reduce_divisor_mod_p(div, 41, signs=(-1, 1)) == quo != red
     # sqrt(-8) does not appear in the coefficients, flipping it is a no-op
     assert reduce_divisor_mod_p(div, 41, signs=(1, -1)) == \
         reduce_divisor_mod_p(div, 41)
@@ -52,12 +58,14 @@ def test_reduce_nonresidue_rejected():
 
 
 def test_roots_in_fp_basics():
-    assert roots_in_fp([4, 0, 1], 5) == [1, 4]
-    assert roots_in_fp([1, 0, 1], 7) == []
-    # (x-3)^2 (x-5) over F_13, multiplicity preserved
-    f = [0, 1]
-    poly = [(-45) % 13, (9 + 15 + 15) % 13, (-11) % 13, 1]
-    assert roots_in_fp(poly, 13) == [3, 3, 5]
+    # (x-3)^2 (x-5) over F_13: the repeated root needs the gcd with x^p - x
+    cube = [(-45) % 13, (9 + 15 + 15) % 13, (-11) % 13, 1]
+    for seed in range(8):
+        r = roots_in_fp([4, 0, 1], 5, seed=seed)
+        assert r in ([1], [4]) and peval([4, 0, 1], r[0], 5) == 0
+        assert roots_in_fp([1, 0, 1], 7, seed=seed) == []
+        r = roots_in_fp(cube, 13, seed=seed)
+        assert r in ([3], [5]) and peval(cube, r[0], 13) == 0
 
 
 def test_roots_in_fp_deterministic_and_large_p():
@@ -65,7 +73,7 @@ def test_roots_in_fp_deterministic_and_large_p():
     f = [(p - 5), 0, 1]      # x^2 - 5
     r = roots_in_fp(f, p, seed=1)
     assert roots_in_fp(f, p, seed=1) == r
-    assert len(r) == 2 and all(x * x % p == 5 for x in r)
+    assert len(r) == 1 and r[0] * r[0] % p == 5
 
 
 def test_curve_from_j():
@@ -80,10 +88,10 @@ def test_curve_from_j():
 def test_j_from_theta():
     assert j_from_theta(7, J, 41) == [7]
     assert j_from_theta(12, InvariantKind.gamma2(), 10007) == [1728]
-    # weber roots of x^2 - x - 1 mod 41 must map onto H_-40[j]'s roots
-    full_roots = set(roots_in_fp([c % 41 for c in class_poly_full(-40, J).coeffs], 41))
+    # weber roots of x^2 - x - 1 mod 41 must map onto H_-40[j]'s two roots
+    full = [c % 41 for c in class_poly_full(-40, J).coeffs]
     wj = {j_from_theta(r, InvariantKind.weber(), 41, D=-40)[0] for r in (7, 35)}
-    assert wj == full_roots
+    assert len(wj) == 2 and all(peval(full, j, 41) == 0 for j in wj)
     with pytest.raises(InvalidParameters):
         j_from_theta(0, InvariantKind.weber(), 41, D=-40)
     with pytest.raises(UnsupportedInvariant):
@@ -160,7 +168,7 @@ def test_gen_curve_examples(args, want):
     # generated j is a root of the full class polynomial mod p
     D, p = args[0], args[1]
     full = [c % p for c in class_poly_full(D, J).coeffs]
-    assert res["j"] in roots_in_fp(full, p)
+    assert peval(full, res["j"], p) == 0
     assert res["transcript"]["path"] == "divisor"
 
 

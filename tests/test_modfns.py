@@ -9,7 +9,6 @@ from cmforge.errors import InvalidParameters, UnsupportedInvariant
 from cmforge.forms import QuadForm, n_system, root_of_form
 from cmforge.modfns import (
     InvariantKind,
-    PrecisionBudget,
     double_eta_m,
     eta,
     gamma2,
@@ -245,10 +244,16 @@ def test_height_ratios():
     assert InvariantKind.double_eta(5, 7).height_ratio(d40) == Fraction(24, 12 * 48)
 
 
-def test_precision_budget():
-    assert PrecisionBudget(100).total == 164
-    assert PrecisionBudget(100, guard=10).total == 110
-    with mp.workprec(400):
-        a = eta(mp.mpc(0.5, 0.9), PrecisionBudget(256))
-        b = eta(mp.mpc(0.5, 0.9), 256)
-        assert abs(a - b) < mp.mpf(2) ** -250
+
+
+@pytest.mark.parametrize("fn", [weber_f, weber_f1, weber_f2, gamma2, jfun])
+def test_entry_points_set_their_own_precision(fn):
+    # a caller at the default 53 bits still gets the requested precision;
+    # the reference runs at twice the bits inside a wide context
+    with mp.workprec(4200):
+        z = root_of_form(QuadForm(1, 1, 630))   # D = -2519
+        want = fn(z, 4000)
+    with mp.workprec(53):
+        got = fn(z, 2000)
+    with mp.workprec(4200):
+        assert abs(got - want) <= abs(want) * mp.mpf(2) ** -1990

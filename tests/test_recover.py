@@ -16,11 +16,24 @@ from cmforge.recover import bound_T0_heuristic, bound_T0_rigorous, coset_sums, \
 
 PLANS = {}
 
+# doubleeta kinds whose N-system is not closed under B -> -B at D, so their
+# plans build the imaginary side; with j's T0 their N0, epsilon, precision
+# and real side are the j plan's
+IMAG_KINDS = {-3: InvariantKind.double_eta(7, 13), -40: InvariantKind.double_eta(11, 13),
+              -84: InvariantKind.double_eta(5, 7), -120: InvariantKind.double_eta(2, 11)}
+
 
 def plan_for(D):
     if D not in PLANS:
         PLANS[D] = make_plan(D)
     return PLANS[D]
+
+
+def both_sides_plan(D):
+    key = (D, "both")
+    if key not in PLANS:
+        PLANS[key] = make_plan(D, IMAG_KINDS[D], T0=bound_T0_heuristic(D))
+    return PLANS[key]
 
 
 def evaluate(coords, elems, prec, perturb=0):
@@ -70,9 +83,9 @@ def test_t0_rigorous():
 
 
 def test_plan_degenerate_t1():
-    plan = plan_for(-3)
+    plan = both_sides_plan(-3)
     assert plan.N0 == 1
-    assert plan.run_real.A == [1] and plan.run_imag.A == [1]
+    assert plan.sides[REAL_PART].run.A == [1] and plan.sides[IMAG_PART].run.A == [1]
     assert plan.epsilon < 0.25
     with mp.workprec(96):
         want = int(mp.ceil(mp.log(2 * mp.mpf(plan.T0) / plan.epsilon, 2))) + 64
@@ -81,16 +94,16 @@ def test_plan_degenerate_t1():
 
 @pytest.mark.parametrize("D", [-40, -84, -120])
 def test_plan_invariants_independent_check(D):
-    plan = plan_for(D)
-    basis = plan.mpair_real.basis
+    plan = both_sides_plan(D)
+    basis = plan.basis
     m = basis.m
     prec = 224
     with mp.workprec(prec):
         T_eff = 2 * mp.mpf(plan.T0)
         cap = mp.sqrt(abs(basis.d)) ** m
-        for side in (REAL_PART, IMAG_PART):
-            mpair, sc, run = plan.mpair(side), plan.sc(side), plan.run(side)
-            norm = plan.norm_elem(side)
+        for side, norm in ((REAL_PART, basis.beta[0]), (IMAG_PART, basis.beta_star[0])):
+            rec = plan.sides[side]
+            mpair, sc, run = rec.mpair, rec.sc, rec.run
             Z = sum(a * w.numeric_real(prec)
                     for a, w in zip(run.A, mpair.omega_star))
             mid = abs(mpair.mid.numeric_real(prec))
@@ -107,8 +120,8 @@ def test_plan_invariants_independent_check(D):
 
 @pytest.mark.parametrize("D", [-40, -84, -120])
 def test_round_trip_both_sides(D):
-    plan = plan_for(D)
-    basis = plan.mpair_real.basis
+    plan = both_sides_plan(D)
+    basis = plan.basis
     m = basis.m
     rng = random.Random(D)
     prec = plan.float_bits + 16
@@ -126,7 +139,7 @@ def test_round_trip_both_sides(D):
 def test_round_trip_stays_within_t0():
     # the random vectors used above really do satisfy the conjugate bound
     plan = plan_for(-84)
-    basis = plan.mpair_real.basis
+    basis = plan.basis
     rng = random.Random(1)
     with mp.workprec(160):
         for _ in range(20):
@@ -138,13 +151,13 @@ def test_round_trip_stays_within_t0():
 
 
 def test_gamma_zero_gives_zero_vector():
-    plan = plan_for(-84)
+    plan = both_sides_plan(-84)
     assert recover_coords(mp.mpf(0), plan, REAL_PART) == [0] * 4
     assert recover_coords(mp.mpf(0), plan, IMAG_PART) == [0] * 4
 
 
 def test_t1_recovery_is_integer_rounding():
-    plan = plan_for(-3)
+    plan = both_sides_plan(-3)
     assert recover_coords(mp.mpf(14), plan, REAL_PART) == [14]
     assert recover_coords(mp.mpf("13.93"), plan, REAL_PART) == [14]
     with mp.workprec(96):
@@ -156,7 +169,7 @@ def test_bigger_n0_still_recovers():
     base = plan_for(-40)
     plan = make_plan(-40, n0_min=base.N0 * 10 ** 6)
     assert plan.N0 >= base.N0 * 10 ** 6
-    basis = plan.mpair_real.basis
+    basis = plan.basis
     rng = random.Random(2)
     prec = plan.float_bits + 16
     for _ in range(10):
@@ -175,13 +188,14 @@ def test_big_perturbation_escalates():
     # shifting gamma so that the eta = 0 row lands half way between
     # integers must trip the 0.25 residual guard
     plan = plan_for(-40)
-    basis = plan.mpair_real.basis
+    basis = plan.basis
+    real = plan.sides[REAL_PART]
     prec = plan.float_bits + 16
     b = [123456, -654321]
     with mp.workprec(prec):
-        mid = plan.mpair_real.mid.numeric_real(prec)
+        mid = real.mpair.mid.numeric_real(prec)
         Z = sum(a * w.numeric_real(prec)
-                for a, w in zip(plan.run_real.A, plan.mpair_real.omega_star))
+                for a, w in zip(real.run.A, real.mpair.omega_star))
         norm = basis.beta[0].numeric_real(prec)
         g = evaluate(b, basis.beta, prec, norm / (2 * mid * Z))
     with pytest.raises(PrecisionEscalation):
@@ -241,7 +255,28 @@ def test_solve_integer_system():
 
 def test_recovery_matrix_nonsingular():
     for D in (-40, -84, -120):
-        plan = plan_for(D)
+        plan = both_sides_plan(D)
         for side in (REAL_PART, IMAG_PART):
-            M = recovery_matrix(plan.run(side), plan.sc(side))
+            M = recovery_matrix(plan.sides[side].run, plan.sides[side].sc)
             assert _det_bareiss(M) != 0
+
+
+@pytest.mark.parametrize("D,kind", [
+    (-40, InvariantKind.j()), (-40, InvariantKind.gamma2()),
+    (-40, InvariantKind.weber()), (-84, InvariantKind.j()),
+    (-120, InvariantKind.double_eta(2, 3)),
+])
+def test_closed_invariants_plan_real_side_only(D, kind):
+    plan = make_plan(D, kind)
+    assert set(plan.sides) == {REAL_PART}
+    with pytest.raises(InvalidParameters):
+        recover_coords(mp.mpf(0), plan, IMAG_PART)
+
+
+def test_doubleeta_plan_has_both_sides():
+    plan = make_plan(-84, InvariantKind.double_eta(5, 7))
+    assert set(plan.sides) == {REAL_PART, IMAG_PART}
+    for D in IMAG_KINDS:
+        both, j = both_sides_plan(D), plan_for(D)
+        assert (both.N0, both.epsilon, both.float_bits) == (j.N0, j.epsilon, j.float_bits)
+        assert both.sides[REAL_PART].run.A == j.sides[REAL_PART].run.A
