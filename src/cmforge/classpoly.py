@@ -19,7 +19,7 @@ from mpmath import mp
 from .arith import Discriminant
 from .errors import InternalInvariantError, InvalidParameters, \
     PrecisionEscalation, PrecisionExhausted
-from .forms import enumerate_reduced, n_system, phi_class
+from .forms import QuadForm, enumerate_reduced, n_system, phi_class
 from .genusfield import IMAG_PART, REAL_PART, gf_from_json, gf_rational, \
     gf_to_json
 from .modfns import InvariantKind, theta_value
@@ -71,20 +71,48 @@ class ClassPolynomial:
         return cls(obj["D"], kind, tuple(obj["phi0"]), coeffs)
 
 
-def _mul_linear(poly, theta):
-    """poly(x) * (x - theta) on ascending coefficient lists."""
-    out = [-theta * poly[0]]
-    for k in range(1, len(poly)):
-        out.append(poly[k - 1] - theta * poly[k])
-    out.append(poly[-1])
+def _theta_values(kind, forms, prec):
+    """theta at each form, evaluated once per mirror pair.
+
+    For B != 0 the mirror (A,-B,C) has root -conj(tau), and every invariant
+    is a q-series with real coefficients, so theta there is conj(theta(tau)).
+    Returns (paired, single): one value for each pair whose two forms are
+    both in ``forms``, and the value at each form without its mirror.
+    """
+    present = set(forms)
+    paired, single = [], []
+    for f in forms:
+        mirrored = f.B != 0 and QuadForm(f.A, -f.B, f.C) in present
+        if mirrored and f.B < 0:
+            continue
+        (paired if mirrored else single).append(theta_value(kind, f, prec))
+    return paired, single
+
+
+def _mul_monic(poly, low):
+    """poly(x) * (x^d + low[d-1] x^(d-1) + ... + low[0]), ascending lists."""
+    out = [mp.zero] * len(low) + poly
+    for i, c in enumerate(low):
+        for k, a in enumerate(poly):
+            out[i + k] += c * a
     return out
 
 
-def _expand(thetas):
-    """Product of (x - theta) in ascending |theta| to limit growth."""
+def _expand(paired, single):
+    """The monic polynomial whose roots are ``single`` and each value of
+    ``paired`` together with its conjugate.
+
+    A pair enters as the real quadratic x^2 - 2 Re(theta) x + |theta|^2, a
+    single value as x - theta; factors go in by ascending |theta| to limit
+    growth.  When every value is paired the product stays real.
+    """
+    factors = [(th, [-th]) for th in single]
+    for th in paired:
+        a, b = mp.re(th), mp.im(th)
+        factors.append((th, [a * a + b * b, -2 * a]))
     poly = [mp.mpf(1)]
-    for th in sorted(thetas, key=abs):
-        poly = _mul_linear(poly, th)
+    for _, low in sorted(factors, key=lambda fac: abs(fac[0])):
+        poly = _mul_monic(poly, low)
     return poly
 
 
@@ -117,9 +145,9 @@ def class_poly_full(D, kind=None, start_bits=None, max_bits=None):
 def _full_attempt(sysN, kind, bits):
     n = len(sysN.forms)
     work = bits + 8 * n + 32
-    thetas = [theta_value(kind, f, work) for f in sysN.forms]
+    values = _theta_values(kind, sysN.forms, work)
     with mp.workprec(work + 64):
-        poly = _expand(thetas)
+        poly = _expand(*values)
         coeffs = []
         top = 0
         for c in poly[:-1]:
@@ -180,21 +208,16 @@ def _divisor_attempt(kind, sel, plan):
     basis = plan.basis
     n = len(sel)
     bits = plan.float_bits + 8 * n + 32
-    thetas = [theta_value(kind, f, bits) for f in sel]
+    values = _theta_values(kind, sel, bits)
     half = Fraction(1, 2)
     coeffs = []
     with mp.workprec(bits + 64):
-        poly = _expand(thetas)
+        poly = _expand(*values)
         approx = [(c + mp.conj(c), c - mp.conj(c)) for c in poly[:-1]]
     for g_re, g_im in approx:
-        b = recover_coords(g_re, plan, REAL_PART)
-        z = gf_rational(basis.qstars, 0)
-        for coef, elem in zip(b, basis.beta):
-            z = z + coef * elem
+        z = basis.element(recover_coords(g_re, plan, REAL_PART), REAL_PART)
         if IMAG_PART in plan.sides:
-            bp = recover_coords(g_im, plan, IMAG_PART)
-            for coef, elem in zip(bp, basis.beta_star):
-                z = z + coef * elem
+            z = z + basis.element(recover_coords(g_im, plan, IMAG_PART), IMAG_PART)
         elif not abs(g_im) < plan.epsilon:
             raise PrecisionEscalation(
                 f"coefficient of a real divisor has imaginary part "

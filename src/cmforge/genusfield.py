@@ -332,6 +332,13 @@ class GenusBasis:
         self._binv = _invert_matrix(bmat)
         self._sinv = _invert_matrix(smat)
 
+    def element(self, coords, side):
+        """sum_mu coords[mu] beta[mu] on REAL_PART, over beta_star on IMAG_PART."""
+        z = gf_rational(self.qstars, 0)
+        for c, e in zip(coords, self.beta if side == REAL_PART else self.beta_star):
+            z = z + c * e
+        return z
+
     def expand_beta(self, v):
         """Rational coordinates of a real element over the beta basis."""
         assert v.is_real(), f"expected a real element, got {v!r}"

@@ -4,6 +4,14 @@ the Weber class invariant g, and the double eta quotient m_{p1,p2}^s.
 All evaluations take a precision in bits and work at bits + 64 internally,
 whatever the caller's precision; values are principal-branch throughout, with
 q^(1/24) = exp(pi i z / 12).
+
+Each eta value costs one exp, for its nome; gamma2 and j cost one exp in all,
+since the nome of eta(2z) is the square of that of eta(z).  Every other
+integer power is taken by ``_ipow``: mpmath's complex ``**`` turns into
+exp(n log z) once n times the bit size passes 10^4, which costs far more
+than a few squarings.  All q-series here have real coefficients, so
+theta(-conj z) = conj theta(z); ``classpoly`` relies on this to evaluate one
+form of each mirror pair (A, +-B, C).
 """
 
 from __future__ import annotations
@@ -37,6 +45,51 @@ def _total_bits(prec) -> int:
     return int(prec) + 64
 
 
+def _ipow(x, n):
+    """x**n for an integer n >= 1, by squaring and multiplying."""
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if not n:
+            return out
+        x = x * x
+
+
+def _nome(z, k):
+    """q^(1/k) = exp(2 pi i z / k) for z in the upper half plane."""
+    z = mp.mpc(z)
+    if z.imag <= 0:
+        raise InvalidParameters(f"modular functions need Im z > 0, got {z}")
+    return mp.exp(2 * mp.pi * mp.mpc(0, 1) * z / k)
+
+
+def _pentagonal(q, bits):
+    """eta / q^(1/24) = 1 + sum_{n>=1} (-1)^n q^(n(3n-1)/2) (1 + q^n), summing
+    until three consecutive terms drop below 2^-(bits+16)."""
+    thresh = -bits - 16
+    s = mp.one
+    qe = mp.one       # q^(n(3n-1)/2), the smaller pentagonal exponent
+    qn = mp.one       # q^n
+    q3 = q * q * q
+    qstep = q         # q^(3n-2), the ratio of consecutive qe
+    below = 0
+    n = 0
+    while below < 3:
+        n += 1
+        qe *= qstep
+        qstep *= q3
+        qn *= q
+        term = qe * (1 + qn)
+        s += -term if n % 2 else term
+        if mp.mag(term) < thresh:    # mag bounds log2|term| without a sqrt
+            below += 1
+        else:
+            below = 0
+    return s
+
+
 def eta(z, prec=96):
     """Dedekind eta via the pentagonal number series.
 
@@ -45,31 +98,8 @@ def eta(z, prec=96):
     """
     bits = _total_bits(prec)
     with mp.workprec(bits):
-        z = mp.mpc(z)
-        if z.imag <= 0:
-            raise InvalidParameters(f"eta needs Im z > 0, got {z}")
-        q24 = mp.exp(mp.pi * mp.mpc(0, 1) * z / 12)
-        q = q24 ** 24
-        thresh = mp.mpf(2) ** (-bits - 16)
-        s = mp.one
-        qe = mp.one       # q^(n(3n-1)/2), the smaller pentagonal exponent
-        qn = mp.one       # q^n
-        q3 = q * q * q
-        qstep = q ** -2   # q^(3n-2) one step back; first loop multiply gives q^1
-        below = 0
-        n = 0
-        while below < 3:
-            n += 1
-            qstep *= q3
-            qe *= qstep
-            qn *= q
-            term = qe * (1 + qn)
-            s += -term if n % 2 else term
-            if abs(term) < thresh:
-                below += 1
-            else:
-                below = 0
-        return q24 * s
+        q24 = _nome(z, 24)
+        return q24 * _pentagonal(_ipow(q24, 24), bits)
 
 
 def weber_f(z, prec=96):
@@ -89,16 +119,22 @@ def weber_f2(z, prec=96):
 
 
 def gamma2(z, prec=96):
-    """Cube root of j; computed from f2, whose eta arguments stay high in H."""
-    with mp.workprec(_total_bits(prec)):
-        f2 = weber_f2(z, prec)
-        e8 = f2 ** 8
-        return (e8 * e8 * e8 + 16) / e8
+    """Cube root of j, as (f2^24 + 16) / f2^8.
+
+    f2 = sqrt2 eta(2z)/eta(z), whose eta arguments stay high in H, so
+    f2^8 = 16 q^(1/3) (P(q^2)/P(q))^8 with P the pentagonal series: one exp.
+    """
+    bits = _total_bits(prec)
+    with mp.workprec(bits):
+        q3 = _nome(z, 3)
+        q = _ipow(q3, 3)
+        e8 = 16 * q3 * _ipow(_pentagonal(q * q, bits) / _pentagonal(q, bits), 8)
+        return (_ipow(e8, 3) + 16) / e8
 
 
 def jfun(z, prec=96):
     with mp.workprec(_total_bits(prec)):
-        return gamma2(z, prec) ** 3
+        return _ipow(gamma2(z, prec), 3)
 
 
 _WEBER_CASES = {
@@ -148,10 +184,10 @@ def weber_g(form: QuadForm, prec=96, cubed: bool = True):
     with mp.workprec(bits):
         alpha = root_of_form(form)
         f = weber_f(alpha, prec) if fname == "f" else weber_f1(alpha, prec)
-        g = f ** b / mp.sqrt(2) ** k
+        g = _ipow(f, b) / mp.sqrt(2 ** k)
         if use_sign:
             g *= kronecker(2, form.A)
-        return g ** 3 if cubed else g
+        return _ipow(g, 3) if cubed else g
 
 
 def double_eta_s(p1: int, p2: int) -> int:
@@ -164,7 +200,7 @@ def double_eta_m(z, p1: int, p2: int, prec=96):
     with mp.workprec(bits):
         z = mp.mpc(z)
         quot = (eta(z / p1, prec) * eta(z / p2, prec)) / (eta(z, prec) * eta(z / (p1 * p2), prec))
-        return quot ** double_eta_s(p1, p2)
+        return _ipow(quot, double_eta_s(p1, p2))
 
 
 @dataclass(frozen=True)

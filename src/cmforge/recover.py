@@ -255,7 +255,11 @@ def recovery_matrix(run, sc):
 
 def recover_coords(gamma, plan, side):
     """Integer coordinates b with sum b_xi beta_xi ~ gamma (real side) or
-    sum b'_xi beta*_xi ~ gamma (imaginary side)."""
+    sum b'_xi beta*_xi ~ gamma (imaginary side).
+
+    Raises PrecisionEscalation unless the recovered sum lies within
+    plan.epsilon of gamma.
+    """
     if side not in plan.sides:
         raise InvalidParameters(f"the plan has no {side!r} recovery side")
     rec = plan.sides[side]
@@ -279,4 +283,13 @@ def recover_coords(gamma, plan, side):
                     f"rounding residual {mp.nstr(abs(v - r), 5)} at working "
                     f"precision {plan.float_bits}")
             rhs.append(r)
-    return solve_integer_system(recovery_matrix(run, sc), rhs)
+    b = solve_integer_system(recovery_matrix(run, sc), rhs)
+    # every rounding above can pass by chance when gamma is far from the
+    # value of b; a correct recovery lands within epsilon of its approximation
+    with mp.workprec(prec):
+        resid = abs(plan.basis.element(b, side).numeric(prec) - mp.mpc(gamma))
+        if not resid < plan.epsilon:
+            raise PrecisionEscalation(
+                f"recovered value is {mp.nstr(resid, 5)} from its approximation, "
+                f"epsilon {mp.nstr(plan.epsilon, 5)}")
+    return b

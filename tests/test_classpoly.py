@@ -10,7 +10,7 @@ from cmforge.arith import Discriminant
 from cmforge.classpoly import ClassPolynomial, class_poly_divisor, \
     class_poly_full, coset_labels, coset_product_check, divisor_forms
 from cmforge.errors import InvalidParameters, PrecisionExhausted
-from cmforge.forms import class_number
+from cmforge.forms import QuadForm, class_number, n_system
 from cmforge.genusfield import build_basis, gf_rational
 from cmforge.modfns import InvariantKind
 from cmforge.recover import make_plan
@@ -89,6 +89,16 @@ def test_coset_product_small():
     assert coset_product_check(-3, J)
     assert coset_product_check(-40, InvariantKind.weber())
     assert coset_product_check(-84, J)
+
+
+@pytest.mark.parametrize("D,kind", [(-1239, J), (-791, InvariantKind.gamma2())])
+def test_coset_product_through_mirror_pairs(D, kind):
+    # class groups of exponent > 2: some forms (A,B,C) and (A,-B,C) are both
+    # evaluated, so the full and divisor products multiply real quadratics
+    d = Discriminant.from_D(D)
+    forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+    assert any(f.B and QuadForm(f.A, -f.B, f.C) in forms for f in forms)
+    assert coset_product_check(D, kind)
 
 
 def test_coset_labels_group():
@@ -196,6 +206,30 @@ def test_imaginary_theta_error_fails_realness_check(monkeypatch):
     monkeypatch.setattr(classpoly, "theta_value", skewed)
     with pytest.raises(PrecisionExhausted):
         class_poly_divisor(-40, J, max_bits=4 * plan.float_bits)
+
+
+def test_paired_theta_error_fails_recovery(monkeypatch):
+    # (4,3,78) and (4,-3,78) share one evaluation, so an imaginary error at
+    # (4,3,78) enters a real quadratic and passes the realness check; the
+    # recovery of the real parts must escalate on it
+    theta = classpoly.theta_value
+    seen = []
+    skew = {}
+
+    def skewed(kind, form, prec=96):
+        seen.append(form)
+        v = theta(kind, form, prec)
+        with mp.workprec(prec + 64):
+            return v + mp.mpc(0, skew.get(form, 0))
+
+    monkeypatch.setattr(classpoly, "theta_value", skewed)
+    plan = make_plan(-1239, J)
+    assert class_poly_divisor(-1239, J, plan=plan, max_bits=4 * plan.float_bits)
+    assert len(seen) == 5 and QuadForm(4, 3, 78) in seen   # 8 forms, 3 pairs
+    assert QuadForm(4, -3, 78) not in seen
+    skew[QuadForm(4, 3, 78)] = mp.mpf(2) ** -10
+    with pytest.raises(PrecisionExhausted):
+        class_poly_divisor(-1239, J, max_bits=4 * plan.float_bits)
 
 
 def test_plan_reuse_same_result():

@@ -246,14 +246,38 @@ def test_height_ratios():
 
 
 
-@pytest.mark.parametrize("fn", [weber_f, weber_f1, weber_f2, gamma2, jfun])
+@pytest.mark.parametrize("fn", [eta, weber_f, weber_f1, weber_f2, gamma2, jfun,
+                                weber_g, double_eta_m], ids=lambda fn: fn.__name__)
 def test_entry_points_set_their_own_precision(fn):
-    # a caller at the default 53 bits still gets the requested precision;
-    # the reference runs at twice the bits inside a wide context
-    with mp.workprec(4200):
-        z = root_of_form(QuadForm(1, 1, 630))   # D = -2519
-        want = fn(z, 4000)
+    # 5000 bits is far above the size where mpmath's complex ** turns into
+    # exp/log; a caller at the default 53 bits still gets the requested
+    # precision, against a reference at twice the bits in a wide context
+    def at(prec):
+        if fn is weber_g:
+            return weber_g(QuadForm(15, -96, 155), prec)   # D = -84: f, cubed
+        if fn is double_eta_m:
+            return double_eta_m(z, 5, 7, prec)
+        return fn(z, prec)
+
+    with mp.workprec(10100):
+        z = root_of_form(QuadForm(13, 11, 51))   # D = -2531, Im z ~ 1.9
+        want = at(10000)
     with mp.workprec(53):
-        got = fn(z, 2000)
-    with mp.workprec(4200):
-        assert abs(got - want) <= abs(want) * mp.mpf(2) ** -1990
+        got = at(5000)
+    with mp.workprec(10100):
+        assert abs(got - want) <= abs(want) * mp.mpf(2) ** -5000
+
+
+@pytest.mark.parametrize("D,kind", [
+    (-1239, InvariantKind.j()), (-791, InvariantKind.gamma2()),
+    (-116, InvariantKind.weber()), (-264, InvariantKind.double_eta(2, 3)),
+])
+def test_mirror_form_gives_conjugate(D, kind):
+    # theta(A,-B,C) = conj theta(A,B,C): classpoly evaluates one form per pair
+    d = Discriminant.from_D(D)
+    forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+    f = next(f for f in forms if f.B and QuadForm(f.A, -f.B, f.C) in forms)
+    a = theta_value(kind, f, 1000)
+    b = theta_value(kind, QuadForm(f.A, -f.B, f.C), 1000)
+    with mp.workprec(1100):
+        assert abs(b - mp.conj(a)) <= abs(a) * mp.mpf(2) ** -1000

@@ -202,6 +202,17 @@ def test_big_perturbation_escalates():
         recover_coords(g, plan, REAL_PART)
 
 
+def test_recovery_far_from_gamma_escalates():
+    # gamma lies far outside epsilon (7.3e-15) of every small element: the
+    # roundings pass by chance, and the solved vector is huge and wrong
+    # ([1743880124611, 4565537438537], [-2026389313025, 5305156095939])
+    # unless its value is compared with gamma
+    with pytest.raises(PrecisionEscalation):
+        recover_coords(mp.mpf("1e-10"), plan_for(-40), REAL_PART)
+    with pytest.raises(PrecisionEscalation):
+        recover_coords(mp.mpc(0, "1e-8"), both_sides_plan(-40), IMAG_PART)
+
+
 def test_invalid_side_rejected():
     plan = plan_for(-40)
     with pytest.raises(InvalidParameters):
