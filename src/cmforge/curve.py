@@ -130,24 +130,50 @@ def _pgcd(f, g, p):
     return f
 
 
-def _pmulmod(f, g, h, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fc in enumerate(f):
-        if fc:
-            for j, gc in enumerate(g):
-                out[i + j] = (out[i + j] + fc * gc) % p
-    return _pdivmod(out, h, p)[1]
+def _pmul(f, g, p, n):
+    """The n lowest coefficients of f*g over F_p, from one integer product.
+
+    Kronecker substitution: each list is packed into an int, one k-byte
+    slot per coefficient.  A slot holds m*(p-1)^2, m the shorter length,
+    which bounds every coefficient of the exact product, so no slot carries
+    into the next one and each coefficient is read back and reduced mod p.
+    """
+    k = (2 * p.bit_length() + min(len(f), len(g)).bit_length() + 8) // 8
+    F = int.from_bytes(b"".join(c.to_bytes(k, "little") for c in f), "little")
+    G = F if g is f else int.from_bytes(
+        b"".join(c.to_bytes(k, "little") for c in g), "little")
+    prod = F * G
+    raw = prod.to_bytes(max(n * k, (prod.bit_length() + 7) // 8), "little")
+    return [int.from_bytes(raw[i:i + k], "little") % p for i in range(0, n * k, k)]
 
 
-def _ppowmod(f, e, h, p):
-    out = [1]
-    f = _pdivmod(f, h, p)[1]
-    while e:
-        if e & 1:
-            out = _pmulmod(out, f, h, p)
-        f = _pmulmod(f, f, h, p)
-        e >>= 1
-    return out
+def _ppow_linear(a, e, h, p):
+    """(x + a)^e mod the monic h over F_p, deg h >= 1.
+
+    Left to right: a multiply by x + a is a shift and scale with one
+    reduction of the top coefficient, so only the squarings cost products.
+    A square of length <= 2n-1 is reduced by two more products against
+    rev(h)^-1 mod x^(n-1), computed once per call (von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 9): the quotient is its reversed
+    top half times that inverse, and the remainder a_low - q*(h - x^n)
+    mod x^n.
+    """
+    n = len(h) - 1
+    low = h[:n]
+    rev = h[::-1]
+    inv = [1]
+    for i in range(1, n - 1):
+        inv.append(-sum(rev[j] * inv[i - j] for j in range(1, i + 1)) % p)
+    r = [1] + [0] * (n - 1)
+    for bit in bin(e)[2:]:
+        sq = _pmul(r, r, p, 2 * n - 1)
+        q = _pmul(sq[:n - 1:-1], inv, p, n - 1)[::-1]
+        r = [(s - t) % p for s, t in zip(sq, _pmul(q, low, p, n))]
+        if bit == "1":
+            top = r[-1]
+            r = [(prev + a * c - top * hc) % p
+                 for prev, c, hc in zip([0] + r[:-1], r, low)]
+    return _ptrim(r)
 
 
 def _psub(f, g, p):
@@ -160,24 +186,30 @@ def _psub(f, g, p):
 
 
 def roots_in_fp(f, p, seed=0):
-    """One root of f in F_p as a one-element list, or [] when f has none.
+    """One root of f in F_p, p an odd prime, as a one-element list, or []
+    when f has none.
 
-    gcd with x^p - x keeps the distinct linear factors; each randomized
-    equal-degree split by (x+a)^((p-1)/2) - 1 then descends into the
-    smaller factor until one linear factor is left.  Deterministic for a
-    fixed seed.
+    gcd with x^p - x keeps the distinct linear factors; each equal-degree
+    split by (x+a)^((p-1)/2) - 1 then descends into the smaller factor until
+    one linear factor is left.  One power w = x^((p-1)/2) mod f serves
+    twice: x^p = x*w^2 mod f feeds the gcd, and w - 1 is the first split,
+    at a = 0.  Later splits draw a from a Random(seed), so the result is
+    deterministic for a fixed seed.
     """
     f = _ptrim([c % p for c in f])
     assert f and f[-1] == 1, "need a monic nonzero polynomial"
+    if len(f) == 1:
+        return []
     rng = random.Random(seed)
-    xp = _ppowmod([0, 1], p, f, p)
+    w = _ppow_linear(0, (p - 1) // 2, f, p)
+    xp = _pdivmod([0] + _pmul(w, w, p, 2 * len(w) - 1), f, p)[1]
     g = _pgcd(_psub(xp, [0, 1], p), f, p)
     while len(g) > 2:
-        a = rng.randrange(p)
-        h = _psub(_ppowmod([a, 1], (p - 1) // 2, g, p), [1], p)
-        d = _pgcd(h, g, p)
+        d = _pgcd(_psub(w, [1], p), g, p)
         if 0 < len(d) - 1 < len(g) - 1:
             g = min(d, _pdivmod(g, d, p)[0], key=len)
+        if len(g) > 2:
+            w = _ppow_linear(rng.randrange(p), (p - 1) // 2, g, p)
     return [(-g[0]) % p] if len(g) == 2 else []
 
 
@@ -266,16 +298,54 @@ def point_add(P, Q, curve):
     return (x3, (lam * (x1 - x3) - y1) % p)
 
 
+def _jacobian_double(X, Y, Z, a, p):
+    """2*(X : Y : Z); Z = 0 (infinity) and Y = 0 both give Z = 0."""
+    YY = Y * Y % p
+    S = 4 * X * YY % p
+    ZZ = Z * Z % p
+    M = (3 * X * X + a * ZZ * ZZ) % p
+    X3 = (M * M - 2 * S) % p
+    return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
+
+
+def _jacobian_add_affine(X, Y, Z, x2, y2, a, p):
+    """(X : Y : Z) + (x2, y2)."""
+    if not Z:
+        return x2, y2, 1
+    ZZ = Z * Z % p
+    H = (x2 * ZZ - X) % p
+    R = (y2 * ZZ * Z - Y) % p
+    if not H:
+        return (1, 1, 0) if R else _jacobian_double(X, Y, Z, a, p)
+    HH = H * H % p
+    HHH = H * HH % p
+    V = X * HH % p
+    X3 = (R * R - HHH - 2 * V) % p
+    return X3, (R * (V - X3) - Y * HHH) % p, Z * H % p
+
+
 def scalar_mul(k, P, curve):
+    """k*P, left to right in Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3).
+
+    The chain adds only the affine P, and one inversion at the end takes
+    the result back to affine coordinates; Z = 0 is the point at infinity.
+    """
     if k < 0:
-        return scalar_mul(-k, point_neg(P, curve), curve)
-    acc = None
-    while k:
-        if k & 1:
-            acc = point_add(acc, P, curve)
-        P = point_add(P, P, curve)
-        k >>= 1
-    return acc
+        k, P = -k, point_neg(P, curve)
+    if P is None:
+        return None
+    p, a = curve.p, curve.a
+    x2, y2 = P
+    X, Y, Z = 1, 1, 0
+    for bit in bin(k)[2:]:
+        X, Y, Z = _jacobian_double(X, Y, Z, a, p)
+        if bit == "1":
+            X, Y, Z = _jacobian_add_affine(X, Y, Z, x2, y2, a, p)
+    if not Z:
+        return None
+    zi = pow(Z, -1, p)
+    zi2 = zi * zi % p
+    return (X * zi2 % p, Y * zi2 * zi % p)
 
 
 def random_point(curve, rng):

@@ -24,7 +24,8 @@ from .arith import Discriminant
 from .errors import InternalInvariantError, InvalidParameters, PrecisionEscalation
 from .forms import enumerate_reduced, phi_class
 from .genusfield import IMAG_PART, REAL_PART, GenusBasis, MPair, \
-    StructureConstants, build_basis, build_mpair, structure_constants
+    StructureConstants, _invert_matrix, build_basis, build_mpair, \
+    structure_constants
 from .modfns import InvariantKind
 
 T0_SAFETY_BITS = 8
@@ -80,11 +81,33 @@ def bound_T0_rigorous(D):
 @dataclass(frozen=True)
 class RecoverySide:
     """What recovery on one side needs: the M-pair, the structure constants
-    and the continued-fraction run."""
+    and the continued-fraction run, plus the part of every recovery that
+    does not depend on gamma.  At the plan's working precision: ``norm`` is
+    the omega denominator, ``scales[eta]`` is M(Id)*Z*X_eta and
+    ``values[xi]`` is beta_xi (beta*_xi on IMAG_PART).  ``det`` and
+    ``adj`` are the determinant and the integer adjugate of the recovery
+    matrix."""
 
     mpair: MPair
     sc: StructureConstants
     run: ApproxRun
+    norm: object
+    scales: tuple
+    values: tuple
+    det: int
+    adj: tuple
+
+
+def _recovery_side(basis, side, mpair, sc, run, prec):
+    with mp.workprec(prec):
+        mid = mpair.mid.numeric_real(prec)
+        Z = +sum(a * w.numeric_real(prec) for a, w in zip(run.A, mpair.omega_star))
+        scales = tuple(mid * Z * X.numeric_real(prec) for X in sc.X_set)
+        family = basis.beta if side == REAL_PART else basis.beta_star
+        values = tuple(e.numeric(prec) for e in family)
+        norm = mpair.norm.numeric(prec)
+    det, adj = _adjugate(recovery_matrix(run, sc))
+    return RecoverySide(mpair, sc, run, norm, scales, values, det, adj)
 
 
 @dataclass(frozen=True)
@@ -172,12 +195,14 @@ def make_plan(D, kind=None, T0=None, n0_min=1):
                 head = 1 + mp.mpf(2) ** -40   # so re-verification can't miss by an ulp
                 need = int(mp.floor(mid * z_req * head + C * delta_cap)) + 2
                 N0 = max(N0, need)
-    sides = {side: RecoverySide(mpair, sc, run_approx(d, mpair, N0=N0))
-             for side, (mpair, sc) in pairs.items()}
-    eps = min(_side_epsilon(s.mpair, s.sc, s.run) for s in sides.values())
+    runs = {side: run_approx(d, mpair, N0=N0) for side, (mpair, _) in pairs.items()}
+    eps = min(_side_epsilon(mpair, sc, runs[side]) for side, (mpair, sc) in pairs.items())
     with mp.workprec(160):
         eps = +(eps / 2)
         float_bits = int(mp.ceil(mp.log(T_eff / eps, 2))) + FLOAT_BITS_MARGIN
+    sides = {side: _recovery_side(basis, side, mpair, sc, runs[side],
+                                  float_bits + FLOAT_BITS_MARGIN)
+             for side, (mpair, sc) in pairs.items()}
     plan = RecoveryPlan(d=d, T0=T0, N0=N0, epsilon=eps, float_bits=float_bits,
                         basis=basis, sides=sides)
     _check_plan(plan)
@@ -228,21 +253,31 @@ def _det_bareiss(M):
     return sign * M[n - 1][n - 1]
 
 
-def solve_integer_system(M, r):
-    """Solve M b = r for integer b; M integer and nonsingular."""
-    n = len(M)
+def _adjugate(M):
+    """det M and adj M = det M * M^-1, which is an integer matrix."""
     det = _det_bareiss(M)
     if det == 0:
         raise InternalInvariantError("singular recovery matrix")
+    adj = tuple(tuple(int(det * x) for x in row) for row in _invert_matrix(M))
+    return det, adj
+
+
+def _solve_adjugate(det, adj, r):
+    """b = adj r / det.  (adj r)_xi is det M with column xi replaced by r
+    (Cramer's rule), so b is integral exactly when r is consistent."""
     b = []
-    for xi in range(n):
-        Mx = [[r[e] if j == xi else M[e][j] for j in range(n)] for e in range(n)]
-        q, rem = divmod(_det_bareiss(Mx), det)
+    for row in adj:
+        q, rem = divmod(sum(x * y for x, y in zip(row, r)), det)
         if rem:
             raise PrecisionEscalation(
                 "recovered right-hand side is inconsistent; need more precision")
         b.append(q)
     return b
+
+
+def solve_integer_system(M, r):
+    """Solve M b = r for integer b; M integer and nonsingular."""
+    return _solve_adjugate(*_adjugate(M), r)
 
 
 def recovery_matrix(run, sc):
@@ -263,31 +298,27 @@ def recover_coords(gamma, plan, side):
     if side not in plan.sides:
         raise InvalidParameters(f"the plan has no {side!r} recovery side")
     rec = plan.sides[side]
-    mpair, sc, run = rec.mpair, rec.sc, rec.run
     prec = plan.float_bits + FLOAT_BITS_MARGIN
     with mp.workprec(prec):
-        norm = mpair.norm.numeric(prec)
-        ratio = mp.mpc(gamma) / norm
+        ratio = mp.mpc(gamma) / rec.norm
         if abs(mp.im(ratio)) > (1 + abs(mp.re(ratio))) * mp.mpf(2) ** -32:
             raise PrecisionEscalation(
                 f"approximate value is not {side} after normalization")
         ratio = mp.re(ratio)
-        mid = mpair.mid.numeric_real(prec)
-        Z = +sum(a * w.numeric_real(prec) for a, w in zip(run.A, mpair.omega_star))
         rhs = []
-        for X in sc.X_set:
-            v = mid * Z * ratio * X.numeric_real(prec)
+        for scale in rec.scales:
+            v = scale * ratio
             r = int(mp.nint(v))
             if abs(v - r) >= 0.25:
                 raise PrecisionEscalation(
                     f"rounding residual {mp.nstr(abs(v - r), 5)} at working "
                     f"precision {plan.float_bits}")
             rhs.append(r)
-    b = solve_integer_system(recovery_matrix(run, sc), rhs)
+    b = _solve_adjugate(rec.det, rec.adj, rhs)
     # every rounding above can pass by chance when gamma is far from the
     # value of b; a correct recovery lands within epsilon of its approximation
     with mp.workprec(prec):
-        resid = abs(plan.basis.element(b, side).numeric(prec) - mp.mpc(gamma))
+        resid = abs(mp.fsum(c * v for c, v in zip(b, rec.values)) - mp.mpc(gamma))
         if not resid < plan.epsilon:
             raise PrecisionEscalation(
                 f"recovered value is {mp.nstr(resid, 5)} from its approximation, "

@@ -3,18 +3,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cmforge.arith import cornacchia, search_fixed_D
+from cmforge.arith import cornacchia, kronecker, search_fixed_D
 from cmforge.classpoly import class_poly_divisor, class_poly_full
-from cmforge.curve import (WeierstrassCurve, _pdivmod, curve_from_j, gen_curve,
-                           is_on_curve, j_from_theta, make_curve, naive_count,
-                           point_add, random_point, reduce_divisor_mod_p,
-                           roots_in_fp, scalar_mul, select_twist, sqrt_mod_p)
+from cmforge.curve import (WeierstrassCurve, _pdivmod, _pmul, _ppow_linear,
+                           curve_from_j, gen_curve, is_on_curve, j_from_theta,
+                           make_curve, naive_count, point_add, point_neg,
+                           random_point, reduce_divisor_mod_p, roots_in_fp,
+                           scalar_mul, select_twist, sqrt_mod_p)
 from cmforge.errors import (InternalInvariantError, InvalidParameters,
                             PrecisionExhausted, UnsupportedInvariant)
 from cmforge.modfns import InvariantKind
 
 J = InvariantKind.j()
+
+P256 = 2 ** 256 - 2 ** 224 + 2 ** 192 + 2 ** 96 - 1    # a 256-bit prime
+PRIMES = (5, 13, 2 ** 61 - 1, P256)
 
 
 def peval(f, x, p):
@@ -76,6 +81,111 @@ def test_roots_in_fp_deterministic_and_large_p():
     assert len(r) == 1 and r[0] * r[0] % p == 5
 
 
+# --- the F_p[x] layer against schoolbook references -------------------------
+
+def school_mul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, fc in enumerate(f):
+        for j, gc in enumerate(g):
+            out[i + j] = (out[i + j] + fc * gc) % p
+    return out
+
+
+def school_mod(f, h, p):
+    r = list(f)
+    n = len(h) - 1
+    for top in range(len(r) - 1, n - 1, -1):
+        c = r[top]
+        for i, hc in enumerate(h):
+            r[top - n + i] = (r[top - n + i] - c * hc) % p
+    r = r[:n]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def school_pow_linear(a, e, h, p):
+    """(x + a)^e mod the monic h, right to left, schoolbook throughout."""
+    out, base = school_mod([1], h, p), school_mod([a % p, 1], h, p)
+    while e:
+        if e & 1:
+            out = school_mod(school_mul(out, base, p), h, p)
+        base = school_mod(school_mul(base, base, p), h, p)
+        e >>= 1
+    return out
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_kronecker_product_matches_schoolbook(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    f, g = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=80)), \
+        data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=80))
+    full = len(f) + len(g) - 1
+    assert _pmul(f, g, p, full) == school_mul(f, g, p)
+    n = data.draw(st.integers(0, full + 3))
+    assert _pmul(f, g, p, n) == (school_mul(f, g, p) + [0] * 3)[:n]
+    assert _pmul(f, f, p, 2 * len(f) - 1) == school_mul(f, f, p)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_linear_powering_matches_schoolbook(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    n = data.draw(st.integers(1, 70))
+    h = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) + [1]
+    if data.draw(st.booleans()):
+        h[0] = 0
+    a = data.draw(st.integers(0, p - 1))
+    e = data.draw(st.sampled_from((0, 1, p, (p - 1) // 2)))
+    assert _ppow_linear(a, e, h, p) == school_pow_linear(a, e, h, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_kronecker_worst_case_slots(p):
+    # every coefficient p - 1 makes every slot of the product as full as it
+    # can be; a slot one bit short would carry into its neighbour
+    for n in (1, 2, 3, 34, 70, 257):
+        f = [p - 1] * n
+        assert _pmul(f, f, p, 2 * n - 1) == school_mul(f, f, p)
+        assert _pmul(f, [p - 1] * (n + 5), p, 2 * n + 4) == \
+            school_mul(f, [p - 1] * (n + 5), p)
+    for n in (1, 2, 9, 33):
+        h = [p - 1] * n + [1]
+        for e in (0, 1, 2, (p - 1) // 2, p):
+            assert _ppow_linear(p - 1, e, h, p) == school_pow_linear(p - 1, e, h, p)
+
+
+def test_roots_in_fp_many_linear_factors():
+    rng = random.Random(11)
+    roots = set()
+    while len(roots) < 34:
+        roots.add(rng.randrange(P256))
+    f = [1]
+    for r in roots:
+        f = school_mul(f, [(-r) % P256, 1], P256)
+    for seed in range(8):
+        got = roots_in_fp(f, P256, seed=seed)
+        assert len(got) == 1 and got[0] in roots
+    # zero is no root of x^((p-1)/2) - 1, so the a = 0 split puts it with
+    # the non-residues
+    assert roots_in_fp(school_mul([0, 1], [P256 - 5, 1], P256), P256) in ([0], [5])
+    assert roots_in_fp([0, 1], P256) == [0]
+
+
+def test_roots_in_fp_small_shapes():
+    # x^2 - c for a non-residue c is irreducible; times (x - 7) its only
+    # root is 7
+    c = next(c for c in range(2, 100) if kronecker(c, P256) == -1)
+    f = school_mul([(-c) % P256, 0, 1], [P256 - 7, 1], P256)
+    for seed in range(8):
+        assert roots_in_fp(f, P256, seed=seed) == [7]
+    assert roots_in_fp([P256 - 12345, 1], P256) == [12345]
+    assert roots_in_fp([3, 1], 13) == [10]
+    assert roots_in_fp([1], P256) == []
+    assert roots_in_fp([(-c) % P256, 0, 1], P256) == []
+
+
 def test_curve_from_j():
     assert curve_from_j(0, 41) == WeierstrassCurve(41, 0, 1)
     assert curve_from_j(1728 % 41, 41) == WeierstrassCurve(41, 1, 0)
@@ -109,6 +219,72 @@ def test_point_arithmetic():
     for _ in range(5):
         Q = random_point(c, rng)
         assert scalar_mul(n, Q, c) is None
+
+
+def affine_mul(k, P, c):
+    """k*P by affine double-and-add through point_add."""
+    if k < 0:
+        k, P = -k, point_neg(P, c)
+    acc = None
+    while k:
+        if k & 1:
+            acc = point_add(acc, P, c)
+        P = point_add(P, P, c)
+        k >>= 1
+    return acc
+
+
+def repeated_add(k, P, c):
+    Q = P if k >= 0 else point_neg(P, c)
+    acc = None
+    for _ in range(abs(k)):
+        acc = point_add(acc, Q, c)
+    return acc
+
+
+def curve_with_two_torsion(p, rng):
+    """A curve over F_p with the point (x0, 0) on it."""
+    while True:
+        x0, a = rng.randrange(p), rng.randrange(p)
+        b = (-(x0 ** 3) - a * x0) % p
+        if (4 * a ** 3 + 27 * b ** 2) % p:
+            return make_curve(p, a, b), (x0, 0)
+
+
+@pytest.mark.parametrize("p", [10007, P256])
+def test_jacobian_scalar_mul_matches_affine(p):
+    rng = random.Random(p)
+    c, T = curve_with_two_torsion(p, rng)
+    P = random_point(c, rng)
+    for Q in (P, T):
+        for k in range(-5, 61):
+            assert scalar_mul(k, Q, c) == repeated_add(k, Q, c), (Q, k)
+        for _ in range(20):
+            k = rng.randrange(1 << 256)
+            assert scalar_mul(k, Q, c) == affine_mul(k, Q, c)
+    # (x0, 0) doubles to infinity, and P + (-P) is infinity
+    assert scalar_mul(2, T, c) is None and scalar_mul(3, T, c) == T
+    assert point_add(P, point_neg(P, c), c) is None
+    assert scalar_mul(5, None, c) is None
+
+
+def test_jacobian_scalar_mul_at_the_point_order():
+    # near k = ord(P) the chain's last addition meets -P (P + (-P) = O) or
+    # P itself (a doubling inside the addition)
+    rng = random.Random(8)
+    p = 10007
+    while True:
+        c = make_curve(p, rng.randrange(p), rng.randrange(p) or 1)
+        P = random_point(c, rng)
+        order, Q = 1, P
+        while Q is not None:
+            Q = point_add(Q, P, c)
+            order += 1
+        if order % 2 and order > 3:
+            break
+    for k in range(order - 3, order + 4):
+        assert scalar_mul(k, P, c) == repeated_add(k, P, c), k
+    assert scalar_mul(order, P, c) is None
 
 
 def test_naive_count_oracle():
@@ -170,6 +346,23 @@ def test_gen_curve_examples(args, want):
     full = [c % p for c in class_poly_full(D, J).coeffs]
     assert peval(full, res["j"], p) == 0
     assert res["transcript"]["path"] == "divisor"
+
+
+def test_gen_curve_256_bit_divisor_verifies():
+    # the checks of `cmforge verify` for a large p: the order kills random
+    # points on the curve, not on its quadratic twist (affine reference)
+    found = search_fixed_D(-1239, p_bits=256, rng=random.Random(12))
+    res = gen_curve(-1239, found.p, found.u, found.v, path="divisor", seed=3)
+    c, order, p = res["curve"], res["order"], found.p
+    assert res["transcript"]["path"] == "divisor" and order == p + 1 - found.u
+    full = [x % p for x in class_poly_full(-1239, J).coeffs]
+    assert peval(full, res["j"], p) == 0 and c.j_invariant() == res["j"]
+    rng = random.Random(5)
+    assert all(affine_mul(order, random_point(c, rng), c) is None for _ in range(8))
+    nr = next(x for x in range(2, 100) if kronecker(x, p) == -1)
+    twist = make_curve(p, c.a * nr * nr, c.b * nr ** 3)
+    assert any(affine_mul(order, random_point(twist, rng), twist) is not None
+               for _ in range(8))
 
 
 def test_gen_curve_other_invariants():
