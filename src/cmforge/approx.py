@@ -19,7 +19,7 @@ correctness) and the quality report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp
 
@@ -28,6 +28,9 @@ from .genusfield import delta_g, structure_constants
 
 ITER_CAP_SLOPE = 8
 ITER_CAP_OFFSET = 64
+# precision of the registers' z shadows, which only pick the register to
+# advance; A and the quality report are computed at the run's own bits
+_Z_BITS = 128
 
 
 @dataclass
@@ -103,7 +106,7 @@ def cf_step(reg, bits=160):
 class ApproxRun:
     """State of one approximation run: registers plus the integer vector A."""
 
-    def __init__(self, d, mpair, N0=1, bits=None):
+    def __init__(self, d, mpair, N0=1):
         if N0 < 1:
             raise InvalidParameters(f"threshold N0 must be >= 1, got {N0}")
         self.d = d
@@ -111,7 +114,7 @@ class ApproxRun:
         self.basis = mpair.basis
         self.m = self.basis.m
         self.N0 = N0
-        self.bits = bits or max(160, 64 + int(N0).bit_length() + 8 * self.m)
+        self.bits = max(160, 64 + int(N0).bit_length() + 8 * self.m)
         self.c = structure_constants(mpair, dual=True).tensor
         self.A = [1] + [0] * (self.m - 1)
         self.iters = 0
@@ -120,7 +123,7 @@ class ApproxRun:
         self.lam_order = sorted(
             range(1, self.m),
             key=lambda mk: tuple((mk >> j) & 1 for j in range(t - 1)))
-        self.regs = {lam: make_register(d, lam, self.bits) for lam in self.lam_order}
+        self.regs = {lam: make_register(d, lam, _Z_BITS) for lam in self.lam_order}
         self.iter_cap = ITER_CAP_SLOPE * (self.m - 1) * max(1, int(N0).bit_length()) \
             + ITER_CAP_OFFSET
         self._oms_num = None
@@ -141,7 +144,7 @@ class ApproxRun:
         """One iteration: advance the chosen register, update A exactly."""
         lam = self.select()
         reg = self.regs[lam]
-        a = cf_step(reg, self.bits)
+        a = cf_step(reg, _Z_BITS)
         x_new, y_old = reg.x, reg.y_prev
         cl = self.c[lam]
         newA = []
@@ -196,8 +199,8 @@ class ApproxRun:
         return out
 
 
-def run_approx(d, mpair, N0=1, bits=None, trace=None):
-    return ApproxRun(d, mpair, N0, bits).run(trace)
+def run_approx(d, mpair, N0=1, trace=None):
+    return ApproxRun(d, mpair, N0).run(trace)
 
 
 def approx_quality(run):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .errors import InternalInvariantError, InvalidParameters
 
@@ -24,6 +24,7 @@ __all__ = [
     "factor_d",
     "Discriminant",
     "CurveOrderParams",
+    "admissible_params",
     "validate_params",
     "search_fixed_D",
     "search_fixed_p",
@@ -311,6 +312,26 @@ class CurveOrderParams:
         assert self.order == self.p + 1 - self.u
 
 
+def admissible_params(D: int, p: int) -> list[CurveOrderParams]:
+    """Every admissible (p, u, v, order) at (D, p), the minus order first.
+
+    Cornacchia's (u, v) gives the orders p + 1 -+ u.  At D = -4 and D = -3
+    the quartic and sextic twists add the orders of the other
+    representations of 4p: (2v, u/2) at -4, and ((u + 3v)/2, |u - v|/2)
+    and ((u - 3v)/2, (u + v)/2) at -3.  Empty when p is not represented.
+    """
+    sol = cornacchia(D, p)
+    if sol is None:
+        return []
+    u, v = sol
+    reps = [(u, v)]
+    if D == -4:
+        reps.append((2 * v, u // 2))
+    elif D == -3:
+        reps += [((u + 3 * v) // 2, abs(u - v) // 2), ((u - 3 * v) // 2, (u + v) // 2)]
+    return [CurveOrderParams(p, su, vv, p + 1 - su) for uu, vv in reps for su in (uu, -uu)]
+
+
 def validate_params(D: int, p: int, u: int, v: int) -> Discriminant:
     """Check the CM preconditions for (D, p, u, v); returns the Discriminant."""
     disc = D if isinstance(D, Discriminant) else Discriminant.from_D(D)
@@ -349,7 +370,7 @@ def search_fixed_D(
     Exactly one of p_max / p_bits selects the mode:
 
     * p_max: deterministic scan of primes p <= p_max in ascending order, offering
-      the minus order p+1-u before p+1+u.  Meant for small demonstrations, and
+      each p's ``admissible_params`` in turn.  Meant for small demonstrations, and
       the default (with p_max = budget) when neither bound is given.
     * p_bits: randomized search for p of that bit size.  When D = 5 (mod 8) this
       uses the u = 1 (mod 210), v = 105 (mod 210) walk, which guarantees neither
@@ -367,18 +388,11 @@ def search_fixed_D(
 
     if p_max is not None:
         for p in range(5, p_max + 1):
-            if not is_probable_prime(p):
-                continue
-            sol = cornacchia(disc.D, p)
-            if sol is None:
-                continue
-            u, v = sol
-            if math.gcd(u, p) != 1:
-                continue
-            for uu in (u, -u):
-                got = _offer(CurveOrderParams(p, uu, v, p + 1 - uu), predicate)
-                if got is not None:
-                    return got
+            if is_probable_prime(p):
+                for params in admissible_params(disc.D, p):
+                    got = _offer(params, predicate)
+                    if got is not None:
+                        return got
         return None
 
     if p_bits < 8:
@@ -458,23 +472,15 @@ def search_fixed_p(
 ) -> Optional[tuple[Discriminant, CurveOrderParams]]:
     """Scan discriminants for one that represents the given prime p.
 
-    Offers the minus order first for each workable D; returns the first
+    Offers each D's ``admissible_params`` in turn; returns the first
     (Discriminant, CurveOrderParams) the predicate accepts, or None.
     """
     if p <= 3 or not is_probable_prime(p):
         raise InvalidParameters(f"p = {p} is not a prime > 3")
     for D in discs:
         disc = D if isinstance(D, Discriminant) else Discriminant.from_D(D)
-        if kronecker(disc.D, p) != 1:
-            continue
-        sol = cornacchia(disc.D, p)
-        if sol is None:
-            continue
-        u, v = sol
-        if math.gcd(u, p) != 1:
-            continue
-        for uu in (u, -u):
-            got = _offer(CurveOrderParams(p, uu, v, p + 1 - uu), predicate)
+        for params in admissible_params(disc.D, p):
+            got = _offer(params, predicate)
             if got is not None:
                 return disc, got
     return None

@@ -9,16 +9,14 @@ element of the genus field from its float approximation.
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp
 
 from .arith import Discriminant
-from .errors import InternalInvariantError, InvalidParameters, \
-    PrecisionEscalation, PrecisionExhausted
+from .errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted
 from .forms import QuadForm, enumerate_reduced, n_system, phi_class
 from .genusfield import IMAG_PART, REAL_PART, gf_from_json, gf_rational, \
     gf_to_json
@@ -39,6 +37,9 @@ class ClassPolynomial:
     kind: InvariantKind
     phi0: object          # None for the full polynomial, else the +-1 tuple
     coeffs: tuple         # ascending, leading coefficient included (monic)
+    # the recovery plan that produced a divisor's coefficients, set by
+    # class_poly_divisor; None otherwise, and never serialized or compared
+    plan: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def degree(self):
@@ -181,7 +182,8 @@ def divisor_forms(D, kind, phi0=None):
 
 
 def class_poly_divisor(D, kind=None, phi0=None, plan=None, max_bits=None):
-    """The genus divisor of H_D[theta] with exact genus-field coefficients."""
+    """The genus divisor of H_D[theta] with exact genus-field coefficients;
+    its ``plan`` is the plan whose recovery produced them."""
     kind = kind or InvariantKind.j()
     d = Discriminant.from_D(D)
     kind.validate_for(d)
@@ -198,10 +200,13 @@ def class_poly_divisor(D, kind=None, phi0=None, plan=None, max_bits=None):
                 f"(cap {cap}); T0 estimate too small or parameters inconsistent")
         try:
             coeffs = _divisor_attempt(kind, sel, plan)
-            return ClassPolynomial(D, kind, phi0, coeffs)
+            break
         except PrecisionEscalation:
             # square T0: roughly doubles the working precision
             plan = make_plan(D, kind, T0=mp.mpf(plan.T0) ** 2)
+    poly = ClassPolynomial(D, kind, phi0, coeffs)
+    object.__setattr__(poly, "plan", plan)   # an init=False field of a frozen class
+    return poly
 
 
 def _divisor_attempt(kind, sel, plan):

@@ -13,7 +13,8 @@ import random
 import sys
 import traceback
 
-from .arith import Discriminant, cornacchia, is_probable_prime, validate_params
+from .arith import Discriminant, admissible_params, is_probable_prime, \
+    validate_params
 from .approx import approx_quality, run_approx
 from .classpoly import class_poly_divisor, class_poly_full, coset_product_check
 from .curve import (gen_curve, make_curve, naive_count, random_point,
@@ -56,35 +57,20 @@ def _as_int(x, what):
 def cmd_params(args, out):
     if (args.disc is None) == (args.fixed_p is None):
         raise InvalidParameters("give exactly one of --disc / --fixed-p")
-    rows = 0
     if args.disc is not None:
-        D = args.disc
-        Discriminant.from_D(D)
-        lo = max(5, args.p_min)
-        for p in range(lo, args.p_max + 1):
-            if not is_probable_prime(p):
-                continue
-            sol = cornacchia(D, p)
-            if sol is None:
-                continue
-            u, v = sol
-            _emit({"D": D, "p": p, "u": u, "v": v,
-                   "orders": [p + 1 - u, p + 1 + u]}, out)
-            rows += 1
+        Discriminant.from_D(args.disc)
+        pairs = ((args.disc, p) for p in range(max(5, args.p_min), args.p_max + 1)
+                 if is_probable_prime(p))
     else:
         p = args.fixed_p
         if p <= 3 or not is_probable_prime(p):
             raise InvalidParameters(f"--fixed-p needs a prime > 3, got {p}")
-        for D in range(-3, -args.disc_max - 1, -1):
-            if D % 4 not in (0, 1):
-                continue
-            sol = cornacchia(D, p)
-            if sol is None:
-                continue
-            u, v = sol
-            _emit({"D": D, "p": p, "u": u, "v": v,
-                   "orders": [p + 1 - u, p + 1 + u]}, out)
-            rows += 1
+        pairs = ((D, p) for D in range(-3, -args.disc_max - 1, -1) if D % 4 in (0, 1))
+    for D, p in pairs:
+        params = admissible_params(D, p)
+        if params:
+            _emit({"D": D, "p": p, "u": params[0].u, "v": params[0].v,
+                   "orders": [prm.order for prm in params]}, out)
     return 0
 
 
@@ -105,39 +91,22 @@ def cmd_classpoly(args, out):
     return 0
 
 
-def _order_candidates(D, p, u, v):
-    """All (u-hat, v-hat) giving admissible orders p + 1 - u-hat."""
-    cands = [(u, v), (-u, v)]
-    if D == -4:
-        cands += [(2 * v, u // 2), (-2 * v, u // 2)]
-    elif D == -3:
-        for uu, vv in (((u + 3 * v) // 2, abs(u - v) // 2),
-                       ((u - 3 * v) // 2, (u + v) // 2)):
-            cands += [(uu, vv), (-uu, vv)]
-    return cands
-
-
 def cmd_gencurve(args, out):
     D, p = args.disc, args.prime
-    sol = cornacchia(D, p)
-    if sol is None:
+    params = admissible_params(D, p)
+    if not params:
         raise InvalidParameters(f"4p = u^2 + |D|v^2 has no solution for (D,p)=({D},{p})")
-    u0, v0 = sol
-    chosen = None
-    for uu, vv in _order_candidates(D, p, u0, v0):
-        if p + 1 - uu == args.order:
-            chosen = (uu, abs(vv))
-            break
+    chosen = next((prm for prm in params if prm.order == args.order), None)
     if chosen is None:
-        orders = sorted({p + 1 - uu for uu, _ in _order_candidates(D, p, u0, v0)})
+        orders = sorted(prm.order for prm in params)
         raise InvalidParameters(
             f"order {args.order} not admissible at (D,p)=({D},{p}); valid: {orders}")
     kind = InvariantKind.parse(args.invariant)
-    res = gen_curve(D, p, chosen[0], chosen[1], kind=kind, path=args.path,
+    res = gen_curve(D, p, chosen.u, chosen.v, kind=kind, path=args.path,
                     seed=args.seed, max_bits=args.max_bits)
     c = res["curve"]
     _emit({"p": c.p, "a": c.a, "b": c.b, "j": res["j"], "order": res["order"],
-           "D": D, "u": chosen[0], "v": chosen[1], "invariant": str(kind),
+           "D": D, "u": chosen.u, "v": chosen.v, "invariant": str(kind),
            "path": res["transcript"]["path"],
            "transcript": res["transcript"]}, out)
     return 0

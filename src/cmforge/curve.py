@@ -14,8 +14,7 @@ from .arith import Discriminant, kronecker, sqrt_mod_p, validate_params
 from .classpoly import ClassPolynomial, class_poly_divisor, class_poly_full
 from .errors import (InternalInvariantError, InvalidParameters,
                      PrecisionExhausted, UnsupportedInvariant)
-from .modfns import InvariantKind, _weber_case
-from .recover import make_plan
+from .modfns import InvariantKind, j_from_theta
 
 __all__ = [
     "sqrt_mod_p",
@@ -226,43 +225,6 @@ def curve_from_j(j, p):
     return make_curve(p, 3 * c, 2 * c)
 
 
-# m (mod 8) case -> (scale, power, use f1?) rebuilding x = f^24 (or f1^24)
-# from s = g^3; j = (x-16)^3/x for f, (x+16)^3/x for f1
-_WEBER_REBUILD = {
-    1: (64, 4, False),
-    3: (1, 8, False),
-    5: (64, 2, False),
-    7: (4096, 8, False),
-    2: (64, 4, True),
-    4: (512, 2, True),
-}
-
-
-def j_from_theta(r, kind: InvariantKind, p, D=None):
-    """Candidate j-invariants mod p from a root r of the class polynomial."""
-    r %= p
-    if kind.name == "j":
-        return [r]
-    if kind.name == "gamma2":
-        return [pow(r, 3, p)]
-    if kind.name == "weber":
-        if D is None:
-            raise InvalidParameters("Weber j reconstruction needs D")
-        if r == 0:
-            raise InvalidParameters("zero Weber value cannot occur for valid (D,p)")
-        # the polynomial root is g itself when 3 does not divide D; the
-        # rebuild table is stated for s = g^3
-        s = r if D % 3 == 0 else pow(r, 3, p)
-        scale, power, f1 = _WEBER_REBUILD[_weber_case(D)]
-        x = scale * pow(s, power, p) % p
-        if x == 0:
-            raise InvalidParameters("degenerate Weber rebuild x = 0")
-        shift = 16 if f1 else -16
-        j = pow(x + shift, 3, p) * pow(x, -1, p) % p
-        return [j]
-    raise UnsupportedInvariant(f"cannot rebuild j from {kind} values")
-
-
 # ---------------------------------------------------------------------------
 # point arithmetic
 
@@ -408,8 +370,8 @@ def select_twist(curve, D, target_order, rng=None):
     pairwise distinct for valid CM parameters, so ties mean the point test
     failed to separate and we refuse to guess).
     """
-    if isinstance(rng, int) or rng is None:
-        rng = random.Random(rng or 0)
+    if rng is None:
+        rng = random.Random(0)
     family = _twist_family(curve)
     if curve.p <= 10 ** 4:
         for cand in family:
@@ -434,7 +396,7 @@ def select_twist(curve, D, target_order, rng=None):
 # ---------------------------------------------------------------------------
 # end-to-end
 
-def gen_curve(D, p, u, v, kind=None, path="auto", seed=0, plan=None, max_bits=None):
+def gen_curve(D, p, u, v, kind=None, path="auto", seed=0, max_bits=None):
     """Curve over F_p with exactly p + 1 - u points, via the CM class polynomial.
 
     path: "divisor" (genus divisor, the point of the whole pipeline), "full"
@@ -456,11 +418,10 @@ def gen_curve(D, p, u, v, kind=None, path="auto", seed=0, plan=None, max_bits=No
     fp = None
     if path in ("auto", "divisor"):
         try:
-            if plan is None:
-                plan = make_plan(D, kind)
-            poly = class_poly_divisor(D, kind, plan=plan, max_bits=max_bits)
+            poly = class_poly_divisor(D, kind, max_bits=max_bits)
             fp = reduce_divisor_mod_p(poly, p)
             used = "divisor"
+            plan = poly.plan
             transcript.update(T0=plan.T0, N0=plan.N0, float_bits=plan.float_bits,
                               degree=poly.degree)
         except PrecisionExhausted:

@@ -50,17 +50,10 @@ def _popcount(n):
 
 
 def _lam_mask(lam, nbits):
-    """Accept an automorphism label as an int bitmask or a 0/1 sequence."""
-    if isinstance(lam, int):
-        m = lam
-    else:
-        m = 0
-        for j, b in enumerate(lam):
-            if b:
-                m |= 1 << j
-    if not 0 <= m < (1 << nbits):
+    """An automorphism label: an int bitmask over nbits generators."""
+    if not 0 <= lam < (1 << nbits):
         raise InvalidParameters(f"automorphism label {lam!r} out of range for {nbits} generators")
-    return m
+    return lam
 
 
 class GFElem:
@@ -208,7 +201,7 @@ class GFElem:
     # -- automorphisms ------------------------------------------------
 
     def tau(self, lam):
-        """Flip the sign of sqrt(q_i) for every i in lam (mask or bit list)."""
+        """Flip the sign of sqrt(q_i) for every bit i of the mask lam."""
         m = _lam_mask(lam, len(self.qstars))
         out = {}
         for mask, co in self.c.items():
@@ -281,28 +274,28 @@ def gf_from_json(qstars, obj):
 
 # -- integral bases ---------------------------------------------------
 
-def _qstars_of(d):
-    if hasattr(d, "qstars"):
-        return tuple(d.qstars)
-    return tuple(d)
-
-
 def _invert_matrix(rows):
-    """Invert a square matrix of Fractions by Gauss-Jordan."""
+    """Inverse and determinant of a square rational matrix, by Gauss-Jordan;
+    the determinant is the signed product of the pivots."""
     n = len(rows)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(rows)]
+    det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        assert piv is not None, "singular basis matrix"
-        a[col], a[piv] = a[piv], a[col]
+        if piv is None:
+            raise InternalInvariantError("singular matrix")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
         inv = Fraction(1) / a[col][col]
         a[col] = [x * inv for x in a[col]]
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    return [row[n:] for row in a], det
 
 
 class GenusBasis:
@@ -329,8 +322,8 @@ class GenusBasis:
                 for mask in self.real_masks]
         smat = [[self.beta_star[mu].c.get(mask, Fraction(0)) for mu in range(self.m)]
                 for mask in self.imag_masks]
-        self._binv = _invert_matrix(bmat)
-        self._sinv = _invert_matrix(smat)
+        self._binv = _invert_matrix(bmat)[0]
+        self._sinv = _invert_matrix(smat)[0]
 
     def element(self, coords, side):
         """sum_mu coords[mu] beta[mu] on REAL_PART, over beta_star on IMAG_PART."""
@@ -353,13 +346,11 @@ class GenusBasis:
 
 
 def build_basis(d):
-    """Build the (beta, beta_star) integral basis pair for a discriminant.
-
-    Accepts a Discriminant (uses .qstars) or a raw tuple of q_i factors
-    ordered positives-first with any even factor per the factoring
-    convention (+8 leading, -4/-8 trailing).
+    """Build the (beta, beta_star) integral basis pair for a Discriminant,
+    whose q_i factors come positives-first with any even factor per the
+    factoring convention (+8 leading, -4/-8 trailing).
     """
-    qstars = _qstars_of(d)
+    qstars = d.qstars
     t = len(qstars)
     assert t >= 1
     u = sum(1 for q in qstars if q > 0)
@@ -546,13 +537,8 @@ def build_mpair(basis, variant=REAL_PART):
 def delta_g(d, lam):
     """The positive integer delta_lam and generator g_lam of one real
     quadratic subfield; g = sqrt(delta)/2 for even delta, (1+sqrt(delta))/2
-    for odd.  Accepts a Discriminant or GenusBasis (anything with .qstars
-    and .u)."""
-    if hasattr(d, "qstars") and hasattr(d, "u"):
-        qstars, u = tuple(d.qstars), d.u
-    else:
-        qstars = _qstars_of(d)
-        u = sum(1 for q in qstars if q > 0)
+    for odd.  d is a Discriminant or a GenusBasis."""
+    qstars, u = d.qstars, d.u
     t = len(qstars)
     mlam = _lam_mask(lam, t - 1)
     if mlam == 0:

@@ -11,7 +11,9 @@ integer power is taken by ``_ipow``: mpmath's complex ``**`` turns into
 exp(n log z) once n times the bit size passes 10^4, which costs far more
 than a few squarings.  All q-series here have real coefficients, so
 theta(-conj z) = conj theta(z); ``classpoly`` relies on this to evaluate one
-form of each mirror pair (A, +-B, C).
+form of each mirror pair (A, +-B, C).  ``j_from_theta`` inverts each
+invariant's relation to j over F_p, with the Weber cases derived from the
+same table that ``weber_g`` evaluates.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "double_eta_m",
     "InvariantKind",
     "theta_value",
+    "j_from_theta",
 ]
 
 
@@ -280,10 +283,10 @@ class InvariantKind:
                 if p1 == 2 and kronecker(D, 2) != 1 and D % 32 == 4:
                     raise UnsupportedInvariant("doubleeta 2,2 undefined for D = 4 (mod 32)")
 
-    def weber_cubed(self, disc: Discriminant) -> bool:
+    def weber_cubed(self, D: int) -> bool:
         # drop the cube whenever 3 does not divide D: smaller values and a
         # 48-system make the refined invariant available
-        return disc.D % 3 == 0
+        return D % 3 == 0
 
     def modulus(self, disc: Discriminant) -> int:
         if self.name == "j":
@@ -291,7 +294,7 @@ class InvariantKind:
         if self.name == "gamma2":
             return 3
         if self.name == "weber":
-            return 16 if self.weber_cubed(disc) else 48
+            return 16 if self.weber_cubed(disc.D) else 48
         return self.p1 * self.p2
 
     def b_target(self, disc: Discriminant) -> Optional[int]:
@@ -329,7 +332,7 @@ class InvariantKind:
             return Fraction(1, 3)
         if self.name == "weber":
             _, b, _, _ = _WEBER_CASES[_weber_case(disc.D)]
-            e = 3 * b if self.weber_cubed(disc) else b
+            e = 3 * b if self.weber_cubed(disc.D) else b
             return Fraction(e, 72)
         p1, p2 = self.p1, self.p2
         psi = (p1 + 1) * (p2 + 1) if p1 != p2 else p1 * (p1 + 1)
@@ -349,11 +352,33 @@ def theta_value(kind: InvariantKind, form: QuadForm, prec=96):
         with mp.workprec(bits):
             return gamma2(root_of_form(form), prec)
     if kind.name == "weber":
-        cubed = form.disc % 3 == 0
-        return weber_g(form, prec, cubed=cubed)
+        return weber_g(form, prec, cubed=kind.weber_cubed(form.disc))
     N = kind.p1 * kind.p2
     if math.gcd(form.A, N) != 1 or form.C % N != 0:
         raise InvalidParameters(f"doubleeta needs gcd(A,N)=1 and N | C: {form}")
     bits = _total_bits(prec)
     with mp.workprec(bits):
         return double_eta_m(root_of_form(form), kind.p1, kind.p2, prec)
+
+
+def j_from_theta(r, kind: InvariantKind, p, D=None):
+    """Candidate j-invariants mod p from a root r of the class polynomial."""
+    r %= p
+    if kind.name == "j":
+        return [r]
+    if kind.name == "gamma2":
+        return [pow(r, 3, p)]
+    if kind.name == "weber":
+        if D is None:
+            raise InvalidParameters("Weber j reconstruction needs D")
+        if r == 0:
+            raise InvalidParameters("zero Weber value cannot occur for valid (D,p)")
+        fname, b, k, _ = _WEBER_CASES[_weber_case(D)]
+        s = r if kind.weber_cubed(D) else pow(r, 3, p)   # s = g^3
+        # g = +-f^b / 2^(k/2), so x = f^24 = 2^(12k/b) s^(8/b) (f1 likewise)
+        x = pow(2, 12 * k // b, p) * pow(s, 8 // b, p) % p
+        if x == 0:
+            raise InvalidParameters("degenerate Weber rebuild x = 0")
+        shift = 16 if fname == "f1" else -16
+        return [pow(x + shift, 3, p) * pow(x, -1, p) % p]
+    raise UnsupportedInvariant(f"cannot rebuild j from {kind} values")

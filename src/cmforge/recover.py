@@ -31,26 +31,18 @@ from .modfns import InvariantKind
 T0_SAFETY_BITS = 8
 FLOAT_BITS_MARGIN = 64
 
-# rigorous coefficient bound constants, N = sqrt(|D|/3)
-_C1 = 5.441
-_C2 = 18.587
-_C3 = 17.442
-_C4 = 11.594
 
-
-def coset_sums(D, forms=None):
+def coset_sums(D):
     """Sum of 1/A over the reduced forms in each phi-coset."""
     d = Discriminant.from_D(D)
-    if forms is None:
-        forms = enumerate_reduced(D)
     sums = {}
-    for f in forms:
+    for f in enumerate_reduced(D):
         lab = phi_class(f, d)
         sums[lab] = sums.get(lab, 0) + mp.mpf(1) / f.A
     return sums
 
 
-def bound_T0_heuristic(D, kind=None, forms=None):
+def bound_T0_heuristic(D, kind=None):
     """exp(ratio * pi * sqrt(|D|) * max coset sum), padded by 2^8.
 
     The coefficient of the divisor polynomial is (up to the invariant's
@@ -62,20 +54,10 @@ def bound_T0_heuristic(D, kind=None, forms=None):
     d = Discriminant.from_D(D)
     ratio = kind.height_ratio(d)
     with mp.workprec(96):
-        worst = max(coset_sums(D, forms).values())
+        worst = max(coset_sums(D).values())
         ln_t0 = mp.mpf(ratio.numerator) / ratio.denominator * mp.pi \
             * mp.sqrt(abs(D)) * worst
         return +(mp.e ** ln_t0 * 2 ** T0_SAFETY_BITS)
-
-
-def bound_T0_rigorous(D):
-    """Unconditional coefficient bound exp(c1*N*ln^2 N + c2*N*ln N + c3*N
-    + c1*ln N + c4) with N = sqrt(|D|/3)."""
-    with mp.workprec(96):
-        N = mp.sqrt(mp.mpf(abs(D)) / 3)
-        ln = mp.log(N)
-        return +mp.e ** (_C1 * N * ln ** 2 + _C2 * N * ln + _C3 * N
-                         + _C1 * ln + _C4)
 
 
 @dataclass(frozen=True)
@@ -225,41 +207,12 @@ def _check_plan(plan):
                     f"epsilon too large on the {name} side")
 
 
-def _det_bareiss(M):
-    """Fraction-free determinant; all intermediate divisions are exact."""
-    M = [list(row) for row in M]
-    n = len(M)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
-                q, rem = divmod(num, prev)
-                assert rem == 0
-                M[i][j] = q
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
 def _adjugate(M):
-    """det M and adj M = det M * M^-1, which is an integer matrix."""
-    det = _det_bareiss(M)
-    if det == 0:
-        raise InternalInvariantError("singular recovery matrix")
-    adj = tuple(tuple(int(det * x) for x in row) for row in _invert_matrix(M))
-    return det, adj
+    """det M and adj M = det M * M^-1, which is an integer matrix; det is
+    the signed product of the Gauss-Jordan pivots."""
+    inv, det = _invert_matrix(M)
+    det = int(det)
+    return det, tuple(tuple(int(det * x) for x in row) for row in inv)
 
 
 def _solve_adjugate(det, adj, r):

@@ -159,3 +159,34 @@ def test_big_ints_as_strings(capsys):
     rc, out, _ = run_cli(["classpoly", "--disc", "-40"], capsys)
     row = lines(out)[0]
     assert all(isinstance(c, str) for c in row["coeffs"])
+
+
+@pytest.mark.parametrize("D,p_max", [(-3, 40), (-4, 40), (-40, 100)])
+def test_params_orders_are_the_ones_gencurve_accepts(D, p_max, tmp_path, capsys):
+    rc, out, _ = run_cli(["params", "--disc", str(D), "--p-max", str(p_max)], capsys)
+    rows = lines(out)
+    assert rc == 0 and rows
+    for row in rows:
+        p = str(row["p"])
+        # gencurve's list of valid orders is the set params printed
+        rc, _, err = run_cli(["gencurve", "--disc", str(D), "--prime", p,
+                              "--order", "1"], capsys)
+        assert rc == 2
+        assert err.strip().endswith(f"valid: {sorted(row['orders'])}")
+        for order in row["orders"]:
+            rc, out, _ = run_cli(["gencurve", "--disc", str(D), "--prime", p,
+                                  "--order", str(order)], capsys)
+            assert rc == 0 and lines(out)[0]["order"] == order
+            path = tmp_path / "curve.json"
+            path.write_text(out)
+            rc, out, _ = run_cli(["verify", str(path)], capsys)
+            assert rc == 0 and lines(out)[0]["verified"] is True
+
+
+def test_params_lists_the_quartic_and_sextic_twists(capsys):
+    _, out, _ = run_cli(["params", "--disc", "-3", "--p-min", "13", "--p-max", "13"], capsys)
+    assert sorted(lines(out)[0]["orders"]) == [7, 9, 12, 16, 19, 21]
+    _, out, _ = run_cli(["params", "--disc", "-4", "--p-min", "13", "--p-max", "13"], capsys)
+    assert sorted(lines(out)[0]["orders"]) == [8, 10, 18, 20]
+    _, out, _ = run_cli(["params", "--fixed-p", "13", "--disc-max", "4"], capsys)
+    assert {r["D"]: len(r["orders"]) for r in lines(out)} == {-3: 6, -4: 4}

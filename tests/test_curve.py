@@ -408,3 +408,34 @@ def test_gen_curve_transcript():
                 "float_bits", "degree", "path", "root", "j", "twist"):
         assert key in tr
     assert tr["target"] == res["order"]
+
+
+def test_gen_curve_transcript_reports_the_escalated_plan(monkeypatch):
+    # a T0 of 4 is far too small, so class_poly_divisor escalates; the
+    # transcript must describe the plan that produced the divisor
+    import cmforge.classpoly as classpoly
+    import cmforge.recover as recover
+    built = []
+
+    def recording_make_plan(*args, **kwargs):
+        built.append(recover.make_plan(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(recover, "bound_T0_heuristic", lambda D, kind=None: 4)
+    monkeypatch.setattr(classpoly, "make_plan", recording_make_plan)
+    found = search_fixed_D(-1239, p_bits=64, rng=random.Random(1239))
+    res = gen_curve(-1239, found.p, found.u, found.v, path="divisor")
+    tr = res["transcript"]
+    last = built[-1]
+    assert last.T0 > 4
+    assert (tr["T0"], tr["N0"], tr["float_bits"]) == (last.T0, last.N0, last.float_bits)
+
+
+# one discriminant per Weber case of -D/4 (mod 8): 1, 3, 5, 7, 2, 4, and the
+# cubed variants of the odd cases, where 3 | D
+@pytest.mark.parametrize("D", [-68, -44, -52, -28, -40, -80, -132, -84, -60, -12])
+def test_gen_curve_weber_divisor_every_case(D):
+    prm = search_fixed_D(D, lambda p, o: p > 200)
+    res = gen_curve(D, prm.p, prm.u, prm.v, kind=InvariantKind.weber(), path="divisor")
+    assert res["transcript"]["path"] == "divisor"
+    assert naive_count(res["curve"]) == prm.order == res["order"]

@@ -376,11 +376,11 @@ def test_delta_g_examples():
     assert delta == 5
     assert g == GFElem(d40.qstars, {0: Fraction(1, 2), 1: Fraction(1, 2)})
     d84 = Discriminant.from_D(-84)
-    assert delta_g(d84, (1, 0))[0] == 12
-    assert delta_g(d84, (1, 1))[0] == 21
-    assert delta_g(d84, (0, 1))[0] == 28
+    assert delta_g(d84, 0b01)[0] == 12
+    assert delta_g(d84, 0b11)[0] == 21
+    assert delta_g(d84, 0b10)[0] == 28
     # numeric: g for delta=12 is sqrt(3)
-    g12 = delta_g(d84, (1, 0))[1]
+    g12 = delta_g(d84, 0b01)[1]
     with mp.workprec(80):
         assert abs(g12.numeric_real(80) - mp.sqrt(3)) < mp.mpf(2) ** -60
 

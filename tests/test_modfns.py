@@ -156,7 +156,7 @@ def test_weber_g_cubed_16_system():
     # D = -84: m = 21 = 5 (mod 8), cubed convention since 3 | D
     sys16 = n_system(-84, 16, 0)
     disc = Discriminant.from_D(-84)
-    assert InvariantKind.weber().weber_cubed(disc)
+    assert InvariantKind.weber().weber_cubed(disc.D)
     with mp.workprec(300):
         vals = [theta_value(InvariantKind.weber(), f, 220) for f in sys16.forms]
         # symmetric functions must be (real) integers
