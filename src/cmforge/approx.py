@@ -1,4 +1,4 @@
-"""Simultaneous rational approximation of the dual basis omega_star.
+"""Simultaneous rational approximation of the dual basis omega_star(side).
 
 Runs continued fractions of the quadratic generators g_lam in parallel,
 always advancing the register with the largest surviving z-value, and
@@ -10,10 +10,10 @@ holds exactly.  The loop stops once |A_0| >= N0; the resulting A_mu/A_0
 approximate omega_mu/omega_0 with quality controlled by the conjugate
 bounds checked in approx_quality.
 
-All register arithmetic on (x, y, delta, a, P, Q, A) is exact integer
-work; the only floats are the z-shadows used to pick the next register
-(any choice of maximal z is valid, so their rounding cannot affect
-correctness) and the quality report.
+All register arithmetic on (x, y, delta, a, A) is exact integer work; the
+only floats are the z-shadows used to pick the next register (any choice
+of maximal z is valid, so their rounding cannot affect correctness) and
+the quality report.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .errors import InternalInvariantError, InvalidParameters
-from .genusfield import delta_g, structure_constants
+from .genusfield import OTHER_SIDE, delta_g
 
 ITER_CAP_SLOPE = 8
 ITER_CAP_OFFSET = 64
@@ -46,13 +46,7 @@ class CFRegister:
     y: int = 1
     y_prev: int = 0       # floor(delta/4) at init
     z: object = None      # mpf, z_{lam,n}
-    z_prev: object = None
     n: int = 0
-    # convergent numerators/denominators: (P, P_prev) = (P_{n-1}, P_{n-2})
-    P: int = 1
-    P_prev: int = 0
-    Q: int = 0
-    Q_prev: int = 1
 
 
 def make_register(d, lam, bits=160):
@@ -61,7 +55,7 @@ def make_register(d, lam, bits=160):
         g_real = g.numeric_real(bits)
         return CFRegister(
             lam=lam, delta=delta, g=g, g_real=g_real, isq=math.isqrt(delta),
-            x=0, y=1, y_prev=delta // 4, z=mp.mpf(1), z_prev=+g_real, n=0)
+            x=0, y=1, y_prev=delta // 4, z=mp.mpf(1), n=0)
 
 
 def cf_step(reg, bits=160):
@@ -87,13 +81,10 @@ def cf_step(reg, bits=160):
         assert 4 * x_new ** 2 < reg.delta
     assert y_new ** 2 < reg.delta
     with mp.workprec(bits):
-        # z_new = z_prev_pair - a*z rearranged to the cancellation-free
-        # form z * y_new / (g + x_new); the two are equal exactly.
-        z_new = reg.z * y_new / (reg.g_real + x_new)
-        reg.z, reg.z_prev = z_new, reg.z
+        # z_{n+1} = z_{n-1} - a*z_n rearranged to the cancellation-free
+        # form z_n * y_new / (g + x_new); the two are equal exactly.
+        reg.z = reg.z * y_new / (reg.g_real + x_new)
     reg.x, reg.y, reg.y_prev = x_new, y_new, y_old
-    reg.P, reg.P_prev = a * reg.P + reg.P_prev, reg.P
-    reg.Q, reg.Q_prev = a * reg.Q + reg.Q_prev, reg.Q
     reg.n += 1
     # delta = x_n^2 + y_n*y_{n-1} in the doubled variables
     if r:
@@ -104,18 +95,24 @@ def cf_step(reg, bits=160):
 
 
 class ApproxRun:
-    """State of one approximation run: registers plus the integer vector A."""
+    """One approximation run on one side: registers plus the integer vector A.
 
-    def __init__(self, d, mpair, N0=1):
+    The run drives sum_mu A_mu omega_star(side)_mu, so A is updated with
+    the structure constants of omega_star(side)'s family, the other side's
+    tensor.
+    """
+
+    def __init__(self, mpair, side, N0=1):
         if N0 < 1:
             raise InvalidParameters(f"threshold N0 must be >= 1, got {N0}")
-        self.d = d
         self.mpair = mpair
+        self.side = side
+        self.omega_star = mpair.omega_star(side)
         self.basis = mpair.basis
         self.m = self.basis.m
         self.N0 = N0
         self.bits = max(160, 64 + int(N0).bit_length() + 8 * self.m)
-        self.c = structure_constants(mpair, dual=True).tensor
+        self.c = mpair.sc(OTHER_SIDE[side]).tensor
         self.A = [1] + [0] * (self.m - 1)
         self.iters = 0
         t = self.basis.t
@@ -123,10 +120,11 @@ class ApproxRun:
         self.lam_order = sorted(
             range(1, self.m),
             key=lambda mk: tuple((mk >> j) & 1 for j in range(t - 1)))
-        self.regs = {lam: make_register(d, lam, _Z_BITS) for lam in self.lam_order}
+        self.regs = {lam: make_register(self.basis, lam, _Z_BITS) for lam in self.lam_order}
         self.iter_cap = ITER_CAP_SLOPE * (self.m - 1) * max(1, int(N0).bit_length()) \
             + ITER_CAP_OFFSET
-        self._oms_num = None
+        self._base = None
+        self._taus = None
 
     def done(self):
         return self.m == 1 or abs(self.A[0]) >= self.N0
@@ -174,33 +172,45 @@ class ApproxRun:
 
     # -- numeric views -------------------------------------------------
 
-    def _omega_star_numerics(self):
-        if self._oms_num is None:
-            oms = self.mpair.omega_star
-            base = [w.numeric_real(self.bits) for w in oms]
-            taus = []
-            for lam in range(self.m):
-                taus.append([w.tau(lam).numeric_real(self.bits) for w in oms])
-            self._oms_num = (base, taus)
-        return self._oms_num
-
     def z_value(self):
-        base, _ = self._omega_star_numerics()
+        if self._base is None:
+            self._base = [w.numeric_real(self.bits) for w in self.omega_star]
         with mp.workprec(self.bits):
-            return +sum(a * w for a, w in zip(self.A, base))
+            return +sum(a * w for a, w in zip(self.A, self._base))
+
+    def _tau_table(self, prec):
+        """tau_lam(omega_star_mu) for lam != 0, at prec bits or more."""
+        if self._taus is None or self._taus[0] < prec:
+            self._taus = (prec, {lam: [w.tau(lam).numeric_real(prec) for w in self.omega_star]
+                                 for lam in self.lam_order})
+        return self._taus[1]
+
+    def conj_bound(self):
+        """sqrt(|d|)^m / Z^(1/(m-1)), the bound on every conjugate of Z."""
+        with mp.workprec(self.bits):
+            return +(mp.sqrt(abs(self.basis.d)) ** self.m / mp.root(self.z_value(), self.m - 1))
 
     def conj_values(self):
-        """tau_lam applied to sum A_mu omega_star_mu, for every lam != 0."""
-        _, taus = self._omega_star_numerics()
-        out = {}
+        """tau_lam applied to sum A_mu omega_star_mu, for every lam != 0.
+
+        The terms A_mu tau_lam(omega_star_mu) cancel down to at most
+        conj_bound(), so they are summed at bits(m max|A| max|tau|) -
+        log2(conj_bound()) + 64, which keeps the error below 2^-64 of it.
+        """
+        taus = self._tau_table(self.bits)
         with mp.workprec(self.bits):
-            for lam in self.lam_order:
-                out[lam] = +sum(a * w for a, w in zip(self.A, taus[lam]))
-        return out
+            size = self.m * max(abs(a) for a in self.A) \
+                * max(abs(w) for row in taus.values() for w in row)
+            prec = int(mp.ceil(mp.log(size / self.conj_bound(), 2))) + 64
+        prec = max(self.bits, prec)
+        taus = self._tau_table(prec)
+        with mp.workprec(prec):
+            return {lam: +sum(a * w for a, w in zip(self.A, taus[lam]))
+                    for lam in self.lam_order}
 
 
-def run_approx(d, mpair, N0=1, trace=None):
-    return ApproxRun(d, mpair, N0).run(trace)
+def run_approx(mpair, side, N0=1, trace=None):
+    return ApproxRun(mpair, side, N0).run(trace)
 
 
 def approx_quality(run):
@@ -209,14 +219,12 @@ def approx_quality(run):
     Z >= 1 and |tau_lam(Z)| <= sqrt(|d|)^m / Z^(1/(m-1)) for lam != 0,
     plus the integer range invariants on every register.
     """
-    basis = run.basis
-    m = run.m
     with mp.workprec(run.bits):
         Z = run.z_value()
         report = {"Z": Z, "Z_ok": Z >= 1, "conj_ok": True, "ranges_ok": True,
                   "conj_max": mp.mpf(0), "conj_bound": mp.inf}
-        if m > 1:
-            bound = mp.sqrt(abs(basis.d)) ** m / mp.root(Z, m - 1)
+        if run.m > 1:
+            bound = run.conj_bound()
             slack = 1 + mp.mpf(2) ** (-run.bits // 2)
             worst = mp.mpf(0)
             for lam, v in run.conj_values().items():

@@ -2,8 +2,9 @@
 
 Kronecker symbols, primality, modular square roots, the 4p = u^2 + |D|v^2
 version of Cornacchia's algorithm, discriminant factorization into prime
-discriminants, and the parameter searches (fixed D / fixed p) that produce
-curve orders avoiding small prime factors.
+discriminants, every admissible curve order at one (D, p), and the
+fixed-D parameter search that produces curve orders avoiding small prime
+factors.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import InternalInvariantError, InvalidParameters
 
@@ -27,7 +28,6 @@ __all__ = [
     "admissible_params",
     "validate_params",
     "search_fixed_D",
-    "search_fixed_p",
 ]
 
 
@@ -464,23 +464,3 @@ def _search_210(disc, predicate, rng, budget, lo, hi):
             step = 210 - step  # alternate +106 / +104
     return None
 
-
-def search_fixed_p(
-    p: int,
-    discs: Iterable[int],
-    predicate: Optional[Predicate] = None,
-) -> Optional[tuple[Discriminant, CurveOrderParams]]:
-    """Scan discriminants for one that represents the given prime p.
-
-    Offers each D's ``admissible_params`` in turn; returns the first
-    (Discriminant, CurveOrderParams) the predicate accepts, or None.
-    """
-    if p <= 3 or not is_probable_prime(p):
-        raise InvalidParameters(f"p = {p} is not a prime > 3")
-    for D in discs:
-        disc = D if isinstance(D, Discriminant) else Discriminant.from_D(D)
-        for params in admissible_params(disc.D, p):
-            got = _offer(params, predicate)
-            if got is not None:
-                return disc, got
-    return None

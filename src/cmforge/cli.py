@@ -113,12 +113,10 @@ def cmd_gencurve(args, out):
 
 
 def cmd_approx(args, out):
-    d = Discriminant.from_D(args.disc)
-    basis = build_basis(d)
-    variant = REAL_PART if args.variant == "real" else IMAG_PART
-    mpair = build_mpair(basis, variant)
+    basis = build_basis(Discriminant.from_D(args.disc))
+    side = REAL_PART if args.variant == "real" else IMAG_PART
     trace = []
-    run = run_approx(d, mpair, N0=args.threshold, trace=trace.append)
+    run = run_approx(build_mpair(basis), side, N0=args.threshold, trace=trace.append)
     for row in trace:
         _emit(row, out)
     q = approx_quality(run)

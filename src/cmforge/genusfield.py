@@ -10,9 +10,10 @@ sqrt(q_1)...sqrt(q_t); every sign convention below is anchored to that.
 
 On top of raw field arithmetic this module builds explicit Z-bases
 (beta, beta_star) of the real and pure-imaginary parts of the ring of
-integers, the sign-flip automorphisms tau, the dual systems
-(omega, omega_star, M-values) driving coefficient recovery, and the
-integer structure-constant tensors used by the approximation loop.
+integers, the sign-flip automorphisms tau, and, once per field, the dual
+system (M-values, omega and omega_star for either side) with the two
+integer structure-constant tensors that drive the approximation loop and
+coefficient recovery.
 """
 
 from __future__ import annotations
@@ -232,11 +233,6 @@ class GFElem:
         assert v.imag == 0, f"not a real element: {self!r}"
         return v.real
 
-    def numeric_imag(self, prec=96):
-        v = self.numeric(prec)
-        assert v.real == 0, f"not a pure-imaginary element: {self!r}"
-        return v.imag
-
 
 # -- constructors and serialization -----------------------------------
 
@@ -302,7 +298,8 @@ class GenusBasis:
     """Explicit Z-bases of the real / imaginary halves of the ring of integers.
 
     beta[mu] spans O_K intersect R, beta_star[mu] spans O_K intersect iR,
-    mu running over {0,1}^(t-1) encoded as bitmasks (bit j = s_{j+1}).
+    mu running over {0,1}^(t-1) encoded as bitmasks (bit j = s_{j+1});
+    ``family(side)`` is beta on REAL_PART and beta_star on IMAG_PART.
     """
 
     def __init__(self, qstars, u, case, beta, beta_star):
@@ -315,34 +312,39 @@ class GenusBasis:
         self.beta_star = tuple(beta_star)
         self.sqrt_d = gf_sqrt_d(self.qstars)
         self.d = math.prod(self.qstars)
+        # per side: the masks its family lives on (an even number of negative
+        # factors for real elements, odd for imaginary ones) and the inverse
+        # of the family's coordinate matrix on them
         neg = self.beta[0].neg_mask
-        self.real_masks = sorted(m for m in range(1 << self.t) if _popcount(m & neg) % 2 == 0)
-        self.imag_masks = sorted(m for m in range(1 << self.t) if _popcount(m & neg) % 2 == 1)
-        bmat = [[self.beta[mu].c.get(mask, Fraction(0)) for mu in range(self.m)]
-                for mask in self.real_masks]
-        smat = [[self.beta_star[mu].c.get(mask, Fraction(0)) for mu in range(self.m)]
-                for mask in self.imag_masks]
-        self._binv = _invert_matrix(bmat)[0]
-        self._sinv = _invert_matrix(smat)[0]
+        self._coord_maps = {}
+        for side, parity in ((REAL_PART, 0), (IMAG_PART, 1)):
+            masks = [m for m in range(1 << self.t) if _popcount(m & neg) % 2 == parity]
+            mat = [[e.c.get(mask, Fraction(0)) for e in self.family(side)] for mask in masks]
+            self._coord_maps[side] = (masks, _invert_matrix(mat)[0])
+
+    def family(self, side):
+        """beta on REAL_PART, beta_star on IMAG_PART."""
+        if side == REAL_PART:
+            return self.beta
+        if side == IMAG_PART:
+            return self.beta_star
+        raise InvalidParameters(f"unknown side {side!r}")
 
     def element(self, coords, side):
-        """sum_mu coords[mu] beta[mu] on REAL_PART, over beta_star on IMAG_PART."""
+        """sum_mu coords[mu] * family(side)[mu]."""
         z = gf_rational(self.qstars, 0)
-        for c, e in zip(coords, self.beta if side == REAL_PART else self.beta_star):
+        for c, e in zip(coords, self.family(side)):
             z = z + c * e
         return z
 
-    def expand_beta(self, v):
-        """Rational coordinates of a real element over the beta basis."""
-        assert v.is_real(), f"expected a real element, got {v!r}"
-        col = [v.c.get(mask, Fraction(0)) for mask in self.real_masks]
-        return [sum(self._binv[mu][r] * col[r] for r in range(self.m)) for mu in range(self.m)]
-
-    def expand_beta_star(self, v):
-        """Rational coordinates of a pure-imaginary element over beta_star."""
-        assert v.is_imag(), f"expected a pure-imaginary element, got {v!r}"
-        col = [v.c.get(mask, Fraction(0)) for mask in self.imag_masks]
-        return [sum(self._sinv[mu][r] * col[r] for r in range(self.m)) for mu in range(self.m)]
+    def coords(self, v, side):
+        """Rational coordinates of v over family(side); v must be real on
+        REAL_PART and pure imaginary on IMAG_PART."""
+        assert v.is_real() if side == REAL_PART else v.is_imag(), \
+            f"expected a {side} element, got {v!r}"
+        masks, inv = self._coord_maps[side]
+        col = [v.c.get(mask, Fraction(0)) for mask in masks]
+        return [sum(inv[mu][r] * col[r] for r in range(self.m)) for mu in range(self.m)]
 
 
 def build_basis(d):
@@ -466,45 +468,57 @@ def duality_sum(basis, eta, nu):
 
 # -- dual systems -----------------------------------------------------
 
+OTHER_SIDE = {REAL_PART: IMAG_PART, IMAG_PART: REAL_PART}
+
+
 @dataclass(frozen=True)
 class MPair:
-    """Dual bases (omega, omega_star) of the real subfield plus M-values.
+    """The field's dual system: M-values, the dual bases by side, and the
+    two structure-constant tensors.
 
-    REAL_PART: omega = beta/beta_0, omega_star = beta_star/beta_star_0.
-    IMAG_PART swaps the two.  Either way M(tau_mu) makes the duality sum
+    omega(REAL_PART) = beta/beta_0 and omega(IMAG_PART) = beta*/beta*_0;
+    omega_star(side) is omega(other side), and norm(side), the omega
+    denominator, is beta_0 or beta*_0.  M(tau_mu) makes
     Sum_mu M(tau_mu) tau_mu(omega_lam * omega_star_lam') = [lam == lam']
-    hold exactly, which is verified at construction.
+    hold exactly, which is verified at construction on REAL_PART; the
+    IMAG_PART identities are the REAL_PART ones transposed (lam and lam'
+    swapped), as the product is commutative.  ``sc(side)`` expands over
+    family(side): recovery on a side uses that side's tensor, and the
+    approximation run on a side the other side's.
     """
 
     basis: GenusBasis
-    variant: str
-    omega: tuple
-    omega_star: tuple
     mvals: tuple
+    omegas: dict
+    tensors: dict
 
     @property
     def mid(self):
         return self.mvals[0]
 
-    @property
-    def norm(self):
-        """The omega denominator: beta_0 on the real side, beta_star_0 on
-        the imaginary side."""
-        return self.basis.beta[0] if self.variant == REAL_PART else self.basis.beta_star[0]
+    def omega(self, side):
+        return self.omegas[side]
+
+    def omega_star(self, side):
+        return self.omegas[OTHER_SIDE[side]]
+
+    def norm(self, side):
+        return self.basis.family(side)[0]
+
+    def sc(self, side):
+        return self.tensors[side]
 
 
-def build_mpair(basis, variant=REAL_PART):
-    if variant not in (REAL_PART, IMAG_PART):
-        raise InvalidParameters(f"unknown variant {variant!r}")
+def build_mpair(basis):
     qstars = basis.qstars
     m = basis.m
-    b0, bs0 = basis.beta[0], basis.beta_star[0]
-    b0_inv, bs0_inv = b0.inv(), bs0.inv()
-    om = tuple(basis.beta[mu] * b0_inv for mu in range(m))
-    oms = tuple(basis.beta_star[mu] * bs0_inv for mu in range(m))
-    if variant == IMAG_PART:
-        om, oms = oms, om
-    prod0 = b0 * bs0
+    omegas = {}
+    for side in (REAL_PART, IMAG_PART):
+        fam = basis.family(side)
+        inv0 = fam[0].inv()
+        omegas[side] = tuple(fam[mu] * inv0 for mu in range(m))
+    om, oms = omegas[REAL_PART], omegas[IMAG_PART]
+    prod0 = basis.beta[0] * basis.beta_star[0]
     inv_sqrt_d = basis.sqrt_d * Fraction(1, basis.d)  # 1/sqrt(d)
     mvals = []
     for mu in range(m):
@@ -512,8 +526,8 @@ def build_mpair(basis, variant=REAL_PART):
         mvals.append(-v if _popcount(mu) % 2 else v)
     mvals = tuple(mvals)
 
-    if oms[0] != 1:
-        raise InternalInvariantError("omega_star_0 is not 1")
+    if om[0] != 1 or oms[0] != 1:
+        raise InternalInvariantError("omega_0 or omega_star_0 is not 1")
     one = gf_one(qstars)
     zero = gf_zero(qstars)
     for lam in range(m):
@@ -526,10 +540,11 @@ def build_mpair(basis, variant=REAL_PART):
             if acc != want:
                 raise InternalInvariantError(
                     f"dual-system identity failed for qstars={qstars} "
-                    f"variant={variant} lam={lam} lam'={lamp}")
+                    f"lam={lam} lam'={lamp}")
     for v in mvals:
         assert v.is_real()
-    return MPair(basis, variant, om, oms, mvals)
+    tensors = {side: structure_constants(basis, side) for side in (REAL_PART, IMAG_PART)}
+    return MPair(basis, mvals, omegas, tensors)
 
 
 # -- quadratic generators and structure constants ---------------------
@@ -578,34 +593,27 @@ def default_x_set(basis):
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Integer tensor expanding omega_xi * X_eta (or omega_star_xi * X_eta
-    when dual=True) over the same basis: tensor[eta][xi][mu]."""
+    """Integer tensor expanding family(side)_xi * X_eta over family(side),
+    tensor[eta][xi][mu]; it also expands omega_xi * X_eta over omega for
+    the omega with that family, as omega is the family over its first
+    element."""
 
     X_set: tuple
     tensor: tuple
-    dual: bool
 
 
-def structure_constants(mpair, X_set=None, dual=False):
-    basis = mpair.basis
-    if X_set is None:
-        X_set = default_x_set(basis)
-    m = basis.m
-    assert len(X_set) == m
-    # omega-expansions reduce to beta-expansions: v = sum x_mu omega_mu
-    # iff v*norm = sum x_mu beta_mu where norm is the omega denominator.
-    use_star = (mpair.variant == REAL_PART) == dual
-    fam = basis.beta_star if use_star else basis.beta
-    expand = basis.expand_beta_star if use_star else basis.expand_beta
+def structure_constants(basis, side):
+    """The beta tensor on REAL_PART, the beta_star tensor on IMAG_PART."""
+    X_set = default_x_set(basis)
+    fam = basis.family(side)
     tensor = []
-    for eta in range(m):
+    for X in X_set:
         rows = []
-        for xi in range(m):
-            coords = expand(fam[xi] * X_set[eta])
-            for co in coords:
-                if co.denominator != 1:
-                    raise InvalidParameters(
-                        f"X_set element {eta} gives non-integer structure constants")
+        for e in fam:
+            coords = basis.coords(e * X, side)
+            if any(co.denominator != 1 for co in coords):
+                raise InternalInvariantError(
+                    f"non-integer structure constants for qstars={basis.qstars}")
             rows.append(tuple(int(co) for co in coords))
         tensor.append(tuple(rows))
-    return StructureConstants(tuple(X_set), tuple(tensor), dual)
+    return StructureConstants(X_set, tuple(tensor))

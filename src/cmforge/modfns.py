@@ -1,5 +1,6 @@
-"""Modular functions evaluated at form roots: eta, Weber f/f1/f2, gamma2, j,
-the Weber class invariant g, and the double eta quotient m_{p1,p2}^s.
+"""Modular functions evaluated at form roots: eta, Weber f and f1, gamma2
+(which inlines Weber f2), j, the Weber class invariant g, and the double eta
+quotient m_{p1,p2}^s.
 
 All evaluations take a precision in bits and work at bits + 64 internally,
 whatever the caller's precision; values are principal-branch throughout, with
@@ -33,7 +34,6 @@ __all__ = [
     "eta",
     "weber_f",
     "weber_f1",
-    "weber_f2",
     "gamma2",
     "jfun",
     "weber_g",
@@ -114,11 +114,6 @@ def weber_f(z, prec=96):
 def weber_f1(z, prec=96):
     with mp.workprec(_total_bits(prec)):
         return eta(z / 2, prec) / eta(z, prec)
-
-
-def weber_f2(z, prec=96):
-    with mp.workprec(_total_bits(prec)):
-        return mp.sqrt(2) * eta(2 * z, prec) / eta(z, prec)
 
 
 def gamma2(z, prec=96):

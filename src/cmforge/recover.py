@@ -23,9 +23,8 @@ from .approx import ApproxRun, run_approx
 from .arith import Discriminant
 from .errors import InternalInvariantError, InvalidParameters, PrecisionEscalation
 from .forms import enumerate_reduced, phi_class
-from .genusfield import IMAG_PART, REAL_PART, GenusBasis, MPair, \
-    StructureConstants, _invert_matrix, build_basis, build_mpair, \
-    structure_constants
+from .genusfield import IMAG_PART, REAL_PART, GenusBasis, _invert_matrix, \
+    build_basis, build_mpair
 from .modfns import InvariantKind
 
 T0_SAFETY_BITS = 8
@@ -62,16 +61,14 @@ def bound_T0_heuristic(D, kind=None):
 
 @dataclass(frozen=True)
 class RecoverySide:
-    """What recovery on one side needs: the M-pair, the structure constants
-    and the continued-fraction run, plus the part of every recovery that
-    does not depend on gamma.  At the plan's working precision: ``norm`` is
-    the omega denominator, ``scales[eta]`` is M(Id)*Z*X_eta and
+    """What recovery on one side needs: the continued-fraction run (which
+    holds the M-pair and the side), plus the part of every recovery that
+    does not depend on gamma.  At the plan's working precision: ``norm``
+    is the omega denominator, ``scales[eta]`` is M(Id)*Z*X_eta and
     ``values[xi]`` is beta_xi (beta*_xi on IMAG_PART).  ``det`` and
     ``adj`` are the determinant and the integer adjugate of the recovery
     matrix."""
 
-    mpair: MPair
-    sc: StructureConstants
     run: ApproxRun
     norm: object
     scales: tuple
@@ -80,16 +77,16 @@ class RecoverySide:
     adj: tuple
 
 
-def _recovery_side(basis, side, mpair, sc, run, prec):
+def _recovery_side(run, prec):
+    mpair, side = run.mpair, run.side
     with mp.workprec(prec):
         mid = mpair.mid.numeric_real(prec)
-        Z = +sum(a * w.numeric_real(prec) for a, w in zip(run.A, mpair.omega_star))
-        scales = tuple(mid * Z * X.numeric_real(prec) for X in sc.X_set)
-        family = basis.beta if side == REAL_PART else basis.beta_star
-        values = tuple(e.numeric(prec) for e in family)
-        norm = mpair.norm.numeric(prec)
-    det, adj = _adjugate(recovery_matrix(run, sc))
-    return RecoverySide(mpair, sc, run, norm, scales, values, det, adj)
+        Z = +sum(a * w.numeric_real(prec) for a, w in zip(run.A, run.omega_star))
+        scales = tuple(mid * Z * X.numeric_real(prec) for X in mpair.sc(side).X_set)
+        values = tuple(e.numeric(prec) for e in mpair.basis.family(side))
+        norm = mpair.norm(side).numeric(prec)
+    det, adj = _adjugate(recovery_matrix(run))
+    return RecoverySide(run, norm, scales, values, det, adj)
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,7 @@ class RecoveryPlan:
     sides: dict
 
 
-def _side_threshold(mpair, sc, T_eff, prec=160):
+def _side_threshold(mpair, side, T_eff, prec=160):
     """Required Z from the rounding analysis, with the conjugate factor.
 
     The quantity being bounded is tau_lam(sum b omega) * tau_lam(X_eta) =
@@ -120,29 +117,31 @@ def _side_threshold(mpair, sc, T_eff, prec=160):
     m = basis.m
     if m == 1:
         return mp.mpf(0), mp.mpf(0)
+    norm = mpair.norm(side)
     with mp.workprec(prec):
         delta_cap = mp.sqrt(abs(basis.d)) ** m
         mv = [abs(v.numeric_real(prec)) for v in mpair.mvals]
         C = +sum(mv[1:])
         z_req = mp.mpf(0)
-        for X in sc.X_set:
+        for X in mpair.sc(side).X_set:
             s = mp.mpf(0)
             for lam in range(1, m):
                 tx = abs(X.tau(lam).numeric(prec))
-                tn = abs(mpair.norm.tau(lam).numeric(prec))
+                tn = abs(norm.tau(lam).numeric(prec))
                 s += mv[lam] * tx / tn
             z_req = max(z_req, (4 * s * delta_cap * T_eff) ** (m - 1))
         return +z_req, +C
 
 
-def _side_epsilon(mpair, sc, run, prec=160):
+def _side_epsilon(run, prec=160):
     """epsilon < (1/4) |beta_norm| / (|M(Id) X_eta| Z) over all eta."""
+    mpair = run.mpair
     with mp.workprec(prec):
         Z = run.z_value()
         mid = abs(mpair.mid.numeric_real(prec))
-        norm = abs(mpair.norm.numeric(prec))
+        norm = abs(mpair.norm(run.side).numeric(prec))
         best = mp.inf
-        for X in sc.X_set:
+        for X in mpair.sc(run.side).X_set:
             xv = abs(X.numeric(prec))
             best = min(best, norm / (4 * mid * xv * Z))
         return +best
@@ -159,11 +158,8 @@ def make_plan(D, kind=None, T0=None, n0_min=1):
     kind = kind or InvariantKind.j()
     d = Discriminant.from_D(D)
     basis = build_basis(d)
+    mpair = build_mpair(basis)
     names = (REAL_PART,) if kind.conjugation_closed(d) else (REAL_PART, IMAG_PART)
-    pairs = {}
-    for side in names:
-        mpair = build_mpair(basis, side)
-        pairs[side] = (mpair, structure_constants(mpair, dual=False))
     if T0 is None:
         T0 = bound_T0_heuristic(D, kind)
     with mp.workprec(160):
@@ -171,20 +167,19 @@ def make_plan(D, kind=None, T0=None, n0_min=1):
         delta_cap = mp.sqrt(abs(basis.d)) ** basis.m
         N0 = int(n0_min)
         if basis.m > 1:
-            for mpair, sc in pairs.values():
-                z_req, C = _side_threshold(mpair, sc, T_eff)
-                mid = abs(mpair.mid.numeric_real(160))
-                head = 1 + mp.mpf(2) ** -40   # so re-verification can't miss by an ulp
+            mid = abs(mpair.mid.numeric_real(160))
+            head = 1 + mp.mpf(2) ** -40   # so re-verification can't miss by an ulp
+            for side in names:
+                z_req, C = _side_threshold(mpair, side, T_eff)
                 need = int(mp.floor(mid * z_req * head + C * delta_cap)) + 2
                 N0 = max(N0, need)
-    runs = {side: run_approx(d, mpair, N0=N0) for side, (mpair, _) in pairs.items()}
-    eps = min(_side_epsilon(mpair, sc, runs[side]) for side, (mpair, sc) in pairs.items())
+    runs = {side: run_approx(mpair, side, N0=N0) for side in names}
+    eps = min(_side_epsilon(run) for run in runs.values())
     with mp.workprec(160):
         eps = +(eps / 2)
         float_bits = int(mp.ceil(mp.log(T_eff / eps, 2))) + FLOAT_BITS_MARGIN
-    sides = {side: _recovery_side(basis, side, mpair, sc, runs[side],
-                                  float_bits + FLOAT_BITS_MARGIN)
-             for side, (mpair, sc) in pairs.items()}
+    sides = {side: _recovery_side(run, float_bits + FLOAT_BITS_MARGIN)
+             for side, run in runs.items()}
     plan = RecoveryPlan(d=d, T0=T0, N0=N0, epsilon=eps, float_bits=float_bits,
                         basis=basis, sides=sides)
     _check_plan(plan)
@@ -197,12 +192,12 @@ def _check_plan(plan):
         T_eff = 2 * mp.mpf(plan.T0)
         for name, side in plan.sides.items():
             if plan.d.m > 1:
-                z_req, _ = _side_threshold(side.mpair, side.sc, T_eff, 192)
+                z_req, _ = _side_threshold(side.run.mpair, name, T_eff, 192)
                 Z = side.run.z_value()
                 if not Z > z_req:
                     raise InternalInvariantError(
                         f"accuracy threshold not reached on the {name} side")
-            if not plan.epsilon < _side_epsilon(side.mpair, side.sc, side.run, 192):
+            if not plan.epsilon < _side_epsilon(side.run, 192):
                 raise InternalInvariantError(
                     f"epsilon too large on the {name} side")
 
@@ -228,15 +223,10 @@ def _solve_adjugate(det, adj, r):
     return b
 
 
-def solve_integer_system(M, r):
-    """Solve M b = r for integer b; M integer and nonsingular."""
-    return _solve_adjugate(*_adjugate(M), r)
-
-
-def recovery_matrix(run, sc):
-    """M_{eta,xi} = sum_mu A_mu x_{mu,xi,eta}."""
+def recovery_matrix(run):
+    """M_{eta,xi} = sum_mu A_mu x_{mu,xi,eta}, over the run side's tensor."""
     m = len(run.A)
-    T = sc.tensor
+    T = run.mpair.sc(run.side).tensor
     return [[sum(run.A[mu] * T[eta][xi][mu] for mu in range(m))
              for xi in range(m)] for eta in range(m)]
 

@@ -100,9 +100,9 @@ def test_criterion_5_integral_basis_identities():
             want = basis.sqrt_d if eta == nu else zero
             assert got == want, f"duality_sum failed at d={D}, ({eta},{nu})"
         # build_mpair verifies the dual-system identity exactly for every
-        # (lam, lam') pair and raises when any fails
-        build_mpair(basis, REAL_PART)
-        build_mpair(basis, IMAG_PART)
+        # (lam, lam') pair and raises when any fails; the IMAG_PART
+        # orientation's identities are the same ones transposed
+        build_mpair(basis)
         count += 1
     dt = time.perf_counter() - t
     assert dt < 60.0, f"criterion 5 took {dt:.2f}s (budget 60s)"
@@ -129,8 +129,8 @@ def test_criterion_6_approximation_invariants():
     t = time.perf_counter()
     for D in (-40, -84, -420):
         d = Discriminant.from_D(D)
-        mpair = build_mpair(build_basis(d), REAL_PART)
-        run = ApproxRun(d, mpair, N0=N0)
+        mpair = build_mpair(build_basis(d))
+        run = ApproxRun(mpair, REAL_PART, N0=N0)
         while not run.done():
             run.step()
             for reg in run.regs.values():

@@ -12,14 +12,15 @@ from cmforge.arith import Discriminant
 from cmforge.errors import InvalidParameters
 from cmforge.genusfield import IMAG_PART, REAL_PART, build_basis, build_mpair, \
     delta_g
+from cmforge.recover import make_plan
 
 BITS = 192
 
 
-def setup(D, variant=REAL_PART):
+def setup(D):
     d = Discriminant.from_D(D)
     basis = build_basis(d)
-    return d, basis, build_mpair(basis, variant)
+    return d, basis, build_mpair(basis)
 
 
 def sigma_g(delta, prec=BITS):
@@ -29,9 +30,29 @@ def sigma_g(delta, prec=BITS):
         return +((1 - s) / 2 if delta % 4 else -s / 2)
 
 
-def norm_check(reg):
+def convergent(quots):
+    """(P_{n-1}, Q_{n-1}, Q_{n-2}) of the continued fraction whose partial
+    quotients so far are quots, from (P_{-1}, Q_{-1}) = (1, 0) and
+    (P_{-2}, Q_{-2}) = (0, 1)."""
+    P, P_prev, Q, Q_prev = 1, 0, 0, 1
+    for a in quots:
+        P, P_prev = a * P + P_prev, P
+        Q, Q_prev = a * Q + Q_prev, Q
+    return P, Q, Q_prev
+
+
+def quotients_by_register(rows):
+    """Partial quotients of each register, from a run's trace rows."""
+    out = {}
+    for row in rows:
+        out.setdefault(row["lam"], []).append(row["a"])
+    return out
+
+
+def norm_check(reg, quots):
     """Exact integer check of N(P_{n-1} - Q_{n-1} g) = (-1)^n * y_n."""
-    P, Q = reg.P, reg.Q
+    assert len(quots) == reg.n
+    P, Q, _ = convergent(quots)
     if reg.delta % 4:
         val = P * P - P * Q + Q * Q * (1 - reg.delta) // 4
     else:
@@ -63,7 +84,7 @@ def test_register_init_golden_ratio():
     assert reg.n == 0
     with mp.workprec(BITS):
         assert reg.z == 1
-        assert abs(reg.z_prev - (1 + mp.sqrt(5)) / 2) < mp.mpf(2) ** -180
+        assert abs(reg.g_real - (1 + mp.sqrt(5)) / 2) < mp.mpf(2) ** -180
 
 
 def test_golden_ratio_partial_quotients():
@@ -74,14 +95,15 @@ def test_golden_ratio_partial_quotients():
     fib = [1, 1]
     for _ in range(40):
         fib.append(fib[-1] + fib[-2])
+    quots = []
     for n in range(1, 31):
-        a = cf_step(reg, BITS)
-        assert a == 1
+        quots.append(cf_step(reg, BITS))
+        assert quots[-1] == 1
         assert (reg.x, reg.y) == (0, 1)
-        norm_check(reg)
+        norm_check(reg, quots)
         range_checks(reg)
         # convergents of phi are ratios of consecutive Fibonacci numbers
-        assert reg.P == fib[n] and reg.Q == fib[n - 1]
+        assert convergent(quots)[:2] == (fib[n], fib[n - 1])
 
 
 def test_sqrt3_register_period():
@@ -119,10 +141,11 @@ def test_norm_identity_and_ranges_many_steps():
         d = Discriminant.from_D(D)
         for lam in range(1, d.m):
             reg = make_register(d, lam, BITS)
-            norm_check(reg)  # n = 0: N(1) = 1 = (-1)^0 * y
+            quots = []
+            norm_check(reg, quots)  # n = 0: N(1) = 1 = (-1)^0 * y
             for _ in range(30):
-                cf_step(reg, BITS)
-                norm_check(reg)
+                quots.append(cf_step(reg, BITS))
+                norm_check(reg, quots)
                 range_checks(reg)
 
 
@@ -131,52 +154,55 @@ def test_z_shadow_tracks_exact_value():
     d, basis, mpair = setup(-420)
     for lam in (1, 2, 5):
         reg = make_register(d, lam, 512)
-        for _ in range(60):
-            cf_step(reg, 512)
-        extra = 512 + reg.Q.bit_length() + 64
+        P, Q, _ = convergent([cf_step(reg, 512) for _ in range(60)])
+        extra = 512 + Q.bit_length() + 64
         with mp.workprec(extra):
             g = mp.mpf(reg.delta % 4)
-            exact = abs(reg.P - reg.Q * (g + mp.sqrt(reg.delta)) / 2)
+            exact = abs(P - Q * (g + mp.sqrt(reg.delta)) / 2)
             assert abs(reg.z - exact) < abs(exact) * mp.mpf(2) ** -440
 
 
 def test_convergents_approximate_g():
     d, basis, mpair = setup(-84)
     reg = make_register(d, 3, BITS)
+    quots = []
     for n in range(1, 25):
-        cf_step(reg, BITS)
+        quots.append(cf_step(reg, BITS))
+        P, Q, Q_prev = convergent(quots)
         # |g - P/Q| < 1/(Q * Q_next) with Q_next >= Q + Q_prev
-        if reg.Q and reg.Q_prev:
+        if Q and Q_prev:
             with mp.workprec(BITS):
-                err = abs(reg.g_real - mp.mpf(reg.P) / reg.Q)
-                assert err < mp.mpf(1) / (reg.Q * (reg.Q + reg.Q_prev))
+                err = abs(reg.g_real - mp.mpf(P) / Q)
+                assert err < mp.mpf(1) / (Q * (Q + Q_prev))
         # Q_n >= 2^((n-1)/2)
-        assert reg.Q ** 2 >= 2 ** (reg.n - 2)
+        assert Q ** 2 >= 2 ** (reg.n - 2)
 
 
 def test_run_golden_gives_fibonacci_vector():
     d, basis, mpair = setup(-40)
-    run = run_approx(d, mpair, N0=10 ** 3)
+    run = run_approx(mpair, REAL_PART, N0=10 ** 3)
     assert run.A == [1597, -610]   # (F_17, -F_15)
     assert run.iters == 15
     q = approx_quality(run)
     assert q["ok"]
     with mp.workprec(run.bits):
-        om1 = mpair.omega[1].numeric_real(run.bits)
+        om1 = mpair.omega(REAL_PART)[1].numeric_real(run.bits)
         assert abs(mp.mpf(run.A[1]) / run.A[0] - om1) < mp.mpf(1) / run.A[0] ** 2
 
 
 def test_run_invariants_every_iteration():
-    for D, variant in [(-40, REAL_PART), (-84, REAL_PART), (-84, IMAG_PART),
-                       (-420, REAL_PART)]:
-        d, basis, mpair = setup(D, variant)
-        run = ApproxRun(d, mpair, N0=10 ** 6)
+    for D, side in [(-40, REAL_PART), (-84, REAL_PART), (-84, IMAG_PART),
+                    (-420, REAL_PART)]:
+        d, basis, mpair = setup(D)
+        run = ApproxRun(mpair, side, N0=10 ** 6)
+        rows = []
         while not run.done():
-            row = run.step()
+            rows.append(run.step())
             q = approx_quality(run)
-            assert q["ok"], (D, variant, run.iters, q)
+            assert q["ok"], (D, side, run.iters, q)
             # the advanced register obeys the norm identity exactly
-            norm_check(run.regs[row["lam"]])
+            lam = rows[-1]["lam"]
+            norm_check(run.regs[lam], quotients_by_register(rows)[lam])
             # all touched registers stay balanced: max z / min z <= sqrt(|d|)
             zs = [reg.z for reg in run.regs.values()]
             with mp.workprec(run.bits):
@@ -189,12 +215,15 @@ def test_run_invariants_every_iteration():
 def test_product_identity_after_run():
     for D in (-40, -84, -420):
         d, basis, mpair = setup(D)
-        run = run_approx(d, mpair, N0=10 ** 5)
+        rows = []
+        run = run_approx(mpair, REAL_PART, N0=10 ** 5, trace=rows.append)
+        quots = quotients_by_register(rows)
         with mp.workprec(run.bits):
             lhs = run.z_value()
             rhs = mp.mpf(1)
             for lam, reg in run.regs.items():
-                rhs *= reg.P - reg.Q * sigma_g(reg.delta, run.bits)
+                P, Q, _ = convergent(quots.get(lam, []))
+                rhs *= P - Q * sigma_g(reg.delta, run.bits)
             assert abs(lhs - rhs) < abs(lhs) * mp.mpf(2) ** (-run.bits // 2)
             assert lhs >= 1
 
@@ -202,7 +231,7 @@ def test_product_identity_after_run():
 def test_z_lower_bound_from_step_counts():
     for D in (-84, -420):
         d, basis, mpair = setup(D)
-        run = run_approx(d, mpair, N0=10 ** 5)
+        run = run_approx(mpair, REAL_PART, N0=10 ** 5)
         total = sum(reg.n for reg in run.regs.values())
         assert total == run.iters
         with mp.workprec(run.bits):
@@ -213,15 +242,16 @@ def test_z_lower_bound_from_step_counts():
 def finalapprox_constants(mpair, bits=BITS):
     """C and C_i of the simultaneous-approximation error bound."""
     m = mpair.basis.m
+    omega = mpair.omega(REAL_PART)
     with mp.workprec(bits):
         mvals = [v.numeric_real(bits) for v in mpair.mvals]
-        om = [w.numeric_real(bits) for w in mpair.omega]
+        om = [w.numeric_real(bits) for w in omega]
         C = sum(abs(mvals[lam]) for lam in range(1, m))  # tau(omega_0) = 1
         Cs = {}
         for i in range(1, m):
             acc = mp.mpf(0)
             for lam in range(1, m):
-                ti = mpair.omega[i].tau(lam).numeric_real(bits)
+                ti = omega[i].tau(lam).numeric_real(bits)
                 acc += abs(mvals[lam] * (ti - om[i]))
             Cs[i] = +acc
         return +C, Cs, mvals, om
@@ -229,7 +259,7 @@ def finalapprox_constants(mpair, bits=BITS):
 
 def test_error_bound_m2():
     d, basis, mpair = setup(-40)
-    run = run_approx(d, mpair, N0=10 ** 4)
+    run = run_approx(mpair, REAL_PART, N0=10 ** 4)
     C, Cs, mvals, om = finalapprox_constants(mpair, run.bits)
     with mp.workprec(run.bits):
         Delta = mp.sqrt(abs(basis.d)) ** run.m
@@ -243,7 +273,7 @@ def test_error_bound_m2():
 
 def test_error_bound_all_coords():
     d, basis, mpair = setup(-84)
-    run = run_approx(d, mpair, N0=10 ** 6)
+    run = run_approx(mpair, REAL_PART, N0=10 ** 6)
     C, Cs, mvals, om = finalapprox_constants(mpair, run.bits)
     with mp.workprec(run.bits):
         Delta = mp.sqrt(abs(basis.d)) ** run.m
@@ -255,10 +285,36 @@ def test_error_bound_all_coords():
             assert err <= Cs[i] * Delta / (A0 * zfac), i
 
 
+def test_conj_values_resolve_the_bound():
+    # at N0 = 2^1015 the terms A_mu tau_lam(omega_star_mu) are near 2^1015
+    # and cancel to below 2^-300; compare with a 4000-bit evaluation
+    d, basis, mpair = setup(-1239)
+    run = run_approx(mpair, REAL_PART, N0=2 ** 1015)
+    got = run.conj_values()
+    bound = run.conj_bound()
+    assert bound < mp.mpf(2) ** -300
+    with mp.workprec(4000):
+        for lam in run.lam_order:
+            want = sum(a * w.tau(lam).numeric_real(4000)
+                       for a, w in zip(run.A, mpair.omega_star(REAL_PART)))
+            assert abs(got[lam] - want) < bound * mp.mpf(2) ** -60
+            assert abs(want) <= bound
+    assert approx_quality(run)["ok"]
+
+
+def test_quality_at_the_plan_threshold_minus5460():
+    # the -5460 j plan's N0 has 6742 bits; its run's conjugates must be
+    # checked at more than the run's own 6934 bits to see them below the bound
+    run = make_plan(-5460).sides[REAL_PART].run
+    assert run.N0.bit_length() == 6742
+    q = approx_quality(run)
+    assert q["conj_ok"] and q["ok"]
+
+
 def test_trivial_field_never_iterates():
     for D in (-3, -4, -8):
         d, basis, mpair = setup(D)
-        run = run_approx(d, mpair, N0=10 ** 6)
+        run = run_approx(mpair, REAL_PART, N0=10 ** 6)
         assert run.A == [1]
         assert run.iters == 0
         q = approx_quality(run)
@@ -268,13 +324,13 @@ def test_trivial_field_never_iterates():
 def test_bad_threshold_rejected():
     d, basis, mpair = setup(-40)
     with pytest.raises(InvalidParameters):
-        ApproxRun(d, mpair, N0=0)
+        ApproxRun(mpair, REAL_PART, N0=0)
 
 
 def test_determinism_and_explicit_tensor():
     d, basis, mpair = setup(-120)
-    r1 = run_approx(d, mpair, N0=10 ** 4)
-    r2 = run_approx(d, mpair, N0=10 ** 4)
+    r1 = run_approx(mpair, REAL_PART, N0=10 ** 4)
+    r2 = run_approx(mpair, REAL_PART, N0=10 ** 4)
     assert r1.A == r2.A
     assert r1.iters == r2.iters
 
@@ -282,7 +338,7 @@ def test_determinism_and_explicit_tensor():
 def test_trace_callback_rows():
     d, basis, mpair = setup(-84)
     rows = []
-    run = run_approx(d, mpair, N0=10 ** 3, trace=rows.append)
+    run = run_approx(mpair, REAL_PART, N0=10 ** 3, trace=rows.append)
     assert len(rows) == run.iters
     assert rows[-1]["A"] == run.A
     for k, row in enumerate(rows):
@@ -296,7 +352,7 @@ def test_selection_prefers_lex_smallest_on_tie():
     # at iteration 0 all z are 1... no wait, z starts at 1 for every register,
     # so the very first pick must be the lexicographically smallest label
     d, basis, mpair = setup(-420)
-    run = ApproxRun(d, mpair, N0=10 ** 2)
+    run = ApproxRun(mpair, REAL_PART, N0=10 ** 2)
     first = run.select()
     assert first == run.lam_order[0]
     # label tuples are compared bit-by-bit from lambda_1
@@ -309,8 +365,8 @@ def test_larger_threshold_reuses_prefix():
     # the run is a deterministic state machine, so a bigger N0 extends the
     # smaller run's trajectory
     d, basis, mpair = setup(-84)
-    small = run_approx(d, mpair, N0=10 ** 2)
+    small = run_approx(mpair, REAL_PART, N0=10 ** 2)
     rows = []
-    big = run_approx(d, mpair, N0=10 ** 5, trace=rows.append)
+    big = run_approx(mpair, REAL_PART, N0=10 ** 5, trace=rows.append)
     assert rows[small.iters - 1]["A"] == small.A
     assert big.iters > small.iters

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from cmforge.arith import (
     CurveOrderParams,
     Discriminant,
+    admissible_params,
     cornacchia,
     factor_d,
     is_probable_prime,
     kronecker,
     search_fixed_D,
-    search_fixed_p,
     split_discriminant,
     sqrt_mod_p,
     validate_params,
@@ -259,15 +259,14 @@ def test_search_fixed_D_budget_and_modes():
         search_fixed_D(-40, None, p_max=100, p_bits=40)
 
 
-def test_search_fixed_p():
-    disc, got = search_fixed_p(13, [-40, -3, -4])
+def test_admissible_params_fixed_p():
     # -40 is not represented at 13 (kronecker(-40,13) = -1); -3 is
-    assert disc.D == -3 and got.p == 13
-    disc, got = search_fixed_p(13, [-4], lambda p, o: o == 8)
-    assert disc.D == -4 and got == CurveOrderParams(13, 6, 2, 8)
-    assert search_fixed_p(13, [-40]) is None
+    assert admissible_params(-40, 13) == []
+    got = admissible_params(-3, 13)
+    assert got and all(prm.p == 13 for prm in got)
+    assert CurveOrderParams(13, 6, 2, 8) in admissible_params(-4, 13)
     with pytest.raises(InvalidParameters):
-        search_fixed_p(12, [-3])
+        admissible_params(-3, 12)
 
 
 def test_validate_params():

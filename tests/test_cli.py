@@ -108,6 +108,21 @@ def test_approx_trace(capsys):
     assert all("a" in r and "lam" in r for r in rows[:-1])
 
 
+def test_approx_quality_at_a_large_threshold(capsys):
+    # the conjugates of Z cancel from terms near 2^1015 down to about 2^-318,
+    # far below the run's own 1112 bits
+    rc, out, _ = run_cli(["approx", "--disc", "-1239", "--threshold", str(2 ** 1015)],
+                         capsys)
+    assert rc == 0
+    assert lines(out)[-1]["ok"] is True
+
+
+def test_approx_imag_side(capsys):
+    rc, out, _ = run_cli(["approx", "--disc", "-84", "--threshold", "1000",
+                          "--variant", "imag"], capsys)
+    assert rc == 0 and lines(out)[-1]["ok"] is True
+
+
 def test_approx_t1(capsys):
     rc, out, _ = run_cli(["approx", "--disc", "-3", "--threshold", "5"], capsys)
     assert rc == 0

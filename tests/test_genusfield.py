@@ -24,6 +24,7 @@ from cmforge.genusfield import (
     GFElem,
     IMAG_PART,
     MPair,
+    OTHER_SIDE,
     REAL_PART,
     build_basis,
     build_mpair,
@@ -250,8 +251,9 @@ def test_basis_degenerate_t1():
             assert basis.m == 1
             assert basis.beta == (gf_one(basis.qstars),)
             assert basis.beta_star == (gf_sqrt_d(basis.qstars),)
-            v = basis.beta_star[0].numeric_imag(80)
-            assert abs(v - imag_value) < mp.mpf(2) ** -60
+            v = basis.beta_star[0].numeric(80)
+            assert v.real == 0
+            assert abs(v.imag - imag_value) < mp.mpf(2) ** -60
 
 
 def test_beta_real_beta_star_imaginary():
@@ -302,7 +304,7 @@ def test_basis_elements_are_algebraic_integers(D):
             assert f.denominator == 1
 
 
-def test_expand_beta_roundtrip():
+def test_coords_roundtrip():
     rng = random.Random(31)
     for D in (-40, -84, -420):
         basis = build_basis(Discriminant.from_D(D))
@@ -311,46 +313,87 @@ def test_expand_beta_roundtrip():
             v = gf_zero(basis.qstars)
             for n, b in zip(coords, basis.beta):
                 v = v + n * b
-            got = basis.expand_beta(v)
+            got = basis.coords(v, REAL_PART)
             assert got == [Fraction(n) for n in coords]
             w = gf_zero(basis.qstars)
             for n, b in zip(coords, basis.beta_star):
                 w = w + n * b
-            assert basis.expand_beta_star(w) == [Fraction(n) for n in coords]
+            assert basis.coords(w, IMAG_PART) == [Fraction(n) for n in coords]
+            assert basis.element(coords, REAL_PART) == v
+            assert basis.element(coords, IMAG_PART) == w
+
+
+def test_family_rejects_unknown_side():
+    basis = build_basis(Discriminant.from_D(-40))
+    assert basis.family(REAL_PART) == basis.beta
+    assert basis.family(IMAG_PART) == basis.beta_star
+    with pytest.raises(InvalidParameters):
+        basis.family("sideways")
 
 
 # ---------------------------------------------------------------- dual systems
 
 
 @pytest.mark.parametrize("D", [-3, -4, -8, -15, -40, -84, -120, -231, -420])
-@pytest.mark.parametrize("variant", [REAL_PART, IMAG_PART])
-def test_mpair_builds_and_verifies(D, variant):
+@pytest.mark.parametrize("side", [REAL_PART, IMAG_PART])
+def test_mpair_builds_and_verifies(D, side):
     basis = build_basis(Discriminant.from_D(D))
-    pair = build_mpair(basis, variant)  # duality verified inside
-    assert pair.omega_star[0] == 1
+    pair = build_mpair(basis)  # duality verified inside
+    assert pair.omega(side)[0] == 1 and pair.omega_star(side)[0] == 1
+    assert pair.omega_star(side) == pair.omega(OTHER_SIDE[side])
+    assert pair.norm(side) == basis.family(side)[0]
     for mu in range(basis.m):
-        assert pair.omega[mu].is_real()
-        assert pair.omega_star[mu].is_real()
+        assert pair.omega(side)[mu] == basis.family(side)[mu] / pair.norm(side)
+        assert pair.omega(side)[mu].is_real()
+        assert pair.omega_star(side)[mu].is_real()
         assert pair.mvals[mu].is_real()
+
+
+def _dual_identity_holds(pair, side):
+    """Sum_mu M(tau_mu) tau_mu(omega_star_lam * omega_lam') = [lam == lam']."""
+    m = pair.basis.m
+    om, oms = pair.omega(side), pair.omega_star(side)
+    for lam in range(m):
+        for lamp in range(m):
+            prod = oms[lam] * om[lamp]
+            acc = gf_zero(pair.basis.qstars)
+            for mu in range(m):
+                acc = acc + pair.mvals[mu] * prod.tau(mu)
+            if acc != (1 if lam == lamp else 0):
+                return False
+    return True
+
+
+def test_dual_identity_imag_orientation_minus3135():
+    # build_mpair checks the REAL_PART orientation only; check the
+    # IMAG_PART one directly rather than by the transposition argument
+    pair = build_mpair(build_basis(Discriminant.from_D(-3135)))
+    assert pair.basis.m == 8
+    assert _dual_identity_holds(pair, IMAG_PART)
+    # and the check can fail: a wrong sign on one M-value breaks it
+    bad = pair.mvals[:1] + (-pair.mvals[1],) + pair.mvals[2:]
+    assert not _dual_identity_holds(MPair(pair.basis, bad, pair.omegas, pair.tensors),
+                                    IMAG_PART)
 
 
 def test_mpair_omega_minus40():
     basis = build_basis(Discriminant.from_D(-40))
-    pair = build_mpair(basis, REAL_PART)
+    pair = build_mpair(basis)
     # omega_1 = (1-sqrt5)/(1+sqrt5) = (sqrt5-3)/2
     q = basis.qstars
     want = GFElem(q, {0: Fraction(-3, 2), 1: Fraction(1, 2)})
-    assert pair.omega[1] == want
+    assert pair.omega(REAL_PART)[1] == want
     # M(Id) = beta_0*beta_star_0/sqrt(d); check against duality by hand
     acc = gf_zero(q)
     for mu in range(basis.m):
-        acc = acc + pair.mvals[mu] * (pair.omega[0] * pair.omega_star[0]).tau(mu)
+        prod = pair.omega(REAL_PART)[0] * pair.omega_star(REAL_PART)[0]
+        acc = acc + pair.mvals[mu] * prod.tau(mu)
     assert acc == 1
 
 
 def test_integer_combinations_of_omega_star():
     # any algebraic integer of the real subfield has integer coords over
-    # omega_star, for both variants (checked on beta-combinations)
+    # omega_star, on both sides (checked on beta-combinations)
     rng = random.Random(77)
     for D in (-40, -84, -120):
         basis = build_basis(Discriminant.from_D(D))
@@ -359,11 +402,11 @@ def test_integer_combinations_of_omega_star():
             x = gf_zero(basis.qstars)
             for n, b in zip(coords, basis.beta):
                 x = x + n * b
-            # REAL variant: omega_star = beta_star/beta_star_0
-            for co in basis.expand_beta_star(x * basis.beta_star[0]):
+            # REAL_PART: omega_star = beta_star/beta_star_0
+            for co in basis.coords(x * basis.beta_star[0], IMAG_PART):
                 assert co.denominator == 1
-            # IMAG variant: omega_star = beta/beta_0
-            for co in basis.expand_beta(x * basis.beta[0]):
+            # IMAG_PART: omega_star = beta/beta_0
+            for co in basis.coords(x * basis.beta[0], REAL_PART):
                 assert co.denominator == 1
 
 
@@ -419,30 +462,40 @@ def test_delta_g_rejects_zero_label():
 def test_structure_constants_identity_block():
     for D in (-40, -84):
         basis = build_basis(Discriminant.from_D(D))
-        pair = build_mpair(basis, REAL_PART)
-        sc = structure_constants(pair)
-        assert sc.X_set[0] == 1
-        # X_0 = 1 block is the identity matrix
-        for xi in range(basis.m):
-            for mu in range(basis.m):
-                assert sc.tensor[0][xi][mu] == (1 if xi == mu else 0)
+        for side in (REAL_PART, IMAG_PART):
+            sc = structure_constants(basis, side)
+            assert sc.X_set[0] == 1
+            # X_0 = 1 block is the identity matrix
+            for xi in range(basis.m):
+                for mu in range(basis.m):
+                    assert sc.tensor[0][xi][mu] == (1 if xi == mu else 0)
 
 
 def test_structure_constants_t1():
     basis = build_basis(Discriminant.from_D(-3))
-    pair = build_mpair(basis, REAL_PART)
-    sc = structure_constants(pair)
-    assert sc.tensor == (((1,),),)
+    for side in (REAL_PART, IMAG_PART):
+        assert structure_constants(basis, side).tensor == (((1,),),)
 
 
+def test_mpair_holds_both_tensors():
+    basis = build_basis(Discriminant.from_D(-84))
+    pair = build_mpair(basis)
+    for side in (REAL_PART, IMAG_PART):
+        assert pair.sc(side) == structure_constants(basis, side)
+    assert pair.sc(REAL_PART).tensor != pair.sc(IMAG_PART).tensor
+
+
+# (side, dual) as before the M-pair folded its two orientations: dual=False
+# is the tensor over omega(side), the one recovery on side uses; dual=True
+# the tensor over omega_star(side), the one the run on side uses
 @pytest.mark.parametrize("D", [-40, -84, -120, -420])
-@pytest.mark.parametrize("variant", [REAL_PART, IMAG_PART])
+@pytest.mark.parametrize("side", [REAL_PART, IMAG_PART])
 @pytest.mark.parametrize("dual", [False, True])
-def test_structure_constants_match_numerics(D, variant, dual):
+def test_structure_constants_match_numerics(D, side, dual):
     basis = build_basis(Discriminant.from_D(D))
-    pair = build_mpair(basis, variant)
-    sc = structure_constants(pair, dual=dual)
-    fam = pair.omega_star if dual else pair.omega
+    pair = build_mpair(basis)
+    sc = pair.sc(OTHER_SIDE[side] if dual else side)
+    fam = pair.omega_star(side) if dual else pair.omega(side)
     prec = 120
     with mp.workprec(prec):
         for eta in range(basis.m):

@@ -9,10 +9,11 @@ from mpmath import mp
 
 from cmforge.errors import InternalInvariantError, InvalidParameters, \
     PrecisionEscalation
+from cmforge import genusfield
 from cmforge.genusfield import IMAG_PART, REAL_PART
 from cmforge.modfns import InvariantKind
 from cmforge.recover import bound_T0_heuristic, coset_sums, make_plan, \
-    recover_coords, recovery_matrix, solve_integer_system, _adjugate
+    recover_coords, recovery_matrix, _adjugate, _solve_adjugate
 
 PLANS = {}
 
@@ -89,12 +90,12 @@ def test_plan_invariants_independent_check(D):
         T_eff = 2 * mp.mpf(plan.T0)
         cap = mp.sqrt(abs(basis.d)) ** m
         for side, norm in ((REAL_PART, basis.beta[0]), (IMAG_PART, basis.beta_star[0])):
-            rec = plan.sides[side]
-            mpair, sc, run = rec.mpair, rec.sc, rec.run
+            run = plan.sides[side].run
+            mpair = run.mpair
             Z = sum(a * w.numeric_real(prec)
-                    for a, w in zip(run.A, mpair.omega_star))
+                    for a, w in zip(run.A, mpair.omega_star(side)))
             mid = abs(mpair.mid.numeric_real(prec))
-            for X in sc.X_set:
+            for X in mpair.sc(side).X_set:
                 s = sum(abs(mpair.mvals[lam].numeric_real(prec))
                         * abs(X.tau(lam).numeric(prec))
                         / abs(norm.tau(lam).numeric(prec))
@@ -180,9 +181,9 @@ def test_big_perturbation_escalates():
     prec = plan.float_bits + 16
     b = [123456, -654321]
     with mp.workprec(prec):
-        mid = real.mpair.mid.numeric_real(prec)
+        mid = real.run.mpair.mid.numeric_real(prec)
         Z = sum(a * w.numeric_real(prec)
-                for a, w in zip(real.run.A, real.mpair.omega_star))
+                for a, w in zip(real.run.A, real.run.mpair.omega_star(REAL_PART)))
         norm = basis.beta[0].numeric_real(prec)
         g = evaluate(b, basis.beta, prec, norm / (2 * mid * Z))
     with pytest.raises(PrecisionEscalation):
@@ -255,18 +256,19 @@ def test_adjugate_determinant_matches_gauss():
 
 
 def test_solve_integer_system():
-    assert solve_integer_system([[3, 1], [1, 2]], [5, 0]) == [2, -1]
+    # recovery solves M b = r as b = adj(M) r / det(M)
+    assert _solve_adjugate(*_adjugate([[3, 1], [1, 2]]), [5, 0]) == [2, -1]
     with pytest.raises(InternalInvariantError):
-        solve_integer_system([[1, 2], [2, 4]], [1, 2])
+        _adjugate([[1, 2], [2, 4]])
     with pytest.raises(PrecisionEscalation):
-        solve_integer_system([[2, 0], [0, 2]], [1, 0])
+        _solve_adjugate(*_adjugate([[2, 0], [0, 2]]), [1, 0])
 
 
 def test_recovery_matrix_nonsingular():
     for D in (-40, -84, -120):
         plan = both_sides_plan(D)
         for side in (REAL_PART, IMAG_PART):
-            M = recovery_matrix(plan.sides[side].run, plan.sides[side].sc)
+            M = recovery_matrix(plan.sides[side].run)
             assert _adjugate(M)[0] == _det_fractions(M) != 0
 
 
@@ -309,3 +311,24 @@ def test_plan_numbers_pinned(D, kind, float_bits, n0_bits, n0_low, iters, digest
     assert (plan.N0.bit_length(), plan.N0 % 10 ** 12) == (n0_bits, n0_low)
     assert [plan.sides[s].run.iters for s in sides] == iters
     assert hashlib.sha256(repr((plan.N0, A)).encode()).hexdigest()[:24] == digest
+
+
+def test_one_mpair_and_two_tensors_per_plan(monkeypatch):
+    # a two-sided plan builds the genus-field layer once: one M-pair and
+    # the two tensors, beta's and beta*'s
+    import cmforge
+
+    calls = {"build_mpair": 0, "structure_constants": 0}
+    for name in calls:
+        fn = getattr(genusfield, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in vars(cmforge).values():
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    plan = make_plan(-40, InvariantKind.double_eta(11, 13))
+    assert set(plan.sides) == {REAL_PART, IMAG_PART}
+    assert calls == {"build_mpair": 1, "structure_constants": 2}
