@@ -4,7 +4,9 @@ The full path multiplies (x - theta(alpha_i)) over a whole N-system and
 rounds to integers -- the classical construction, kept as the oracle.
 The divisor path multiplies only over forms whose genus character equals
 phi0 (h / 2^(t-1) of them) and recovers each coefficient as an exact
-element of the genus field from its float approximation.
+element of the genus field from its float approximation.  Exact divisors
+are memoized per process, so repeated calls at one discriminant (one curve
+per prime, say) evaluate their theta values once.
 """
 
 from __future__ import annotations
@@ -167,12 +169,18 @@ def _full_attempt(sysN, kind, bits):
     return tuple(coeffs) + (1,)
 
 
-def divisor_forms(D, kind, phi0=None):
-    """The N-system members whose genus character equals phi0."""
-    d = Discriminant.from_D(D)
+def _coset_label(d, phi0):
+    """phi0 as a +-1 tuple of length t; None is the principal genus."""
     phi0 = tuple(phi0) if phi0 is not None else (1,) * d.t
     if len(phi0) != d.t or any(e not in (-1, 1) for e in phi0):
         raise InvalidParameters(f"bad coset label {phi0} for t={d.t}")
+    return phi0
+
+
+def divisor_forms(D, kind, phi0=None):
+    """The N-system members whose genus character equals phi0."""
+    d = Discriminant.from_D(D)
+    phi0 = _coset_label(d, phi0)
     sysN = n_system(D, kind.modulus(d), kind.b_target(d))
     sel = [f for f in sysN.forms if phi_class(f, d) == phi0]
     if not sel:
@@ -181,23 +189,47 @@ def divisor_forms(D, kind, phi0=None):
     return phi0, sel
 
 
+# exact divisors by (D, kind, phi0), oldest first: a process that builds
+# curves at one discriminant for several primes recovers its divisor once
+_DIVISORS = {}
+_DIVISORS_MAX = 8
+
+
+def _check_cap(D, plan, cap):
+    if plan.float_bits > cap:
+        raise PrecisionExhausted(
+            f"divisor recovery for D={D} would need {plan.float_bits} bits "
+            f"(cap {cap}); T0 estimate too small or parameters inconsistent")
+
+
 def class_poly_divisor(D, kind=None, phi0=None, plan=None, max_bits=None):
     """The genus divisor of H_D[theta] with exact genus-field coefficients;
-    its ``plan`` is the plan whose recovery produced them."""
+    its ``plan`` is the plan whose recovery produced them.
+
+    Without a ``plan``, the divisor is looked up in a small module-level
+    memo keyed by (D, kind, phi0), phi0 = None and the principal label
+    being one key.  A hit returns the same object, plan included, and
+    raises ``PrecisionExhausted`` exactly when a recomputation would: when
+    that plan's float_bits exceed the cap.  With a ``plan`` the divisor is
+    always recomputed from it and not memoized.
+    """
     kind = kind or InvariantKind.j()
     d = Discriminant.from_D(D)
     kind.validate_for(d)
+    cap = max_bits or max_bits_limit()
+    key = (D, kind, _coset_label(d, phi0))
+    if plan is None and key in _DIVISORS:
+        poly = _DIVISORS[key]
+        _check_cap(D, poly.plan, cap)
+        return poly
     phi0, sel = divisor_forms(D, kind, phi0)
     h = len(enumerate_reduced(D))
     assert len(sel) == h // d.m, (len(sel), h, d.m)
-    cap = max_bits or max_bits_limit()
-    if plan is None:
+    memo = plan is None
+    if memo:
         plan = make_plan(D, kind)
     while True:
-        if plan.float_bits > cap:
-            raise PrecisionExhausted(
-                f"divisor recovery for D={D} would need {plan.float_bits} bits "
-                f"(cap {cap}); T0 estimate too small or parameters inconsistent")
+        _check_cap(D, plan, cap)
         try:
             coeffs = _divisor_attempt(kind, sel, plan)
             break
@@ -206,6 +238,10 @@ def class_poly_divisor(D, kind=None, phi0=None, plan=None, max_bits=None):
             plan = make_plan(D, kind, T0=mp.mpf(plan.T0) ** 2)
     poly = ClassPolynomial(D, kind, phi0, coeffs)
     object.__setattr__(poly, "plan", plan)   # an init=False field of a frozen class
+    if memo:
+        if len(_DIVISORS) >= _DIVISORS_MAX:
+            del _DIVISORS[next(iter(_DIVISORS))]
+        _DIVISORS[key] = poly
     return poly
 
 

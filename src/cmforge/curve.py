@@ -129,21 +129,30 @@ def _pgcd(f, g, p):
     return f
 
 
-def _pmul(f, g, p, n):
-    """The n lowest coefficients of f*g over F_p, from one integer product.
+def _slot_bytes(p, m):
+    """Kronecker slot size for products of lists over F_p, the shorter of
+    length at most m: a slot holds m*(p-1)^2, which bounds every
+    coefficient of the exact product, so no slot carries into the next."""
+    return (2 * p.bit_length() + m.bit_length() + 8) // 8
 
-    Kronecker substitution: each list is packed into an int, one k-byte
-    slot per coefficient.  A slot holds m*(p-1)^2, m the shorter length,
-    which bounds every coefficient of the exact product, so no slot carries
-    into the next one and each coefficient is read back and reduced mod p.
-    """
-    k = (2 * p.bit_length() + min(len(f), len(g)).bit_length() + 8) // 8
-    F = int.from_bytes(b"".join(c.to_bytes(k, "little") for c in f), "little")
-    G = F if g is f else int.from_bytes(
-        b"".join(c.to_bytes(k, "little") for c in g), "little")
-    prod = F * G
-    raw = prod.to_bytes(max(n * k, (prod.bit_length() + 7) // 8), "little")
+
+def _pack(f, k):
+    """The int with f's coefficients in consecutive k-byte slots."""
+    return int.from_bytes(b"".join(c.to_bytes(k, "little") for c in f), "little")
+
+
+def _unpack(x, n, k, p):
+    """The n lowest k-byte slots of the int x, each reduced mod p."""
+    raw = x.to_bytes(max(n * k, (x.bit_length() + 7) // 8), "little")
     return [int.from_bytes(raw[i:i + k], "little") % p for i in range(0, n * k, k)]
+
+
+def _pmul(f, g, p, n):
+    """The n lowest coefficients of f*g over F_p, from one integer product
+    (Kronecker substitution)."""
+    k = _slot_bytes(p, min(len(f), len(g)))
+    F = _pack(f, k)
+    return _unpack(F * (F if g is f else _pack(g, k)), n, k, p)
 
 
 def _ppow_linear(a, e, h, p):
@@ -155,7 +164,9 @@ def _ppow_linear(a, e, h, p):
     rev(h)^-1 mod x^(n-1), computed once per call (von zur Gathen &
     Gerhard, Modern Computer Algebra, ch. 9): the quotient is its reversed
     top half times that inverse, and the remainder a_low - q*(h - x^n)
-    mod x^n.
+    mod x^n.  Every factor has at most n coefficients, so one slot size
+    serves all three products, and the inverse and h's low part are packed
+    once.
     """
     n = len(h) - 1
     low = h[:n]
@@ -163,11 +174,14 @@ def _ppow_linear(a, e, h, p):
     inv = [1]
     for i in range(1, n - 1):
         inv.append(-sum(rev[j] * inv[i - j] for j in range(1, i + 1)) % p)
+    k = _slot_bytes(p, n)
+    INV, LOW = _pack(inv, k), _pack(low, k)
     r = [1] + [0] * (n - 1)
     for bit in bin(e)[2:]:
-        sq = _pmul(r, r, p, 2 * n - 1)
-        q = _pmul(sq[:n - 1:-1], inv, p, n - 1)[::-1]
-        r = [(s - t) % p for s, t in zip(sq, _pmul(q, low, p, n))]
+        R = _pack(r, k)
+        sq = _unpack(R * R, 2 * n - 1, k, p)
+        q = _unpack(_pack(sq[:n - 1:-1], k) * INV, n - 1, k, p)[::-1]
+        r = [(s - t) % p for s, t in zip(sq, _unpack(_pack(q, k) * LOW, n, k, p))]
         if bit == "1":
             top = r[-1]
             r = [(prev + a * c - top * hc) % p
@@ -402,6 +416,10 @@ def gen_curve(D, p, u, v, kind=None, path="auto", seed=0, max_bits=None):
     path: "divisor" (genus divisor, the point of the whole pipeline), "full"
     (classic H_D), or "auto" = divisor with full fallback on precision
     exhaustion.  Returns {curve, j, order, transcript}.
+
+    The divisor comes from ``class_poly_divisor``'s per-process memo, so
+    further calls at the same D and invariant, for other primes, evaluate
+    no theta value and report the same T0, N0 and float_bits.
     """
     kind = kind or InvariantKind.j()
     disc = validate_params(D, p, u, v)

@@ -6,15 +6,23 @@ All evaluations take a precision in bits and work at bits + 64 internally,
 whatever the caller's precision; values are principal-branch throughout, with
 q^(1/24) = exp(pi i z / 12).
 
-Each eta value costs one exp, for its nome; gamma2 and j cost one exp in all,
-since the nome of eta(2z) is the square of that of eta(z).  Every other
-integer power is taken by ``_ipow``: mpmath's complex ``**`` turns into
-exp(n log z) once n times the bit size passes 10^4, which costs far more
-than a few squarings.  All q-series here have real coefficients, so
-theta(-conj z) = conj theta(z); ``classpoly`` relies on this to evaluate one
-form of each mirror pair (A, +-B, C).  ``j_from_theta`` inverts each
-invariant's relation to j over F_p, with the Weber cases derived from the
-same table that ``weber_g`` evaluates.
+Every invariant value costs one exp.  Each eta quotient is a product of
+pentagonal series P at integer powers of one root of its nome: eta(z) =
+q^(1/24) P(q); gamma2 and j take q^(1/3), Weber f and f1 take
+r = exp(pi i z / 24), and the double eta quotient takes
+s = exp(2 pi i z / (24 p1 p2)).  Powering a root by k multiplies its
+relative error by k, so those that power by more than 24 work log2(k) bits
+higher.  Every integer power is taken by ``_ipow``: mpmath's complex ``**``
+turns into exp(n log z) once n times the bit size passes 10^4, which costs
+far more than a few squarings.  ``_pentagonal`` tapers its precision: term n
+is about |q|^(n(3n-1)/2) in size, so it is computed at the working precision
+less the bits its smallness makes unnecessary.
+
+All q-series here have real coefficients, so theta(-conj z) = conj theta(z);
+``classpoly`` relies on this to evaluate one form of each mirror pair
+(A, +-B, C).  ``j_from_theta`` inverts each invariant's relation to j over
+F_p, with the Weber cases derived from the same table that ``weber_g``
+evaluates.
 """
 
 from __future__ import annotations
@@ -70,21 +78,51 @@ def _nome(z, k):
 
 def _pentagonal(q, bits):
     """eta / q^(1/24) = 1 + sum_{n>=1} (-1)^n q^(n(3n-1)/2) (1 + q^n), summing
-    until three consecutive terms drop below 2^-(bits+16)."""
+    until three consecutive terms drop below 2^-(bits+16).
+
+    Term n is at most 2|q|^e, e = n(3n-1)/2, so it needs only about
+    bits + e log2|q| bits of precision (Enge, Math. Comp. 78, 2009).  With
+    L = mag(q) >= log2|q|, term n's powers of q are multiplied at
+    p_n = bits + e L + guard bits, kept between guard and the working
+    precision; the running sum stays at the working precision.  Each
+    rounding at p bits moves a complex value by at most 2^(1.5-p) of its
+    size, and the p_n fall faster than geometrically in n, so the powers'
+    relative error after n steps stays below 32n 2^-p_n and term n moves
+    by at most 64n 2^-(bits+guard) from its value at the working
+    precision.  Over N terms the sum moves by at most
+    32N(N+1) 2^-(bits+guard), besides the rounding of the sum itself, and
+    guard = 2 bitlen(N) + 22 keeps that below 2^-(bits+16).  N is bounded
+    in advance: the terms are below the threshold once
+    n^2 |L| >= bits + 24.  When L >= 0 every term runs at the working
+    precision.
+    """
     thresh = -bits - 16
+    prec = mp.prec
+    slope = mp.mag(q)
+    if slope < 0:
+        guard = 2 * (math.isqrt((bits + 24) // -slope + 1) + 4).bit_length() + 22
     s = mp.one
     qe = mp.one       # q^(n(3n-1)/2), the smaller pentagonal exponent
     qn = mp.one       # q^n
     q3 = q * q * q
     qstep = q         # q^(3n-2), the ratio of consecutive qe
     below = 0
-    n = 0
+    n = e = 0
     while below < 3:
         n += 1
-        qe *= qstep
-        qstep *= q3
-        qn *= q
-        term = qe * (1 + qn)
+        e += 3 * n - 2
+        if slope < 0:
+            p = min(prec, max(bits + e * slope + guard, guard))
+        else:
+            p = prec
+        with mp.workprec(p):
+            # mpc products are exact before rounding, so round the factors
+            # first: each product then costs p bits
+            qstep = +qstep
+            qe = +qe * qstep
+            qstep *= +q3
+            qn = +qn * +q
+            term = qe * (1 + qn)
         s += -term if n % 2 else term
         if mp.mag(term) < thresh:    # mag bounds log2|term| without a sqrt
             below += 1
@@ -105,15 +143,26 @@ def eta(z, prec=96):
         return q24 * _pentagonal(_ipow(q24, 24), bits)
 
 
+def _weber(z, prec, sign):
+    """P(sign r^24) / (r P(r^48)) with r = exp(pi i z / 24): one exp.
+
+    eta(z) = r^2 P(r^48), eta(z/2) = r P(r^24) and
+    eta((z+1)/2) = exp(pi i / 24) r P(-r^24), so sign -1 gives Weber f and
+    sign +1 gives f1.
+    """
+    bits = _total_bits(prec) + (48).bit_length()
+    with mp.workprec(bits):
+        r = _nome(z, 48)
+        r24 = _ipow(r, 24)
+        return _pentagonal(sign * r24, bits) / (r * _pentagonal(r24 * r24, bits))
+
+
 def weber_f(z, prec=96):
-    with mp.workprec(_total_bits(prec)):
-        z = mp.mpc(z)
-        return mp.exp(mp.mpc(0, -1) * mp.pi / 24) * eta((z + 1) / 2, prec) / eta(z, prec)
+    return _weber(z, prec, -1)
 
 
 def weber_f1(z, prec=96):
-    with mp.workprec(_total_bits(prec)):
-        return eta(z / 2, prec) / eta(z, prec)
+    return _weber(z, prec, 1)
 
 
 def gamma2(z, prec=96):
@@ -193,11 +242,21 @@ def double_eta_s(p1: int, p2: int) -> int:
 
 
 def double_eta_m(z, p1: int, p2: int, prec=96):
-    """The double eta quotient m_{p1,p2}(z)^s, s = 24/gcd(24,(p1-1)(p2-1))."""
-    bits = _total_bits(prec)
+    """The double eta quotient m_{p1,p2}(z)^s, s = 24/gcd(24,(p1-1)(p2-1)).
+
+    m = eta(z/p1) eta(z/p2) / (eta(z) eta(z/(p1 p2))), and with
+    w = exp(2 pi i z / (24 p1 p2)) each eta is w^k P(w^(24k)), for
+    k = p2, p1, p1 p2 and 1: one exp, and the w^k collapse to
+    w^-((p1-1)(p2-1)).
+    """
+    N = p1 * p2
+    bits = _total_bits(prec) + (24 * N).bit_length()
     with mp.workprec(bits):
-        z = mp.mpc(z)
-        quot = (eta(z / p1, prec) * eta(z / p2, prec)) / (eta(z, prec) * eta(z / (p1 * p2), prec))
+        w = _nome(z, 24 * N)
+        u = _ipow(w, 24)      # the nome of eta(z/(p1 p2))
+        num = _pentagonal(_ipow(u, p2), bits) * _pentagonal(_ipow(u, p1), bits)
+        den = _pentagonal(_ipow(u, N), bits) * _pentagonal(u, bits)
+        quot = num / (den * _ipow(w, (p1 - 1) * (p2 - 1)))
         return _ipow(quot, double_eta_s(p1, p2))
 
 

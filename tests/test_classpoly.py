@@ -232,6 +232,26 @@ def test_paired_theta_error_fails_recovery(monkeypatch):
         class_poly_divisor(-1239, J, max_bits=4 * plan.float_bits)
 
 
+def test_divisor_memo_hits_and_cap():
+    # without a plan the divisor is memoized: phi0 = None and the explicit
+    # principal label are one entry, and a hit returns the same object
+    poly = class_poly_divisor(-40, J)
+    bits = poly.plan.float_bits
+    assert class_poly_divisor(-40, J) is poly
+    assert class_poly_divisor(-40, J, phi0=(1, 1)) is poly
+    assert class_poly_divisor(-40, J, max_bits=bits) is poly
+    # a hit raises exactly when a recomputation would: the plan needs more
+    # bits than the cap allows
+    with pytest.raises(PrecisionExhausted):
+        class_poly_divisor(-40, J, max_bits=bits - 1)
+    # an explicit plan, and the coset-product check, recompute
+    again = class_poly_divisor(-40, J, plan=poly.plan)
+    assert again is not poly and coeff_key(again) == coeff_key(poly)
+    classpoly._DIVISORS.clear()
+    assert coset_product_check(-40, J)
+    assert not classpoly._DIVISORS
+
+
 def test_plan_reuse_same_result():
     plan = make_plan(-120, J)
     a = class_poly_divisor(-120, J, plan=plan)

@@ -431,6 +431,31 @@ def test_gen_curve_transcript_reports_the_escalated_plan(monkeypatch):
     assert (tr["T0"], tr["N0"], tr["float_bits"]) == (last.T0, last.N0, last.float_bits)
 
 
+def test_second_gen_curve_reuses_the_divisor(monkeypatch):
+    # one divisor per process at (D, kind): a curve for another prime
+    # evaluates no theta value and reports the same plan numbers
+    import cmforge.classpoly as classpoly
+    theta = classpoly.theta_value
+    calls = []
+
+    def counted(kind, form, prec=96):
+        calls.append(form)
+        return theta(kind, form, prec)
+
+    monkeypatch.setattr(classpoly, "theta_value", counted)
+    first = search_fixed_D(-1239, p_bits=64, rng=random.Random(1))
+    second = search_fixed_D(-1239, p_bits=64, rng=random.Random(2))
+    assert first.p != second.p
+    a = gen_curve(-1239, first.p, first.u, first.v, path="divisor")
+    seen = len(calls)
+    assert seen > 0
+    b = gen_curve(-1239, second.p, second.u, second.v, path="divisor")
+    assert len(calls) == seen
+    keys = ("T0", "N0", "float_bits")
+    assert [a["transcript"][k] for k in keys] == [b["transcript"][k] for k in keys]
+    assert b["transcript"]["path"] == "divisor"
+
+
 # one discriminant per Weber case of -D/4 (mod 8): 1, 3, 5, 7, 2, 4, and the
 # cubed variants of the odd cases, where 3 | D
 @pytest.mark.parametrize("D", [-68, -44, -52, -28, -40, -80, -132, -84, -60, -12])

@@ -9,6 +9,7 @@ from cmforge.errors import InvalidParameters, UnsupportedInvariant
 from cmforge.forms import QuadForm, n_system, root_of_form
 from cmforge.modfns import (
     InvariantKind,
+    _pentagonal,
     double_eta_m,
     eta,
     gamma2,
@@ -281,3 +282,40 @@ def test_mirror_form_gives_conjugate(D, kind):
     b = theta_value(kind, QuadForm(f.A, -f.B, f.C), 1000)
     with mp.workprec(1100):
         assert abs(b - mp.conj(a)) <= abs(a) * mp.mpf(2) ** -1000
+
+
+def untapered_pentagonal(q, bits):
+    # reference: the same sum and stop rule, every term at the working precision
+    thresh = -bits - 16
+    s, qe, qn, qstep, q3 = mp.one, mp.one, mp.one, q, q * q * q
+    below = n = 0
+    while below < 3:
+        n += 1
+        qe *= qstep
+        qstep *= q3
+        qn *= q
+        term = qe * (1 + qn)
+        s += -term if n % 2 else term
+        below = below + 1 if mp.mag(term) < thresh else 0
+    return s
+
+
+@pytest.mark.parametrize("bits", [128, 700, 2500, 6000])
+def test_tapered_pentagonal_matches_full_precision(bits):
+    # the running sums round at the working precision, so both run 32 bits
+    # above ``bits``: what is compared is the taper, not that rounding
+    with mp.workprec(bits + 32):
+        # |q| at the corner of the fundamental domain, the largest at a reduced root
+        worst = mp.exp(-mp.pi * mp.sqrt(3))
+        nomes = [
+            worst * mp.expjpi(mp.mpf("0.41")),
+            worst,                              # real q, B = 0
+            -worst,
+            (worst * mp.expjpi(mp.mpf("0.41"))) ** 2,   # gamma2's P(q^2)
+            mp.mpf(2) ** -300 * mp.expjpi(mp.mpf("0.2")),
+            mp.mpf(2) ** -900 * mp.expjpi(mp.mpf("-0.7")),
+            mp.mpf("0.45") * mp.expjpi(mp.mpf("0.9")),  # mag(q) = 0: no taper
+        ]
+        for q in nomes:
+            got, want = _pentagonal(q, bits), untapered_pentagonal(q, bits)
+            assert abs(got - want) <= mp.mpf(2) ** -(bits + 8), (bits, q)

@@ -201,6 +201,18 @@ def test_recovery_far_from_gamma_escalates():
         recover_coords(mp.mpc(0, "1e-8"), both_sides_plan(-40), IMAG_PART)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: needs a conjugate-size check against a T0 that is a "
+    "real bound"))
+def test_recovery_with_large_conjugates_escalates():
+    # gamma = 1e-10 i on IMAG_PART of the -40 doubleeta:11,13 plan with j's
+    # T0 (epsilon 7.3e-15) recovers [1555787497969, -4073104548955]: its
+    # value lies within epsilon of gamma, so the residual check passes, but
+    # its other conjugate is about 1.6e13, far above 2 T0 ~ 2.2e11
+    with pytest.raises(PrecisionEscalation):
+        recover_coords(mp.mpc(0, "1e-10"), both_sides_plan(-40), IMAG_PART)
+
+
 def test_invalid_side_rejected():
     plan = plan_for(-40)
     with pytest.raises(InvalidParameters):
