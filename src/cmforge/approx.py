@@ -39,8 +39,7 @@ class CFRegister:
 
     lam: int              # nonzero bitmask over the t-1 leading factors
     delta: int
-    g: object             # exact GFElem, (1+sqrt(delta))/2 or sqrt(delta)/2
-    g_real: object        # mpf shadow of g
+    g_real: object        # mpf shadow of g_lam, (1+sqrt(delta))/2 or sqrt(delta)/2
     isq: int              # isqrt(delta)
     x: int = 0
     y: int = 1
@@ -54,7 +53,7 @@ def make_register(d, lam, bits=160):
     with mp.workprec(bits):
         g_real = g.numeric_real(bits)
         return CFRegister(
-            lam=lam, delta=delta, g=g, g_real=g_real, isq=math.isqrt(delta),
+            lam=lam, delta=delta, g_real=g_real, isq=math.isqrt(delta),
             x=0, y=1, y_prev=delta // 4, z=mp.mpf(1), n=0)
 
 
@@ -112,7 +111,7 @@ class ApproxRun:
         self.m = self.basis.m
         self.N0 = N0
         self.bits = max(160, 64 + int(N0).bit_length() + 8 * self.m)
-        self.c = mpair.sc(OTHER_SIDE[side]).tensor
+        self.c = mpair.sc(OTHER_SIDE[side])
         self.A = [1] + [0] * (self.m - 1)
         self.iters = 0
         t = self.basis.t

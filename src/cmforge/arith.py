@@ -290,10 +290,6 @@ class Discriminant:
         u = sum(1 for q in qs if q > 0)
         return cls(D=D, d=d, f=f, qstars=qs, t=t, u=u, m=1 << (t - 1))
 
-    @property
-    def is_fundamental(self) -> bool:
-        return self.f == 1
-
 
 @dataclass(frozen=True)
 class CurveOrderParams:

@@ -11,7 +11,6 @@ per prime, say) evaluate their theta values once.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,17 +19,11 @@ from mpmath import mp
 from .arith import Discriminant
 from .errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted
 from .forms import QuadForm, enumerate_reduced, n_system, phi_class
-from .genusfield import IMAG_PART, REAL_PART, gf_from_json, gf_rational, \
-    gf_to_json
+from .genusfield import IMAG_PART, REAL_PART, gf_rational, gf_to_json
 from .modfns import InvariantKind, theta_value
 from .recover import make_plan, recover_coords
 
 DEFAULT_MAX_BITS = 1 << 20
-
-
-def max_bits_limit():
-    v = os.environ.get("CMFORGE_MAX_BITS")
-    return int(v) if v else DEFAULT_MAX_BITS
 
 
 @dataclass(frozen=True)
@@ -62,16 +55,6 @@ class ClassPolynomial:
             out["phi0"] = None
             out["coeffs"] = [str(c) for c in self.coeffs]
         return out
-
-    @classmethod
-    def from_json(cls, obj):
-        kind = InvariantKind.parse(obj["invariant"])
-        if obj.get("phi0") is None:
-            coeffs = tuple(int(c) for c in obj["coeffs"])
-            return cls(obj["D"], kind, None, coeffs)
-        qs = tuple(obj["field"])
-        coeffs = tuple(gf_from_json(qs, c) for c in obj["coeffs"])
-        return cls(obj["D"], kind, tuple(obj["phi0"]), coeffs)
 
 
 def _theta_values(kind, forms, prec):
@@ -127,22 +110,21 @@ def _full_bits_estimate(d, kind):
         return int(1.05 * ln_coeff / mp.log(2)) + 16 * int(s + 1) + 96
 
 
-def class_poly_full(D, kind=None, start_bits=None, max_bits=None):
+def class_poly_full(D, kind=None, max_bits=DEFAULT_MAX_BITS):
     """H_D[theta] with integer coefficients, by rounding the expanded product."""
     kind = kind or InvariantKind.j()
     d = Discriminant.from_D(D)
     kind.validate_for(d)
     sysN = n_system(D, kind.modulus(d), kind.b_target(d))
-    bits = start_bits or _full_bits_estimate(d, kind)
-    cap = max_bits or max_bits_limit()
+    bits = _full_bits_estimate(d, kind)
     while True:
         try:
             return ClassPolynomial(D, kind, None, _full_attempt(sysN, kind, bits))
         except PrecisionEscalation:
             bits *= 2
-            if bits > cap:
+            if bits > max_bits:
                 raise PrecisionExhausted(
-                    f"class polynomial for D={D} needs more than {cap} bits")
+                    f"class polynomial for D={D} needs more than {max_bits} bits")
 
 
 def _full_attempt(sysN, kind, bits):
@@ -202,7 +184,7 @@ def _check_cap(D, plan, cap):
             f"(cap {cap}); T0 estimate too small or parameters inconsistent")
 
 
-def class_poly_divisor(D, kind=None, phi0=None, plan=None, max_bits=None):
+def class_poly_divisor(D, kind=None, phi0=None, plan=None, max_bits=DEFAULT_MAX_BITS):
     """The genus divisor of H_D[theta] with exact genus-field coefficients;
     its ``plan`` is the plan whose recovery produced them.
 
@@ -216,11 +198,10 @@ def class_poly_divisor(D, kind=None, phi0=None, plan=None, max_bits=None):
     kind = kind or InvariantKind.j()
     d = Discriminant.from_D(D)
     kind.validate_for(d)
-    cap = max_bits or max_bits_limit()
     key = (D, kind, _coset_label(d, phi0))
     if plan is None and key in _DIVISORS:
         poly = _DIVISORS[key]
-        _check_cap(D, poly.plan, cap)
+        _check_cap(D, poly.plan, max_bits)
         return poly
     phi0, sel = divisor_forms(D, kind, phi0)
     h = len(enumerate_reduced(D))
@@ -229,7 +210,7 @@ def class_poly_divisor(D, kind=None, phi0=None, plan=None, max_bits=None):
     if memo:
         plan = make_plan(D, kind)
     while True:
-        _check_cap(D, plan, cap)
+        _check_cap(D, plan, max_bits)
         try:
             coeffs = _divisor_attempt(kind, sel, plan)
             break

@@ -16,7 +16,8 @@ import traceback
 from .arith import Discriminant, admissible_params, is_probable_prime, \
     validate_params
 from .approx import approx_quality, run_approx
-from .classpoly import class_poly_divisor, class_poly_full, coset_product_check
+from .classpoly import DEFAULT_MAX_BITS, class_poly_divisor, class_poly_full, \
+    coset_product_check
 from .curve import (gen_curve, make_curve, naive_count, random_point,
                     scalar_mul)
 from .errors import (CMForgeError, InternalInvariantError, InvalidParameters,
@@ -192,7 +193,7 @@ def build_parser():
     sp.add_argument("--invariant", default="j")
     sp.add_argument("--genus-divisor", action="store_true")
     sp.add_argument("--coset-check", action="store_true")
-    sp.add_argument("--max-bits", type=int)
+    sp.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
     sp.set_defaults(fn=cmd_classpoly)
 
     sp = sub.add_parser("gencurve", help="curve with prescribed order")
@@ -201,7 +202,7 @@ def build_parser():
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--invariant", default="j")
     sp.add_argument("--path", choices=("auto", "divisor", "full"), default="auto")
-    sp.add_argument("--max-bits", type=int)
+    sp.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
     sp.set_defaults(fn=cmd_gencurve)
 
     sp = sub.add_parser("approx", help="continued-fraction approximation trace")

@@ -11,7 +11,8 @@ import random
 from dataclasses import dataclass
 
 from .arith import Discriminant, kronecker, sqrt_mod_p, validate_params
-from .classpoly import ClassPolynomial, class_poly_divisor, class_poly_full
+from .classpoly import DEFAULT_MAX_BITS, ClassPolynomial, class_poly_divisor, \
+    class_poly_full
 from .errors import (InternalInvariantError, InvalidParameters,
                      PrecisionExhausted, UnsupportedInvariant)
 from .modfns import InvariantKind, j_from_theta
@@ -60,36 +61,23 @@ def make_curve(p, a, b):
 # ---------------------------------------------------------------------------
 # reduction of the genus divisor
 
-def reduce_divisor_mod_p(poly: ClassPolynomial, p, signs=None):
+def reduce_divisor_mod_p(poly: ClassPolynomial, p):
     """Coefficients of poly mod a prime of the genus field above p.
 
-    Each sqrt(q_i*) is sent to s_i = sqrt_mod_p(q_i*), the smaller root by
-    default; signs (a +-1 tuple) flips individual choices, which picks a
-    different (conjugate) prime above p.  Full polynomials reduce verbatim.
+    Each sqrt(q_i*) is sent to sqrt_mod_p(q_i*); reducing the divisor's
+    Galois conjugate instead lands on a conjugate prime above p.  Full
+    polynomials reduce verbatim.
     """
     if not poly.is_divisor:
         return [c % p for c in poly.coeffs]
-    disc = Discriminant.from_D(poly.D)
-    if signs is None:
-        signs = (1,) * disc.t
-    assert len(signs) == disc.t and all(e in (1, -1) for e in signs)
-    s = []
-    for q, e in zip(disc.qstars, signs):
+    roots = []
+    for q in Discriminant.from_D(poly.D).qstars:
         r = sqrt_mod_p(q % p, p)
         if r is None:
             raise InvalidParameters(
                 f"{q} is a non-residue mod {p}; p does not split in the genus field")
-        s.append(r if e == 1 else p - r)
-    out = []
-    for c in poly.coeffs:
-        acc = 0
-        for mask, frac in c.c.items():
-            term = frac.numerator * pow(frac.denominator, -1, p)
-            for i in range(disc.t):
-                if mask >> i & 1:
-                    term *= s[i]
-            acc += term
-        out.append(acc % p)
+        roots.append(r)
+    out = [c.mod_p(roots, p) for c in poly.coeffs]
     assert out[-1] == 1
     return out
 
@@ -410,7 +398,7 @@ def select_twist(curve, D, target_order, rng=None):
 # ---------------------------------------------------------------------------
 # end-to-end
 
-def gen_curve(D, p, u, v, kind=None, path="auto", seed=0, max_bits=None):
+def gen_curve(D, p, u, v, kind=None, path="auto", seed=0, max_bits=DEFAULT_MAX_BITS):
     """Curve over F_p with exactly p + 1 - u points, via the CM class polynomial.
 
     path: "divisor" (genus divisor, the point of the whole pipeline), "full"

@@ -233,6 +233,17 @@ class GFElem:
         assert v.imag == 0, f"not a real element: {self!r}"
         return v.real
 
+    def mod_p(self, roots, p):
+        """The image mod p when each sqrt(q_i) is sent to roots[i]; every
+        denominator must be prime to p."""
+        acc = 0
+        for mask, co in self.c.items():
+            term = co.numerator * pow(co.denominator, -1, p)
+            for i in _mask_bits(mask):
+                term *= roots[i]
+            acc += term
+        return acc % p
+
 
 # -- constructors and serialization -----------------------------------
 
@@ -264,34 +275,35 @@ def gf_to_json(x):
     return {str(m): f"{co.numerator}/{co.denominator}" for m, co in sorted(x.c.items())}
 
 
-def gf_from_json(qstars, obj):
-    return GFElem(qstars, {int(k): Fraction(v) for k, v in obj.items()})
-
-
 # -- integral bases ---------------------------------------------------
 
-def _invert_matrix(rows):
-    """Inverse and determinant of a square rational matrix, by Gauss-Jordan;
-    the determinant is the signed product of the pivots."""
+def adjugate(rows):
+    """det M and adj M = det M * M^-1 of a square integer matrix.
+
+    Fraction-free Gauss-Jordan on [M | I] (Bareiss 1968): step k replaces
+    every other row r by (p_k r - r[k] row_k) / p_(k-1), a division that is
+    exact.  The left half ends as p_n I and the right half as p_n M^-1, p_n
+    being det M up to the sign of the row swaps.  Raises
+    InternalInvariantError when M is singular.
+    """
     n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
             raise InternalInvariantError("singular matrix")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        row_k = a[k]
+        pk = row_k[k]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a], det
+            if r != k:
+                f = a[r][k]
+                a[r] = [(pk * x - f * y) // prev for x, y in zip(a[r], row_k)]
+        prev = pk
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 class GenusBasis:
@@ -313,14 +325,17 @@ class GenusBasis:
         self.sqrt_d = gf_sqrt_d(self.qstars)
         self.d = math.prod(self.qstars)
         # per side: the masks its family lives on (an even number of negative
-        # factors for real elements, odd for imaginary ones) and the inverse
-        # of the family's coordinate matrix on them
+        # factors for real elements, odd for imaginary ones), and the inverse
+        # of the family's coordinate matrix on them as scale * adj, the
+        # adjugate of the matrix scaled to integers
         neg = self.beta[0].neg_mask
         self._coord_maps = {}
         for side, parity in ((REAL_PART, 0), (IMAG_PART, 1)):
             masks = [m for m in range(1 << self.t) if _popcount(m & neg) % 2 == parity]
             mat = [[e.c.get(mask, Fraction(0)) for e in self.family(side)] for mask in masks]
-            self._coord_maps[side] = (masks, _invert_matrix(mat)[0])
+            lcm = math.lcm(*(x.denominator for row in mat for x in row))
+            det, adj = adjugate([[int(x * lcm) for x in row] for row in mat])
+            self._coord_maps[side] = (masks, Fraction(lcm, det), adj)
 
     def family(self, side):
         """beta on REAL_PART, beta_star on IMAG_PART."""
@@ -342,9 +357,25 @@ class GenusBasis:
         REAL_PART and pure imaginary on IMAG_PART."""
         assert v.is_real() if side == REAL_PART else v.is_imag(), \
             f"expected a {side} element, got {v!r}"
-        masks, inv = self._coord_maps[side]
+        masks, scale, adj = self._coord_maps[side]
         col = [v.c.get(mask, Fraction(0)) for mask in masks]
-        return [sum(inv[mu][r] * col[r] for r in range(self.m)) for mu in range(self.m)]
+        den = math.lcm(*(c.denominator for c in col))
+        col = [c.numerator * (den // c.denominator) for c in col]   # v scaled to integers
+        scale /= den
+        return [scale * sum(a * c for a, c in zip(row, col)) for row in adj]
+
+
+def _selections(s, alpha, atil, lo, hi, one):
+    """The four products over i in [lo, hi) that build_basis picks factor
+    by factor from the bits s_i: atil_i or alpha_i, -atil_i or alpha_i,
+    alpha_i or atil_i and -alpha_i or atil_i, the first choice when s_i = 1.
+    """
+    prods = [one] * 4
+    for i in range(lo, hi):
+        a, b = alpha[i], atil[i]
+        picks = (b, -b, a, -a) if s[i] else (a, a, b, b)
+        prods = [x * y for x, y in zip(prods, picks)]
+    return prods
 
 
 def build_basis(d):
@@ -388,40 +419,23 @@ def build_basis(d):
         assert all(q % 2 for q in qstars) and u <= t - 1
         case = CASE_ALL_ODD
 
+    lo = 1 if case == CASE_PLUS8 else 0
     beta, beta_star = [], []
     for smask in range(m):
         s = [(smask >> j) & 1 for j in range(t - 1)]
+        pre, pre_s, _, _ = _selections(s, alpha, atil, lo, u, one)
 
         if case in (CASE_ALL_ODD, CASE_PLUS8):
-            lo = 1 if case == CASE_PLUS8 else 0
-            pre, pre_s = one, one
             if case == CASE_PLUS8:
                 root2 = GFElem(qstars, {1: Fraction(1, 2)})  # sqrt(8)/2 = sqrt(2)
-                pre = root2 if s[0] else one
-                pre_s = one if s[0] else root2
-            for i in range(lo, u):
-                pre = pre * (atil[i] if s[i] else alpha[i])
-                pre_s = pre_s * (-atil[i] if s[i] else alpha[i])
-            p1 = p2 = q1 = q2 = one
-            for i in range(u, t - 1):
-                p1 = p1 * (atil[i] if s[i] else alpha[i])
-                p2 = p2 * (alpha[i] if s[i] else atil[i])
-                q1 = q1 * (-atil[i] if s[i] else alpha[i])
-                q2 = q2 * (-alpha[i] if s[i] else atil[i])
+                pre = pre * (root2 if s[0] else one)
+                pre_s = pre_s * (one if s[0] else root2)
+            p1, q1, p2, q2 = _selections(s, alpha, atil, u, t - 1, one)
             b = pre * (p1 * alpha[t - 1] + p2 * atil[t - 1])
             bs = pre_s * (q1 * alpha[t - 1] - q2 * atil[t - 1])
 
         elif case == CASE_MIXED:
-            pre, pre_s = one, one
-            for i in range(u):
-                pre = pre * (atil[i] if s[i] else alpha[i])
-                pre_s = pre_s * (-atil[i] if s[i] else alpha[i])
-            m1 = m2 = mq1 = mq2 = one
-            for i in range(u, t - 2):
-                m1 = m1 * (atil[i] if s[i] else alpha[i])
-                m2 = m2 * (alpha[i] if s[i] else atil[i])
-                mq1 = mq1 * (-atil[i] if s[i] else alpha[i])
-                mq2 = mq2 * (-alpha[i] if s[i] else atil[i])
+            m1, mq1, m2, mq2 = _selections(s, alpha, atil, u, t - 2, one)
             st = s[t - 2]
             at = alpha[t - 1]
             b = pre * (m1 * alpha[t - 2] * (at if st else one)
@@ -430,10 +444,6 @@ def build_basis(d):
                           - mq2 * atil[t - 2] * (one if st else (-at)))
 
         else:  # CASE_ALLPOS
-            pre, pre_s = one, one
-            for i in range(t - 1):
-                pre = pre * (atil[i] if s[i] else alpha[i])
-                pre_s = pre_s * (-atil[i] if s[i] else alpha[i])
             b = pre
             bs = pre_s * gf_sqrt_q(qstars, t - 1)
 
@@ -473,8 +483,8 @@ OTHER_SIDE = {REAL_PART: IMAG_PART, IMAG_PART: REAL_PART}
 
 @dataclass(frozen=True)
 class MPair:
-    """The field's dual system: M-values, the dual bases by side, and the
-    two structure-constant tensors.
+    """The field's dual system: M-values, the dual bases by side, the set
+    X of multipliers and the two structure-constant tensors over it.
 
     omega(REAL_PART) = beta/beta_0 and omega(IMAG_PART) = beta*/beta*_0;
     omega_star(side) is omega(other side), and norm(side), the omega
@@ -482,14 +492,15 @@ class MPair:
     Sum_mu M(tau_mu) tau_mu(omega_lam * omega_star_lam') = [lam == lam']
     hold exactly, which is verified at construction on REAL_PART; the
     IMAG_PART identities are the REAL_PART ones transposed (lam and lam'
-    swapped), as the product is commutative.  ``sc(side)`` expands over
-    family(side): recovery on a side uses that side's tensor, and the
+    swapped), as the product is commutative.  ``sc(side)`` is the tensor
+    over family(side): recovery on a side uses that side's tensor, and the
     approximation run on a side the other side's.
     """
 
     basis: GenusBasis
     mvals: tuple
     omegas: dict
+    X_set: tuple
     tensors: dict
 
     @property
@@ -544,7 +555,7 @@ def build_mpair(basis):
     for v in mvals:
         assert v.is_real()
     tensors = {side: structure_constants(basis, side) for side in (REAL_PART, IMAG_PART)}
-    return MPair(basis, mvals, omegas, tensors)
+    return MPair(basis, mvals, omegas, default_x_set(basis), tensors)
 
 
 # -- quadratic generators and structure constants ---------------------
@@ -591,23 +602,15 @@ def default_x_set(basis):
     return tuple(xs)
 
 
-@dataclass(frozen=True)
-class StructureConstants:
-    """Integer tensor expanding family(side)_xi * X_eta over family(side),
-    tensor[eta][xi][mu]; it also expands omega_xi * X_eta over omega for
-    the omega with that family, as omega is the family over its first
-    element."""
-
-    X_set: tuple
-    tensor: tuple
-
-
 def structure_constants(basis, side):
-    """The beta tensor on REAL_PART, the beta_star tensor on IMAG_PART."""
-    X_set = default_x_set(basis)
+    """The integer tensor expanding family(side)_xi * X_eta over
+    family(side), tensor[eta][xi][mu], with X = default_x_set(basis): the
+    beta tensor on REAL_PART, the beta_star tensor on IMAG_PART.  It also
+    expands omega_xi * X_eta over omega for the omega with that family, as
+    omega is the family over its first element."""
     fam = basis.family(side)
     tensor = []
-    for X in X_set:
+    for X in default_x_set(basis):
         rows = []
         for e in fam:
             coords = basis.coords(e * X, side)
@@ -616,4 +619,4 @@ def structure_constants(basis, side):
                     f"non-integer structure constants for qstars={basis.qstars}")
             rows.append(tuple(int(co) for co in coords))
         tensor.append(tuple(rows))
-    return StructureConstants(X_set, tuple(tensor))
+    return tuple(tensor)

@@ -210,22 +210,21 @@ def _weber_case(D: int) -> int:
     raise UnsupportedInvariant(f"Weber g undefined for m = 0 (mod 8), D = {D}")
 
 
-def weber_g(form: QuadForm, prec=96, cubed: bool = True):
+def weber_g(form: QuadForm, prec=96):
     """Weber's class invariant at the root of a 16- or 48-system form.
 
-    The form must have A odd and 32 | B; when cubed=False (allowed iff 3 does
-    not divide D) also 3 | B and 3 does not divide A, and the plain g value is
-    already an algebraic integer generating the ring class field.
+    The form must have A odd and 32 | B.  The value is cubed when 3 divides
+    D (``InvariantKind.weber_cubed``); otherwise the form must also have
+    3 | B and 3 not dividing A, and the plain g value is already an
+    algebraic integer generating the ring class field.
     """
     D = form.disc
     case = _weber_case(D)
     if form.A % 2 == 0 or form.B % 32 != 0:
         raise InvalidParameters(f"Weber g needs 2 coprime to A and 32 | B: {form}")
-    if not cubed:
-        if D % 3 == 0:
-            raise InvalidParameters(f"uncubed Weber g needs 3 coprime to D, D={D}")
-        if form.A % 3 == 0 or form.B % 3 != 0:
-            raise InvalidParameters(f"uncubed Weber g needs 3 coprime to A, 3 | B: {form}")
+    cubed = InvariantKind.weber_cubed(D)
+    if not cubed and (form.A % 3 == 0 or form.B % 3 != 0):
+        raise InvalidParameters(f"uncubed Weber g needs 3 coprime to A, 3 | B: {form}")
     fname, b, k, use_sign = _WEBER_CASES[case]
     bits = _total_bits(prec)
     with mp.workprec(bits):
@@ -337,7 +336,8 @@ class InvariantKind:
                 if p1 == 2 and kronecker(D, 2) != 1 and D % 32 == 4:
                     raise UnsupportedInvariant("doubleeta 2,2 undefined for D = 4 (mod 32)")
 
-    def weber_cubed(self, D: int) -> bool:
+    @staticmethod
+    def weber_cubed(D: int) -> bool:
         # drop the cube whenever 3 does not divide D: smaller values and a
         # 48-system make the refined invariant available
         return D % 3 == 0
@@ -406,7 +406,7 @@ def theta_value(kind: InvariantKind, form: QuadForm, prec=96):
         with mp.workprec(bits):
             return gamma2(root_of_form(form), prec)
     if kind.name == "weber":
-        return weber_g(form, prec, cubed=kind.weber_cubed(form.disc))
+        return weber_g(form, prec)
     N = kind.p1 * kind.p2
     if math.gcd(form.A, N) != 1 or form.C % N != 0:
         raise InvalidParameters(f"doubleeta needs gcd(A,N)=1 and N | C: {form}")

@@ -23,8 +23,8 @@ from .approx import ApproxRun, run_approx
 from .arith import Discriminant
 from .errors import InternalInvariantError, InvalidParameters, PrecisionEscalation
 from .forms import enumerate_reduced, phi_class
-from .genusfield import IMAG_PART, REAL_PART, GenusBasis, _invert_matrix, \
-    build_basis, build_mpair
+from .genusfield import IMAG_PART, REAL_PART, GenusBasis, adjugate, build_basis, \
+    build_mpair
 from .modfns import InvariantKind
 
 T0_SAFETY_BITS = 8
@@ -82,10 +82,10 @@ def _recovery_side(run, prec):
     with mp.workprec(prec):
         mid = mpair.mid.numeric_real(prec)
         Z = +sum(a * w.numeric_real(prec) for a, w in zip(run.A, run.omega_star))
-        scales = tuple(mid * Z * X.numeric_real(prec) for X in mpair.sc(side).X_set)
+        scales = tuple(mid * Z * X.numeric_real(prec) for X in mpair.X_set)
         values = tuple(e.numeric(prec) for e in mpair.basis.family(side))
         norm = mpair.norm(side).numeric(prec)
-    det, adj = _adjugate(recovery_matrix(run))
+    det, adj = adjugate(recovery_matrix(run))
     return RecoverySide(run, norm, scales, values, det, adj)
 
 
@@ -123,7 +123,7 @@ def _side_threshold(mpair, side, T_eff, prec=160):
         mv = [abs(v.numeric_real(prec)) for v in mpair.mvals]
         C = +sum(mv[1:])
         z_req = mp.mpf(0)
-        for X in mpair.sc(side).X_set:
+        for X in mpair.X_set:
             s = mp.mpf(0)
             for lam in range(1, m):
                 tx = abs(X.tau(lam).numeric(prec))
@@ -141,13 +141,13 @@ def _side_epsilon(run, prec=160):
         mid = abs(mpair.mid.numeric_real(prec))
         norm = abs(mpair.norm(run.side).numeric(prec))
         best = mp.inf
-        for X in mpair.sc(run.side).X_set:
+        for X in mpair.X_set:
             xv = abs(X.numeric(prec))
             best = min(best, norm / (4 * mid * xv * Z))
         return +best
 
 
-def make_plan(D, kind=None, T0=None, n0_min=1):
+def make_plan(D, kind=None, T0=None):
     """Choose N0, run the approximation on each side the invariant needs,
     fix epsilon and precision.
 
@@ -165,7 +165,7 @@ def make_plan(D, kind=None, T0=None, n0_min=1):
     with mp.workprec(160):
         T_eff = 2 * mp.mpf(T0)   # recovered sums are 2*Re z and 2i*Im z
         delta_cap = mp.sqrt(abs(basis.d)) ** basis.m
-        N0 = int(n0_min)
+        N0 = 1
         if basis.m > 1:
             mid = abs(mpair.mid.numeric_real(160))
             head = 1 + mp.mpf(2) ** -40   # so re-verification can't miss by an ulp
@@ -202,14 +202,6 @@ def _check_plan(plan):
                     f"epsilon too large on the {name} side")
 
 
-def _adjugate(M):
-    """det M and adj M = det M * M^-1, which is an integer matrix; det is
-    the signed product of the Gauss-Jordan pivots."""
-    inv, det = _invert_matrix(M)
-    det = int(det)
-    return det, tuple(tuple(int(det * x) for x in row) for row in inv)
-
-
 def _solve_adjugate(det, adj, r):
     """b = adj r / det.  (adj r)_xi is det M with column xi replaced by r
     (Cramer's rule), so b is integral exactly when r is consistent."""
@@ -226,7 +218,7 @@ def _solve_adjugate(det, adj, r):
 def recovery_matrix(run):
     """M_{eta,xi} = sum_mu A_mu x_{mu,xi,eta}, over the run side's tensor."""
     m = len(run.A)
-    T = run.mpair.sc(run.side).tensor
+    T = run.mpair.sc(run.side)
     return [[sum(run.A[mu] * T[eta][xi][mu] for mu in range(m))
              for xi in range(m)] for eta in range(m)]
 

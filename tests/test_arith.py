@@ -211,7 +211,7 @@ def test_discriminant_dataclass():
     disc = Discriminant.from_D(-420)
     assert (disc.t, disc.u, disc.m) == (4, 1, 8)
     assert disc.qstars == (5, -3, -7, -4)
-    assert disc.is_fundamental
+    assert (disc.d, disc.f) == (-420, 1)
     disc2 = Discriminant.from_D(-48)
     assert (disc2.d, disc2.f) == (-3, 4)
     for bad in (5, 0, -6, -13):

@@ -1,5 +1,6 @@
 """Tests for full class polynomials and genus divisors."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from cmforge.classpoly import ClassPolynomial, class_poly_divisor, \
     class_poly_full, coset_labels, coset_product_check, divisor_forms
 from cmforge.errors import InvalidParameters, PrecisionExhausted
 from cmforge.forms import QuadForm, class_number, n_system
-from cmforge.genusfield import build_basis, gf_rational
+from cmforge.genusfield import GFElem, build_basis, gf_rational
 from cmforge.modfns import InvariantKind
 from cmforge.recover import make_plan
 
@@ -158,30 +159,37 @@ def test_divisor_forms_counts():
 
 
 def test_json_round_trip():
+    # to_json holds everything needed to rebuild the polynomial exactly
     for poly in (class_poly_full(-40, J),
                  class_poly_divisor(-40, J),
                  class_poly_divisor(-40, InvariantKind.gamma2())):
-        blob = poly.to_json()
-        back = ClassPolynomial.from_json(blob)
-        assert back.D == poly.D and str(back.kind) == str(poly.kind)
-        assert back.phi0 == poly.phi0
+        blob = json.loads(json.dumps(poly.to_json()))
+        assert blob["D"] == poly.D and blob["invariant"] == str(poly.kind)
+        assert blob["degree"] == poly.degree
         if poly.is_divisor:
-            assert [c.c for c in back.coeffs] == [c.c for c in poly.coeffs]
+            assert tuple(blob["phi0"]) == poly.phi0
+            qs = tuple(blob["field"])
+            coeffs = tuple(GFElem(qs, {int(k): Fraction(v) for k, v in c.items()})
+                           for c in blob["coeffs"])
         else:
-            assert back.coeffs == poly.coeffs
+            assert blob["phi0"] is None
+            coeffs = tuple(int(c) for c in blob["coeffs"])
+        assert ClassPolynomial(poly.D, poly.kind, poly.phi0, coeffs) == poly
 
 
-def test_precision_cap_full():
+def test_precision_cap_full(monkeypatch):
     # 174-bit coefficients cannot be trusted at <= 16 working bits
+    monkeypatch.setattr(classpoly, "_full_bits_estimate", lambda d, kind: 8)
     with pytest.raises(PrecisionExhausted):
-        class_poly_full(-652, J, start_bits=8, max_bits=16)
+        class_poly_full(-652, J, max_bits=16)
 
 
-def test_full_escalates_to_correct_answer():
+def test_full_escalates_to_correct_answer(monkeypatch):
     # starting absurdly low must double up to a sound precision, not return
     # a lucky mis-rounding
-    a = class_poly_full(-652, J, start_bits=8)
     b = class_poly_full(-652, J)
+    monkeypatch.setattr(classpoly, "_full_bits_estimate", lambda d, kind: 8)
+    a = class_poly_full(-652, J)
     assert a.coeffs == b.coeffs
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmforge.arith import cornacchia, kronecker, search_fixed_D
-from cmforge.classpoly import class_poly_divisor, class_poly_full
+from cmforge.classpoly import ClassPolynomial, class_poly_divisor, class_poly_full
 from cmforge.curve import (WeierstrassCurve, _pdivmod, _pmul, _ppow_linear,
                            curve_from_j, gen_curve, is_on_curve, j_from_theta,
                            make_curve, naive_count, point_add, point_neg,
@@ -42,11 +42,15 @@ def test_reduce_divisor_minus40():
     assert len(red) == 2
     quo, rem = _pdivmod(full, red, 41)
     assert rem == []
+
+    def conjugate(lam):
+        return ClassPolynomial(div.D, div.kind, div.phi0,
+                               tuple(c.tau(lam) for c in div.coeffs))
+
     # flipping the sqrt(5) sign lands on the conjugate factor, the cofactor
-    assert reduce_divisor_mod_p(div, 41, signs=(-1, 1)) == quo != red
+    assert reduce_divisor_mod_p(conjugate(1), 41) == quo != red
     # sqrt(-8) does not appear in the coefficients, flipping it is a no-op
-    assert reduce_divisor_mod_p(div, 41, signs=(1, -1)) == \
-        reduce_divisor_mod_p(div, 41)
+    assert reduce_divisor_mod_p(conjugate(2), 41) == red
 
 
 def test_reduce_trivial_t1():

@@ -132,7 +132,7 @@ def test_gamma2_preconditions():
 def test_weber_g_uncubed_minus40():
     sys48 = n_system(-40, 48, 0)
     with mp.workprec(260):
-        g1, g2 = (weber_g(f, 200, cubed=False) for f in sys48.forms)
+        g1, g2 = (weber_g(f, 200) for f in sys48.forms)
         assert abs(g1 + g2 - 1) < 1e-45
         assert abs(g1 * g2 + 1) < 1e-45
 
@@ -145,7 +145,7 @@ def test_weber_g_relates_back_to_j():
         js = sorted((jfun(root_of_form(f), 200) for f in sys48.forms), key=lambda v: v.real)
         from_g = []
         for f in sys48.forms:
-            g = weber_g(f, 200, cubed=False)
+            g = weber_g(f, 200)
             x = 64 * g ** 12  # (sqrt2 * g)^12 = f1^24, the (2/A) sign drops out
             from_g.append((x + 16) ** 3 / x)
         from_g.sort(key=lambda v: v.real)

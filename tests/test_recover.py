@@ -10,10 +10,10 @@ from mpmath import mp
 from cmforge.errors import InternalInvariantError, InvalidParameters, \
     PrecisionEscalation
 from cmforge import genusfield
-from cmforge.genusfield import IMAG_PART, REAL_PART
+from cmforge.genusfield import IMAG_PART, REAL_PART, adjugate
 from cmforge.modfns import InvariantKind
 from cmforge.recover import bound_T0_heuristic, coset_sums, make_plan, \
-    recover_coords, recovery_matrix, _adjugate, _solve_adjugate
+    recover_coords, recovery_matrix, _solve_adjugate
 
 PLANS = {}
 
@@ -95,7 +95,7 @@ def test_plan_invariants_independent_check(D):
             Z = sum(a * w.numeric_real(prec)
                     for a, w in zip(run.A, mpair.omega_star(side)))
             mid = abs(mpair.mid.numeric_real(prec))
-            for X in mpair.sc(side).X_set:
+            for X in mpair.X_set:
                 s = sum(abs(mpair.mvals[lam].numeric_real(prec))
                         * abs(X.tau(lam).numeric(prec))
                         / abs(norm.tau(lam).numeric(prec))
@@ -154,9 +154,10 @@ def test_t1_recovery_is_integer_rounding():
 
 
 def test_bigger_n0_still_recovers():
+    # the plan an escalation builds: T0 squared, and with it a larger N0
     base = plan_for(-40)
-    plan = make_plan(-40, n0_min=base.N0 * 10 ** 6)
-    assert plan.N0 >= base.N0 * 10 ** 6
+    plan = make_plan(-40, T0=base.T0 ** 2)
+    assert plan.N0 > base.N0 * 10 ** 6
     basis = plan.basis
     rng = random.Random(2)
     prec = plan.float_bits + 16
@@ -247,15 +248,17 @@ def _det_fractions(M):
 
 def test_adjugate_determinant_matches_gauss():
     rng = random.Random(3)
-    for _ in range(60):
+    for trial in range(120):
         n = rng.randint(1, 6)
-        M = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
+        # entries in [-1, 1] make zero pivots, and so row swaps, common
+        size = (99, 1, 2 ** 300)[trial // 40]
+        M = [[rng.randint(-size, size) for _ in range(n)] for _ in range(n)]
         want = _det_fractions(M)
         if want == 0:
             with pytest.raises(InternalInvariantError):
-                _adjugate(M)
+                adjugate(M)
             continue
-        det, adj = _adjugate(M)
+        det, adj = adjugate(M)
         assert det == want
         # adj M = det I, over the integers
         assert all(sum(adj[i][k] * M[k][j] for k in range(n)) == det * (i == j)
@@ -263,17 +266,17 @@ def test_adjugate_determinant_matches_gauss():
     # a few singular ones, one needing a row swap first
     for M in ([[1, 2], [2, 4]], [[0, 0], [1, 1]], [[0, 1, 2], [0, 2, 4], [5, 6, 7]]):
         with pytest.raises(InternalInvariantError):
-            _adjugate(M)
-    assert _adjugate([[0, 1], [1, 0]])[0] == -1
+            adjugate(M)
+    assert adjugate([[0, 1], [1, 0]])[0] == -1
 
 
 def test_solve_integer_system():
     # recovery solves M b = r as b = adj(M) r / det(M)
-    assert _solve_adjugate(*_adjugate([[3, 1], [1, 2]]), [5, 0]) == [2, -1]
+    assert _solve_adjugate(*adjugate([[3, 1], [1, 2]]), [5, 0]) == [2, -1]
     with pytest.raises(InternalInvariantError):
-        _adjugate([[1, 2], [2, 4]])
+        adjugate([[1, 2], [2, 4]])
     with pytest.raises(PrecisionEscalation):
-        _solve_adjugate(*_adjugate([[2, 0], [0, 2]]), [1, 0])
+        _solve_adjugate(*adjugate([[2, 0], [0, 2]]), [1, 0])
 
 
 def test_recovery_matrix_nonsingular():
@@ -281,7 +284,7 @@ def test_recovery_matrix_nonsingular():
         plan = both_sides_plan(D)
         for side in (REAL_PART, IMAG_PART):
             M = recovery_matrix(plan.sides[side].run)
-            assert _adjugate(M)[0] == _det_fractions(M) != 0
+            assert adjugate(M)[0] == _det_fractions(M) != 0
 
 
 @pytest.mark.parametrize("D,kind", [
