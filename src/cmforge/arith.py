@@ -356,41 +356,20 @@ def search_fixed_D(
     D,
     predicate: Optional[Predicate] = None,
     *,
-    p_max: Optional[int] = None,
-    p_bits: Optional[int] = None,
+    p_bits: int,
     rng: Optional[random.Random] = None,
     budget: int = 200000,
 ) -> Optional[CurveOrderParams]:
-    """Find (p, u, v, order) for a fixed discriminant.
+    """Find (p, u, v, order) for a fixed discriminant, with p of p_bits bits.
 
-    Exactly one of p_max / p_bits selects the mode:
-
-    * p_max: deterministic scan of primes p <= p_max in ascending order, offering
-      each p's ``admissible_params`` in turn.  Meant for small demonstrations, and
-      the default (with p_max = budget) when neither bound is given.
-    * p_bits: randomized search for p of that bit size.  When D = 5 (mod 8) this
-      uses the u = 1 (mod 210), v = 105 (mod 210) walk, which guarantees neither
-      p nor the offered order is divisible by 2, 3, 5 or 7; otherwise plain
-      rejection sampling, offering both signs.
+    When D = 5 (mod 8) this uses the u = 1 (mod 210), v = 105 (mod 210) walk,
+    which guarantees neither p nor the offered order is divisible by 2, 3, 5
+    or 7; otherwise plain rejection sampling, offering both signs.
 
     predicate(p, order) -> bool filters candidates; None accepts the first one.
     Returns None if the budget runs out.
     """
     disc = D if isinstance(D, Discriminant) else Discriminant.from_D(D)
-    if p_max is not None and p_bits is not None:
-        raise InvalidParameters("specify at most one of p_max / p_bits")
-    if p_max is None and p_bits is None:
-        p_max = budget
-
-    if p_max is not None:
-        for p in range(5, p_max + 1):
-            if is_probable_prime(p):
-                for params in admissible_params(disc.D, p):
-                    got = _offer(params, predicate)
-                    if got is not None:
-                        return got
-        return None
-
     if p_bits < 8:
         raise InvalidParameters("p_bits must be at least 8")
     rng = rng if rng is not None else random.Random(0)
@@ -426,6 +405,8 @@ def search_fixed_D(
 def _search_210(disc, predicate, rng, budget, lo, hi):
     """The 210-walk for D = 5 (mod 8): p and the offered order avoid 2,3,5,7."""
     absD = -disc.D
+    if absD * 105 * 105 > 4 * hi - 8:   # no p < hi has v = 105 (mod 210)
+        raise InvalidParameters(f"|D| too large for primes below {hi} in the 210 walk")
     spent = 0
     while spent < budget:
         vmax = math.isqrt(2 * lo // absD)

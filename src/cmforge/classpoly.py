@@ -2,11 +2,12 @@
 
 The full path multiplies (x - theta(alpha_i)) over a whole N-system and
 rounds to integers -- the classical construction, kept as the oracle.
-The divisor path multiplies only over forms whose genus character equals
-phi0 (h / 2^(t-1) of them) and recovers each coefficient as an exact
-element of the genus field from its float approximation.  Exact divisors
-are memoized per process, so repeated calls at one discriminant (one curve
-per prime, say) evaluate their theta values once.
+The divisor path multiplies only over the forms of the principal genus
+(h / 2^(t-1) of them) and recovers each coefficient as an exact element of
+the genus field from its float approximation; every other coset's divisor
+is a Galois conjugate of that one.  Exact divisors are memoized per
+process, so repeated calls at one discriminant (one curve per prime, say)
+evaluate their theta values once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .arith import Discriminant
-from .errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted
+from .errors import PrecisionEscalation, PrecisionExhausted
 from .forms import QuadForm, enumerate_reduced, n_system, phi_class
 from .genusfield import IMAG_PART, REAL_PART, gf_rational, gf_to_json
 from .modfns import InvariantKind, theta_value
@@ -118,13 +119,11 @@ def class_poly_full(D, kind=None, max_bits=DEFAULT_MAX_BITS):
     sysN = n_system(D, kind.modulus(d), kind.b_target(d))
     bits = _full_bits_estimate(d, kind)
     while True:
+        _check_cap(D, bits, max_bits)
         try:
             return ClassPolynomial(D, kind, None, _full_attempt(sysN, kind, bits))
         except PrecisionEscalation:
             bits *= 2
-            if bits > max_bits:
-                raise PrecisionExhausted(
-                    f"class polynomial for D={D} needs more than {max_bits} bits")
 
 
 def _full_attempt(sysN, kind, bits):
@@ -151,78 +150,57 @@ def _full_attempt(sysN, kind, bits):
     return tuple(coeffs) + (1,)
 
 
-def _coset_label(d, phi0):
-    """phi0 as a +-1 tuple of length t; None is the principal genus."""
-    phi0 = tuple(phi0) if phi0 is not None else (1,) * d.t
-    if len(phi0) != d.t or any(e not in (-1, 1) for e in phi0):
-        raise InvalidParameters(f"bad coset label {phi0} for t={d.t}")
-    return phi0
-
-
-def divisor_forms(D, kind, phi0=None):
-    """The N-system members whose genus character equals phi0."""
-    d = Discriminant.from_D(D)
-    phi0 = _coset_label(d, phi0)
-    sysN = n_system(D, kind.modulus(d), kind.b_target(d))
-    sel = [f for f in sysN.forms if phi_class(f, d) == phi0]
-    if not sel:
-        raise InvalidParameters(
-            f"coset label {phi0} is not in the image of the genus map for D={D}")
-    return phi0, sel
-
-
-# exact divisors by (D, kind, phi0), oldest first: a process that builds
+# exact principal divisors by (D, kind), oldest first: a process that builds
 # curves at one discriminant for several primes recovers its divisor once
 _DIVISORS = {}
 _DIVISORS_MAX = 8
 
 
-def _check_cap(D, plan, cap):
-    if plan.float_bits > cap:
+def _check_cap(D, bits, cap):
+    """Refuse an attempt at ``bits`` above ``cap``, on either path."""
+    if bits > cap:
         raise PrecisionExhausted(
-            f"divisor recovery for D={D} would need {plan.float_bits} bits "
-            f"(cap {cap}); T0 estimate too small or parameters inconsistent")
+            f"class polynomial for D={D} would need {bits} bits (cap {cap})")
 
 
-def class_poly_divisor(D, kind=None, phi0=None, plan=None, max_bits=DEFAULT_MAX_BITS):
-    """The genus divisor of H_D[theta] with exact genus-field coefficients;
-    its ``plan`` is the plan whose recovery produced them.
+def class_poly_divisor(D, kind=None, max_bits=DEFAULT_MAX_BITS):
+    """The principal genus divisor of H_D[theta] with exact genus-field
+    coefficients; its ``plan`` is the plan whose recovery produced them.
 
-    Without a ``plan``, the divisor is looked up in a small module-level
-    memo keyed by (D, kind, phi0), phi0 = None and the principal label
-    being one key.  A hit returns the same object, plan included, and
-    raises ``PrecisionExhausted`` exactly when a recomputation would: when
-    that plan's float_bits exceed the cap.  With a ``plan`` the divisor is
-    always recomputed from it and not memoized.
+    The divisor is memoized per process by (D, kind).  A hit returns the
+    same object, and raises ``PrecisionExhausted`` exactly when a
+    recomputation would: when its plan's float_bits exceed the cap.  Every
+    other coset's divisor is a Galois conjugate of this one (``coset_divisor``).
     """
     kind = kind or InvariantKind.j()
     d = Discriminant.from_D(D)
     kind.validate_for(d)
-    key = (D, kind, _coset_label(d, phi0))
-    if plan is None and key in _DIVISORS:
-        poly = _DIVISORS[key]
-        _check_cap(D, poly.plan, max_bits)
-        return poly
-    phi0, sel = divisor_forms(D, kind, phi0)
-    h = len(enumerate_reduced(D))
-    assert len(sel) == h // d.m, (len(sel), h, d.m)
-    memo = plan is None
-    if memo:
-        plan = make_plan(D, kind)
+    poly = _DIVISORS.get((D, kind))
+    if poly is None:
+        poly = _principal_divisor(d, kind, max_bits)
+        if len(_DIVISORS) >= _DIVISORS_MAX:
+            del _DIVISORS[next(iter(_DIVISORS))]
+        _DIVISORS[D, kind] = poly
+    _check_cap(D, poly.plan.float_bits, max_bits)
+    return poly
+
+
+def _principal_divisor(d, kind, max_bits):
+    principal = (1,) * d.t
+    forms = n_system(d.D, kind.modulus(d), kind.b_target(d)).forms
+    sel = [f for f in forms if phi_class(f, d) == principal]
+    assert len(sel) == len(forms) // d.m, (len(sel), len(forms), d.m)
+    plan = make_plan(d.D, kind)
     while True:
-        _check_cap(D, plan, max_bits)
+        _check_cap(d.D, plan.float_bits, max_bits)
         try:
             coeffs = _divisor_attempt(kind, sel, plan)
             break
         except PrecisionEscalation:
             # square T0: roughly doubles the working precision
-            plan = make_plan(D, kind, T0=mp.mpf(plan.T0) ** 2)
-    poly = ClassPolynomial(D, kind, phi0, coeffs)
+            plan = make_plan(d.D, kind, T0=mp.mpf(plan.T0) ** 2)
+    poly = ClassPolynomial(d.D, kind, principal, coeffs)
     object.__setattr__(poly, "plan", plan)   # an init=False field of a frozen class
-    if memo:
-        if len(_DIVISORS) >= _DIVISORS_MAX:
-            del _DIVISORS[next(iter(_DIVISORS))]
-        _DIVISORS[key] = poly
     return poly
 
 
@@ -260,19 +238,31 @@ def coset_labels(D):
     return seen
 
 
+def coset_divisor(poly, phi):
+    """The divisor of the coset labelled phi, from the principal ``poly``.
+
+    Its coefficients lie in the genus field, and the Artin map sends the
+    principal coset to coset phi by the automorphism that flips sqrt(q_i*)
+    exactly where phi_i = -1 (labels in ``Discriminant.qstars`` order).
+    """
+    mask = sum(1 << i for i, e in enumerate(phi) if e == -1)
+    return ClassPolynomial(poly.D, poly.kind, tuple(phi),
+                           tuple(c.tau(mask) for c in poly.coeffs))
+
+
 def coset_product_check(D, kind=None):
-    """Exact product of all coset divisors equals the full polynomial."""
+    """The exact product of the (memoized) principal divisor's conjugates
+    over every coset equals the full polynomial."""
     kind = kind or InvariantKind.j()
     full = class_poly_full(D, kind)
-    plan = make_plan(D, kind)
-    basis = plan.basis
-    prod = [gf_rational(basis.qstars, 1)]
-    for phi0 in coset_labels(D):
-        div = class_poly_divisor(D, kind, phi0, plan=plan)
-        new = [gf_rational(basis.qstars, 0)
-               for _ in range(len(prod) + len(div.coeffs) - 1)]
+    div = class_poly_divisor(D, kind)
+    qstars = div.coeffs[-1].qstars
+    prod = [gf_rational(qstars, 1)]
+    for phi in coset_labels(D):
+        coeffs = coset_divisor(div, phi).coeffs
+        new = [gf_rational(qstars, 0) for _ in range(len(prod) + len(coeffs) - 1)]
         for i, a in enumerate(prod):
-            for j, b in enumerate(div.coeffs):
+            for j, b in enumerate(coeffs):
                 new[i + j] = new[i + j] + a * b
         prod = new
     if len(prod) != len(full.coeffs):

@@ -129,14 +129,16 @@ def cmd_approx(args, out):
 
 
 def cmd_verify(args, out):
-    if args.file and args.file != "-":
-        with open(args.file) as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
     try:
+        if args.file and args.file != "-":
+            with open(args.file) as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
         blob = json.loads(text.strip().splitlines()[0])
-    except (json.JSONDecodeError, IndexError):
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, IndexError) as e:
+        raise InvalidParameters(f"verify needs a curve JSON object: {e}")
+    if not isinstance(blob, dict):
         raise InvalidParameters("verify needs a curve JSON object")
     p = _as_int(blob.get("p"), "p")
     a = _as_int(blob.get("a"), "a")

@@ -364,7 +364,7 @@ def _twist_family(curve):
     return [curve, make_curve(p, curve.a * c * c, curve.b * pow(c, 3, p))]
 
 
-def select_twist(curve, D, target_order, rng=None):
+def select_twist(curve, target_order, rng=None):
     """The member of curve's twist family with the prescribed order.
 
     Small p: exact naive count.  Large p: target*P = infinity on 10 random
@@ -449,6 +449,6 @@ def gen_curve(D, p, u, v, kind=None, path="auto", seed=0, max_bits=DEFAULT_MAX_B
     j = j_from_theta(r, kind, p, D=D)[0]
     base = curve_from_j(j, p)
     rng = random.Random(seed)
-    curve = select_twist(base, D, target, rng)
+    curve = select_twist(base, target, rng)
     transcript.update(root=r, j=j, twist=_twist_family(base).index(curve))
     return {"curve": curve, "j": j, "order": target, "transcript": transcript}

@@ -221,14 +221,22 @@ def test_discriminant_dataclass():
 
 # --- searches ---------------------------------------------------------------
 
-def test_search_fixed_D_scan():
-    got = search_fixed_D(-40, lambda p, o: 40 <= p <= 60)
-    assert got == CurveOrderParams(p=41, u=2, v=2, order=40)
-    got = search_fixed_D(-40, lambda p, o: o == 44)
-    assert got == CurveOrderParams(p=41, u=-2, v=2, order=44)
-    got = search_fixed_D(-3, lambda p, o: p == 13 and o == 7)
-    assert got.u == 7 and got.v == 1
-    assert search_fixed_D(-40, lambda p, o: False, p_max=2000) is None
+def test_search_fixed_D_predicate():
+    # the predicate sees (p, order) and filters every candidate offered
+    for D in (-40, -115):
+        seen = []
+
+        def negative_trace(p, o):
+            seen.append((p, o))
+            return o > p + 1
+
+        got = search_fixed_D(D, negative_trace, p_bits=24, rng=random.Random(3))
+        assert got is not None and got.u < 0
+        assert (got.p, got.order) == seen[-1]
+        assert all(o <= p + 1 for p, o in seen[:-1])
+        validate_params(D, got.p, got.u, got.v)
+    assert search_fixed_D(-40, lambda p, o: False, p_bits=16, budget=2000,
+                          rng=random.Random(0)) is None
 
 
 def test_search_fixed_D_random_mode():
@@ -255,8 +263,12 @@ def test_search_fixed_D_210_branch_avoids_small_primes():
 def test_search_fixed_D_budget_and_modes():
     assert search_fixed_D(-40, None, p_bits=40, budget=1,
                           rng=random.Random(0)) is None or True  # tiny budget may luck out
+    with pytest.raises(TypeError):
+        search_fixed_D(-40)                  # p_bits is required
     with pytest.raises(InvalidParameters):
-        search_fixed_D(-40, None, p_max=100, p_bits=40)
+        search_fixed_D(-40, p_bits=7)
+    with pytest.raises(InvalidParameters):
+        search_fixed_D(-115, p_bits=16)      # v = 105 makes every p too big
 
 
 def test_admissible_params_fixed_p():

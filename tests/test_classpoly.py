@@ -9,12 +9,12 @@ from mpmath import mp
 from cmforge import classpoly
 from cmforge.arith import Discriminant
 from cmforge.classpoly import ClassPolynomial, class_poly_divisor, \
-    class_poly_full, coset_labels, coset_product_check, divisor_forms
-from cmforge.errors import InvalidParameters, PrecisionExhausted
-from cmforge.forms import QuadForm, class_number, n_system
-from cmforge.genusfield import GFElem, build_basis, gf_rational
+    class_poly_full, coset_divisor, coset_labels, coset_product_check
+from cmforge.errors import PrecisionExhausted
+from cmforge.forms import QuadForm, class_number, n_system, phi_class
+from cmforge.genusfield import GFElem
 from cmforge.modfns import InvariantKind
-from cmforge.recover import make_plan
+from test_golden import DIVISORS
 
 J = InvariantKind.j()
 
@@ -113,31 +113,29 @@ def test_coset_labels_group():
 
 
 def test_galois_action_permutes_cosets():
-    D = -84
-    plan = make_plan(D, J)
-    divisors = {}
-    for phi0 in coset_labels(D):
-        divisors[phi0] = class_poly_divisor(D, J, phi0, plan=plan)
-    keys = {coeff_key(p) for p in divisors.values()}
-    assert len(keys) == 4
-    basis = build_basis(Discriminant.from_D(D))
-    for lam in range(1, basis.m):
-        for phi0, poly in divisors.items():
-            mapped = ClassPolynomial(
-                D, J, phi0, tuple(c.tau(lam) for c in poly.coeffs))
-            assert coeff_key(mapped) in keys
-    # some conjugation genuinely moves at least one coset
-    moved = any(
-        coeff_key(ClassPolynomial(D, J, p, tuple(c.tau(1) for c in poly.coeffs)))
-        != coeff_key(poly)
-        for p, poly in divisors.items())
-    assert moved
+    # each coset's divisor, recovered from its own theta values with the
+    # principal divisor's plan, is the principal divisor conjugated by the
+    # automorphism that flips sqrt(q_i*) where the coset label is -1
+    for D, invariant, _ in DIVISORS:
+        kind = InvariantKind.parse(invariant)
+        d = Discriminant.from_D(D)
+        div = class_poly_divisor(D, kind)
+        forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+        seen = set()
+        for phi in coset_labels(D):
+            sel = [f for f in forms if phi_class(f, d) == phi]
+            own = classpoly._divisor_attempt(kind, sel, div.plan)
+            conj = coset_divisor(div, phi)
+            assert conj.phi0 == phi and conj.coeffs == own, (D, invariant, phi)
+            seen.add(coeff_key(conj))
+        if (D, invariant) == (-84, "j"):
+            assert len(seen) == 4   # the conjugations genuinely move cosets
 
 
 def test_recovered_coefficients_within_t0():
     D = -84
-    plan = make_plan(D, J)
-    div = class_poly_divisor(D, J, plan=plan)
+    div = class_poly_divisor(D, J)
+    plan = div.plan
     d = Discriminant.from_D(D)
     with mp.workprec(256):
         bound = mp.mpf(plan.T0) * (1 + mp.mpf(2) ** -40)
@@ -147,15 +145,15 @@ def test_recovered_coefficients_within_t0():
 
 
 def test_divisor_forms_counts():
-    phi0, sel = divisor_forms(-84, J)
-    assert phi0 == (1, 1, 1)
-    assert len(sel) == 1
-    with pytest.raises(InvalidParameters):
-        divisor_forms(-84, J, (1, 1))        # wrong length
-    with pytest.raises(InvalidParameters):
-        divisor_forms(-84, J, (2, 1, 1))     # not +-1
-    with pytest.raises(InvalidParameters):
-        divisor_forms(-40, J, (1, -1))       # product -1: not in the image
+    # the genus characters split the N-system into equal cosets, and the
+    # divisor is the principal one's
+    assert class_poly_divisor(-84, J).phi0 == (1, 1, 1)
+    for D in (-84, -420, -3135):
+        d = Discriminant.from_D(D)
+        forms = n_system(D, J.modulus(d), J.b_target(d)).forms
+        labels = [phi_class(f, d) for f in forms]
+        assert sorted(set(labels)) == sorted(coset_labels(D))
+        assert all(labels.count(phi) == len(forms) // d.m for phi in labels)
 
 
 def test_json_round_trip():
@@ -194,9 +192,8 @@ def test_full_escalates_to_correct_answer(monkeypatch):
 
 
 def test_precision_cap_divisor():
-    plan = make_plan(-40, J)
     with pytest.raises(PrecisionExhausted):
-        class_poly_divisor(-40, J, plan=plan, max_bits=50)
+        class_poly_divisor(-40, J, max_bits=50)
 
 
 def test_imaginary_theta_error_fails_realness_check(monkeypatch):
@@ -209,8 +206,8 @@ def test_imaginary_theta_error_fails_realness_check(monkeypatch):
         with mp.workprec(prec + 64):
             return v + mp.mpc(0, mp.mpf(2) ** -10) if form.A == 1 else v
 
-    plan = make_plan(-40, J)
-    assert class_poly_divisor(-40, J, plan=plan, max_bits=4 * plan.float_bits)
+    plan = class_poly_divisor(-40, J).plan
+    classpoly._DIVISORS.clear()
     monkeypatch.setattr(classpoly, "theta_value", skewed)
     with pytest.raises(PrecisionExhausted):
         class_poly_divisor(-40, J, max_bits=4 * plan.float_bits)
@@ -231,40 +228,50 @@ def test_paired_theta_error_fails_recovery(monkeypatch):
             return v + mp.mpc(0, skew.get(form, 0))
 
     monkeypatch.setattr(classpoly, "theta_value", skewed)
-    plan = make_plan(-1239, J)
-    assert class_poly_divisor(-1239, J, plan=plan, max_bits=4 * plan.float_bits)
+    plan = class_poly_divisor(-1239, J).plan
     assert len(seen) == 5 and QuadForm(4, 3, 78) in seen   # 8 forms, 3 pairs
     assert QuadForm(4, -3, 78) not in seen
+    classpoly._DIVISORS.clear()
     skew[QuadForm(4, 3, 78)] = mp.mpf(2) ** -10
     with pytest.raises(PrecisionExhausted):
         class_poly_divisor(-1239, J, max_bits=4 * plan.float_bits)
 
 
 def test_divisor_memo_hits_and_cap():
-    # without a plan the divisor is memoized: phi0 = None and the explicit
-    # principal label are one entry, and a hit returns the same object
+    # the divisor is memoized by (D, kind), and a hit returns the same object
     poly = class_poly_divisor(-40, J)
     bits = poly.plan.float_bits
     assert class_poly_divisor(-40, J) is poly
-    assert class_poly_divisor(-40, J, phi0=(1, 1)) is poly
     assert class_poly_divisor(-40, J, max_bits=bits) is poly
     # a hit raises exactly when a recomputation would: the plan needs more
     # bits than the cap allows
     with pytest.raises(PrecisionExhausted):
         class_poly_divisor(-40, J, max_bits=bits - 1)
-    # an explicit plan, and the coset-product check, recompute
-    again = class_poly_divisor(-40, J, plan=poly.plan)
-    assert again is not poly and coeff_key(again) == coeff_key(poly)
+    # the coset-product check uses the memoized divisor, and fills the memo
+    assert coset_product_check(-40, J)
+    assert classpoly._DIVISORS[-40, J] is poly
     classpoly._DIVISORS.clear()
     assert coset_product_check(-40, J)
-    assert not classpoly._DIVISORS
+    assert coeff_key(classpoly._DIVISORS[-40, J]) == coeff_key(poly)
+
+
+def test_coset_product_check_sees_a_perturbed_divisor():
+    # the check multiplies the conjugates of the divisor it is given: one
+    # wrong coefficient in the memoized divisor must make it fail
+    D = -84
+    assert coset_product_check(D, J)
+    c = class_poly_divisor(D, J).coeffs[0]
+    c.c[0] = c.c.get(0, Fraction(0)) + 1
+    assert not coset_product_check(D, J)
 
 
 def test_plan_reuse_same_result():
-    plan = make_plan(-120, J)
-    a = class_poly_divisor(-120, J, plan=plan)
-    b = class_poly_divisor(-120, J)
-    assert coeff_key(a) == coeff_key(b)
+    # the memoized divisor's plan recovers that divisor again
+    div = class_poly_divisor(-120, J)
+    d = Discriminant.from_D(-120)
+    forms = n_system(-120, J.modulus(d), J.b_target(d)).forms
+    sel = [f for f in forms if phi_class(f, d) == div.phi0]
+    assert classpoly._divisor_attempt(J, sel, div.plan) == div.coeffs
 
 
 def test_gamma2_divisor_consistent_with_cube_root():

@@ -68,6 +68,9 @@ def test_classpoly_exhaustion_exit_code(capsys):
     rc, _, err = run_cli(["classpoly", "--disc", "-40", "--genus-divisor",
                           "--max-bits", "50"], capsys)
     assert rc == 3
+    # the full path refuses its first attempt too when it is above the cap
+    rc, _, err = run_cli(["classpoly", "--disc", "-40", "--max-bits", "10"], capsys)
+    assert rc == 3
 
 
 def test_gencurve_ok_and_bad_order(capsys):
@@ -155,6 +158,19 @@ def test_verify_garbage(tmp_path, capsys):
     path.write_text("not json at all")
     rc, _, _ = run_cli(["verify", str(path)], capsys)
     assert rc == 2
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary", "list"])
+def test_verify_unreadable_input_exit_code(kind, tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":
+        path.write_bytes(bytes(range(128, 256)))
+    elif kind == "list":
+        path.write_text("[1,2]")
+    rc, _, err = run_cli(["verify", str(path)], capsys)
+    assert rc == 2 and "Traceback" not in err
 
 
 def test_unsupported_invariant_exit_code(capsys):

@@ -310,28 +310,28 @@ def test_hasse_bound():
 
 def test_select_twist_quadratic():
     base = curve_from_j(39, 41)
-    assert naive_count(select_twist(base, -40, 44)) == 44
-    assert naive_count(select_twist(base, -40, 40)) == 40
+    assert naive_count(select_twist(base, 44)) == 44
+    assert naive_count(select_twist(base, 40)) == 40
     with pytest.raises(InvalidParameters):
-        select_twist(base, -40, 43)
+        select_twist(base, 43)
 
 
 def test_select_twist_families():
     # sextic family at p=13 realizes six distinct orders incl. 7
     orders = {naive_count(make_curve(13, 0, pow(2, i, 13))) for i in range(6)}
     assert len(orders) == 6 and 7 in orders
-    assert naive_count(select_twist(curve_from_j(0, 13), -3, 7)) == 7
+    assert naive_count(select_twist(curve_from_j(0, 13), 7)) == 7
     # quartic family: 4*13 = 6^2 + 4*2^2 -> orders {8, 20, 10, 18}
     orders4 = {naive_count(make_curve(13, pow(2, i, 13), 0)) for i in range(4)}
     assert orders4 == {8, 20, 10, 18}
-    assert naive_count(select_twist(curve_from_j(1728 % 13, 13), -4, 20)) == 20
+    assert naive_count(select_twist(curve_from_j(1728 % 13, 13), 20)) == 20
 
 
 def test_select_twist_large_p():
     found = search_fixed_D(-420, p_bits=32, rng=random.Random(4))
     res = gen_curve(-420, found.p, found.u, found.v, seed=1)
     c = res["curve"]
-    again = select_twist(c, -420, res["order"], rng=random.Random(9))
+    again = select_twist(c, res["order"], rng=random.Random(9))
     assert again == c
 
 
@@ -397,12 +397,16 @@ def test_gen_curve_rejections():
 
 
 def test_gen_curve_fallback_to_full():
-    # a tiny divisor-precision cap forces the full-H fallback
-    res = gen_curve(-40, 41, 2, 2, path="auto", max_bits=50)
+    # at -420 the full path starts at 391 bits and the divisor needs 1158,
+    # so a cap of 800 forces the full-H fallback
+    res = gen_curve(-420, 109, 4, 1, path="auto", max_bits=800)
     assert res["transcript"]["path"] == "full"
-    assert naive_count(res["curve"]) == 40
+    assert naive_count(res["curve"]) == 106
     with pytest.raises(PrecisionExhausted):
-        gen_curve(-40, 41, 2, 2, path="divisor", max_bits=50)
+        gen_curve(-420, 109, 4, 1, path="divisor", max_bits=800)
+    # a cap below both paths' first attempt leaves no path to fall back to
+    with pytest.raises(PrecisionExhausted):
+        gen_curve(-40, 41, 2, 2, path="auto", max_bits=50)
 
 
 def test_gen_curve_transcript():
@@ -464,7 +468,7 @@ def test_second_gen_curve_reuses_the_divisor(monkeypatch):
 # cubed variants of the odd cases, where 3 | D
 @pytest.mark.parametrize("D", [-68, -44, -52, -28, -40, -80, -132, -84, -60, -12])
 def test_gen_curve_weber_divisor_every_case(D):
-    prm = search_fixed_D(D, lambda p, o: p > 200)
+    prm = search_fixed_D(D, p_bits=10, rng=random.Random(-D))
     res = gen_curve(D, prm.p, prm.u, prm.v, kind=InvariantKind.weber(), path="divisor")
     assert res["transcript"]["path"] == "divisor"
     assert naive_count(res["curve"]) == prm.order == res["order"]

@@ -1,7 +1,8 @@
 """Golden outputs: sha256 digests of exact class polynomials.
 
 Each divisor digest covers the ``to_json()`` of every coset divisor of one
-(D, invariant), all recovered with one shared plan; each full digest covers
+(D, invariant), each the Galois conjugate of the principal divisor that
+``class_poly_divisor`` recovers; each full digest covers
 one full polynomial's ``to_json()``.  Any change to a coefficient, to the
 coset order or to the serialization shows up here.
 """
@@ -11,9 +12,9 @@ import json
 
 import pytest
 
-from cmforge.classpoly import class_poly_divisor, class_poly_full, coset_labels
+from cmforge.classpoly import class_poly_divisor, class_poly_full, coset_divisor, \
+    coset_labels
 from cmforge.modfns import InvariantKind
-from cmforge.recover import make_plan
 
 
 def digest(blobs):
@@ -42,9 +43,8 @@ DIVISORS = [
                          ids=[f"{D}-{inv}" for D, inv, _ in DIVISORS])
 def test_coset_divisors_golden(D, invariant, want):
     kind = InvariantKind.parse(invariant)
-    plan = make_plan(D, kind)
-    blobs = [class_poly_divisor(D, kind, phi0, plan=plan).to_json()
-             for phi0 in coset_labels(D)]
+    div = class_poly_divisor(D, kind)
+    blobs = [coset_divisor(div, phi).to_json() for phi in coset_labels(D)]
     assert digest(blobs) == want
 
 
