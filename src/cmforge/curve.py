@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .arith import Discriminant, kronecker, sqrt_mod_p, validate_params
 from .classpoly import DEFAULT_MAX_BITS, ClassPolynomial, class_poly_divisor, \
@@ -143,37 +144,36 @@ def _pmul(f, g, p, n):
     return _unpack(F * (F if g is f else _pack(g, k)), n, k, p)
 
 
-def _ppow_linear(a, e, h, p):
-    """(x + a)^e mod the monic h over F_p, deg h >= 1.
+def _mulx_plus(r, a, low, p):
+    """(x + a)*r mod x^n + low over F_p, for r of length n."""
+    top = r[-1]
+    return [(prev + a * c - top * hc) % p for prev, c, hc in zip([0] + r[:-1], r, low)]
 
-    Left to right: a multiply by x + a is a shift and scale with one
-    reduction of the top coefficient, so only the squarings cost products.
-    A square of length <= 2n-1 is reduced by two more products against
-    rev(h)^-1 mod x^(n-1), computed once per call (von zur Gathen &
-    Gerhard, Modern Computer Algebra, ch. 9): the quotient is its reversed
-    top half times that inverse, and the remainder a_low - q*(h - x^n)
-    mod x^n.  Every factor has at most n coefficients, so one slot size
-    serves all three products, and the inverse and h's low part are packed
-    once.
+
+def _ppow_linear(a, e, h, p):
+    """(x + a)^e mod the monic h over F_p, deg h = n >= 1.
+
+    Left to right, one Kronecker square and one fold per bit (von zur
+    Gathen & Gerhard, Modern Computer Algebra, ch. 9 and 14): reduction mod
+    h is linear, so the remainder is the square's low n slots plus its top
+    coefficients s_(n+i) mod p, i < n-1, times packed rows x^(n+i) mod h
+    built once per call.  A low slot holds under n*p^2 and the rows add
+    under (n-1)*p^2, so slots sized for 2n*p^2 never carry into slot n, and
+    reading the low n slots needs no mask.
     """
     n = len(h) - 1
     low = h[:n]
-    rev = h[::-1]
-    inv = [1]
-    for i in range(1, n - 1):
-        inv.append(-sum(rev[j] * inv[i - j] for j in range(1, i + 1)) % p)
-    k = _slot_bytes(p, n)
-    INV, LOW = _pack(inv, k), _pack(low, k)
+    k = _slot_bytes(p, 2 * n)
+    rows, row = [], [(-c) % p for c in low]
+    for _ in range(n - 1):
+        rows.append(_pack(row, k))
+        row = _mulx_plus(row, 0, low, p)
     r = [1] + [0] * (n - 1)
     for bit in bin(e)[2:]:
-        R = _pack(r, k)
-        sq = _unpack(R * R, 2 * n - 1, k, p)
-        q = _unpack(_pack(sq[:n - 1:-1], k) * INV, n - 1, k, p)[::-1]
-        r = [(s - t) % p for s, t in zip(sq, _unpack(_pack(q, k) * LOW, n, k, p))]
+        S = _pack(r, k) ** 2
+        r = _unpack(S + sum(map(mul, _unpack(S >> 8 * n * k, n - 1, k, p), rows)), n, k, p)
         if bit == "1":
-            top = r[-1]
-            r = [(prev + a * c - top * hc) % p
-                 for prev, c, hc in zip([0] + r[:-1], r, low)]
+            r = _mulx_plus(r, a, low, p)
     return _ptrim(r)
 
 
@@ -368,9 +368,9 @@ def select_twist(curve, target_order, rng=None):
     """The member of curve's twist family with the prescribed order.
 
     Small p: exact naive count.  Large p: target*P = infinity on 10 random
-    points per candidate, requiring a unique survivor (candidate orders are
-    pairwise distinct for valid CM parameters, so ties mean the point test
-    failed to separate and we refuse to guess).
+    points per candidate, each drawn only when tested, requiring a unique
+    survivor (candidate orders are pairwise distinct for valid CM parameters,
+    so ties mean the point test failed to separate and we refuse to guess).
     """
     if rng is None:
         rng = random.Random(0)
@@ -383,8 +383,8 @@ def select_twist(curve, target_order, rng=None):
             f"no twist over F_{curve.p} has order {target_order}")
     passing = []
     for cand in family:
-        pts = [random_point(cand, rng) for _ in range(10)]
-        if all(scalar_mul(target_order, P, cand) is None for P in pts):
+        if all(scalar_mul(target_order, random_point(cand, rng), cand) is None
+               for _ in range(10)):
             passing.append(cand)
     if len(passing) == 1:
         return passing[0]

@@ -261,8 +261,23 @@ def test_search_fixed_D_210_branch_avoids_small_primes():
 
 
 def test_search_fixed_D_budget_and_modes():
-    assert search_fixed_D(-40, None, p_bits=40, budget=1,
-                          rng=random.Random(0)) is None or True  # tiny budget may luck out
+    # -40 takes the plain walk, -115 = 5 (mod 8) the 210 walk
+    for D in (-40, -115):
+        calls = []
+
+        def reject(p, order):
+            calls.append(p)
+            return False
+
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert search_fixed_D(D, reject, p_bits=40, budget=0, rng=rng) is None
+        assert calls == [] and rng.getstate() == state     # nothing drawn
+        # the plain walk may overrun its budget by the 3 parity neighbours of
+        # its last draw, and offers both signs of u
+        assert search_fixed_D(D, reject, p_bits=40, budget=400,
+                              rng=random.Random(0)) is None
+        assert 0 < len(calls) <= 2 * (400 + 3)
     with pytest.raises(TypeError):
         search_fixed_D(-40)                  # p_bits is required
     with pytest.raises(InvalidParameters):

@@ -91,18 +91,18 @@ def school_mul(f, g, p):
     out = [0] * (len(f) + len(g) - 1)
     for i, fc in enumerate(f):
         for j, gc in enumerate(g):
-            out[i + j] = (out[i + j] + fc * gc) % p
-    return out
+            out[i + j] += fc * gc
+    return [c % p for c in out]
 
 
 def school_mod(f, h, p):
     r = list(f)
     n = len(h) - 1
     for top in range(len(r) - 1, n - 1, -1):
-        c = r[top]
+        c = r[top] % p
         for i, hc in enumerate(h):
-            r[top - n + i] = (r[top - n + i] - c * hc) % p
-    r = r[:n]
+            r[top - n + i] -= c * hc
+    r = [c % p for c in r[:n]]
     while r and r[-1] == 0:
         r.pop()
     return r
@@ -154,23 +154,32 @@ def test_kronecker_worst_case_slots(p):
         assert _pmul(f, f, p, 2 * n - 1) == school_mul(f, f, p)
         assert _pmul(f, [p - 1] * (n + 5), p, 2 * n + 4) == \
             school_mul(f, [p - 1] * (n + 5), p)
-    for n in (1, 2, 9, 33):
-        h = [p - 1] * n + [1]
-        for e in (0, 1, 2, (p - 1) // 2, p):
-            assert _ppow_linear(p - 1, e, h, p) == school_pow_linear(p - 1, e, h, p)
+    # the fold adds up to n - 1 rows x^(n+i) mod h, each entry p - 1 here,
+    # to low slots that hold up to n*(p-1)^2; 64 and 65 are the full path's
+    # degree at -2519 and one past it
+    for n in (1, 2, 33, 64, 65):
+        for h in ([p - 1] * n + [1], [0] + [p - 1] * (n - 1) + [1]):
+            for e in (0, 1, 2, (p - 1) // 2):
+                want = school_pow_linear(p - 1, e, h, p)
+                assert _ppow_linear(p - 1, e, h, p) == want
+            # (x + a)^p = ((x + a)^((p-1)/2))^2 * (x + a)
+            want = school_mod(school_mul(school_mul(want, want, p), [p - 1, 1], p), h, p)
+            assert _ppow_linear(p - 1, p, h, p) == want
 
 
 def test_roots_in_fp_many_linear_factors():
+    # 64 is the full path's degree at -2519, here at 256 bits
     rng = random.Random(11)
-    roots = set()
-    while len(roots) < 34:
-        roots.add(rng.randrange(P256))
-    f = [1]
-    for r in roots:
-        f = school_mul(f, [(-r) % P256, 1], P256)
-    for seed in range(8):
-        got = roots_in_fp(f, P256, seed=seed)
-        assert len(got) == 1 and got[0] in roots
+    for count, seeds in ((34, 8), (64, 3)):
+        roots = set()
+        while len(roots) < count:
+            roots.add(rng.randrange(P256))
+        f = [1]
+        for r in roots:
+            f = school_mul(f, [(-r) % P256, 1], P256)
+        for seed in range(seeds):
+            got = roots_in_fp(f, P256, seed=seed)
+            assert len(got) == 1 and got[0] in roots
     # zero is no root of x^((p-1)/2) - 1, so the a = 0 split puts it with
     # the non-residues
     assert roots_in_fp(school_mul([0, 1], [P256 - 5, 1], P256), P256) in ([0], [5])
@@ -333,6 +342,26 @@ def test_select_twist_large_p():
     c = res["curve"]
     again = select_twist(c, res["order"], rng=random.Random(9))
     assert again == c
+
+
+def test_select_twist_draws_points_lazily(monkeypatch):
+    # the wrong twist fails on its first point and draws no more; the
+    # survivor is tested on all 10
+    import cmforge.curve as curve
+    found = search_fixed_D(-420, p_bits=64, rng=random.Random(4))
+    base = gen_curve(-420, found.p, found.u, found.v)["curve"]
+    drawn = []
+
+    def counting(cand, rng):
+        drawn.append(cand)
+        return random_point(cand, rng)
+
+    monkeypatch.setattr(curve, "random_point", counting)
+    family = base, twist = curve._twist_family(base)     # j is neither 0 nor 1728
+    for good, order in ((base, found.order), (twist, 2 * found.p + 2 - found.order)):
+        drawn.clear()
+        assert select_twist(base, order, rng=random.Random(7)) == good
+        assert [drawn.count(c) for c in family] == [10 if c == good else 1 for c in family]
 
 
 @pytest.mark.parametrize("args,want", [
