@@ -21,8 +21,8 @@ from .arith import Discriminant
 from .errors import PrecisionEscalation, PrecisionExhausted
 from .forms import QuadForm, enumerate_reduced, n_system, phi_class
 from .genusfield import IMAG_PART, REAL_PART, gf_rational, gf_to_json
-from .modfns import InvariantKind, theta_value
-from .recover import make_plan, recover_coords
+from .modfns import InvariantKind, height_bound, theta_value
+from .recover import genus_T0, make_plan, recover_coords
 
 DEFAULT_MAX_BITS = 1 << 20
 
@@ -103,30 +103,28 @@ def _expand(paired, single):
     return poly
 
 
-def _full_bits_estimate(d, kind):
-    ratio = kind.height_ratio(d)
-    with mp.workprec(64):
-        s = sum(mp.mpf(1) / f.A for f in enumerate_reduced(d.D))
-        ln_coeff = float(ratio) * mp.pi * mp.sqrt(abs(d.D)) * s
-        return int(1.05 * ln_coeff / mp.log(2)) + 16 * int(s + 1) + 96
-
-
 def class_poly_full(D, kind=None, max_bits=DEFAULT_MAX_BITS):
-    """H_D[theta] with integer coefficients, by rounding the expanded product."""
+    """H_D[theta] with integer coefficients, by rounding the expanded product.
+
+    Every coefficient is at most T = ``height_bound`` over the N-system, so
+    the first attempt runs at log2(T) bits; a coefficient that rounds to
+    more than T escalates.
+    """
     kind = kind or InvariantKind.j()
     d = Discriminant.from_D(D)
     kind.validate_for(d)
     sysN = n_system(D, kind.modulus(d), kind.b_target(d))
-    bits = _full_bits_estimate(d, kind)
+    T = height_bound(kind, sysN.forms)
+    bits = mp.mag(T)      # ceil(log2 T), or one more when T is a power of 2
     while True:
         _check_cap(D, bits, max_bits)
         try:
-            return ClassPolynomial(D, kind, None, _full_attempt(sysN, kind, bits))
+            return ClassPolynomial(D, kind, None, _full_attempt(sysN, kind, bits, T))
         except PrecisionEscalation:
             bits *= 2
 
 
-def _full_attempt(sysN, kind, bits):
+def _full_attempt(sysN, kind, bits, T):
     n = len(sysN.forms)
     work = bits + 8 * n + 32
     values = _theta_values(kind, sysN.forms, work)
@@ -139,6 +137,9 @@ def _full_attempt(sysN, kind, bits):
             if abs(c - r) >= 0.25:
                 raise PrecisionEscalation(
                     f"coefficient residual {mp.nstr(abs(c - r), 5)} at {bits} bits")
+            if abs(r) > T:
+                raise PrecisionEscalation(
+                    f"coefficient {r} exceeds the height bound at {bits} bits")
             coeffs.append(r)
             top = max(top, abs(r).bit_length())
         # a small residual alone proves nothing once the accumulated product
@@ -188,9 +189,10 @@ def class_poly_divisor(D, kind=None, max_bits=DEFAULT_MAX_BITS):
 def _principal_divisor(d, kind, max_bits):
     principal = (1,) * d.t
     forms = n_system(d.D, kind.modulus(d), kind.b_target(d)).forms
-    sel = [f for f in forms if phi_class(f, d) == principal]
+    labels = [phi_class(f, d) for f in forms]
+    sel = [f for f, lab in zip(forms, labels) if lab == principal]
     assert len(sel) == len(forms) // d.m, (len(sel), len(forms), d.m)
-    plan = make_plan(d.D, kind)
+    plan = make_plan(d.D, kind, genus_T0(kind, forms, labels))
     while True:
         _check_cap(d.D, plan.float_bits, max_bits)
         try:

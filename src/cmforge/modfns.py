@@ -22,21 +22,22 @@ All q-series here have real coefficients, so theta(-conj z) = conj theta(z);
 ``classpoly`` relies on this to evaluate one form of each mirror pair
 (A, +-B, C).  ``j_from_theta`` inverts each invariant's relation to j over
 F_p, with the Weber cases derived from the same table that ``weber_g``
-evaluates.
+evaluates.  ``theta_bound`` bounds |theta| at one form in closed form, and
+``height_bound`` turns those bounds into one on every coefficient of the
+forms' polynomial; both paths size their precision from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from mpmath import mp
 
 from .arith import Discriminant, is_probable_prime, kronecker
 from .errors import InvalidParameters, UnsupportedInvariant
-from .forms import QuadForm, root_of_form
+from .forms import QuadForm, reduce_form, root_of_form
 
 __all__ = [
     "eta",
@@ -48,6 +49,8 @@ __all__ = [
     "double_eta_m",
     "InvariantKind",
     "theta_value",
+    "theta_bound",
+    "height_bound",
     "j_from_theta",
 ]
 
@@ -378,20 +381,6 @@ class InvariantKind:
         b = self.b_target(disc)
         return b is None or b % self.modulus(disc) == 0
 
-    def height_ratio(self, disc: Discriminant) -> Fraction:
-        """deg_j(Phi) / deg_theta(Phi) for the modular relation tying theta to j."""
-        if self.name == "j":
-            return Fraction(1)
-        if self.name == "gamma2":
-            return Fraction(1, 3)
-        if self.name == "weber":
-            _, b, _, _ = _WEBER_CASES[_weber_case(disc.D)]
-            e = 3 * b if self.weber_cubed(disc.D) else b
-            return Fraction(e, 72)
-        p1, p2 = self.p1, self.p2
-        psi = (p1 + 1) * (p2 + 1) if p1 != p2 else p1 * (p1 + 1)
-        return Fraction(double_eta_s(p1, p2) * (p1 - 1) * (p2 - 1), 12 * psi)
-
 
 def theta_value(kind: InvariantKind, form: QuadForm, prec=96):
     """Evaluate the invariant at the root of an N-system form."""
@@ -413,6 +402,71 @@ def theta_value(kind: InvariantKind, form: QuadForm, prec=96):
     bits = _total_bits(prec)
     with mp.workprec(bits):
         return double_eta_m(root_of_form(form), kind.p1, kind.p2, prec)
+
+
+def _eta_log_bound(form: QuadForm, k: int, sign: int):
+    """An upper bound on sign * log|eta(z/k)|, sign = +-1, with z the root
+    of form.
+
+    z/k is the root of (kA, B, C/k).  Reduce that form to tau' with
+    Im tau' = sqrt|D| / 2A'; eta's weight 1/2 gives
+    |eta(z/k)| = (kA/A')^(1/4) |eta(tau')|, and with r = |q'| <= e^(-pi sqrt3)
+    the factor |prod (1 - q'^n)| of eta(tau') = q'^(1/24) prod (1 - q'^n)
+    lies between exp(-r/(1-r)^2) and exp(r/(1-r)).
+    """
+    A1 = reduce_form(QuadForm(k * form.A, form.B, form.C // k)).A
+    y = mp.sqrt(-form.disc) / (2 * A1)
+    r = mp.exp(-2 * mp.pi * y)
+    log_eta = mp.log(mp.mpf(k * form.A) / A1) / 4 - mp.pi * y / 12
+    return sign * log_eta + (r / (1 - r) if sign > 0 else r / (1 - r) ** 2)
+
+
+def theta_bound(kind: InvariantKind, form: QuadForm):
+    """B_f >= |theta(root of form)| for an N-system form, in closed form.
+
+    j: |j - 1/q| <= 2079 on the fundamental domain (Enge, Math. Comp. 78,
+    2009), and j is SL2(Z)-invariant, so B = e^(pi sqrt|D| / A) + 2079 with
+    A the reduced form's.  gamma2: gamma2^3 = j.  Weber: x = f^24 (or f1^24)
+    is a root of (x -+ 16)^3 = j x, and Fujiwara's bound on the roots of
+    x^3 -+ 48 x^2 + (768 - j) x -+ 4096 gives |x| <= 2 max(48, sqrt(B_j + 768));
+    then g = +-f^b / 2^(k/2) as in ``_WEBER_CASES``, cubed when
+    ``weber_cubed``.  Double eta: ``_eta_log_bound`` bounds each eta(z/k),
+    above in the numerator and below in the denominator.
+
+    Everything runs at 64 bits whatever the caller's precision, and the
+    result is padded by 1 + 2^-32: the bound can be tight to far below 64
+    bits (at -1239, form (1, 1, 310), it exceeds |j| by a relative
+    2.7e-45), so without the pad its own rounding could put it under |theta|.
+    """
+    D = form.disc
+    with mp.workprec(64):
+        if kind.name == "doubleeta":
+            p1, p2 = kind.p1, kind.p2
+            log_m = sum(_eta_log_bound(form, k, sign)
+                        for k, sign in ((p1, 1), (p2, 1), (1, -1), (p1 * p2, -1)))
+            b = mp.exp(double_eta_s(p1, p2) * log_m)
+        else:
+            b = mp.exp(mp.pi * mp.sqrt(-D) / reduce_form(form).A) + 2079
+            if kind.name == "gamma2":
+                b = mp.cbrt(b)
+            elif kind.name == "weber":
+                _, e, k, _ = _WEBER_CASES[_weber_case(D)]
+                g = (2 * max(48, mp.sqrt(b + 768))) ** (mp.mpf(e) / 24) / mp.sqrt(2 ** k)
+                b = g ** 3 if kind.weber_cubed(D) else g
+        return b * (1 + mp.mpf(2) ** -32)
+
+
+def height_bound(kind: InvariantKind, forms):
+    """T = prod (1 + B_f) over ``forms``: by Vieta it bounds every
+    coefficient of prod (x - theta_f), whichever of its conjugates.
+
+    A 64-bit product, padded by 1 + 2^-32 to cover its own rounding.
+    """
+    with mp.workprec(64):
+        T = mp.one
+        for f in forms:
+            T *= 1 + theta_bound(kind, f)
+        return T * (1 + mp.mpf(2) ** -32)
 
 
 def j_from_theta(r, kind: InvariantKind, p, D=None):

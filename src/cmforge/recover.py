@@ -10,7 +10,11 @@ sum_mu A_mu B_{mu,eta}, and the linear system
 
 is then solved exactly over the integers.  The plan object fixes T0, the
 approximation threshold N0, epsilon and the working precision so that the
-rounding is provably correct.
+rounding is provably correct.  T0 is ``genus_T0``: the largest product
+prod (1 + B_f) over one genus's forms, with B_f the closed-form bound
+``modfns.theta_bound``, so by Vieta it bounds every conjugate of every
+divisor coefficient.  Each recovery is checked against gamma and against
+T0 on every other conjugate.
 """
 
 from __future__ import annotations
@@ -22,41 +26,21 @@ from mpmath import mp
 from .approx import ApproxRun, run_approx
 from .arith import Discriminant
 from .errors import InternalInvariantError, InvalidParameters, PrecisionEscalation
-from .forms import enumerate_reduced, phi_class
+from .forms import n_system, phi_class
 from .genusfield import IMAG_PART, REAL_PART, GenusBasis, adjugate, build_basis, \
     build_mpair
-from .modfns import InvariantKind
+from .modfns import InvariantKind, height_bound
 
-T0_SAFETY_BITS = 8
 FLOAT_BITS_MARGIN = 64
+CONJ_CHECK_BITS = 128
 
 
-def coset_sums(D):
-    """Sum of 1/A over the reduced forms in each phi-coset."""
-    d = Discriminant.from_D(D)
-    sums = {}
-    for f in enumerate_reduced(D):
-        lab = phi_class(f, d)
-        sums[lab] = sums.get(lab, 0) + mp.mpf(1) / f.A
-    return sums
-
-
-def bound_T0_heuristic(D, kind=None):
-    """exp(ratio * pi * sqrt(|D|) * max coset sum), padded by 2^8.
-
-    The coefficient of the divisor polynomial is (up to the invariant's
-    height ratio) a product of theta-values whose logs are at most
-    pi*sqrt(|D|)/A each; only forms sharing one phi label contribute.
-    """
-    if kind is None:
-        kind = InvariantKind.j()
-    d = Discriminant.from_D(D)
-    ratio = kind.height_ratio(d)
-    with mp.workprec(96):
-        worst = max(coset_sums(D).values())
-        ln_t0 = mp.mpf(ratio.numerator) / ratio.denominator * mp.pi \
-            * mp.sqrt(abs(D)) * worst
-        return +(mp.e ** ln_t0 * 2 ** T0_SAFETY_BITS)
+def genus_T0(kind, forms, labels):
+    """T0 = the largest ``height_bound`` over the genera: forms sharing a
+    genus label are the roots of one genus divisor, so by Vieta it bounds
+    every conjugate of every coefficient of every genus divisor."""
+    return max(height_bound(kind, [f for f, lab in zip(forms, labels) if lab == genus])
+               for genus in set(labels))
 
 
 @dataclass(frozen=True)
@@ -65,14 +49,17 @@ class RecoverySide:
     holds the M-pair and the side), plus the part of every recovery that
     does not depend on gamma.  At the plan's working precision: ``norm``
     is the omega denominator, ``scales[eta]`` is M(Id)*Z*X_eta and
-    ``values[xi]`` is beta_xi (beta*_xi on IMAG_PART).  ``det`` and
-    ``adj`` are the determinant and the integer adjugate of the recovery
-    matrix."""
+    ``values[xi]`` is beta_xi (beta*_xi on IMAG_PART), and
+    ``conjugates[lam - 1][xi]`` is tau_lam of it for 0 < lam < m, at
+    CONJ_CHECK_BITS.  ``det``
+    and ``adj`` are the determinant and the integer adjugate of the
+    recovery matrix."""
 
     run: ApproxRun
     norm: object
     scales: tuple
     values: tuple
+    conjugates: tuple
     det: int
     adj: tuple
 
@@ -83,10 +70,13 @@ def _recovery_side(run, prec):
         mid = mpair.mid.numeric_real(prec)
         Z = +sum(a * w.numeric_real(prec) for a, w in zip(run.A, run.omega_star))
         scales = tuple(mid * Z * X.numeric_real(prec) for X in mpair.X_set)
-        values = tuple(e.numeric(prec) for e in mpair.basis.family(side))
+        family = mpair.basis.family(side)
+        values = tuple(e.numeric(prec) for e in family)
+        conjugates = tuple(tuple(e.tau(lam).numeric(CONJ_CHECK_BITS) for e in family)
+                           for lam in range(1, len(family)))
         norm = mpair.norm(side).numeric(prec)
     det, adj = adjugate(recovery_matrix(run))
-    return RecoverySide(run, norm, scales, values, det, adj)
+    return RecoverySide(run, norm, scales, values, conjugates, det, adj)
 
 
 @dataclass(frozen=True)
@@ -151,6 +141,10 @@ def make_plan(D, kind=None, T0=None):
     """Choose N0, run the approximation on each side the invariant needs,
     fix epsilon and precision.
 
+    T0 defaults to ``genus_T0`` over kind's N-system; the divisor path
+    passes the same value from the forms and labels it already has, and a
+    squared T0 on escalation.
+
     When kind's N-system is closed under (A,B,C) -> (A,-B,C), complex
     conjugation maps each genus's theta values onto themselves, so every
     divisor coefficient is real and the imaginary side is not built.
@@ -161,7 +155,8 @@ def make_plan(D, kind=None, T0=None):
     mpair = build_mpair(basis)
     names = (REAL_PART,) if kind.conjugation_closed(d) else (REAL_PART, IMAG_PART)
     if T0 is None:
-        T0 = bound_T0_heuristic(D, kind)
+        forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+        T0 = genus_T0(kind, forms, [phi_class(f, d) for f in forms])
     with mp.workprec(160):
         T_eff = 2 * mp.mpf(T0)   # recovered sums are 2*Re z and 2i*Im z
         delta_cap = mp.sqrt(abs(basis.d)) ** basis.m
@@ -228,7 +223,18 @@ def recover_coords(gamma, plan, side):
     sum b'_xi beta*_xi ~ gamma (imaginary side).
 
     Raises PrecisionEscalation unless the recovered sum lies within
-    plan.epsilon of gamma.
+    plan.epsilon of gamma and each of its other conjugates tau_lam lies
+    within 2 T0 (1 + 2^-32): T0 bounds every conjugate of a coefficient, and
+    the sums recovered are 2 Re z and 2i Im z.
+
+    The conjugate sums run at p = CONJ_CHECK_BITS.  Let C be the matrix
+    (tau_lam(beta_xi)), V its largest entry and c the largest entry of its
+    inverse.  Then max|b_xi| <= m c K, with K the largest conjugate, so
+    each sum is off by at most 2^(2-p) m V max|b_xi| <= 2^(2-p) m^2 c V K.
+    While m^2 c V < 2^(p-38) (tests check it on the genus fields they
+    use), that is below 2^-36 K.  With gamma inside the bound, the check
+    therefore passes every b whose conjugates lie within 2 T0 and rejects
+    every b with a conjugate above 2 T0 (1 + 2^-31).
     """
     if side not in plan.sides:
         raise InvalidParameters(f"the plan has no {side!r} recovery side")
@@ -258,4 +264,12 @@ def recover_coords(gamma, plan, side):
             raise PrecisionEscalation(
                 f"recovered value is {mp.nstr(resid, 5)} from its approximation, "
                 f"epsilon {mp.nstr(plan.epsilon, 5)}")
+    with mp.workprec(CONJ_CHECK_BITS):
+        bound = 2 * mp.mpf(plan.T0) * (1 + mp.mpf(2) ** -32)
+        for lam, conj in enumerate(rec.conjugates, 1):
+            size = abs(mp.fsum(c * v for c, v in zip(b, conj)))
+            if size > bound:
+                raise PrecisionEscalation(
+                    f"conjugate tau_{lam} of the recovered value is "
+                    f"{mp.nstr(size, 5)}, above 2 T0 = {mp.nstr(2 * plan.T0, 5)}")
     return b

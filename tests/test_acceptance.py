@@ -20,7 +20,7 @@ from cmforge.curve import gen_curve, naive_count, random_point, scalar_mul
 from cmforge.genusfield import (IMAG_PART, REAL_PART, build_basis,
                                 build_mpair, duality_sum, gf_zero)
 from cmforge.modfns import InvariantKind
-from cmforge.recover import bound_T0_heuristic, make_plan, recover_coords
+from cmforge.recover import make_plan, recover_coords
 
 J = InvariantKind.j()
 
@@ -156,7 +156,7 @@ def test_criterion_7_recovery_round_trip():
     # with both sides
     imag_kinds = {-40: InvariantKind.double_eta(11, 13), -84: InvariantKind.double_eta(5, 7)}
     for D in (-40, -84):
-        plan = make_plan(D, imag_kinds[D], T0=bound_T0_heuristic(D))
+        plan = make_plan(D, imag_kinds[D], T0=make_plan(D).T0)
         basis = plan.basis
         m = basis.m
         rng = random.Random(-D)

@@ -303,10 +303,10 @@ def test_conj_values_resolve_the_bound():
 
 
 def test_quality_at_the_plan_threshold_minus5460():
-    # the -5460 j plan's N0 has 6742 bits; its run's conjugates must be
-    # checked at more than the run's own 6934 bits to see them below the bound
+    # the -5460 j plan's N0 has 6622 bits; its run's conjugates must be
+    # checked at more than the run's own 6814 bits to see them below the bound
     run = make_plan(-5460).sides[REAL_PART].run
-    assert run.N0.bit_length() == 6742
+    assert run.N0.bit_length() == 6622
     q = approx_quality(run)
     assert q["conj_ok"] and q["ok"]
 

@@ -10,11 +10,12 @@ from cmforge import classpoly
 from cmforge.arith import Discriminant
 from cmforge.classpoly import ClassPolynomial, class_poly_divisor, \
     class_poly_full, coset_divisor, coset_labels, coset_product_check
-from cmforge.errors import PrecisionExhausted
+from cmforge.errors import PrecisionEscalation, PrecisionExhausted
 from cmforge.forms import QuadForm, class_number, n_system, phi_class
 from cmforge.genusfield import GFElem
-from cmforge.modfns import InvariantKind
-from test_golden import DIVISORS
+from cmforge.modfns import InvariantKind, height_bound
+from cmforge.recover import genus_T0
+from test_golden import DIVISORS, FULL
 
 J = InvariantKind.j()
 
@@ -144,6 +145,40 @@ def test_recovered_coefficients_within_t0():
                 assert abs(c.tau(lam).numeric(256)) <= bound
 
 
+@pytest.mark.parametrize("D,invariant", [(D, inv) for D, inv, _ in DIVISORS]
+                         + [(-5460, "weber")],
+                         ids=[f"{D}-{inv}" for D, inv, _ in DIVISORS] + ["-5460-weber"])
+def test_height_bound_covers_every_coset_divisor(D, invariant):
+    # each coset's height bound is at least every coefficient of its
+    # divisor, and T0, the largest of them, bounds every conjugate (the
+    # conjugates are the other cosets' coefficients); -5460 weber is where
+    # the old heuristic T0 fell 16.9 bits short
+    kind = InvariantKind.parse(invariant)
+    d = Discriminant.from_D(D)
+    div = class_poly_divisor(D, kind)
+    forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+    labels = [phi_class(f, d) for f in forms]
+    T0 = div.plan.T0
+    assert T0 == genus_T0(kind, forms, labels)
+    prec = int(mp.mag(T0)) + 128
+    with mp.workprec(prec):
+        for phi in coset_labels(D):
+            T = height_bound(kind, [f for f, lab in zip(forms, labels) if lab == phi])
+            for c in coset_divisor(div, phi).coeffs:
+                assert abs(c.numeric(prec)) <= T
+                for lam in range(1 << d.t):
+                    assert abs(c.tau(lam).numeric(prec)) <= T0, (phi, lam)
+
+
+@pytest.mark.parametrize("D,invariant", [(D, inv) for D, inv, _ in FULL],
+                         ids=[f"{D}-{inv}" for D, inv, _ in FULL])
+def test_height_bound_covers_full_coefficients(D, invariant):
+    kind = InvariantKind.parse(invariant)
+    d = Discriminant.from_D(D)
+    T = height_bound(kind, n_system(D, kind.modulus(d), kind.b_target(d)).forms)
+    assert max(abs(c) for c in class_poly_full(D, kind).coeffs) <= T
+
+
 def test_divisor_forms_counts():
     # the genus characters split the N-system into equal cosets, and the
     # divisor is the principal one's
@@ -176,19 +211,26 @@ def test_json_round_trip():
 
 
 def test_precision_cap_full(monkeypatch):
-    # 174-bit coefficients cannot be trusted at <= 16 working bits
-    monkeypatch.setattr(classpoly, "_full_bits_estimate", lambda d, kind: 8)
+    # 174-bit coefficients cannot be trusted at <= 16 working bits: with the
+    # height bound replaced by 2^8, the attempts at 8 and 16 bits escalate
+    # and the next one is above the cap
+    monkeypatch.setattr(classpoly, "height_bound", lambda kind, forms: mp.mpf(256))
     with pytest.raises(PrecisionExhausted):
         class_poly_full(-652, J, max_bits=16)
 
 
-def test_full_escalates_to_correct_answer(monkeypatch):
-    # starting absurdly low must double up to a sound precision, not return
-    # a lucky mis-rounding
-    b = class_poly_full(-652, J)
-    monkeypatch.setattr(classpoly, "_full_bits_estimate", lambda d, kind: 8)
-    a = class_poly_full(-652, J)
-    assert a.coeffs == b.coeffs
+def test_full_escalates_to_correct_answer():
+    # an attempt at any precision below log2 T must escalate rather than
+    # return a lucky mis-rounding, and the attempt at log2 T succeeds
+    want = class_poly_full(-652, J).coeffs
+    sysN = n_system(-652, 1)
+    T = height_bound(J, sysN.forms)
+    for bits in (8, 16, 32, 64, 128):
+        try:
+            assert classpoly._full_attempt(sysN, J, bits, T) == want
+        except PrecisionEscalation:
+            pass
+    assert classpoly._full_attempt(sysN, J, mp.mag(T), T) == want
 
 
 def test_precision_cap_divisor():

@@ -426,16 +426,17 @@ def test_gen_curve_rejections():
 
 
 def test_gen_curve_fallback_to_full():
-    # at -420 the full path starts at 391 bits and the divisor needs 1158,
+    # at -420 the full path starts at 241 bits and the divisor needs 1093,
     # so a cap of 800 forces the full-H fallback
     res = gen_curve(-420, 109, 4, 1, path="auto", max_bits=800)
     assert res["transcript"]["path"] == "full"
     assert naive_count(res["curve"]) == 106
     with pytest.raises(PrecisionExhausted):
         gen_curve(-420, 109, 4, 1, path="divisor", max_bits=800)
-    # a cap below both paths' first attempt leaves no path to fall back to
+    # a cap below both paths' first attempt (44 and 133 bits at -40) leaves
+    # no path to fall back to
     with pytest.raises(PrecisionExhausted):
-        gen_curve(-40, 41, 2, 2, path="auto", max_bits=50)
+        gen_curve(-40, 41, 2, 2, path="auto", max_bits=40)
 
 
 def test_gen_curve_transcript():
@@ -458,7 +459,7 @@ def test_gen_curve_transcript_reports_the_escalated_plan(monkeypatch):
         built.append(recover.make_plan(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(recover, "bound_T0_heuristic", lambda D, kind=None: 4)
+    monkeypatch.setattr(classpoly, "genus_T0", lambda kind, forms, labels: 4)
     monkeypatch.setattr(classpoly, "make_plan", recording_make_plan)
     found = search_fixed_D(-1239, p_bits=64, rng=random.Random(1239))
     res = gen_curve(-1239, found.p, found.u, found.v, path="divisor")

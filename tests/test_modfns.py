@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import mpmath
 import pytest
 from mpmath import mp
@@ -13,12 +11,15 @@ from cmforge.modfns import (
     double_eta_m,
     eta,
     gamma2,
+    height_bound,
     jfun,
+    theta_bound,
     theta_value,
     weber_f,
     weber_f1,
     weber_g,
 )
+from test_golden import DIVISORS, FULL
 
 
 def eta_product_oracle(z, terms=800):
@@ -235,16 +236,58 @@ def test_moduli_and_targets():
     assert (b * b + 40) % (4 * 143) == 0
 
 
-def test_height_ratios():
-    d40 = Discriminant.from_D(-40)
-    d84 = Discriminant.from_D(-84)
-    assert InvariantKind.j().height_ratio(d40) == 1
-    assert InvariantKind.gamma2().height_ratio(d40) == Fraction(1, 3)
-    assert InvariantKind.weber().height_ratio(d40) == Fraction(2, 72)  # uncubed, f1^2 case
-    assert InvariantKind.weber().height_ratio(d84) == Fraction(12, 72)  # cubed, f^4 case
-    assert InvariantKind.double_eta(5, 7).height_ratio(d40) == Fraction(24, 12 * 48)
+# every N-system form of the golden divisor and full cases, plus -5460
+# weber (16.9 bits short under the old height heuristic), -9911 j and
+# -120 doubleeta:2,11; at -1239 j, form (1, 1, 310), the closed form exceeds
+# |j| by a relative 2.7e-45, so only the 2^-32 pad keeps the 64-bit bound
+# above it
+BOUND_CASES = sorted({(D, inv) for D, inv, _ in DIVISORS + FULL}
+                     | {(-5460, "weber"), (-9911, "j"), (-120, "doubleeta:2,11")})
 
 
+@pytest.mark.parametrize("D,invariant", BOUND_CASES,
+                         ids=[f"{D}-{inv}" for D, inv in BOUND_CASES])
+def test_theta_bound_covers_every_form(D, invariant):
+    kind = InvariantKind.parse(invariant)
+    d = Discriminant.from_D(D)
+    for f in n_system(D, kind.modulus(d), kind.b_target(d)).forms:
+        value = theta_value(kind, f, 128)
+        with mp.workprec(256):
+            assert theta_bound(kind, f) >= abs(value), f
+
+
+def test_theta_bound_closed_forms():
+    # D = -40: (1, 0, 10) is reduced; (10, 0, 1) reduces to it
+    with mp.workprec(64):
+        pad = 1 + mp.mpf(2) ** -32
+        bj = mp.exp(mp.pi * mp.sqrt(40)) + 2079
+        f = QuadForm(1, 0, 10)
+        assert theta_bound(InvariantKind.j(), f) == bj * pad
+        assert theta_bound(InvariantKind.gamma2(), f) == mp.cbrt(bj) * pad
+        assert theta_bound(InvariantKind.j(), QuadForm(10, 0, 1)) == bj * pad
+        # -40 is the f1^2 / sqrt2 case, uncubed: |f1^24| <= 2 sqrt(B_j + 768)
+        x = 2 * mp.sqrt(bj + 768)
+        want = x ** (mp.mpf(2) / 24) / mp.sqrt(2) * pad
+        assert abs(theta_bound(InvariantKind.weber(), QuadForm(1, 0, 10)) - want) \
+            < want * 2 ** -60
+        # -84 is the f^4 / 2 case, cubed
+        b84 = mp.exp(mp.pi * mp.sqrt(84)) + 2079
+        want = (2 * mp.sqrt(b84 + 768)) ** (mp.mpf(12) / 24) / 8 * pad
+        assert abs(theta_bound(InvariantKind.weber(), QuadForm(1, 0, 21)) - want) \
+            < want * 2 ** -60
+
+
+def test_bounds_ignore_caller_precision():
+    kind = InvariantKind.double_eta(5, 7)
+    d = Discriminant.from_D(-3135)
+    forms = n_system(-3135, 35, kind.b_target(d)).forms
+    got = []
+    for prec in (53, 5000):
+        with mp.workprec(prec):
+            got.append(([theta_bound(kind, f) for f in forms],
+                        height_bound(kind, forms),
+                        height_bound(InvariantKind.j(), [QuadForm(1, 1, 310)])))
+    assert got[0] == got[1]
 
 
 @pytest.mark.parametrize("fn", [eta, weber_f, weber_f1, gamma2, jfun,

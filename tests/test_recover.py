@@ -11,8 +11,10 @@ from cmforge.errors import InternalInvariantError, InvalidParameters, \
     PrecisionEscalation
 from cmforge import genusfield
 from cmforge.genusfield import IMAG_PART, REAL_PART, adjugate
-from cmforge.modfns import InvariantKind
-from cmforge.recover import bound_T0_heuristic, coset_sums, make_plan, \
+from cmforge.arith import Discriminant
+from cmforge.forms import QuadForm, n_system, phi_class
+from cmforge.modfns import InvariantKind, height_bound
+from cmforge.recover import CONJ_CHECK_BITS, genus_T0, make_plan, \
     recover_coords, recovery_matrix, _solve_adjugate
 
 PLANS = {}
@@ -33,7 +35,7 @@ def plan_for(D):
 def both_sides_plan(D):
     key = (D, "both")
     if key not in PLANS:
-        PLANS[key] = make_plan(D, IMAG_KINDS[D], T0=bound_T0_heuristic(D))
+        PLANS[key] = make_plan(D, IMAG_KINDS[D], T0=plan_for(D).T0)
     return PLANS[key]
 
 
@@ -43,31 +45,24 @@ def evaluate(coords, elems, prec, perturb=0):
         return +(val + perturb)
 
 
-def test_coset_sums_examples():
-    # h(-40) = 2 with forms (1,0,10) and (2,0,5) in distinct cosets
-    sums = coset_sums(-40)
-    assert len(sums) == 2
-    vals = sorted(float(v) for v in sums.values())
-    assert vals == [0.5, 1.0]
-    assert coset_sums(-3) == {(1,): 1}
-
-
-def test_t0_heuristic_j():
-    T0 = bound_T0_heuristic(-40, InvariantKind.j())
-    with mp.workprec(64):
-        # max coset sum is 1, so ln(T0 / 2^8) = pi * sqrt(40)
-        assert abs(mp.log(mp.mpf(T0) / 256) - mp.pi * mp.sqrt(40)) < 1e-12
-    # bounds the conjugates of the one divisor coefficient: the roots of
-    # x^2 - 425692800x + 9103145472000 are about 4.26e8 and 2.14e4
-    assert T0 > 425692800
-
-
-def test_t0_heuristic_gamma2():
-    T0 = bound_T0_heuristic(-40, InvariantKind.gamma2())
-    with mp.workprec(64):
-        assert abs(mp.log(mp.mpf(T0) / 256) - mp.pi * mp.sqrt(40) / 3) < 1e-12
-    # roots of x^2 - 780x + 20880 are ~752.6 and ~27.4
-    assert T0 > 780
+def test_genus_t0_examples():
+    # h(-40) = 2 with forms (1,0,10) and (2,0,5) in distinct genera, so T0
+    # is the larger form's 1 + B_f, padded once more for the product
+    d = Discriminant.from_D(-40)
+    forms = n_system(-40, 1).forms
+    labels = [phi_class(f, d) for f in forms]
+    assert len(set(labels)) == 2
+    for kind, coeffs in ((InvariantKind.j(), (9103145472000, -425692800)),
+                         (InvariantKind.gamma2(), (20880, -780))):
+        T0 = genus_T0(kind, forms, labels)
+        assert T0 == height_bound(kind, [QuadForm(1, 0, 10)])
+        assert T0 == make_plan(-40, kind).T0
+        # the genus divisors are x - theta_f, and theta at (1, 0, 10) is the
+        # larger root of the full polynomial x^2 + b x + c
+        c, b = coeffs
+        with mp.workprec(96):
+            big = (-b + mp.sqrt(b * b - 4 * c)) / 2
+            assert big < T0 < big * (1 + mp.mpf(2) ** -6)
 
 
 def test_plan_degenerate_t1():
@@ -192,26 +187,38 @@ def test_big_perturbation_escalates():
 
 
 def test_recovery_far_from_gamma_escalates():
-    # gamma lies far outside epsilon (7.3e-15) of every small element: the
-    # roundings pass by chance, and the solved vector is huge and wrong
-    # ([1743880124611, 4565537438537], [-2026389313025, 5305156095939])
-    # unless its value is compared with gamma
-    with pytest.raises(PrecisionEscalation):
-        recover_coords(mp.mpf("1e-10"), plan_for(-40), REAL_PART)
-    with pytest.raises(PrecisionEscalation):
-        recover_coords(mp.mpc(0, "1e-8"), both_sides_plan(-40), IMAG_PART)
+    # gamma lies far outside epsilon (2.3e-12) of every small element: the
+    # roundings pass by chance, and the solved vector is wrong unless its
+    # value is compared with gamma
+    with pytest.raises(PrecisionEscalation, match="from its approximation"):
+        recover_coords(mp.mpf("3e-12"), plan_for(-40), REAL_PART)
+    with pytest.raises(PrecisionEscalation, match="from its approximation"):
+        recover_coords(mp.mpc(0, "3e-12"), both_sides_plan(-40), IMAG_PART)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: needs a conjugate-size check against a T0 that is a "
-    "real bound"))
 def test_recovery_with_large_conjugates_escalates():
     # gamma = 1e-10 i on IMAG_PART of the -40 doubleeta:11,13 plan with j's
-    # T0 (epsilon 7.3e-15) recovers [1555787497969, -4073104548955]: its
-    # value lies within epsilon of gamma, so the residual check passes, but
-    # its other conjugate is about 1.6e13, far above 2 T0 ~ 2.2e11
-    with pytest.raises(PrecisionEscalation):
+    # T0 can recover a vector whose value lies within epsilon of gamma, so
+    # the residual check passes, but whose other conjugate is far above 2 T0
+    with pytest.raises(PrecisionEscalation, match="conjugate tau_1"):
         recover_coords(mp.mpc(0, "1e-10"), both_sides_plan(-40), IMAG_PART)
+    with pytest.raises(PrecisionEscalation, match="conjugate tau_1"):
+        recover_coords(mp.mpf("3e-10"), plan_for(-40), REAL_PART)
+
+
+@pytest.mark.parametrize("D", [-40, -84, -120, -420])
+def test_conjugate_check_precision(D):
+    # the precision condition in recover_coords's docstring: with C the
+    # conjugate matrix (tau_lam(beta_xi)), V its largest entry and c the
+    # largest entry of its inverse, m^2 c V < 2^(CONJ_CHECK_BITS - 38)
+    plan = both_sides_plan(D) if D in IMAG_KINDS else plan_for(D)
+    m = plan.basis.m
+    for rec in plan.sides.values():
+        with mp.workprec(CONJ_CHECK_BITS):
+            C = mp.matrix([list(rec.values)] + [list(c) for c in rec.conjugates])
+            c = max(abs(x) for row in (C ** -1).tolist() for x in row)
+            V = max(abs(x) for row in C.tolist() for x in row)
+            assert m * m * c * V < mp.mpf(2) ** (CONJ_CHECK_BITS - 38)
 
 
 def test_invalid_side_rejected():
@@ -313,10 +320,10 @@ def test_doubleeta_plan_has_both_sides():
 # float_bits, N0's size and last 12 digits, each side's iteration count, and a
 # sha256 prefix of repr((N0, [A of each side, sides sorted by name]))
 @pytest.mark.parametrize("D,kind,float_bits,n0_bits,n0_low,iters,digest", [
-    (-420, "j", 1158, 987, 831424065538, [922], "bb64d3c6c9d05714739cdf44"),
-    (-1239, "j", 1396, 1015, 321845067778, [767], "ad72f0a64b3fa6c8bb8af238"),
-    (-3135, "doubleeta:5,7", 647, 550, 512882442242, [412, 412],
-     "1c886b53ed489335614bd47a"),
+    (-420, "j", 1093, 931, 467305439234, [871], "300a0b2c167979f01e707596"),
+    (-1239, "j", 1385, 1008, 606424649730, [760], "b25fac4c84f9d793ba835c61"),
+    (-3135, "doubleeta:5,7", 559, 474, 8135389186, [352, 352],
+     "5b6492f8ecbab78bf4e07e36"),
 ], ids=["-420-j", "-1239-j", "-3135-doubleeta:5,7"])
 def test_plan_numbers_pinned(D, kind, float_bits, n0_bits, n0_low, iters, digest):
     plan = make_plan(D, InvariantKind.parse(kind))
