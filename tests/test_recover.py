@@ -45,24 +45,42 @@ def evaluate(coords, elems, prec, perturb=0):
         return +(val + perturb)
 
 
-def test_genus_t0_examples():
+def _genus_T0_at(D, kind):
+    d = Discriminant.from_D(D)
+    forms = n_system(D, 1).forms
+    labels = [phi_class(f, d) for f in forms]
+    return genus_T0(kind, forms, labels), labels
+
+
+def test_coset_sums_examples():
     # h(-40) = 2 with forms (1,0,10) and (2,0,5) in distinct genera, so T0
     # is the larger form's 1 + B_f, padded once more for the product
-    d = Discriminant.from_D(-40)
-    forms = n_system(-40, 1).forms
-    labels = [phi_class(f, d) for f in forms]
+    T0, labels = _genus_T0_at(-40, InvariantKind.j())
     assert len(set(labels)) == 2
-    for kind, coeffs in ((InvariantKind.j(), (9103145472000, -425692800)),
-                         (InvariantKind.gamma2(), (20880, -780))):
-        T0 = genus_T0(kind, forms, labels)
-        assert T0 == height_bound(kind, [QuadForm(1, 0, 10)])
-        assert T0 == make_plan(-40, kind).T0
-        # the genus divisors are x - theta_f, and theta at (1, 0, 10) is the
-        # larger root of the full polynomial x^2 + b x + c
-        c, b = coeffs
-        with mp.workprec(96):
-            big = (-b + mp.sqrt(b * b - 4 * c)) / 2
-            assert big < T0 < big * (1 + mp.mpf(2) ** -6)
+    assert T0 == height_bound(InvariantKind.j(), [QuadForm(1, 0, 10)])
+    # h(-3) = 1: one genus of the one form (1,1,1)
+    T0, labels = _genus_T0_at(-3, InvariantKind.j())
+    assert len(set(labels)) == 1
+    assert T0 == height_bound(InvariantKind.j(), [QuadForm(1, 1, 1)])
+
+
+def _check_T0_minus40(kind, c, b):
+    T0, _ = _genus_T0_at(-40, kind)
+    assert T0 == height_bound(kind, [QuadForm(1, 0, 10)])
+    assert T0 == make_plan(-40, kind).T0
+    # the genus divisors are x - theta_f, and theta at (1, 0, 10) is the
+    # larger root of the full polynomial x^2 + b x + c
+    with mp.workprec(96):
+        big = (-b + mp.sqrt(b * b - 4 * c)) / 2
+        assert big < T0 < big * (1 + mp.mpf(2) ** -6)
+
+
+def test_t0_heuristic_j():
+    _check_T0_minus40(InvariantKind.j(), 9103145472000, -425692800)
+
+
+def test_t0_heuristic_gamma2():
+    _check_T0_minus40(InvariantKind.gamma2(), 20880, -780)
 
 
 def test_plan_degenerate_t1():
