@@ -78,12 +78,13 @@ def cmd_params(args, out):
 def cmd_classpoly(args, out):
     kind = InvariantKind.parse(args.invariant)
     if args.genus_divisor:
-        poly = class_poly_divisor(args.disc, kind, max_bits=args.max_bits)
+        poly = class_poly_divisor(args.disc, kind, max_bits=args.max_bits,
+                                  route="conjugates")
     else:
         poly = class_poly_full(args.disc, kind, max_bits=args.max_bits)
     blob = poly.to_json()
     if args.coset_check:
-        ok = coset_product_check(args.disc, kind)
+        ok = coset_product_check(args.disc, kind, route="conjugates")
         if not ok:
             raise InternalInvariantError(
                 f"coset product check failed for D={args.disc}")
@@ -203,7 +204,8 @@ def build_parser():
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--invariant", default="j")
-    sp.add_argument("--path", choices=("auto", "divisor", "full"), default="auto")
+    sp.add_argument("--path", choices=("auto", "conjugates", "divisor", "full"),
+                    default="auto")
     sp.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
     sp.set_defaults(fn=cmd_gencurve)
 

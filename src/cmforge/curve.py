@@ -401,45 +401,47 @@ def select_twist(curve, target_order, rng=None):
 def gen_curve(D, p, u, v, kind=None, path="auto", seed=0, max_bits=DEFAULT_MAX_BITS):
     """Curve over F_p with exactly p + 1 - u points, via the CM class polynomial.
 
-    path: "divisor" (genus divisor, the point of the whole pipeline), "full"
-    (classic H_D), or "auto" = divisor with full fallback on precision
-    exhaustion.  Returns {curve, j, order, transcript}.
+    path: "conjugates" (the genus divisor, recovered from all 2^t
+    embeddings), "divisor" (the genus divisor on the paper's route, from one
+    embedding through a recovery plan), "full" (classic H_D), or "auto" =
+    conjugates with the full path as the fallback on precision exhaustion.
+    Returns {curve, j, order, transcript}.  The transcript's "path" names
+    the polynomial used, "divisor" or "full"; for a divisor, "route" says
+    "conjugates" (with T and B) or "paper" (with T0, N0 and float_bits).
 
     The divisor comes from ``class_poly_divisor``'s per-process memo, so
-    further calls at the same D and invariant, for other primes, evaluate
-    no theta value and report the same T0, N0 and float_bits.
+    further calls at the same D, invariant and route, for other primes,
+    evaluate no theta value and report the same numbers.
     """
     kind = kind or InvariantKind.j()
     disc = validate_params(D, p, u, v)
     if kind.name not in ("j", "gamma2", "weber"):
         raise UnsupportedInvariant(f"no j reconstruction for {kind}")
     kind.validate_for(disc)
-    if path not in ("auto", "divisor", "full"):
+    if path not in ("auto", "conjugates", "divisor", "full"):
         raise InvalidParameters(f"unknown path {path!r}")
     target = p + 1 - u
 
     transcript = {"D": D, "p": p, "u": u, "v": v, "invariant": str(kind),
                   "target": target}
-    used = path
-    fp = None
-    if path in ("auto", "divisor"):
+    poly = None
+    if path != "full":
+        route = "paper" if path == "divisor" else "conjugates"
         try:
-            poly = class_poly_divisor(D, kind, max_bits=max_bits)
-            fp = reduce_divisor_mod_p(poly, p)
-            used = "divisor"
-            plan = poly.plan
-            transcript.update(T0=plan.T0, N0=plan.N0, float_bits=plan.float_bits,
-                              degree=poly.degree)
+            poly = class_poly_divisor(D, kind, max_bits=max_bits, route=route)
         except PrecisionExhausted:
-            if path == "divisor":
+            if path != "auto":
                 raise
-            fp = None
-    if fp is None:
+        else:
+            plan = poly.plan
+            transcript.update(path="divisor", route=route, **(
+                dict(T0=plan.T0, N0=plan.N0, float_bits=plan.float_bits)
+                if route == "paper" else dict(T=plan.T, B=plan.B)))
+    if poly is None:
         poly = class_poly_full(D, kind, max_bits=max_bits)
-        fp = [c % p for c in poly.coeffs]
-        used = "full"
-        transcript.update(degree=poly.degree)
-    transcript["path"] = used
+        transcript["path"] = "full"
+    transcript["degree"] = poly.degree
+    fp = reduce_divisor_mod_p(poly, p)
 
     roots = roots_in_fp(fp, p, seed=seed)
     if not roots:

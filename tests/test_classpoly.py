@@ -10,12 +10,12 @@ from cmforge import classpoly
 from cmforge.arith import Discriminant
 from cmforge.classpoly import ClassPolynomial, class_poly_divisor, \
     class_poly_full, coset_divisor, coset_labels, coset_product_check
-from cmforge.errors import PrecisionEscalation, PrecisionExhausted
+from cmforge.errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted
 from cmforge.forms import QuadForm, class_number, n_system, phi_class
 from cmforge.genusfield import GFElem
 from cmforge.modfns import InvariantKind, height_bound
 from cmforge.recover import genus_T0
-from test_golden import DIVISORS, FULL
+from test_golden import DIVISORS, FULL, digest
 
 J = InvariantKind.j()
 
@@ -115,12 +115,13 @@ def test_coset_labels_group():
 
 def test_galois_action_permutes_cosets():
     # each coset's divisor, recovered from its own theta values with the
-    # principal divisor's plan, is the principal divisor conjugated by the
-    # automorphism that flips sqrt(q_i*) where the coset label is -1
+    # principal divisor's plan (the paper route), is the principal divisor
+    # conjugated by the automorphism that flips sqrt(q_i*) where the coset
+    # label is -1
     for D, invariant, _ in DIVISORS:
         kind = InvariantKind.parse(invariant)
         d = Discriminant.from_D(D)
-        div = class_poly_divisor(D, kind)
+        div = class_poly_divisor(D, kind, route="paper")
         forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
         seen = set()
         for phi in coset_labels(D):
@@ -128,6 +129,7 @@ def test_galois_action_permutes_cosets():
             own = classpoly._divisor_attempt(kind, sel, div.plan)
             conj = coset_divisor(div, phi)
             assert conj.phi0 == phi and conj.coeffs == own, (D, invariant, phi)
+            assert conj == coset_divisor(class_poly_divisor(D, kind, route="conjugates"), phi)
             seen.add(coeff_key(conj))
         if (D, invariant) == (-84, "j"):
             assert len(seen) == 4   # the conjugations genuinely move cosets
@@ -135,11 +137,11 @@ def test_galois_action_permutes_cosets():
 
 def test_recovered_coefficients_within_t0():
     D = -84
-    div = class_poly_divisor(D, J)
-    plan = div.plan
+    div = class_poly_divisor(D, J, route="conjugates")
     d = Discriminant.from_D(D)
+    assert div.plan.T == class_poly_divisor(D, J).plan.T0
     with mp.workprec(256):
-        bound = mp.mpf(plan.T0) * (1 + mp.mpf(2) ** -40)
+        bound = mp.mpf(div.plan.T) * (1 + mp.mpf(2) ** -40)
         for c in div.coeffs[:-1]:
             for lam in range(1 << d.t):   # all Galois conjugates
                 assert abs(c.tau(lam).numeric(256)) <= bound
@@ -155,10 +157,10 @@ def test_height_bound_covers_every_coset_divisor(D, invariant):
     # the old heuristic T0 fell 16.9 bits short
     kind = InvariantKind.parse(invariant)
     d = Discriminant.from_D(D)
-    div = class_poly_divisor(D, kind)
+    div = class_poly_divisor(D, kind, route="conjugates")
     forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
     labels = [phi_class(f, d) for f in forms]
-    T0 = div.plan.T0
+    T0 = div.plan.T
     assert T0 == genus_T0(kind, forms, labels)
     prec = int(mp.mag(T0)) + 128
     with mp.workprec(prec):
@@ -239,8 +241,9 @@ def test_precision_cap_divisor():
 
 
 def test_imaginary_theta_error_fails_realness_check(monkeypatch):
-    # j's divisor coefficients are real, so only the real side is recovered;
-    # an imaginary error in one theta value must escalate, never be dropped
+    # j's divisor coefficients are real, so the paper route recovers only
+    # the real side; an imaginary error in one theta value must escalate,
+    # never be dropped
     theta = classpoly.theta_value
 
     def skewed(kind, form, prec=96):
@@ -248,17 +251,17 @@ def test_imaginary_theta_error_fails_realness_check(monkeypatch):
         with mp.workprec(prec + 64):
             return v + mp.mpc(0, mp.mpf(2) ** -10) if form.A == 1 else v
 
-    plan = class_poly_divisor(-40, J).plan
+    plan = class_poly_divisor(-40, J, route="paper").plan
     classpoly._DIVISORS.clear()
     monkeypatch.setattr(classpoly, "theta_value", skewed)
     with pytest.raises(PrecisionExhausted):
-        class_poly_divisor(-40, J, max_bits=4 * plan.float_bits)
+        class_poly_divisor(-40, J, max_bits=4 * plan.float_bits, route="paper")
 
 
 def test_paired_theta_error_fails_recovery(monkeypatch):
     # (4,3,78) and (4,-3,78) share one evaluation, so an imaginary error at
-    # (4,3,78) enters a real quadratic and passes the realness check; the
-    # recovery of the real parts must escalate on it
+    # (4,3,78) enters a real quadratic and passes the paper route's realness
+    # check; the recovery of the real parts must escalate on it
     theta = classpoly.theta_value
     seen = []
     skew = {}
@@ -270,31 +273,42 @@ def test_paired_theta_error_fails_recovery(monkeypatch):
             return v + mp.mpc(0, skew.get(form, 0))
 
     monkeypatch.setattr(classpoly, "theta_value", skewed)
-    plan = class_poly_divisor(-1239, J).plan
+    plan = class_poly_divisor(-1239, J, route="paper").plan
     assert len(seen) == 5 and QuadForm(4, 3, 78) in seen   # 8 forms, 3 pairs
     assert QuadForm(4, -3, 78) not in seen
     classpoly._DIVISORS.clear()
     skew[QuadForm(4, 3, 78)] = mp.mpf(2) ** -10
     with pytest.raises(PrecisionExhausted):
-        class_poly_divisor(-1239, J, max_bits=4 * plan.float_bits)
+        class_poly_divisor(-1239, J, max_bits=4 * plan.float_bits, route="paper")
 
 
 def test_divisor_memo_hits_and_cap():
-    # the divisor is memoized by (D, kind), and a hit returns the same object
-    poly = class_poly_divisor(-40, J)
-    bits = poly.plan.float_bits
-    assert class_poly_divisor(-40, J) is poly
-    assert class_poly_divisor(-40, J, max_bits=bits) is poly
+    # the divisor is memoized by (D, kind, route), and a hit returns the
+    # same object
+    poly = class_poly_divisor(-40, J, route="conjugates")
+    bits = poly.plan.B
+    assert class_poly_divisor(-40, J, route="conjugates") is poly
+    assert class_poly_divisor(-40, J, max_bits=bits, route="conjugates") is poly
     # a hit raises exactly when a recomputation would: the plan needs more
     # bits than the cap allows
     with pytest.raises(PrecisionExhausted):
-        class_poly_divisor(-40, J, max_bits=bits - 1)
-    # the coset-product check uses the memoized divisor, and fills the memo
-    assert coset_product_check(-40, J)
-    assert classpoly._DIVISORS[-40, J] is poly
+        class_poly_divisor(-40, J, max_bits=bits - 1, route="conjugates")
+    # the paper route has its own entry, with its own plan and cap
+    paper = class_poly_divisor(-40, J)
+    assert paper is not poly and paper.coeffs == poly.coeffs
+    assert paper.plan.float_bits > bits
+    assert class_poly_divisor(-40, J, route="paper") is paper
+    with pytest.raises(PrecisionExhausted):
+        class_poly_divisor(-40, J, max_bits=paper.plan.float_bits - 1)
+    # the coset-product check uses the memoized divisor of its route, and
+    # fills the memo
+    assert coset_product_check(-40, J, route="conjugates")
+    assert classpoly._DIVISORS[-40, J, "conjugates"] is poly
     classpoly._DIVISORS.clear()
+    assert coset_product_check(-40, J, route="conjugates")
+    assert coeff_key(classpoly._DIVISORS[-40, J, "conjugates"]) == coeff_key(poly)
     assert coset_product_check(-40, J)
-    assert coeff_key(classpoly._DIVISORS[-40, J]) == coeff_key(poly)
+    assert classpoly._DIVISORS[-40, J, "paper"].coeffs == poly.coeffs
 
 
 def test_coset_product_check_sees_a_perturbed_divisor():
@@ -309,7 +323,7 @@ def test_coset_product_check_sees_a_perturbed_divisor():
 
 def test_plan_reuse_same_result():
     # the memoized divisor's plan recovers that divisor again
-    div = class_poly_divisor(-120, J)
+    div = class_poly_divisor(-120, J, route="paper")
     d = Discriminant.from_D(-120)
     forms = n_system(-120, J.modulus(d), J.b_target(d)).forms
     sel = [f for f in forms if phi_class(f, d) == div.phi0]
@@ -324,3 +338,75 @@ def test_gamma2_divisor_consistent_with_cube_root():
     zj = -dj.coeffs[0]
     zg = -dg.coeffs[0]
     assert (zg * zg * zg).c == zj.c
+
+
+def test_unknown_route_rejected():
+    with pytest.raises(InvalidParameters):
+        class_poly_divisor(-40, J, route="sideways")
+
+
+@pytest.mark.parametrize("D,invariant", [(D, inv) for D, inv, _ in FULL],
+                         ids=[f"{D}-{inv}" for D, inv, _ in FULL])
+def test_expand_error_bound_holds(D, invariant):
+    # _expand's bound covers the true error of every coefficient at every
+    # precision, from below the coefficient size to well above it
+    kind = InvariantKind.parse(invariant)
+    d = Discriminant.from_D(D)
+    forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+    exact = class_poly_full(D, kind).coeffs
+    top = int(mp.mag(height_bound(kind, forms)))
+    for prec in (24, top // 2 + 16, top + 24):
+        poly, err = classpoly._expand(classpoly._theta_values(kind, forms, prec), prec)
+        with mp.workprec(prec + 64):
+            assert max(abs(c - e) for c, e in zip(poly, exact)) <= err, prec
+
+
+@pytest.mark.parametrize("shift", [40, 20])
+@pytest.mark.parametrize("D,invariant,want", DIVISORS,
+                         ids=[f"{D}-{inv}" for D, inv, _ in DIVISORS])
+def test_conjugate_route_never_returns_a_wrong_divisor(D, invariant, want, shift,
+                                                      monkeypatch):
+    # one theta value off by a relative 2^-shift is beyond the precision the
+    # route claims; it must escalate until the cap stops it, or, when the
+    # error is too small to matter, return the right divisor.  At -40 j a
+    # shift of 20 moves the coordinates N a_S by hundreds, yet each rounds
+    # with a residual below 1/4: only the check against every embedding
+    # catches it
+    kind = InvariantKind.parse(invariant)
+    cap = 2 * class_poly_divisor(D, kind, route="conjugates").plan.B
+    classpoly._DIVISORS.clear()
+    theta = classpoly.theta_value
+    seen = []
+
+    def skewed(kind, form, prec=96):
+        seen.append(form)
+        v = theta(kind, form, prec)
+        with mp.workprec(prec + 64):
+            return v * (1 + mp.mpf(2) ** -shift) if form == seen[0] else v
+
+    monkeypatch.setattr(classpoly, "theta_value", skewed)
+    try:
+        div = class_poly_divisor(D, kind, max_bits=cap, route="conjugates")
+    except PrecisionExhausted:
+        return
+    # j's values exceed 2^28, so its error is far above the route's bound
+    assert invariant != "j"
+    blobs = [coset_divisor(div, phi).to_json() for phi in coset_labels(D)]
+    assert digest(blobs) == want
+
+
+def test_conjugate_route_escalates_from_a_small_bound(monkeypatch):
+    # with T = 4 the first attempts run far below the coefficient size and
+    # must escalate (their error bound exceeds 1/8N) until B suffices
+    want = class_poly_divisor(-1239, J, route="conjugates")
+    classpoly._DIVISORS.clear()
+    monkeypatch.setattr(classpoly, "genus_T0", lambda kind, forms, labels: mp.mpf(4))
+    div = class_poly_divisor(-1239, J, route="conjugates")
+    assert div.coeffs == want.coeffs
+    assert div.plan.T == 4 and div.plan.B == 38 * 2 ** 4 > want.plan.B
+
+
+@pytest.mark.parametrize("invariant", ["j", "weber"])
+def test_coset_product_check_conjugate_route_t5(invariant):
+    # t = 5: 16 cosets, 32 embeddings per coefficient
+    assert coset_product_check(-5460, InvariantKind.parse(invariant), route="conjugates")

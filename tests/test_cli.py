@@ -64,6 +64,13 @@ def test_classpoly_divisor_with_check(capsys):
     assert row["phi0"] == [1, 1]
 
 
+def test_classpoly_divisor_takes_the_conjugate_route(capsys):
+    # at -40 the conjugate route needs 63 bits and the paper route 133
+    rc, out, _ = run_cli(["classpoly", "--disc", "-40", "--genus-divisor",
+                          "--coset-check", "--max-bits", "100"], capsys)
+    assert rc == 0 and lines(out)[0]["coset_check"] is True
+
+
 def test_classpoly_exhaustion_exit_code(capsys):
     rc, _, err = run_cli(["classpoly", "--disc", "-40", "--genus-divisor",
                           "--max-bits", "50"], capsys)
@@ -84,6 +91,22 @@ def test_gencurve_ok_and_bad_order(capsys):
     rc, _, err = run_cli(["gencurve", "--disc", "-40", "--prime", "41",
                           "--order", "43"], capsys)
     assert rc == 2 and "not admissible" in err
+
+
+@pytest.mark.parametrize("path,route", [("auto", "conjugates"), ("conjugates", "conjugates"),
+                                        ("divisor", "paper")])
+def test_gencurve_routes(path, route, tmp_path, capsys):
+    # "path" names the polynomial used, the transcript's "route" how the
+    # divisor was recovered
+    rc, out, _ = run_cli(["gencurve", "--disc", "-420", "--prime", "109",
+                          "--order", "106", "--path", path], capsys)
+    assert rc == 0
+    row = lines(out)[0]
+    assert row["path"] == "divisor" and row["transcript"]["route"] == route
+    curve = tmp_path / "curve.json"
+    curve.write_text(out)
+    rc, out, _ = run_cli(["verify", str(curve)], capsys)
+    assert rc == 0 and lines(out)[0]["verified"] is True
 
 
 def test_gencurve_sextic_order(capsys):

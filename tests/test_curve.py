@@ -408,8 +408,10 @@ def test_gen_curve_paths_agree():
     for args in [(-40, 41, 2, 2), (-3, 13, 7, 1), (-4, 13, 6, 2)]:
         a = gen_curve(*args, path="divisor")
         b = gen_curve(*args, path="full")
-        assert a["order"] == b["order"]
-        assert a["transcript"]["path"] == "divisor"
+        c = gen_curve(*args, path="conjugates")
+        assert a["order"] == b["order"] == c["order"]
+        assert a["curve"] == c["curve"]
+        assert a["transcript"]["path"] == c["transcript"]["path"] == "divisor"
         assert b["transcript"]["path"] == "full"
 
 
@@ -426,26 +428,45 @@ def test_gen_curve_rejections():
 
 
 def test_gen_curve_fallback_to_full():
-    # at -420 the full path starts at 241 bits and the divisor needs 1093,
-    # so a cap of 800 forces the full-H fallback
+    # at -40 the full path starts at 44 bits and the conjugate route at 63
+    # (the paper route at 133), so a cap of 50 forces the full-H fallback
+    res = gen_curve(-40, 41, 2, 2, path="auto", max_bits=50)
+    assert res["transcript"]["path"] == "full" and "route" not in res["transcript"]
+    assert naive_count(res["curve"]) == 40
+    for path in ("conjugates", "divisor"):
+        with pytest.raises(PrecisionExhausted):
+            gen_curve(-40, 41, 2, 2, path=path, max_bits=50)
+    # at -420 the conjugate route starts at 129 bits, the full path at 241
+    # and the paper route at 1093: a cap of 800 stops only the paper route
     res = gen_curve(-420, 109, 4, 1, path="auto", max_bits=800)
-    assert res["transcript"]["path"] == "full"
+    assert (res["transcript"]["path"], res["transcript"]["route"]) == ("divisor", "conjugates")
     assert naive_count(res["curve"]) == 106
     with pytest.raises(PrecisionExhausted):
         gen_curve(-420, 109, 4, 1, path="divisor", max_bits=800)
-    # a cap below both paths' first attempt (44 and 133 bits at -40) leaves
-    # no path to fall back to
+    # a cap below every first attempt leaves no path to fall back to
     with pytest.raises(PrecisionExhausted):
         gen_curve(-40, 41, 2, 2, path="auto", max_bits=40)
 
 
 def test_gen_curve_transcript():
-    res = gen_curve(-40, 41, 2, 2)
-    tr = res["transcript"]
-    for key in ("D", "p", "u", "v", "invariant", "target", "T0", "N0",
-                "float_bits", "degree", "path", "root", "j", "twist"):
-        assert key in tr
-    assert tr["target"] == res["order"]
+    # "path" names the polynomial that came out, "route" how a divisor was
+    # recovered, with that route's own numbers
+    common = ("D", "p", "u", "v", "invariant", "target", "degree", "path", "root",
+              "j", "twist")
+    for path, route, keys, absent in (
+            ("auto", "conjugates", ("T", "B"), ("T0", "N0", "float_bits")),
+            ("conjugates", "conjugates", ("T", "B"), ("T0", "N0", "float_bits")),
+            ("divisor", "paper", ("T0", "N0", "float_bits"), ("T", "B"))):
+        res = gen_curve(-40, 41, 2, 2, path=path)
+        tr = res["transcript"]
+        for key in common + keys:
+            assert key in tr, (path, key)
+        assert not any(key in tr for key in absent), path
+        assert (tr["path"], tr["route"], tr["degree"]) == ("divisor", route, 1)
+        assert tr["target"] == res["order"]
+    tr = gen_curve(-40, 41, 2, 2, path="full")["transcript"]
+    assert tr["path"] == "full" and tr["degree"] == 2
+    assert not any(key in tr for key in ("route", "T", "B", "T0", "N0", "float_bits"))
 
 
 def test_gen_curve_transcript_reports_the_escalated_plan(monkeypatch):

@@ -2,7 +2,9 @@
 
 Each divisor digest covers the ``to_json()`` of every coset divisor of one
 (D, invariant), each the Galois conjugate of the principal divisor that
-``class_poly_divisor`` recovers; each full digest covers
+``class_poly_divisor`` recovers, and is checked on both recovery routes:
+the conjugate route (``gen_curve``'s "auto" and "conjugates" paths) and
+the paper route (its "divisor" path).  Each full digest covers
 one full polynomial's ``to_json()``.  Any change to a coefficient, to the
 coset order or to the serialization shows up here.
 """
@@ -12,8 +14,8 @@ import json
 
 import pytest
 
-from cmforge.classpoly import class_poly_divisor, class_poly_full, coset_divisor, \
-    coset_labels
+from cmforge.classpoly import ROUTES, class_poly_divisor, class_poly_full, \
+    coset_divisor, coset_labels
 from cmforge.modfns import InvariantKind
 
 
@@ -43,9 +45,10 @@ DIVISORS = [
                          ids=[f"{D}-{inv}" for D, inv, _ in DIVISORS])
 def test_coset_divisors_golden(D, invariant, want):
     kind = InvariantKind.parse(invariant)
-    div = class_poly_divisor(D, kind)
-    blobs = [coset_divisor(div, phi).to_json() for phi in coset_labels(D)]
-    assert digest(blobs) == want
+    for route in ROUTES:
+        div = class_poly_divisor(D, kind, route=route)
+        blobs = [coset_divisor(div, phi).to_json() for phi in coset_labels(D)]
+        assert digest(blobs) == want, route
 
 
 FULL = [
