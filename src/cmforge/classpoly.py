@@ -1,20 +1,20 @@
 """Class polynomials: the full integer H_D[theta] and its genus divisor.
 
-The full path multiplies (x - theta(alpha_i)) over a whole N-system and
-rounds to integers -- the classical construction, kept as the oracle.
-The divisor's coefficients are exact elements of the genus field, recovered
-from floats by one of two routes.  The conjugate route (what ``gen_curve``
-and the CLI take by default) expands every coset's product at about log2 T
-bits: those are all 2^t embeddings of each coefficient, and one
+Both are rebuilt from floats by one exact rounding (``_exact_attempt``).  It
+expands the product of (x - theta) over each coset of an N-system at about
+log2 T + t bits: those are all 2^t embeddings of each coefficient, and one
 Walsh-Hadamard transform gives its coordinates (Enge and Morain, "Fast
-decomposition of polynomials with known Galois group", AAECC-15, 2003).
-The paper route expands only the principal genus (h / 2^(t-1) forms) at
-about m log2 T bits and recovers each coefficient from that one embedding
-through a recovery plan; ``class_poly_divisor`` takes it when no route is
-named.  Either way every other coset's divisor is a Galois conjugate of the
-principal one.  Exact divisors are memoized per process, so repeated calls
-at one discriminant (one curve per prime, say) evaluate their theta values
-once.
+decomposition of polynomials with known Galois group", AAECC-15, 2003).  The
+genus divisor on the conjugate route (what ``gen_curve`` and the CLI take
+by default) is that rounding over the genus field.  The full polynomial,
+kept as the oracle, is its t = 0 case: the field is Q, there is one coset
+and one embedding, and the transform is the identity.  The paper route
+expands only the principal genus (h / 2^(t-1) forms) at about m log2 T bits
+and recovers each coefficient from that one embedding through a recovery
+plan; ``class_poly_divisor`` takes it when no route is named.  Either way
+every other coset's divisor is a Galois conjugate of the principal one.
+Exact divisors are memoized per process, so repeated calls at one
+discriminant (one curve per prime, say) evaluate their theta values once.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ from .modfns import InvariantKind, height_bound, theta_value
 from .recover import genus_T0, make_plan, recover_coords
 
 DEFAULT_MAX_BITS = 1 << 20
-# the conjugate route's B exceeds log2 T + t by this much, so each rounded
-# N a_S is off by at most about 2^-CONJ_MARGIN
-CONJ_MARGIN = 32
 ROUTES = ("conjugates", "paper")
 
 
@@ -51,10 +48,10 @@ class ClassPolynomial:
     kind: InvariantKind
     phi0: object          # None for the full polynomial, else the +-1 tuple
     coeffs: tuple         # ascending, leading coefficient included (monic)
-    # the plan that produced a divisor's coefficients, set by
-    # class_poly_divisor: a RecoveryPlan on the paper route, a ConjugatePlan
-    # on the conjugate route; None otherwise, never serialized or compared
-    plan: object = field(default=None, init=False, compare=False, repr=False)
+    # the plan that produced a divisor's coefficients: a RecoveryPlan on the
+    # paper route, a ConjugatePlan on the conjugate route; None otherwise,
+    # never serialized or compared
+    plan: object = field(default=None, compare=False, repr=False)
 
     @property
     def degree(self):
@@ -151,51 +148,16 @@ def _expand(values, prec):
 
 
 def class_poly_full(D, kind=None, max_bits=DEFAULT_MAX_BITS):
-    """H_D[theta] with integer coefficients, by rounding the expanded product.
-
-    Every coefficient is at most T = ``height_bound`` over the N-system, so
-    the first attempt runs at log2(T) bits; a coefficient that rounds to
-    more than T escalates, and so does an attempt whose ``_expand`` error
-    bound is not below 1/4.
-    """
+    """H_D[theta] with integer coefficients: the exact rounding over the
+    N-system with no q_i* and every mask 0, and T = ``height_bound``, which
+    bounds every coefficient by Vieta."""
     kind = kind or InvariantKind.j()
     d = Discriminant.from_D(D)
     kind.validate_for(d)
-    sysN = n_system(D, kind.modulus(d), kind.b_target(d))
-    T = height_bound(kind, sysN.forms)
-    bits = mp.mag(T)      # ceil(log2 T), or one more when T is a power of 2
-    while True:
-        _check_cap(D, bits, max_bits)
-        try:
-            return ClassPolynomial(D, kind, None, _full_attempt(sysN, kind, bits, T))
-        except PrecisionEscalation:
-            bits *= 2
-
-
-def _full_attempt(sysN, kind, bits, T):
-    """One rounding of the N-system's product at ``bits`` >= log2 T.
-
-    With theta at bits + 3 + ``_pad(h)``, ``_expand``'s error is at most
-    M~ / 2^(bits+3), below 1/4 whenever the values' majorant M~ is within
-    twice the bound T <= 2^bits; an attempt whose M~ is larger escalates.
-    """
-    work = bits + 3 + _pad(len(sysN.forms))
-    poly, err = _expand(_theta_values(kind, sysN.forms, work), work)
-    if not err < 0.25:
-        raise PrecisionEscalation(
-            f"product error bound {mp.nstr(err, 5)} at {bits} bits")
-    coeffs = []
-    with mp.workprec(work + 64):
-        for c in poly[:-1]:
-            r = int(mp.nint(mp.re(c)))
-            if abs(c - r) >= 0.25:
-                raise PrecisionEscalation(
-                    f"coefficient residual {mp.nstr(abs(c - r), 5)} at {bits} bits")
-            if abs(r) > T:
-                raise PrecisionEscalation(
-                    f"coefficient {r} exceeds the height bound at {bits} bits")
-            coeffs.append(r)
-    return tuple(coeffs) + (1,)
+    forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+    T = height_bound(kind, forms)
+    rows, _ = _exact_rounding(D, kind, (), forms, [0] * len(forms), T, max_bits)
+    return ClassPolynomial(D, kind, None, tuple(row[0] for row in rows) + (1,))
 
 
 # exact principal divisors by (D, kind, route), oldest first: a process that
@@ -218,7 +180,7 @@ def _plan_bits(plan):
 
 def class_poly_divisor(D, kind=None, max_bits=DEFAULT_MAX_BITS, route="paper"):
     """The principal genus divisor of H_D[theta] with exact genus-field
-    coefficients, recovered on ``route``: "conjugates" (``_conjugate_attempt``)
+    coefficients, recovered on ``route``: "conjugates" (``_exact_attempt``)
     or "paper" (``_divisor_attempt``).  Its ``plan`` is the ConjugatePlan or
     the RecoveryPlan that produced them.
 
@@ -248,23 +210,42 @@ def _principal_divisor(d, kind, route, max_bits):
     forms = n_system(d.D, kind.modulus(d), kind.b_target(d)).forms
     labels = [phi_class(f, d) for f in forms]
     T0 = genus_T0(kind, forms, labels)
-    conj = route == "conjugates"
-    plan = ConjugatePlan(T0, int(mp.mag(T0)) + d.t + CONJ_MARGIN) if conj \
-        else make_plan(d.D, kind, T0)
+    if route == "conjugates":
+        rows, B = _exact_rounding(d.D, kind, d.qstars, forms,
+                                  [_mask(lab) for lab in labels], T0, max_bits)
+        N = 1 << d.t
+        coeffs = tuple(GFElem(d.qstars, {S: Fraction(r, N) for S, r in enumerate(row)})
+                       for row in rows) + (gf_rational(d.qstars, 1),)
+        return ClassPolynomial(d.D, kind, principal, coeffs, plan=ConjugatePlan(T0, B))
     sel = [f for f, lab in zip(forms, labels) if lab == principal]
+    plan = make_plan(d.D, kind, T0)
     while True:
-        _check_cap(d.D, _plan_bits(plan), max_bits)
+        _check_cap(d.D, plan.float_bits, max_bits)
         try:
-            coeffs = _conjugate_attempt(kind, d, forms, labels, plan.B) if conj \
-                else _divisor_attempt(kind, sel, plan)
+            coeffs = _divisor_attempt(kind, sel, plan)
             break
         except PrecisionEscalation:
-            # double B, or square T0: either roughly doubles the working precision
-            plan = ConjugatePlan(plan.T, 2 * plan.B) if conj \
-                else make_plan(d.D, kind, T0=mp.mpf(plan.T0) ** 2)
-    poly = ClassPolynomial(d.D, kind, principal, coeffs)
-    object.__setattr__(poly, "plan", plan)   # an init=False field of a frozen class
-    return poly
+            # squaring T0 roughly doubles the working precision
+            plan = make_plan(d.D, kind, T0=mp.mpf(plan.T0) ** 2)
+    return ClassPolynomial(d.D, kind, principal, coeffs, plan=plan)
+
+
+def _mask(phi):
+    """The automorphism mask of a coset label: bit i where phi_i = -1."""
+    return sum(1 << i for i, e in enumerate(phi) if e == -1)
+
+
+def _exact_rounding(D, kind, qstars, forms, masks, T, max_bits):
+    """(``_exact_attempt``'s rows, B): the first attempt runs at
+    B = ceil(log2 T) + t, B doubles on each escalation, and every attempt is
+    checked against the cap."""
+    B = int(mp.mag(T)) + len(qstars)   # mag is ceil(log2), or one more at a power of 2
+    while True:
+        _check_cap(D, B, max_bits)
+        try:
+            return _exact_attempt(kind, qstars, forms, masks, B, T), B
+        except PrecisionEscalation:
+            B *= 2
 
 
 def _walsh_hadamard(v):
@@ -279,65 +260,77 @@ def _walsh_hadamard(v):
     return v
 
 
-def _conjugate_attempt(kind, d, forms, labels, B):
-    """The principal divisor's coefficients from all N = 2^t embeddings.
+def _exact_attempt(kind, qstars, forms, masks, B, T):
+    """The exact coordinates of a monic polynomial over
+    Q(sqrt(q_1*), ..., sqrt(q_t*)), read off all N = 2^t of its embeddings:
+    one row per coefficient below the leading one, holding the integers
+    N a_S for every subset mask S of the q_i*.
 
-    Let sigma_mu be the principal embedding after tau_mu, which flips
-    sqrt(q_i*) for each bit i of mu.  Coset phi's product is tau_mask(phi)
-    of the principal divisor, so it gives sigma_mask(phi) of each
-    coefficient, and its complex conjugate sigma_(mask xor c), c the mask of
-    the negative q_i*.  For a = sum_S a_S r_S, r_S = prod_(i in S) sqrt(q_i*),
-    N a_S = sum_mu (-1)^|mu & S| sigma_mu(a) / r_S is an integer: the ring
-    of integers is the tensor product of the quadratic ones.
+    The product over the forms of mask mu gives sigma_mu of each
+    coefficient, sigma_mu the principal embedding after tau_mu, which flips
+    sqrt(q_i*) for each bit i of mu, and its complex conjugate gives
+    sigma_(mu xor c), c the mask of the negative q_i*.  For
+    a = sum_S a_S r_S, r_S = prod_(i in S) sqrt(q_i*),
+    N a_S = sum_mu (-1)^|mu & S| sigma_mu(a) / r_S is an integer: the ring of
+    integers is the tensor product of the quadratic ones.  With no q_i* (the
+    full polynomial) N = 1, c = 0, one coset holds every form, and the
+    transform is the identity.
 
-    Error chain, n = h / m forms per coset: theta at B + ``_pad(n)`` bits
-    puts each embedding within eps, the largest of ``_expand``'s bounds over
-    the cosets, about 2^-B T.  The transform sums N of them and |r_S| >= 1,
-    so N a_S is off by at most N eps, plus under 2^-40 N eps of rounding at
-    64 more bits: about 2^-CONJ_MARGIN, and an attempt escalates unless
-    N eps < 1/8.  Checks, each escalating: every N a_S rounds with a
-    residual below 1/4, and the coefficient reproduces all N embeddings
-    within 2 eps.  A wrong coefficient misses some embedding by at least
-    1/N (the transform is N times an orthogonal one), far above 2 eps.
+    Error chain, n forms per coset and T at least every embedding of every
+    coefficient: theta at B + 3 + ``_pad(n)`` bits puts each embedding within
+    eps, the largest of ``_expand``'s bounds over the cosets, so
+    eps <= 2^-(B+3) M~ for the values' majorant M~.  The transform sums N of
+    them and |r_S| >= 1, so N a_S is off by at most N eps, plus under
+    2^-40 N eps of rounding at 64 more bits.  At B >= log2 T + t,
+    N eps <= 2^-3 M~ / T, and an attempt escalates unless N eps < 1/4, which
+    holds whenever M~ < 2T.  Checks, each escalating: every N a_S rounds with
+    a residual below 1/4; the coefficient reproduces all N embeddings within
+    2 eps, where a wrong one misses some embedding by at least
+    1/N - eps > 2 eps (the transform is N times an orthogonal one); and no
+    embedding exceeds T.
     """
-    N = 1 << d.t
-    n = len(forms) // d.m
-    prec = B + _pad(n)
-    neg = (N - 1) ^ ((1 << d.u) - 1)    # the positive q_i* come first
-    genus = dict(zip(forms, labels))
+    N = 1 << len(qstars)
+    neg = sum(1 << i for i, q in enumerate(qstars) if q < 0)
+    n = len(forms) // len(set(masks))
+    prec = B + 3 + _pad(n)
+    mask = dict(zip(forms, masks))
     values = _theta_values(kind, forms, prec)
     emb = [None] * N
     eps = 0
-    for lab in set(labels):
-        poly, err = _expand([v for v in values if genus[v[0]] == lab], prec)
-        mu = sum(1 << i for i, e in enumerate(lab) if e == -1)
-        emb[mu] = poly[:-1]
+    for mu in set(masks):
+        poly, err = _expand([v for v in values if mask[v[0]] == mu], prec)
+        # the conjugate goes in first, so that at c = 0 the product itself stays
         emb[mu ^ neg] = [mp.conj(c) for c in poly[:-1]]
+        emb[mu] = poly[:-1]
         eps = max(eps, err)
-    if not N * eps < 0.125:
+    if not N * eps < 0.25:
         raise PrecisionEscalation(
-            f"embedding error bound {mp.nstr(eps, 5)} at {B} bits")
-    coeffs = []
+            f"error bound {mp.nstr(N * eps, 5)} on N a_S at {B} bits")
+    rows = []
     with mp.workprec(prec + 64):
-        roots = [mp.fprod(mp.sqrt(mp.mpc(q)) for i, q in enumerate(d.qstars) if S >> i & 1)
+        roots = [mp.fprod(mp.sqrt(mp.mpc(q)) for i, q in enumerate(qstars) if S >> i & 1)
                  for S in range(N)]
         for k in range(n):
-            nums = {}
+            row = []
             for S, x in enumerate(_walsh_hadamard(e[k] for e in emb)):
                 x /= roots[S]
                 r = int(mp.nint(mp.re(x)))
                 if not abs(x - r) < 0.25:
                     raise PrecisionEscalation(
                         f"coordinate residual {mp.nstr(abs(x - r), 5)} at {B} bits")
-                nums[S] = r
-            back = _walsh_hadamard(nums[S] * roots[S] for S in range(N))
+                row.append(r)
+            back = _walsh_hadamard(r * root for r, root in zip(row, roots))
             for mu, got in enumerate(back):
-                if not abs(got / N - emb[mu][k]) <= 2 * eps:
+                got /= N
+                if not abs(got - emb[mu][k]) <= 2 * eps:
                     raise PrecisionEscalation(
                         f"coefficient {k} misses embedding {mu} by "
-                        f"{mp.nstr(abs(got / N - emb[mu][k]), 5)} at {B} bits")
-            coeffs.append(GFElem(d.qstars, {S: Fraction(r, N) for S, r in nums.items()}))
-    return tuple(coeffs) + (gf_rational(d.qstars, 1),)
+                        f"{mp.nstr(abs(got - emb[mu][k]), 5)} at {B} bits")
+                if abs(got) > T:
+                    raise PrecisionEscalation(
+                        f"coefficient {k} exceeds the height bound at {B} bits")
+            rows.append(row)
+    return rows
 
 
 def _divisor_attempt(kind, sel, plan):
@@ -386,17 +379,17 @@ def coset_divisor(poly, phi):
     principal coset to coset phi by the automorphism that flips sqrt(q_i*)
     exactly where phi_i = -1 (labels in ``Discriminant.qstars`` order).
     """
-    mask = sum(1 << i for i, e in enumerate(phi) if e == -1)
     return ClassPolynomial(poly.D, poly.kind, tuple(phi),
-                           tuple(c.tau(mask) for c in poly.coeffs))
+                           tuple(c.tau(_mask(phi)) for c in poly.coeffs))
 
 
-def coset_product_check(D, kind=None, route="paper"):
+def coset_product_check(D, kind=None, route="paper", max_bits=DEFAULT_MAX_BITS):
     """The exact product of the (memoized) principal divisor's conjugates
-    over every coset equals the full polynomial."""
+    over every coset equals the full polynomial; both are built under the
+    cap ``max_bits``."""
     kind = kind or InvariantKind.j()
-    full = class_poly_full(D, kind)
-    div = class_poly_divisor(D, kind, route=route)
+    full = class_poly_full(D, kind, max_bits=max_bits)
+    div = class_poly_divisor(D, kind, max_bits=max_bits, route=route)
     qstars = div.coeffs[-1].qstars
     prod = [gf_rational(qstars, 1)]
     for phi in coset_labels(D):

@@ -84,7 +84,8 @@ def cmd_classpoly(args, out):
         poly = class_poly_full(args.disc, kind, max_bits=args.max_bits)
     blob = poly.to_json()
     if args.coset_check:
-        ok = coset_product_check(args.disc, kind, route="conjugates")
+        ok = coset_product_check(args.disc, kind, route="conjugates",
+                                 max_bits=args.max_bits)
         if not ok:
             raise InternalInvariantError(
                 f"coset product check failed for D={args.disc}")
@@ -204,7 +205,7 @@ def build_parser():
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--invariant", default="j")
-    sp.add_argument("--path", choices=("auto", "conjugates", "divisor", "full"),
+    sp.add_argument("--path", choices=("auto", "divisor", "full"),
                     default="auto")
     sp.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
     sp.set_defaults(fn=cmd_gencurve)

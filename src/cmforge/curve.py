@@ -401,12 +401,12 @@ def select_twist(curve, target_order, rng=None):
 def gen_curve(D, p, u, v, kind=None, path="auto", seed=0, max_bits=DEFAULT_MAX_BITS):
     """Curve over F_p with exactly p + 1 - u points, via the CM class polynomial.
 
-    path: "conjugates" (the genus divisor, recovered from all 2^t
-    embeddings), "divisor" (the genus divisor on the paper's route, from one
-    embedding through a recovery plan), "full" (classic H_D), or "auto" =
-    conjugates with the full path as the fallback on precision exhaustion.
-    Returns {curve, j, order, transcript}.  The transcript's "path" names
-    the polynomial used, "divisor" or "full"; for a divisor, "route" says
+    path: "auto" (the genus divisor on the conjugate route, recovered from
+    all 2^t embeddings, with the full path as the fallback on precision
+    exhaustion), "divisor" (the genus divisor on the paper's route, from one
+    embedding through a recovery plan) or "full" (classic H_D).  Returns
+    {curve, j, order, transcript}.  The transcript's "path" names the
+    polynomial used, "divisor" or "full"; for a divisor, "route" says
     "conjugates" (with T and B) or "paper" (with T0, N0 and float_bits).
 
     The divisor comes from ``class_poly_divisor``'s per-process memo, so
@@ -418,7 +418,7 @@ def gen_curve(D, p, u, v, kind=None, path="auto", seed=0, max_bits=DEFAULT_MAX_B
     if kind.name not in ("j", "gamma2", "weber"):
         raise UnsupportedInvariant(f"no j reconstruction for {kind}")
     kind.validate_for(disc)
-    if path not in ("auto", "conjugates", "divisor", "full"):
+    if path not in ("auto", "divisor", "full"):
         raise InvalidParameters(f"unknown path {path!r}")
     target = p + 1 - u
 
@@ -426,7 +426,7 @@ def gen_curve(D, p, u, v, kind=None, path="auto", seed=0, max_bits=DEFAULT_MAX_B
                   "target": target}
     poly = None
     if path != "full":
-        route = "paper" if path == "divisor" else "conjugates"
+        route = "conjugates" if path == "auto" else "paper"
         try:
             poly = class_poly_divisor(D, kind, max_bits=max_bits, route=route)
         except PrecisionExhausted:
@@ -448,7 +448,7 @@ def gen_curve(D, p, u, v, kind=None, path="auto", seed=0, max_bits=DEFAULT_MAX_B
         raise InternalInvariantError(
             f"class polynomial for D={D} has no root mod {p} despite valid parameters")
     r = roots[0]
-    j = j_from_theta(r, kind, p, D=D)[0]
+    j = j_from_theta(r, kind, p, D=D)
     base = curve_from_j(j, p)
     rng = random.Random(seed)
     curve = select_twist(base, target, rng)

@@ -470,12 +470,12 @@ def height_bound(kind: InvariantKind, forms):
 
 
 def j_from_theta(r, kind: InvariantKind, p, D=None):
-    """Candidate j-invariants mod p from a root r of the class polynomial."""
+    """The j-invariant mod p from a root r of the class polynomial."""
     r %= p
     if kind.name == "j":
-        return [r]
+        return r
     if kind.name == "gamma2":
-        return [pow(r, 3, p)]
+        return pow(r, 3, p)
     if kind.name == "weber":
         if D is None:
             raise InvalidParameters("Weber j reconstruction needs D")
@@ -488,5 +488,5 @@ def j_from_theta(r, kind: InvariantKind, p, D=None):
         if x == 0:
             raise InvalidParameters("degenerate Weber rebuild x = 0")
         shift = 16 if fname == "f1" else -16
-        return [pow(x + shift, 3, p) * pow(x, -1, p) % p]
+        return pow(x + shift, 3, p) * pow(x, -1, p) % p
     raise UnsupportedInvariant(f"cannot rebuild j from {kind} values")

@@ -214,25 +214,69 @@ def test_json_round_trip():
 
 def test_precision_cap_full(monkeypatch):
     # 174-bit coefficients cannot be trusted at <= 16 working bits: with the
-    # height bound replaced by 2^8, the attempts at 8 and 16 bits escalate
-    # and the next one is above the cap
+    # height bound replaced by 2^8, the attempt at 9 bits escalates and the
+    # next one, at 18, is above the cap
     monkeypatch.setattr(classpoly, "height_bound", lambda kind, forms: mp.mpf(256))
     with pytest.raises(PrecisionExhausted):
         class_poly_full(-652, J, max_bits=16)
 
 
-def test_full_escalates_to_correct_answer():
-    # an attempt at any precision below log2 T must escalate rather than
-    # return a lucky mis-rounding, and the attempt at log2 T succeeds
-    want = class_poly_full(-652, J).coeffs
-    sysN = n_system(-652, 1)
-    T = height_bound(J, sysN.forms)
-    for bits in (8, 16, 32, 64, 128):
+def exact_args(D, kind, full):
+    """The arguments after ``kind`` of ``_exact_attempt`` for the full
+    polynomial (no q_i*, every mask 0, T = height_bound) or the principal
+    divisor (the genus field, one mask per coset, T = genus_T0), and the
+    rows they must give."""
+    d = Discriminant.from_D(D)
+    forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+    if full:
+        rows = [[c] for c in class_poly_full(D, kind).coeffs[:-1]]
+        return ((), forms, [0] * len(forms), height_bound(kind, forms)), rows
+    labels = [phi_class(f, d) for f in forms]
+    N = 1 << d.t
+    rows = [[int(c.c.get(S, 0) * N) for S in range(N)]
+            for c in class_poly_divisor(D, kind, route="conjugates").coeffs[:-1]]
+    return (d.qstars, forms, [classpoly._mask(lab) for lab in labels],
+            genus_T0(kind, forms, labels)), rows
+
+
+@pytest.mark.parametrize("D,full", [(-652, True), (-1239, False)], ids=["-652", "-1239"])
+def test_exact_attempt_escalates_to_correct_answer(D, full):
+    # an attempt below log2 T + t must escalate rather than return a lucky
+    # mis-rounding, on the full path (t = 0) and the conjugate route alike,
+    # and the attempt at log2 T + t succeeds
+    (qstars, forms, masks, T), want = exact_args(D, J, full)
+    B = int(mp.mag(T)) + len(qstars)
+    with pytest.raises(PrecisionEscalation):
+        classpoly._exact_attempt(J, qstars, forms, masks, 8, T)
+    for bits in (16, 32, 64, 128):
         try:
-            assert classpoly._full_attempt(sysN, J, bits, T) == want
+            assert classpoly._exact_attempt(J, qstars, forms, masks, bits, T) == want
         except PrecisionEscalation:
             pass
-    assert classpoly._full_attempt(sysN, J, mp.mag(T), T) == want
+    assert classpoly._exact_attempt(J, qstars, forms, masks, B, T) == want
+
+
+@pytest.mark.parametrize("D,full", [(-652, True), (-1239, False)], ids=["-652", "-1239"])
+def test_exact_attempt_checks_the_height_bound(D, full):
+    # with T just below the largest embedding of a coefficient, at the B
+    # the true bound gives (so the a-priori error bound passes and every
+    # coefficient rounds and reproduces its embeddings), only the height
+    # check stands between the attempt and an answer
+    (qstars, forms, masks, T), want = exact_args(D, J, full)
+    B = int(mp.mag(T)) + len(qstars)
+    prec = B + 64
+    with mp.workprec(prec):
+        if full:
+            top = max(abs(mp.mpf(row[0])) for row in want)
+        else:
+            div = class_poly_divisor(D, J, route="conjugates")
+            top = max(abs(c.tau(lam).numeric(prec)) for c in div.coeffs[:-1]
+                      for lam in range(1 << len(qstars)))
+        above, below = top * (1 + mp.mpf(2) ** -20), top * (1 - mp.mpf(2) ** -20)
+    assert below < T
+    assert classpoly._exact_attempt(J, qstars, forms, masks, B, above) == want
+    with pytest.raises(PrecisionEscalation, match="height bound"):
+        classpoly._exact_attempt(J, qstars, forms, masks, B, below)
 
 
 def test_precision_cap_divisor():
@@ -366,14 +410,19 @@ def test_expand_error_bound_holds(D, invariant):
                          ids=[f"{D}-{inv}" for D, inv, _ in DIVISORS])
 def test_conjugate_route_never_returns_a_wrong_divisor(D, invariant, want, shift,
                                                       monkeypatch):
-    # one theta value off by a relative 2^-shift is beyond the precision the
-    # route claims; it must escalate until the cap stops it, or, when the
-    # error is too small to matter, return the right divisor.  At -40 j a
-    # shift of 20 moves the coordinates N a_S by hundreds, yet each rounds
-    # with a residual below 1/4: only the check against every embedding
-    # catches it
+    # one theta value off by a relative 2^-shift: the route must escalate
+    # until the cap stops it, or return the right divisor.  A skew beyond
+    # the route's own claim on theta (a relative 2^-prec at the first
+    # attempt) must escalate for j, whose values exceed 2^28, so that the
+    # error is far above the bound; at -40 j a shift of 40 is inside the
+    # claim (prec 37).  At -40 j a shift of 20 moves the coordinates N a_S
+    # by hundreds, yet each rounds with a residual below 1/4: only the
+    # check against every embedding catches it
     kind = InvariantKind.parse(invariant)
-    cap = 2 * class_poly_divisor(D, kind, route="conjugates").plan.B
+    d = Discriminant.from_D(D)
+    B = class_poly_divisor(D, kind, route="conjugates").plan.B
+    n = len(n_system(D, kind.modulus(d), kind.b_target(d)).forms) // d.m
+    prec = B + 3 + classpoly._pad(n)
     classpoly._DIVISORS.clear()
     theta = classpoly.theta_value
     seen = []
@@ -386,24 +435,12 @@ def test_conjugate_route_never_returns_a_wrong_divisor(D, invariant, want, shift
 
     monkeypatch.setattr(classpoly, "theta_value", skewed)
     try:
-        div = class_poly_divisor(D, kind, max_bits=cap, route="conjugates")
+        div = class_poly_divisor(D, kind, max_bits=2 * B, route="conjugates")
     except PrecisionExhausted:
         return
-    # j's values exceed 2^28, so its error is far above the route's bound
-    assert invariant != "j"
+    assert not (invariant == "j" and shift < prec)
     blobs = [coset_divisor(div, phi).to_json() for phi in coset_labels(D)]
     assert digest(blobs) == want
-
-
-def test_conjugate_route_escalates_from_a_small_bound(monkeypatch):
-    # with T = 4 the first attempts run far below the coefficient size and
-    # must escalate (their error bound exceeds 1/8N) until B suffices
-    want = class_poly_divisor(-1239, J, route="conjugates")
-    classpoly._DIVISORS.clear()
-    monkeypatch.setattr(classpoly, "genus_T0", lambda kind, forms, labels: mp.mpf(4))
-    div = class_poly_divisor(-1239, J, route="conjugates")
-    assert div.coeffs == want.coeffs
-    assert div.plan.T == 4 and div.plan.B == 38 * 2 ** 4 > want.plan.B
 
 
 @pytest.mark.parametrize("invariant", ["j", "weber"])

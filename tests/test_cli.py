@@ -65,7 +65,7 @@ def test_classpoly_divisor_with_check(capsys):
 
 
 def test_classpoly_divisor_takes_the_conjugate_route(capsys):
-    # at -40 the conjugate route needs 63 bits and the paper route 133
+    # at -40 the conjugate route needs 31 bits and the paper route 133
     rc, out, _ = run_cli(["classpoly", "--disc", "-40", "--genus-divisor",
                           "--coset-check", "--max-bits", "100"], capsys)
     assert rc == 0 and lines(out)[0]["coset_check"] is True
@@ -73,11 +73,19 @@ def test_classpoly_divisor_takes_the_conjugate_route(capsys):
 
 def test_classpoly_exhaustion_exit_code(capsys):
     rc, _, err = run_cli(["classpoly", "--disc", "-40", "--genus-divisor",
-                          "--max-bits", "50"], capsys)
+                          "--max-bits", "30"], capsys)
     assert rc == 3
     # the full path refuses its first attempt too when it is above the cap
     rc, _, err = run_cli(["classpoly", "--disc", "-40", "--max-bits", "10"], capsys)
     assert rc == 3
+
+
+def test_coset_check_keeps_the_cap(capsys):
+    # at -420 the divisor needs 97 bits but the full polynomial the check
+    # multiplies against needs 241: a cap of 200 must stop the check too
+    rc, out, err = run_cli(["classpoly", "--disc", "-420", "--genus-divisor",
+                            "--coset-check", "--max-bits", "200"], capsys)
+    assert rc == 3 and out == "" and "241 bits (cap 200)" in err
 
 
 def test_gencurve_ok_and_bad_order(capsys):
@@ -93,8 +101,7 @@ def test_gencurve_ok_and_bad_order(capsys):
     assert rc == 2 and "not admissible" in err
 
 
-@pytest.mark.parametrize("path,route", [("auto", "conjugates"), ("conjugates", "conjugates"),
-                                        ("divisor", "paper")])
+@pytest.mark.parametrize("path,route", [("auto", "conjugates"), ("divisor", "paper")])
 def test_gencurve_routes(path, route, tmp_path, capsys):
     # "path" names the polynomial used, the transcript's "route" how the
     # divisor was recovered

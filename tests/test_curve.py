@@ -209,11 +209,11 @@ def test_curve_from_j():
 
 
 def test_j_from_theta():
-    assert j_from_theta(7, J, 41) == [7]
-    assert j_from_theta(12, InvariantKind.gamma2(), 10007) == [1728]
+    assert j_from_theta(7, J, 41) == 7
+    assert j_from_theta(12, InvariantKind.gamma2(), 10007) == 1728
     # weber roots of x^2 - x - 1 mod 41 must map onto H_-40[j]'s two roots
     full = [c % 41 for c in class_poly_full(-40, J).coeffs]
-    wj = {j_from_theta(r, InvariantKind.weber(), 41, D=-40)[0] for r in (7, 35)}
+    wj = {j_from_theta(r, InvariantKind.weber(), 41, D=-40) for r in (7, 35)}
     assert len(wj) == 2 and all(peval(full, j, 41) == 0 for j in wj)
     with pytest.raises(InvalidParameters):
         j_from_theta(0, InvariantKind.weber(), 41, D=-40)
@@ -408,7 +408,7 @@ def test_gen_curve_paths_agree():
     for args in [(-40, 41, 2, 2), (-3, 13, 7, 1), (-4, 13, 6, 2)]:
         a = gen_curve(*args, path="divisor")
         b = gen_curve(*args, path="full")
-        c = gen_curve(*args, path="conjugates")
+        c = gen_curve(*args, path="auto")
         assert a["order"] == b["order"] == c["order"]
         assert a["curve"] == c["curve"]
         assert a["transcript"]["path"] == c["transcript"]["path"] == "divisor"
@@ -428,24 +428,26 @@ def test_gen_curve_rejections():
 
 
 def test_gen_curve_fallback_to_full():
-    # at -40 the full path starts at 44 bits and the conjugate route at 63
-    # (the paper route at 133), so a cap of 50 forces the full-H fallback
-    res = gen_curve(-40, 41, 2, 2, path="auto", max_bits=50)
+    # at -23 (t = 1, h = m = 3) the full path starts at 46 bits and the
+    # conjugate route at 47, so a cap of 46 forces the full-H fallback
+    res = gen_curve(-23, 101, 6, 4, path="auto", max_bits=46)
     assert res["transcript"]["path"] == "full" and "route" not in res["transcript"]
-    assert naive_count(res["curve"]) == 40
-    for path in ("conjugates", "divisor"):
-        with pytest.raises(PrecisionExhausted):
-            gen_curve(-40, 41, 2, 2, path=path, max_bits=50)
-    # at -420 the conjugate route starts at 129 bits, the full path at 241
+    assert naive_count(res["curve"]) == 96
+    with pytest.raises(PrecisionExhausted):
+        class_poly_divisor(-23, J, max_bits=46, route="conjugates")
+    with pytest.raises(PrecisionExhausted):
+        gen_curve(-23, 101, 6, 4, path="divisor", max_bits=46)
+    # at -420 the conjugate route starts at 97 bits, the full path at 241
     # and the paper route at 1093: a cap of 800 stops only the paper route
     res = gen_curve(-420, 109, 4, 1, path="auto", max_bits=800)
     assert (res["transcript"]["path"], res["transcript"]["route"]) == ("divisor", "conjugates")
     assert naive_count(res["curve"]) == 106
     with pytest.raises(PrecisionExhausted):
         gen_curve(-420, 109, 4, 1, path="divisor", max_bits=800)
-    # a cap below every first attempt leaves no path to fall back to
+    # a cap below every first attempt (at -40: conjugates 31, full 44)
+    # leaves no path to fall back to
     with pytest.raises(PrecisionExhausted):
-        gen_curve(-40, 41, 2, 2, path="auto", max_bits=40)
+        gen_curve(-40, 41, 2, 2, path="auto", max_bits=30)
 
 
 def test_gen_curve_transcript():
@@ -455,7 +457,6 @@ def test_gen_curve_transcript():
               "j", "twist")
     for path, route, keys, absent in (
             ("auto", "conjugates", ("T", "B"), ("T0", "N0", "float_bits")),
-            ("conjugates", "conjugates", ("T", "B"), ("T0", "N0", "float_bits")),
             ("divisor", "paper", ("T0", "N0", "float_bits"), ("T", "B"))):
         res = gen_curve(-40, 41, 2, 2, path=path)
         tr = res["transcript"]
