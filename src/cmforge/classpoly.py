@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .arith import Discriminant
 from .errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted
@@ -93,15 +94,6 @@ def _theta_values(kind, forms, prec):
     return out
 
 
-def _mul_monic(poly, low):
-    """poly(x) * (x^d + low[d-1] x^(d-1) + ... + low[0]), ascending lists."""
-    out = [mp.zero] * len(low) + poly
-    for i, c in enumerate(low):
-        for k, a in enumerate(poly):
-            out[i + k] += c * a
-    return out
-
-
 def _pad(n):
     """Bits that ``_expand`` adds to a target: see its error bound."""
     return n.bit_length() + 2
@@ -112,18 +104,21 @@ def _expand(values, prec):
     each paired value with its conjugate, and a bound on each coefficient's
     error.
 
-    A pair enters as the real quadratic x^2 - 2 Re(theta) x + |theta|^2, a
-    single value as x - theta; factors go in by ascending |theta| to limit
-    growth.  When every value is paired the product stays real.
+    The product runs on integers scaled by 2^P, P = prec + 64: a pair
+    enters as the real quadratic x^2 - 2 Re(theta) x + |theta|^2, a single
+    value as x - theta.  When every value is paired the product stays real.
 
     Error: let each of the n roots come with |theta~ - theta| <= u (1 + |theta|),
     u = 2^-prec, the contract of ``theta_value`` at ``prec`` bits.  Each
     k-subset product then moves by at most ((1+u)^k - 1) prod (1 + |theta|)
     over its roots, so every coefficient moves by at most ((1+u)^n - 1) M
-    <= 2nu M, M = prod (1 + |theta|) over all roots.  The roundings at
-    prec + 64 bits add a relative 2^-60, and M <= M~ (1 + 2nu) for M~, the
-    product over the computed values, so for prec >= bitlen(n) + 8 the error
-    is below err = 2^(bitlen(n) + 2 - prec) M~, which is returned.  Theta at
+    <= 2nu M, M = prod (1 + |theta|) over all roots.  Truncation adds at
+    most 8n 2^-P M~, M~ the product over the computed values: theta's
+    components are rounded at P bits and floored at 2^-P, |theta|^2 is
+    floored, each new coefficient is floored once per component, and the
+    later factors multiply each such error by at most M~.  M <= M~ (1 + 2nu),
+    so for prec >= bitlen(n) + 8 the error is below
+    err = 2^(bitlen(n) + 2 - prec) M~, which is returned.  Theta at
     target + ``_pad(n)`` bits thus gives err <= 2^-target M~, with M~ about
     the ``height_bound`` of the forms.
     """
@@ -133,18 +128,22 @@ def _expand(values, prec):
         for _, th, paired in values:
             M *= (1 + abs(th)) ** (2 if paired else 1)
         err = M * mp.mpf(2) ** (n.bit_length() + 2 - prec)
-    with mp.workprec(prec + 64):
-        factors = []
+    P = prec + 64
+    re, im = [1 << P], [0]
+    with mp.workprec(P):
         for _, th, paired in values:
+            a, b = (to_fixed(x, P) for x in mp.mpc(th)._mpc_)
             if paired:
-                a, b = mp.re(th), mp.im(th)
-                factors.append((abs(th), [a * a + b * b, -2 * a]))
+                c0, c1 = (a * a + b * b) >> P, -2 * a
+                re, im = ([x + ((c1 * y + c0 * z) >> P)
+                           for x, y, z in zip([0, 0] + p, [0] + p + [0], p + [0, 0])]
+                          for p in (re, im))
             else:
-                factors.append((abs(th), [-th]))
-        poly = [mp.mpf(1)]
-        for _, low in sorted(factors, key=lambda fac: fac[0]):
-            poly = _mul_monic(poly, low)
-    return poly, err
+                low = list(zip(re + [0], im + [0]))
+                re, im = ([x + ((b * z - a * y) >> P) for x, (y, z) in zip([0] + re, low)],
+                          [x - ((a * z + b * y) >> P) for x, (y, z) in zip([0] + im, low)])
+        return [mp.mpc(mp.ldexp(x, -P), mp.ldexp(y, -P)) if y else mp.ldexp(x, -P)
+                for x, y in zip(re, im)], err
 
 
 def class_poly_full(D, kind=None, max_bits=DEFAULT_MAX_BITS):
@@ -383,17 +382,14 @@ def coset_divisor(poly, phi):
                            tuple(c.tau(_mask(phi)) for c in poly.coeffs))
 
 
-def coset_product_check(D, kind=None, route="paper", max_bits=DEFAULT_MAX_BITS):
-    """The exact product of the (memoized) principal divisor's conjugates
-    over every coset equals the full polynomial; both are built under the
-    cap ``max_bits``."""
-    kind = kind or InvariantKind.j()
-    full = class_poly_full(D, kind, max_bits=max_bits)
-    div = class_poly_divisor(D, kind, max_bits=max_bits, route=route)
-    qstars = div.coeffs[-1].qstars
+def coset_product_check(full, divisor):
+    """The exact product of the conjugates of the principal ``divisor`` over
+    every coset equals the full polynomial ``full`` of the same
+    discriminant and invariant."""
+    qstars = divisor.coeffs[-1].qstars
     prod = [gf_rational(qstars, 1)]
-    for phi in coset_labels(D):
-        coeffs = coset_divisor(div, phi).coeffs
+    for phi in coset_labels(divisor.D):
+        coeffs = coset_divisor(divisor, phi).coeffs
         new = [gf_rational(qstars, 0) for _ in range(len(prod) + len(coeffs) - 1)]
         for i, a in enumerate(prod):
             for j, b in enumerate(coeffs):

@@ -77,16 +77,15 @@ def cmd_params(args, out):
 
 def cmd_classpoly(args, out):
     kind = InvariantKind.parse(args.invariant)
-    if args.genus_divisor:
-        poly = class_poly_divisor(args.disc, kind, max_bits=args.max_bits,
-                                  route="conjugates")
-    else:
-        poly = class_poly_full(args.disc, kind, max_bits=args.max_bits)
-    blob = poly.to_json()
+    full = div = None
+    if args.genus_divisor or args.coset_check:
+        div = class_poly_divisor(args.disc, kind, max_bits=args.max_bits,
+                                 route="conjugates")
+    if not args.genus_divisor or args.coset_check:
+        full = class_poly_full(args.disc, kind, max_bits=args.max_bits)
+    blob = (div if args.genus_divisor else full).to_json()
     if args.coset_check:
-        ok = coset_product_check(args.disc, kind, route="conjugates",
-                                 max_bits=args.max_bits)
-        if not ok:
+        if not coset_product_check(full, div):
             raise InternalInvariantError(
                 f"coset product check failed for D={args.disc}")
         blob["coset_check"] = True

@@ -188,7 +188,7 @@ def _psub(f, g, p):
 
 def roots_in_fp(f, p, seed=0):
     """One root of f in F_p, p an odd prime, as a one-element list, or []
-    when f has none.
+    when f has none.  f need not be monic, but must be nonzero mod p.
 
     gcd with x^p - x keeps the distinct linear factors; each equal-degree
     split by (x+a)^((p-1)/2) - 1 then descends into the smaller factor until
@@ -198,7 +198,10 @@ def roots_in_fp(f, p, seed=0):
     deterministic for a fixed seed.
     """
     f = _ptrim([c % p for c in f])
-    assert f and f[-1] == 1, "need a monic nonzero polynomial"
+    if not f:
+        raise InvalidParameters("roots_in_fp needs a nonzero polynomial mod p")
+    lead = pow(f[-1], -1, p)
+    f = [c * lead % p for c in f]
     if len(f) == 1:
         return []
     rng = random.Random(seed)
@@ -325,7 +328,8 @@ def random_point(curve, rng):
 def naive_count(curve):
     """Exact group order by character sum; only for small p."""
     p = curve.p
-    assert p <= 10 ** 4, "naive count is quadratic, use it only for small p"
+    if p > 10 ** 4:
+        raise InvalidParameters(f"naive count is quadratic, p = {p} is above 10^4")
     total = p + 1
     for x in range(p):
         total += kronecker(x * x * x + curve.a * x + curve.b, p)

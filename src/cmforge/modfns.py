@@ -14,9 +14,9 @@ s = exp(2 pi i z / (24 p1 p2)).  Powering a root by k multiplies its
 relative error by k, so those that power by more than 24 work log2(k) bits
 higher.  Every integer power is taken by ``_ipow``: mpmath's complex ``**``
 turns into exp(n log z) once n times the bit size passes 10^4, which costs
-far more than a few squarings.  ``_pentagonal`` tapers its precision: term n
-is about |q|^(n(3n-1)/2) in size, so it is computed at the working precision
-less the bits its smallness makes unnecessary.
+far more than a few squarings.  ``_pentagonal`` sums on integers scaled by
+2^P: term n is about |q|^(n(3n-1)/2) in size, so its integers are shorter
+than P by the bits its smallness makes unnecessary.
 
 All q-series here have real coefficients, so theta(-conj z) = conj theta(z);
 ``classpoly`` relies on this to evaluate one form of each mirror pair
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .arith import Discriminant, is_probable_prime, kronecker
 from .errors import InvalidParameters, UnsupportedInvariant
@@ -79,59 +80,59 @@ def _nome(z, k):
     return mp.exp(2 * mp.pi * mp.mpc(0, 1) * z / k)
 
 
+def _cmul(a, b, c, d, P):
+    """(a + bi)(c + di) / 2^P by three products, each component floored."""
+    t = c * (a + b)
+    return (t - b * (c + d)) >> P, (t + a * (d - c)) >> P
+
+
 def _pentagonal(q, bits):
     """eta / q^(1/24) = 1 + sum_{n>=1} (-1)^n q^(n(3n-1)/2) (1 + q^n), summing
     until three consecutive terms drop below 2^-(bits+16).
 
-    Term n is at most 2|q|^e, e = n(3n-1)/2, so it needs only about
-    bits + e log2|q| bits of precision (Enge, Math. Comp. 78, 2009).  With
-    L = mag(q) >= log2|q|, term n's powers of q are multiplied at
-    p_n = bits + e L + guard bits, kept between guard and the working
-    precision; the running sum stays at the working precision.  Each
-    rounding at p bits moves a complex value by at most 2^(1.5-p) of its
-    size, and the p_n fall faster than geometrically in n, so the powers'
-    relative error after n steps stays below 32n 2^-p_n and term n moves
-    by at most 64n 2^-(bits+guard) from its value at the working
-    precision.  Over N terms the sum moves by at most
-    32N(N+1) 2^-(bits+guard), besides the rounding of the sum itself, and
-    guard = 2 bitlen(N) + 22 keeps that below 2^-(bits+16).  N is bounded
-    in advance: the terms are below the threshold once
-    n^2 |L| >= bits + 24.  When L >= 0 every term runs at the working
-    precision.
+    The sum runs on Gaussian integers scaled by 2^P, P = bits + guard: q is
+    converted once, each component floored, and the sum converted back once
+    at the working precision.  Term n is about |q|^e, e = n(3n-1)/2, so its
+    integers are only about P + e log2|q| bits long: the precision tapers
+    by itself (Enge, Math. Comp. 78, 2009).
+
+    Error, in units of 2^-P and besides the final rounding: a floor shift
+    is off by under 1 per component, so a product of two factors of modulus
+    below 1 adds under sqrt2 to their errors, under 2 with second-order terms.
+    A power q^e, a tree of e copies of q (each off by under sqrt2) and
+    e - 1 products, is off by under 4e, so term n = q^e + q^(e+n) is off by
+    under 8e + 4n = 12n^2.  Over N terms the sum is off by under
+    2N(N+1)(2N+1) < 4(N+1)^3, and guard = 3 bitlen(N+1) + 18 keeps that
+    below 2^-(bits+16).  N is bounded in advance: with L >= log2|q|, term
+    n is below the threshold once n^2 |L| >= bits + 24.  L is mag(q) when
+    that is negative, else half the float log2|q|: |q| is not tiny there,
+    and halving covers the float's rounding.
     """
-    thresh = -bits - 16
-    prec = mp.prec
-    slope = mp.mag(q)
-    if slope < 0:
-        guard = 2 * (math.isqrt((bits + 24) // -slope + 1) + 4).bit_length() + 22
-    s = mp.one
-    qe = mp.one       # q^(n(3n-1)/2), the smaller pentagonal exponent
-    qn = mp.one       # q^n
-    q3 = q * q * q
-    qstep = q         # q^(3n-2), the ratio of consecutive qe
-    below = 0
-    n = e = 0
+    lg = mp.mag(q)
+    if lg >= 0:
+        lg = math.log2(abs(complex(q))) / 2
+    n_max = math.isqrt(int((bits + 24) / -lg) + 1) + 4
+    P = bits + 3 * (n_max + 1).bit_length() + 18
+    one = 1 << P
+    small = 1 << (P - bits - 16)
+    qr, qi = (to_fixed(x, P) for x in mp.mpc(q)._mpc_)
+    q3r, q3i = _cmul(*_cmul(qr, qi, qr, qi, P), qr, qi, P)
+    sr, si = one, 0
+    er, ei = one, 0       # q^(n(3n-1)/2), the smaller pentagonal exponent
+    nr, ni = one, 0       # q^n
+    tr, ti = qr, qi       # q^(3n-2), the ratio of consecutive q^e
+    below = n = 0
     while below < 3:
         n += 1
-        e += 3 * n - 2
-        if slope < 0:
-            p = min(prec, max(bits + e * slope + guard, guard))
-        else:
-            p = prec
-        with mp.workprec(p):
-            # mpc products are exact before rounding, so round the factors
-            # first: each product then costs p bits
-            qstep = +qstep
-            qe = +qe * qstep
-            qstep *= +q3
-            qn = +qn * +q
-            term = qe * (1 + qn)
-        s += -term if n % 2 else term
-        if mp.mag(term) < thresh:    # mag bounds log2|term| without a sqrt
-            below += 1
-        else:
-            below = 0
-    return s
+        er, ei = _cmul(er, ei, tr, ti, P)
+        tr, ti = _cmul(tr, ti, q3r, q3i, P)
+        nr, ni = _cmul(nr, ni, qr, qi, P)
+        ur, ui = _cmul(er, ei, nr, ni, P)
+        ur, ui = ur + er, ui + ei
+        sr, si = (sr - ur, si - ui) if n % 2 else (sr + ur, si + ui)
+        below = below + 1 if abs(ur) + abs(ui) < small else 0
+    return mp.make_mpc(tuple(from_man_exp(x, -P, mp.prec, round_nearest)
+                             for x in (sr, si)))
 
 
 def eta(z, prec=96):

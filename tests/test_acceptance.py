@@ -15,7 +15,8 @@ from mpmath import mp
 
 from cmforge.approx import ApproxRun, approx_quality
 from cmforge.arith import Discriminant, search_fixed_D, split_discriminant
-from cmforge.classpoly import class_poly_full, coset_product_check
+from cmforge.classpoly import class_poly_divisor, class_poly_full, \
+    coset_product_check
 from cmforge.curve import gen_curve, naive_count, random_point, scalar_mul
 from cmforge.genusfield import (IMAG_PART, REAL_PART, build_basis,
                                 build_mpair, duality_sum, gf_zero)
@@ -73,7 +74,8 @@ def test_criterion_4_coset_product_equivalence():
     worst = 0.0
     for D in (-40, -84, -120, -420):
         t = time.perf_counter()
-        assert coset_product_check(D, J), f"coset product mismatch at D={D}"
+        full, div = class_poly_full(D, J), class_poly_divisor(D, J)
+        assert coset_product_check(full, div), f"coset product mismatch at D={D}"
         dt = time.perf_counter() - t
         assert dt < 30.0, f"criterion 4 (D={D}) took {dt:.2f}s (budget 30s)"
         worst = max(worst, dt)

@@ -20,6 +20,12 @@ from test_golden import DIVISORS, FULL, digest
 J = InvariantKind.j()
 
 
+def coset_check(D, kind=J, route="paper"):
+    """The coset-product check against a freshly built full polynomial."""
+    return coset_product_check(class_poly_full(D, kind),
+                               class_poly_divisor(D, kind, route=route))
+
+
 def coeff_key(poly):
     """Hashable form of a divisor polynomial for set comparisons."""
     return tuple(tuple(sorted(c.c.items())) for c in poly.coeffs)
@@ -87,10 +93,10 @@ def test_t1_divisor_equals_full():
 
 
 def test_coset_product_small():
-    assert coset_product_check(-40, J)
-    assert coset_product_check(-3, J)
-    assert coset_product_check(-40, InvariantKind.weber())
-    assert coset_product_check(-84, J)
+    assert coset_check(-40)
+    assert coset_check(-3)
+    assert coset_check(-40, InvariantKind.weber())
+    assert coset_check(-84)
 
 
 @pytest.mark.parametrize("D,kind", [(-1239, J), (-791, InvariantKind.gamma2())])
@@ -100,7 +106,7 @@ def test_coset_product_through_mirror_pairs(D, kind):
     d = Discriminant.from_D(D)
     forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
     assert any(f.B and QuadForm(f.A, -f.B, f.C) in forms for f in forms)
-    assert coset_product_check(D, kind)
+    assert coset_check(D, kind)
 
 
 def test_coset_labels_group():
@@ -344,25 +350,26 @@ def test_divisor_memo_hits_and_cap():
     assert class_poly_divisor(-40, J, route="paper") is paper
     with pytest.raises(PrecisionExhausted):
         class_poly_divisor(-40, J, max_bits=paper.plan.float_bits - 1)
-    # the coset-product check uses the memoized divisor of its route, and
-    # fills the memo
-    assert coset_product_check(-40, J, route="conjugates")
-    assert classpoly._DIVISORS[-40, J, "conjugates"] is poly
+    # a recomputation after the memo is cleared gives the same divisor,
+    # and both routes' divisors pass the coset-product check
     classpoly._DIVISORS.clear()
-    assert coset_product_check(-40, J, route="conjugates")
-    assert coeff_key(classpoly._DIVISORS[-40, J, "conjugates"]) == coeff_key(poly)
-    assert coset_product_check(-40, J)
-    assert classpoly._DIVISORS[-40, J, "paper"].coeffs == poly.coeffs
+    again = class_poly_divisor(-40, J, route="conjugates")
+    assert again is not poly and coeff_key(again) == coeff_key(poly)
+    assert classpoly._DIVISORS[-40, J, "conjugates"] is again
+    full = class_poly_full(-40, J)
+    assert coset_product_check(full, again)
+    assert coset_product_check(full, class_poly_divisor(-40, J))
 
 
 def test_coset_product_check_sees_a_perturbed_divisor():
     # the check multiplies the conjugates of the divisor it is given: one
-    # wrong coefficient in the memoized divisor must make it fail
+    # wrong coefficient in that divisor must make it fail
     D = -84
-    assert coset_product_check(D, J)
-    c = class_poly_divisor(D, J).coeffs[0]
+    full, div = class_poly_full(D, J), class_poly_divisor(D, J)
+    assert coset_product_check(full, div)
+    c = div.coeffs[0]
     c.c[0] = c.c.get(0, Fraction(0)) + 1
-    assert not coset_product_check(D, J)
+    assert not coset_product_check(full, div)
 
 
 def test_plan_reuse_same_result():
@@ -446,4 +453,59 @@ def test_conjugate_route_never_returns_a_wrong_divisor(D, invariant, want, shift
 @pytest.mark.parametrize("invariant", ["j", "weber"])
 def test_coset_product_check_conjugate_route_t5(invariant):
     # t = 5: 16 cosets, 32 embeddings per coefficient
-    assert coset_product_check(-5460, InvariantKind.parse(invariant), route="conjugates")
+    assert coset_check(-5460, InvariantKind.parse(invariant), route="conjugates")
+
+
+def mul_monic_reference(poly, low):
+    """poly(x) * (x^d + low[d-1] x^(d-1) + ... + low[0]), ascending lists."""
+    out = [mp.zero] * len(low) + poly
+    for i, c in enumerate(low):
+        for k, a in enumerate(poly):
+            out[i + k] += c * a
+    return out
+
+
+def expand_reference(values, prec):
+    """``_expand``'s product in mpmath floating point at prec + 64 bits,
+    factors in ascending |theta|: the reference for its integer loop."""
+    with mp.workprec(prec + 64):
+        factors = []
+        for _, th, paired in values:
+            if paired:
+                a, b = mp.re(th), mp.im(th)
+                factors.append((abs(th), [a * a + b * b, -2 * a]))
+            else:
+                factors.append((abs(th), [-th]))
+        poly = [mp.mpf(1)]
+        for _, low in sorted(factors, key=lambda fac: fac[0]):
+            poly = mul_monic_reference(poly, low)
+    return poly
+
+
+# every full polynomial of test_golden (D, invariant, None), and each coset
+# (D, invariant, phi) of -3135 doubleeta:5,7, whose values are unpaired and
+# not real
+EXPAND_CASES = [(D, invariant, None) for D, invariant, _ in FULL] + [
+    (-3135, "doubleeta:5,7", phi) for phi in coset_labels(-3135)]
+
+
+@pytest.mark.parametrize("D,invariant,phi", EXPAND_CASES,
+                         ids=[f"{D}-{inv}-{phi}" for D, inv, phi in EXPAND_CASES])
+def test_expand_matches_the_floating_point_loop(D, invariant, phi):
+    # the integer loop agrees with the mpmath loop it replaced within the
+    # error bound it returns, at the precisions of test_expand_error_bound_holds
+    kind = InvariantKind.parse(invariant)
+    d = Discriminant.from_D(D)
+    forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+    if phi is not None:
+        forms = [f for f in forms if phi_class(f, d) == phi]
+    top = int(mp.mag(height_bound(kind, forms)))
+    for prec in (24, top // 2 + 16, top + 24):
+        values = classpoly._theta_values(kind, forms, prec)
+        if phi is not None:
+            assert not any(paired for _, _, paired in values)
+            assert all(abs(mp.im(th)) > 2 ** -10 for _, th, _ in values)
+        poly, err = classpoly._expand(values, prec)
+        want = expand_reference(values, prec)
+        with mp.workprec(prec + 64):
+            assert max(abs(c - e) for c, e in zip(poly, want)) <= err, prec

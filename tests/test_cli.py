@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from cmforge import classpoly
 from cmforge.cli import main
 
 
@@ -86,6 +87,24 @@ def test_coset_check_keeps_the_cap(capsys):
     rc, out, err = run_cli(["classpoly", "--disc", "-420", "--genus-divisor",
                             "--coset-check", "--max-bits", "200"], capsys)
     assert rc == 3 and out == "" and "241 bits (cap 200)" in err
+
+
+def test_coset_check_builds_the_full_polynomial_once(capsys, monkeypatch):
+    # the check compares the two polynomials the command built: the full
+    # polynomial is one t = 0 rounding attempt, made once
+    attempt = classpoly._exact_attempt
+    full_attempts = []
+
+    def counted(kind, qstars, *args):
+        if not qstars:
+            full_attempts.append(args)
+        return attempt(kind, qstars, *args)
+
+    monkeypatch.setattr(classpoly, "_exact_attempt", counted)
+    rc, out, _ = run_cli(["classpoly", "--disc", "-2519", "--coset-check"], capsys)
+    assert rc == 0 and lines(out)[0]["coset_check"] is True
+    assert lines(out)[0]["degree"] == 64
+    assert len(full_attempts) == 1
 
 
 def test_gencurve_ok_and_bad_order(capsys):

@@ -199,6 +199,17 @@ def test_roots_in_fp_small_shapes():
     assert roots_in_fp([(-c) % P256, 0, 1], P256) == []
 
 
+def test_roots_in_fp_not_monic_or_zero():
+    # 2 (x - 3)(x - 5): the leading coefficient is divided out, not assumed
+    assert roots_in_fp([30, 10007 - 16, 2], 10007) in ([3], [5])
+    c = next(c for c in range(2, 100) if kronecker(c, P256) == -1)
+    assert roots_in_fp([5 * (P256 - c), 0, 5], P256) == []
+    assert roots_in_fp([P256 - 231, 12, P256 + 3], P256) in ([7], [P256 - 11])
+    for zero in ([], [0], [13, 26], [P256, 0, 2 * P256]):
+        with pytest.raises(InvalidParameters):
+            roots_in_fp(zero, 13 if zero == [13, 26] else P256)
+
+
 def test_curve_from_j():
     assert curve_from_j(0, 41) == WeierstrassCurve(41, 0, 1)
     assert curve_from_j(1728 % 41, 41) == WeierstrassCurve(41, 1, 0)
@@ -302,6 +313,8 @@ def test_jacobian_scalar_mul_at_the_point_order():
 
 def test_naive_count_oracle():
     assert naive_count(make_curve(5, 0, 1)) == 6
+    with pytest.raises(InvalidParameters):
+        naive_count(make_curve(10007, 1, 1))
 
 
 def test_hasse_bound():

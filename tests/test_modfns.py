@@ -362,3 +362,28 @@ def test_tapered_pentagonal_matches_full_precision(bits):
         for q in nomes:
             got, want = _pentagonal(q, bits), untapered_pentagonal(q, bits)
             assert abs(got - want) <= mp.mpf(2) ** -(bits + 8), (bits, q)
+
+
+def q_pochhammer_nomes():
+    # the nomes of test_tapered_pentagonal_matches_full_precision, at the
+    # working precision
+    worst = mp.exp(-mp.pi * mp.sqrt(3))
+    return [
+        worst * mp.expjpi(mp.mpf("0.41")),
+        worst,
+        -worst,
+        (worst * mp.expjpi(mp.mpf("0.41"))) ** 2,
+        mp.mpf(2) ** -300 * mp.expjpi(mp.mpf("0.2")),
+        mp.mpf(2) ** -900 * mp.expjpi(mp.mpf("-0.7")),
+        mp.mpf("0.45") * mp.expjpi(mp.mpf("0.9")),
+    ]
+
+
+@pytest.mark.parametrize("bits", [128, 700, 2500])
+def test_pentagonal_matches_q_pochhammer(bits):
+    # an independent reference: mpmath's q-Pochhammer symbol (q;q)_inf, the
+    # product that the pentagonal series sums (Euler)
+    with mp.workprec(bits + 32):
+        for q in q_pochhammer_nomes():
+            got, want = _pentagonal(q, bits), mp.qp(q)
+            assert abs(got - want) <= mp.mpf(2) ** -(bits + 8), (bits, q)
