@@ -224,8 +224,8 @@ def _principal_divisor(d, kind, route, max_bits):
             coeffs = _divisor_attempt(kind, sel, plan)
             break
         except PrecisionEscalation:
-            # squaring T0 roughly doubles the working precision
-            plan = make_plan(d.D, kind, T0=mp.mpf(plan.T0) ** 2)
+            # squaring T0 (exactly) roughly doubles the working precision
+            plan = make_plan(d.D, kind, T0=mp.fmul(plan.T0, plan.T0, exact=True))
     return ClassPolynomial(d.D, kind, principal, coeffs, plan=plan)
 
 
@@ -296,17 +296,17 @@ def _exact_attempt(kind, qstars, forms, masks, B, T):
     values = _theta_values(kind, forms, prec)
     emb = [None] * N
     eps = 0
-    for mu in set(masks):
-        poly, err = _expand([v for v in values if mask[v[0]] == mu], prec)
-        # the conjugate goes in first, so that at c = 0 the product itself stays
-        emb[mu ^ neg] = [mp.conj(c) for c in poly[:-1]]
-        emb[mu] = poly[:-1]
-        eps = max(eps, err)
-    if not N * eps < 0.25:
-        raise PrecisionEscalation(
-            f"error bound {mp.nstr(N * eps, 5)} on N a_S at {B} bits")
     rows = []
     with mp.workprec(prec + 64):
+        for mu in set(masks):
+            poly, err = _expand([v for v in values if mask[v[0]] == mu], prec)
+            # the conjugate goes in first, so that at c = 0 the product itself stays
+            emb[mu ^ neg] = [mp.conj(c) for c in poly[:-1]]
+            emb[mu] = poly[:-1]
+            eps = max(eps, err)
+        if not N * eps < 0.25:
+            raise PrecisionEscalation(
+                f"error bound {mp.nstr(N * eps, 5)} on N a_S at {B} bits")
         roots = [mp.fprod(mp.sqrt(mp.mpc(q)) for i, q in enumerate(qstars) if S >> i & 1)
                  for S in range(N)]
         for k in range(n):
@@ -340,22 +340,22 @@ def _divisor_attempt(kind, sel, plan):
     basis = plan.basis
     prec = plan.float_bits + _pad(len(sel))
     poly, err = _expand(_theta_values(kind, sel, prec), prec)
-    if not 2 * err < plan.epsilon:
-        raise PrecisionEscalation(
-            f"product error bound {mp.nstr(err, 5)} at {plan.float_bits} bits")
     half = Fraction(1, 2)
     coeffs = []
     with mp.workprec(prec + 64):
-        approx = [(c + mp.conj(c), c - mp.conj(c)) for c in poly[:-1]]
-    for g_re, g_im in approx:
-        z = basis.element(recover_coords(g_re, plan, REAL_PART), REAL_PART)
-        if IMAG_PART in plan.sides:
-            z = z + basis.element(recover_coords(g_im, plan, IMAG_PART), IMAG_PART)
-        elif not abs(g_im) < plan.epsilon:
+        if not 2 * err < plan.epsilon:
             raise PrecisionEscalation(
-                f"coefficient of a real divisor has imaginary part "
-                f"{mp.nstr(abs(g_im) / 2, 5)} at {plan.float_bits} bits")
-        coeffs.append(half * z)
+                f"product error bound {mp.nstr(err, 5)} at {plan.float_bits} bits")
+        for c in poly[:-1]:
+            g_re, g_im = c + mp.conj(c), c - mp.conj(c)
+            z = basis.element(recover_coords(g_re, plan, REAL_PART), REAL_PART)
+            if IMAG_PART in plan.sides:
+                z = z + basis.element(recover_coords(g_im, plan, IMAG_PART), IMAG_PART)
+            elif not abs(g_im) < plan.epsilon:
+                raise PrecisionEscalation(
+                    f"coefficient of a real divisor has imaginary part "
+                    f"{mp.nstr(abs(g_im) / 2, 5)} at {plan.float_bits} bits")
+            coeffs.append(half * z)
     return tuple(coeffs) + (gf_rational(basis.qstars, 1),)
 
 

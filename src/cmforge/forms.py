@@ -20,7 +20,6 @@ __all__ = [
     "QuadForm",
     "reduce_form",
     "enumerate_reduced",
-    "class_number",
     "make_coprime",
     "NSystem",
     "n_system",
@@ -100,10 +99,6 @@ def enumerate_reduced(D: int) -> list[QuadForm]:
                 continue
             out.append(QuadForm(A, B, C))
     return out
-
-
-def class_number(D: int) -> int:
-    return len(enumerate_reduced(D))
 
 
 def _prime_divisors(n: int) -> list[int]:

@@ -148,17 +148,6 @@ class GFElem:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0
-        acc = gf_one(self.qstars)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
     def inv(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
@@ -169,12 +158,6 @@ class GFElem:
         norm = (self * acc).as_fraction()
         assert norm != 0
         return acc * (Fraction(1) / norm)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        self._check(other)
-        return self * other.inv()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

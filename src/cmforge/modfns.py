@@ -1,27 +1,27 @@
-"""Modular functions evaluated at form roots: eta, Weber f and f1, gamma2
-(which inlines Weber f2), j, the Weber class invariant g, and the double eta
-quotient m_{p1,p2}^s.
+"""Class invariants evaluated at form roots, and bounds on them.
 
-All evaluations take a precision in bits and work at bits + 64 internally,
-whatever the caller's precision; values are principal-branch throughout, with
-q^(1/24) = exp(pi i z / 12).
+``theta_value`` is the one evaluator: j, gamma2, the Weber class invariant g
+and the double eta quotient m_{p1,p2}^s, at the root z of an N-system form.
+Each is built from one eta quotient, which the kernel ``_eta_quotient``
+computes as t^lead (prod P(s t^a)^e)^power with t = exp(2 pi i z / k) and
+P the pentagonal series, eta(z) = q^(1/24) P(q): gamma2 and j take k = 3
+(t = q^(1/3)), Weber f and f1 take k = 48, and m_{p1,p2} takes
+k = 24 p1 p2.  The kernel takes one exp, builds every t^a from one shared
+power t^g, g the gcd of the a, and takes every integer power by ``_ipow``:
+mpmath's complex ``**`` turns into exp(n log z) once n times the bit size
+passes 10^4, which costs far more than a few squarings.
 
-Every invariant value costs one exp.  Each eta quotient is a product of
-pentagonal series P at integer powers of one root of its nome: eta(z) =
-q^(1/24) P(q); gamma2 and j take q^(1/3), Weber f and f1 take
-r = exp(pi i z / 24), and the double eta quotient takes
-s = exp(2 pi i z / (24 p1 p2)).  Powering a root by k multiplies its
-relative error by k, so those that power by more than 24 work log2(k) bits
-higher.  Every integer power is taken by ``_ipow``: mpmath's complex ``**``
-turns into exp(n log z) once n times the bit size passes 10^4, which costs
-far more than a few squarings.  ``_pentagonal`` sums on integers scaled by
-2^P: term n is about |q|^(n(3n-1)/2) in size, so its integers are shorter
-than P by the bits its smallness makes unnecessary.
+Precision: ``theta_value`` computes z at prec + 64 bits whatever the
+caller's precision, and the kernel works at prec + 64 bits, plus bitlen(k)
+when k > 24: powering t by up to k multiplies its relative error by as
+much.  ``_pentagonal`` sums on integers scaled by 2^P: term n is about
+|q|^(n(3n-1)/2) in size, so its integers are shorter than P by the bits its
+smallness makes unnecessary.  Values are principal-branch throughout.
 
 All q-series here have real coefficients, so theta(-conj z) = conj theta(z);
 ``classpoly`` relies on this to evaluate one form of each mirror pair
 (A, +-B, C).  ``j_from_theta`` inverts each invariant's relation to j over
-F_p, with the Weber cases derived from the same table that ``weber_g``
+F_p, with the Weber cases read from the same table that ``theta_value``
 evaluates.  ``theta_bound`` bounds |theta| at one form in closed form, and
 ``height_bound`` turns those bounds into one on every coefficient of the
 forms' polynomial; both paths size their precision from it.
@@ -41,23 +41,12 @@ from .errors import InvalidParameters, UnsupportedInvariant
 from .forms import QuadForm, reduce_form, root_of_form
 
 __all__ = [
-    "eta",
-    "weber_f",
-    "weber_f1",
-    "gamma2",
-    "jfun",
-    "weber_g",
-    "double_eta_m",
     "InvariantKind",
     "theta_value",
     "theta_bound",
     "height_bound",
     "j_from_theta",
 ]
-
-
-def _total_bits(prec) -> int:
-    return int(prec) + 64
 
 
 def _ipow(x, n):
@@ -135,61 +124,62 @@ def _pentagonal(q, bits):
                              for x in (sr, si)))
 
 
-def eta(z, prec=96):
-    """Dedekind eta via the pentagonal number series.
+def _eta_quotient(z, k, factors, lead, power, prec):
+    """t^lead (prod P(s t^a)^e)^power with t = exp(2 pi i z / k), one factor
+    (a, s, e) per series, s and e each +-1.
 
-    eta(z) = q^(1/24) * sum_n (-1)^n q^(n(3n+1)/2), summing until three
-    consecutive terms drop below the working threshold.
+    eta(z/d) = t^(k/24d) P(t^(k/d)), so a factor stands for one eta(z/d),
+    d = k/a, above (e = 1) or below (e = -1) the line, at a translate of z
+    when s = -1, and lead collects their powers of t.  One exp gives t,
+    every t^a is a power of t^g with g the gcd of the a, and so is t^lead
+    when g divides it.  The series multiply into one quotient before the
+    power.  Works at prec + 64 bits, plus bitlen(k) when k > 24.
     """
-    bits = _total_bits(prec)
+    bits = prec + 64 + (k.bit_length() if k > 24 else 0)
     with mp.workprec(bits):
-        q24 = _nome(z, 24)
-        return q24 * _pentagonal(_ipow(q24, 24), bits)
+        t = _nome(z, k)
+        g = math.gcd(*(a for a, _, _ in factors))
+        tg = _ipow(t, g)
+        num = den = None
+        for a, s, e in factors:
+            x = _ipow(tg, a // g)
+            x = _pentagonal(x if s > 0 else -x, bits)
+            if e > 0:
+                num = x if num is None else num * x
+            else:
+                den = x if den is None else den * x
+        x = _ipow(num if den is None else num / den, power)
+        if lead:
+            tl = _ipow(tg, abs(lead) // g) if lead % g == 0 else _ipow(t, abs(lead))
+            x = x * tl if lead > 0 else x / tl
+        return x
 
 
-def _weber(z, prec, sign):
-    """P(sign r^24) / (r P(r^48)) with r = exp(pi i z / 24): one exp.
+# f2^8 / 16 = q^(1/3) (P(q^2) / P(q))^8, since f2 = sqrt2 eta(2z) / eta(z)
+_GAMMA2 = (3, ((6, 1, 1), (3, 1, -1)), 1, 8)
 
-    eta(z) = r^2 P(r^48), eta(z/2) = r P(r^24) and
-    eta((z+1)/2) = exp(pi i / 24) r P(-r^24), so sign -1 gives Weber f and
-    sign +1 gives f1.
-    """
-    bits = _total_bits(prec) + (48).bit_length()
-    with mp.workprec(bits):
-        r = _nome(z, 48)
-        r24 = _ipow(r, 24)
-        return _pentagonal(sign * r24, bits) / (r * _pentagonal(r24 * r24, bits))
+# eta(z) = r^2 P(r^48), eta(z/2) = r P(r^24) and
+# eta((z+1)/2) = exp(pi i / 24) r P(-r^24) with r = exp(pi i z / 24), so
+# Weber f = P(-r^24) / (r P(r^48)) and f1 = P(r^24) / (r P(r^48))
+_WEBER = {
+    "f": (48, ((24, -1, 1), (48, 1, -1)), -1, 1),
+    "f1": (48, ((24, 1, 1), (48, 1, -1)), -1, 1),
+}
 
 
-def weber_f(z, prec=96):
-    return _weber(z, prec, -1)
-
-
-def weber_f1(z, prec=96):
-    return _weber(z, prec, 1)
-
-
-def gamma2(z, prec=96):
-    """Cube root of j, as (f2^24 + 16) / f2^8.
-
-    f2 = sqrt2 eta(2z)/eta(z), whose eta arguments stay high in H, so
-    f2^8 = 16 q^(1/3) (P(q^2)/P(q))^8 with P the pentagonal series: one exp.
-    """
-    bits = _total_bits(prec)
-    with mp.workprec(bits):
-        q3 = _nome(z, 3)
-        q = _ipow(q3, 3)
-        e8 = 16 * q3 * _ipow(_pentagonal(q * q, bits) / _pentagonal(q, bits), 8)
-        return (_ipow(e8, 3) + 16) / e8
-
-
-def jfun(z, prec=96):
-    with mp.workprec(_total_bits(prec)):
-        return _ipow(gamma2(z, prec), 3)
+def _double_eta(p1, p2):
+    """m_{p1,p2}^s = (eta(z/p1) eta(z/p2) / (eta(z) eta(z/(p1 p2))))^s,
+    s = 24 / gcd(24, (p1-1)(p2-1)), as an eta quotient at k = 24 p1 p2: the
+    four etas' powers of t collapse to t^-((p1-1)(p2-1)), so lead is s times
+    that exponent."""
+    N = p1 * p2
+    s = 24 // math.gcd(24, (p1 - 1) * (p2 - 1))
+    factors = ((24 * p2, 1, 1), (24 * p1, 1, 1), (24 * N, 1, -1), (24, 1, -1))
+    return 24 * N, factors, -(p1 - 1) * (p2 - 1) * s, s
 
 
 _WEBER_CASES = {
-    # key -> (which weber function, inner power, scale exponent of sqrt2, sign from (2/A)?)
+    # key -> (``_WEBER`` quotient, inner power, scale exponent of sqrt2, sign from (2/A)?)
     # value g = (sign * f^b / 2^(k/2)) and the class invariant is g^3 (or g when
     # the 3 | B refinement applies).
     1: ("f", 2, 1, True),
@@ -212,55 +202,6 @@ def _weber_case(D: int) -> int:
     if m % 8 == 4:
         return 4
     raise UnsupportedInvariant(f"Weber g undefined for m = 0 (mod 8), D = {D}")
-
-
-def weber_g(form: QuadForm, prec=96):
-    """Weber's class invariant at the root of a 16- or 48-system form.
-
-    The form must have A odd and 32 | B.  The value is cubed when 3 divides
-    D (``InvariantKind.weber_cubed``); otherwise the form must also have
-    3 | B and 3 not dividing A, and the plain g value is already an
-    algebraic integer generating the ring class field.
-    """
-    D = form.disc
-    case = _weber_case(D)
-    if form.A % 2 == 0 or form.B % 32 != 0:
-        raise InvalidParameters(f"Weber g needs 2 coprime to A and 32 | B: {form}")
-    cubed = InvariantKind.weber_cubed(D)
-    if not cubed and (form.A % 3 == 0 or form.B % 3 != 0):
-        raise InvalidParameters(f"uncubed Weber g needs 3 coprime to A, 3 | B: {form}")
-    fname, b, k, use_sign = _WEBER_CASES[case]
-    bits = _total_bits(prec)
-    with mp.workprec(bits):
-        alpha = root_of_form(form)
-        f = weber_f(alpha, prec) if fname == "f" else weber_f1(alpha, prec)
-        g = _ipow(f, b) / mp.sqrt(2 ** k)
-        if use_sign:
-            g *= kronecker(2, form.A)
-        return _ipow(g, 3) if cubed else g
-
-
-def double_eta_s(p1: int, p2: int) -> int:
-    return 24 // math.gcd(24, (p1 - 1) * (p2 - 1))
-
-
-def double_eta_m(z, p1: int, p2: int, prec=96):
-    """The double eta quotient m_{p1,p2}(z)^s, s = 24/gcd(24,(p1-1)(p2-1)).
-
-    m = eta(z/p1) eta(z/p2) / (eta(z) eta(z/(p1 p2))), and with
-    w = exp(2 pi i z / (24 p1 p2)) each eta is w^k P(w^(24k)), for
-    k = p2, p1, p1 p2 and 1: one exp, and the w^k collapse to
-    w^-((p1-1)(p2-1)).
-    """
-    N = p1 * p2
-    bits = _total_bits(prec) + (24 * N).bit_length()
-    with mp.workprec(bits):
-        w = _nome(z, 24 * N)
-        u = _ipow(w, 24)      # the nome of eta(z/(p1 p2))
-        num = _pentagonal(_ipow(u, p2), bits) * _pentagonal(_ipow(u, p1), bits)
-        den = _pentagonal(_ipow(u, N), bits) * _pentagonal(u, bits)
-        quot = num / (den * _ipow(w, (p1 - 1) * (p2 - 1)))
-        return _ipow(quot, double_eta_s(p1, p2))
 
 
 @dataclass(frozen=True)
@@ -384,41 +325,59 @@ class InvariantKind:
 
 
 def theta_value(kind: InvariantKind, form: QuadForm, prec=96):
-    """Evaluate the invariant at the root of an N-system form."""
-    if kind.name == "j":
-        bits = _total_bits(prec)
-        with mp.workprec(bits):
-            return jfun(root_of_form(form), prec)
-    if kind.name == "gamma2":
-        if form.A % 3 == 0 or form.B % 3 != 0:
-            raise InvalidParameters(f"gamma2 needs 3 coprime to A and 3 | B: {form}")
-        bits = _total_bits(prec)
-        with mp.workprec(bits):
-            return gamma2(root_of_form(form), prec)
+    """The invariant at the root z of an N-system form, at ``prec`` bits.
+
+    Every form precondition is checked here.  z is computed once at
+    prec + 64 bits, and each invariant is one eta quotient:
+    gamma2 = (f2^24 + 16) / f2^8 from ``_GAMMA2``'s f2^8, and j its cube;
+    Weber g = +-f^b / 2^(k/2) as in ``_WEBER_CASES``, cubed when
+    ``weber_cubed``; the double eta quotient from ``_double_eta``.
+    ``classpoly`` takes |theta~ - theta| <= 2^-prec (1 + |theta|) from it: the
+    64 guard bits cover that on every form measured, but no error chain
+    proves it yet.
+    """
+    D = form.disc
+    if kind.name == "gamma2" and (form.A % 3 == 0 or form.B % 3 != 0):
+        raise InvalidParameters(f"gamma2 needs 3 coprime to A and 3 | B: {form}")
     if kind.name == "weber":
-        return weber_g(form, prec)
-    N = kind.p1 * kind.p2
-    if math.gcd(form.A, N) != 1 or form.C % N != 0:
-        raise InvalidParameters(f"doubleeta needs gcd(A,N)=1 and N | C: {form}")
-    bits = _total_bits(prec)
-    with mp.workprec(bits):
-        return double_eta_m(root_of_form(form), kind.p1, kind.p2, prec)
+        fname, b, k, use_sign = _WEBER_CASES[_weber_case(D)]
+        if form.A % 2 == 0 or form.B % 32 != 0:
+            raise InvalidParameters(f"Weber g needs 2 coprime to A and 32 | B: {form}")
+        cubed = kind.weber_cubed(D)
+        if not cubed and (form.A % 3 == 0 or form.B % 3 != 0):
+            raise InvalidParameters(f"uncubed Weber g needs 3 coprime to A, 3 | B: {form}")
+    if kind.name == "doubleeta":
+        N = kind.p1 * kind.p2
+        if math.gcd(form.A, N) != 1 or form.C % N != 0:
+            raise InvalidParameters(f"doubleeta needs gcd(A,N)=1 and N | C: {form}")
+    with mp.workprec(prec + 64):
+        z = root_of_form(form)
+        if kind.name == "doubleeta":
+            return _eta_quotient(z, *_double_eta(kind.p1, kind.p2), prec)
+        if kind.name == "weber":
+            g = _ipow(_eta_quotient(z, *_WEBER[fname], prec), b) / mp.sqrt(2 ** k)
+            if use_sign:
+                g *= kronecker(2, form.A)
+            return _ipow(g, 3) if cubed else g
+        e8 = 16 * _eta_quotient(z, *_GAMMA2, prec)
+        g = (_ipow(e8, 3) + 16) / e8
+        return _ipow(g, 3) if kind.name == "j" else g
 
 
-def _eta_log_bound(form: QuadForm, k: int, sign: int):
-    """An upper bound on sign * log|eta(z/k)|, sign = +-1, with z the root
+def _eta_log_bound(form: QuadForm, d: int, sign: int):
+    """An upper bound on sign * log|eta(z/d)|, sign = +-1, with z the root
     of form.
 
-    z/k is the root of (kA, B, C/k).  Reduce that form to tau' with
+    z/d is the root of (dA, B, C/d).  Reduce that form to tau' with
     Im tau' = sqrt|D| / 2A'; eta's weight 1/2 gives
-    |eta(z/k)| = (kA/A')^(1/4) |eta(tau')|, and with r = |q'| <= e^(-pi sqrt3)
+    |eta(z/d)| = (dA/A')^(1/4) |eta(tau')|, and with r = |q'| <= e^(-pi sqrt3)
     the factor |prod (1 - q'^n)| of eta(tau') = q'^(1/24) prod (1 - q'^n)
     lies between exp(-r/(1-r)^2) and exp(r/(1-r)).
     """
-    A1 = reduce_form(QuadForm(k * form.A, form.B, form.C // k)).A
+    A1 = reduce_form(QuadForm(d * form.A, form.B, form.C // d)).A
     y = mp.sqrt(-form.disc) / (2 * A1)
     r = mp.exp(-2 * mp.pi * y)
-    log_eta = mp.log(mp.mpf(k * form.A) / A1) / 4 - mp.pi * y / 12
+    log_eta = mp.log(mp.mpf(d * form.A) / A1) / 4 - mp.pi * y / 12
     return sign * log_eta + (r / (1 - r) if sign > 0 else r / (1 - r) ** 2)
 
 
@@ -431,8 +390,9 @@ def theta_bound(kind: InvariantKind, form: QuadForm):
     is a root of (x -+ 16)^3 = j x, and Fujiwara's bound on the roots of
     x^3 -+ 48 x^2 + (768 - j) x -+ 4096 gives |x| <= 2 max(48, sqrt(B_j + 768));
     then g = +-f^b / 2^(k/2) as in ``_WEBER_CASES``, cubed when
-    ``weber_cubed``.  Double eta: ``_eta_log_bound`` bounds each eta(z/k),
-    above in the numerator and below in the denominator.
+    ``weber_cubed``.  Double eta: ``_eta_log_bound`` bounds each factor
+    (a, s, e) of ``_double_eta``, the eta(z/d) with d = k/a, above when
+    e = 1 and below when e = -1.
 
     Everything runs at 64 bits whatever the caller's precision, and the
     result is padded by 1 + 2^-32: the bound can be tight to far below 64
@@ -442,10 +402,9 @@ def theta_bound(kind: InvariantKind, form: QuadForm):
     D = form.disc
     with mp.workprec(64):
         if kind.name == "doubleeta":
-            p1, p2 = kind.p1, kind.p2
-            log_m = sum(_eta_log_bound(form, k, sign)
-                        for k, sign in ((p1, 1), (p2, 1), (1, -1), (p1 * p2, -1)))
-            b = mp.exp(double_eta_s(p1, p2) * log_m)
+            k, factors, _, power = _double_eta(kind.p1, kind.p2)
+            log_m = sum(_eta_log_bound(form, k // a, e) for a, _, e in factors)
+            b = mp.exp(power * log_m)
         else:
             b = mp.exp(mp.pi * mp.sqrt(-D) / reduce_form(form).A) + 2079
             if kind.name == "gamma2":

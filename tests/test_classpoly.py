@@ -11,7 +11,7 @@ from cmforge.arith import Discriminant
 from cmforge.classpoly import ClassPolynomial, class_poly_divisor, \
     class_poly_full, coset_divisor, coset_labels, coset_product_check
 from cmforge.errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted
-from cmforge.forms import QuadForm, class_number, n_system, phi_class
+from cmforge.forms import QuadForm, enumerate_reduced, n_system, phi_class
 from cmforge.genusfield import GFElem
 from cmforge.modfns import InvariantKind, height_bound
 from cmforge.recover import genus_T0
@@ -81,7 +81,7 @@ def test_divisor_weber_minus40():
 def test_divisor_degree(D):
     d = Discriminant.from_D(D)
     div = class_poly_divisor(D, J)
-    assert div.degree == class_number(D) // d.m
+    assert div.degree == len(enumerate_reduced(D)) // d.m
     assert div.coeffs[-1].as_fraction() == 1
 
 
@@ -448,6 +448,19 @@ def test_conjugate_route_never_returns_a_wrong_divisor(D, invariant, want, shift
     assert not (invariant == "j" and shift < prec)
     blobs = [coset_divisor(div, phi).to_json() for phi in coset_labels(D)]
     assert digest(blobs) == want
+
+
+def test_conjugate_route_non_real_coefficients_minus40011():
+    # doubleeta:5,7 at -40011 (h = 62): the N-system is not closed under
+    # mirroring, so the coefficients are non-real and large.  Their complex
+    # conjugates at the working precision let one attempt at
+    # B = ceil(log2 T) + t succeed; conjugates rounded at the caller's 53
+    # bits miss an embedding at every B
+    kind = InvariantKind.double_eta(5, 7)
+    div = class_poly_divisor(-40011, kind, max_bits=5000, route="conjugates")
+    assert div.plan.B == int(mp.mag(div.plan.T)) + Discriminant.from_D(-40011).t
+    assert div == class_poly_divisor(-40011, kind, route="paper")
+    assert coset_product_check(class_poly_full(-40011, kind), div)
 
 
 @pytest.mark.parametrize("invariant", ["j", "weber"])

@@ -13,6 +13,7 @@ import hashlib
 import json
 
 import pytest
+from mpmath import mp
 
 from cmforge.classpoly import ROUTES, class_poly_divisor, class_poly_full, \
     coset_divisor, coset_labels
@@ -71,3 +72,28 @@ FULL = [
                          ids=[f"{D}-{inv}" for D, inv, _ in FULL])
 def test_full_polynomials_golden(D, invariant, want):
     assert digest(class_poly_full(D, InvariantKind.parse(invariant)).to_json()) == want
+
+
+# one divisor case per invariant, with -3135 doubleeta:5,7's non-real
+# coefficients, and two full cases
+AMBIENT_DIVISORS = [c for c in DIVISORS
+                    if c[:2] in {(-420, "j"), (-791, "gamma2"), (-420, "weber"),
+                                 (-3135, "doubleeta:5,7")}]
+AMBIENT_FULL = [c for c in FULL if c[:2] in {(-791, "gamma2"), (-3135, "doubleeta:5,7")}]
+
+
+@pytest.mark.parametrize("ambient", [10, 3000])
+def test_digests_ignore_ambient_precision(ambient):
+    # every entry point sets its own precision, so a caller's mp.prec changes
+    # no polynomial; the cap makes an escalation that a lost bit would cause
+    # fail fast
+    with mp.workprec(ambient):
+        for D, invariant, want in AMBIENT_DIVISORS:
+            kind = InvariantKind.parse(invariant)
+            for route in ROUTES:
+                div = class_poly_divisor(D, kind, max_bits=5000, route=route)
+                blobs = [coset_divisor(div, phi).to_json() for phi in coset_labels(D)]
+                assert digest(blobs) == want, (D, invariant, route)
+        for D, invariant, want in AMBIENT_FULL:
+            full = class_poly_full(D, InvariantKind.parse(invariant), max_bits=5000)
+            assert digest(full.to_json()) == want, (D, invariant)

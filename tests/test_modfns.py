@@ -6,20 +6,43 @@ from cmforge.arith import Discriminant
 from cmforge.errors import InvalidParameters, UnsupportedInvariant
 from cmforge.forms import QuadForm, n_system, root_of_form
 from cmforge.modfns import (
+    _GAMMA2,
+    _WEBER,
     InvariantKind,
+    _eta_quotient,
     _pentagonal,
-    double_eta_m,
-    eta,
-    gamma2,
     height_bound,
-    jfun,
     theta_bound,
     theta_value,
-    weber_f,
-    weber_f1,
-    weber_g,
 )
 from test_golden import DIVISORS, FULL
+
+J = InvariantKind.j()
+WEBER = InvariantKind.weber()
+ETA = (24, ((24, 1, 1),), 1, 1)   # eta(z) = q^(1/24) P(q), as a kernel quotient
+
+
+def eta(z, prec):
+    return _eta_quotient(z, *ETA, prec)
+
+
+def weber_f(z, prec):
+    return _eta_quotient(z, *_WEBER["f"], prec)
+
+
+def weber_f1(z, prec):
+    return _eta_quotient(z, *_WEBER["f1"], prec)
+
+
+def gamma2(z, prec):
+    # (f2^24 + 16) / f2^8, as theta_value takes it from the kernel's f2^8
+    e8 = 16 * _eta_quotient(z, *_GAMMA2, prec)
+    return (e8 ** 3 + 16) / e8
+
+
+def singular_form(D):
+    # the principal form, whose root is (1 + sqrt D)/2 or sqrt(D)/2 up to a translation
+    return QuadForm(1, 1, (1 - D) // 4) if D % 4 == 1 else QuadForm(1, 0, -D // 4)
 
 
 def eta_product_oracle(z, terms=800):
@@ -100,16 +123,12 @@ SINGULAR_J = {
 @pytest.mark.parametrize("D,val", sorted(SINGULAR_J.items()))
 def test_singular_moduli(D, val):
     with mp.workprec(400):
-        if D % 4 == 1:
-            z = (1 + mp.sqrt(mp.mpc(D))) / 2
-        else:
-            z = mp.sqrt(mp.mpc(D)) / 2
-        assert abs(jfun(z, 330) - val) < mp.mpf(2) ** -40
+        assert abs(theta_value(J, singular_form(D), 330) - val) < mp.mpf(2) ** -40
 
 
 def test_j_at_form_roots_minus40():
     with mp.workprec(220):
-        vals = [jfun(root_of_form(f), 160) for f in (QuadForm(1, 0, 10), QuadForm(2, 0, 5))]
+        vals = [theta_value(J, f, 160) for f in (QuadForm(1, 0, 10), QuadForm(2, 0, 5))]
         s, p = vals[0] + vals[1], vals[0] * vals[1]
         assert abs(s - 425692800) < 1e-20
         assert abs(p - 9103145472000) < 1e-15
@@ -133,7 +152,7 @@ def test_gamma2_preconditions():
 def test_weber_g_uncubed_minus40():
     sys48 = n_system(-40, 48, 0)
     with mp.workprec(260):
-        g1, g2 = (weber_g(f, 200) for f in sys48.forms)
+        g1, g2 = (theta_value(WEBER, f, 200) for f in sys48.forms)
         assert abs(g1 + g2 - 1) < 1e-45
         assert abs(g1 * g2 + 1) < 1e-45
 
@@ -143,10 +162,10 @@ def test_weber_g_relates_back_to_j():
     # must match the direct evaluations (D = -40 is the m = 2 mod 4 case)
     sys48 = n_system(-40, 48, 0)
     with mp.workprec(260):
-        js = sorted((jfun(root_of_form(f), 200) for f in sys48.forms), key=lambda v: v.real)
+        js = sorted((theta_value(J, f, 200) for f in sys48.forms), key=lambda v: v.real)
         from_g = []
         for f in sys48.forms:
-            g = weber_g(f, 200)
+            g = theta_value(WEBER, f, 200)
             x = 64 * g ** 12  # (sqrt2 * g)^12 = f1^24, the (2/A) sign drops out
             from_g.append((x + 16) ** 3 / x)
         from_g.sort(key=lambda v: v.real)
@@ -168,7 +187,7 @@ def test_weber_g_cubed_16_system():
         assert abs(s4.imag) < 1e-35 and abs(s4.real - mp.nint(s4.real)) < 1e-30
         # and reconstructing j from f^24 = (2 * (g^(1/3)))^... checks the case wiring:
         # m = 5 (mod 8): g = (f^4/2)^3 so f^24 = (8g)^2
-        js = sorted((jfun(root_of_form(f), 220) for f in sys16.forms), key=lambda v: (v.real, v.imag))
+        js = sorted((theta_value(J, f, 220) for f in sys16.forms), key=lambda v: (v.real, v.imag))
         from_g = sorted((((8 * v) ** 2 - 16) ** 3 / (8 * v) ** 2 for v in vals),
                         key=lambda v: (v.real, v.imag))
         for a, b in zip(js, from_g):
@@ -177,9 +196,9 @@ def test_weber_g_cubed_16_system():
 
 def test_weber_g_preconditions():
     with pytest.raises(InvalidParameters):
-        weber_g(QuadForm(1, 2, 11), 96)  # B not divisible by 32
+        theta_value(WEBER, QuadForm(1, 2, 11), 96)  # B not divisible by 32
     with pytest.raises(UnsupportedInvariant):
-        weber_g(QuadForm(1, 1, 1), 96)  # odd discriminant
+        theta_value(WEBER, QuadForm(1, 1, 1), 96)  # odd discriminant
     with pytest.raises(UnsupportedInvariant):
         InvariantKind.weber().validate_for(Discriminant.from_D(-32))  # m = 8
 
@@ -290,21 +309,29 @@ def test_bounds_ignore_caller_precision():
     assert got[0] == got[1]
 
 
-@pytest.mark.parametrize("fn", [eta, weber_f, weber_f1, gamma2, jfun,
-                                weber_g, double_eta_m], ids=lambda fn: fn.__name__)
-def test_entry_points_set_their_own_precision(fn):
+# the kernel at the root of (13, 11, 51), D = -2531, and theta_value at a
+# form of each kind, all with Im z about 1.9
+KERNEL_QUOTIENTS = {"eta": eta, "weber_f": weber_f, "weber_f1": weber_f1}
+THETA_FORMS = {
+    "j": (J, QuadForm(13, 11, 51)),
+    "gamma2": (InvariantKind.gamma2(), QuadForm(13, 15, 53)),
+    "weber": (WEBER, QuadForm(15, -96, 155)),   # D = -84: f, cubed
+    "doubleeta:5,7": (InvariantKind.double_eta(5, 7), QuadForm(13, -251, 1260)),  # D = -2519
+}
+
+
+@pytest.mark.parametrize("name", [*KERNEL_QUOTIENTS, *THETA_FORMS])
+def test_entry_points_set_their_own_precision(name):
     # 5000 bits is far above the size where mpmath's complex ** turns into
     # exp/log; a caller at the default 53 bits still gets the requested
     # precision, against a reference at twice the bits in a wide context
     def at(prec):
-        if fn is weber_g:
-            return weber_g(QuadForm(15, -96, 155), prec)   # D = -84: f, cubed
-        if fn is double_eta_m:
-            return double_eta_m(z, 5, 7, prec)
-        return fn(z, prec)
+        if name in THETA_FORMS:
+            return theta_value(*THETA_FORMS[name], prec)
+        return KERNEL_QUOTIENTS[name](z, prec)
 
     with mp.workprec(10100):
-        z = root_of_form(QuadForm(13, 11, 51))   # D = -2531, Im z ~ 1.9
+        z = root_of_form(QuadForm(13, 11, 51))
         want = at(10000)
     with mp.workprec(53):
         got = at(5000)
