@@ -29,9 +29,10 @@ from mpmath.libmp import to_fixed
 from .arith import Discriminant
 from .errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted
 from .forms import QuadForm, enumerate_reduced, n_system, phi_class
-from .genusfield import IMAG_PART, REAL_PART, GFElem, gf_rational, gf_to_json
+from .genusfield import IMAG_PART, REAL_PART, GFElem, build_basis, build_mpair, \
+    gf_rational, gf_to_json
 from .modfns import InvariantKind, height_bound, theta_value
-from .recover import genus_T0, make_plan, recover_coords
+from .recover import make_plan, recover_coords
 
 DEFAULT_MAX_BITS = 1 << 20
 ROUTES = ("conjugates", "paper")
@@ -159,6 +160,14 @@ def class_poly_full(D, kind=None, max_bits=DEFAULT_MAX_BITS):
     return ClassPolynomial(D, kind, None, tuple(row[0] for row in rows) + (1,))
 
 
+def genus_T0(kind, forms, labels):
+    """T0 = the largest ``height_bound`` over the genera: forms sharing a
+    genus label are the roots of one genus divisor, so by Vieta it bounds
+    every conjugate of every coefficient of every genus divisor."""
+    return max(height_bound(kind, [f for f, lab in zip(forms, labels) if lab == genus])
+               for genus in set(labels))
+
+
 # exact principal divisors by (D, kind, route), oldest first: a process that
 # builds curves at one discriminant for several primes recovers its divisor once
 _DIVISORS = {}
@@ -217,7 +226,13 @@ def _principal_divisor(d, kind, route, max_bits):
                        for row in rows) + (gf_rational(d.qstars, 1),)
         return ClassPolynomial(d.D, kind, principal, coeffs, plan=ConjugatePlan(T0, B))
     sel = [f for f, lab in zip(forms, labels) if lab == principal]
-    plan = make_plan(d.D, kind, T0)
+    # the field layer depends on d alone: every plan of the ladder shares it
+    mpair = build_mpair(build_basis(d))
+    # when kind's N-system is closed under (A,B,C) -> (A,-B,C), complex
+    # conjugation maps each genus's theta values onto themselves, so every
+    # coefficient is real and the imaginary side is not built
+    sides = (REAL_PART,) if kind.conjugation_closed(d) else (REAL_PART, IMAG_PART)
+    plan = make_plan(mpair, sides, T0)
     while True:
         _check_cap(d.D, plan.float_bits, max_bits)
         try:
@@ -225,7 +240,7 @@ def _principal_divisor(d, kind, route, max_bits):
             break
         except PrecisionEscalation:
             # squaring T0 (exactly) roughly doubles the working precision
-            plan = make_plan(d.D, kind, T0=mp.fmul(plan.T0, plan.T0, exact=True))
+            plan = make_plan(mpair, sides, mp.fmul(plan.T0, plan.T0, exact=True))
     return ClassPolynomial(d.D, kind, principal, coeffs, plan=plan)
 
 

@@ -19,13 +19,11 @@ from .errors import (InternalInvariantError, InvalidParameters,
 from .modfns import InvariantKind, j_from_theta
 
 __all__ = [
-    "sqrt_mod_p",
     "WeierstrassCurve",
     "make_curve",
     "reduce_divisor_mod_p",
     "roots_in_fp",
     "curve_from_j",
-    "j_from_theta",
     "point_add",
     "point_neg",
     "scalar_mul",

@@ -46,10 +46,6 @@ def _mask_bits(mask):
     return out
 
 
-def _popcount(n):
-    return bin(n).count("1")
-
-
 def _lam_mask(lam, nbits):
     """An automorphism label: an int bitmask over nbits generators."""
     if not 0 <= lam < (1 << nbits):
@@ -101,11 +97,11 @@ class GFElem:
 
     def is_real(self):
         neg = self.neg_mask
-        return all(_popcount(m & neg) % 2 == 0 for m in self.c)
+        return all((m & neg).bit_count() % 2 == 0 for m in self.c)
 
     def is_imag(self):
         neg = self.neg_mask
-        return all(_popcount(m & neg) % 2 == 1 for m in self.c)
+        return all((m & neg).bit_count() % 2 == 1 for m in self.c)
 
     # -- ring ops -----------------------------------------------------
 
@@ -152,7 +148,7 @@ class GFElem:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         t = len(self.qstars)
-        acc = gf_one(self.qstars)
+        acc = gf_rational(self.qstars, 1)
         for lam in range(1, 1 << t):
             acc = acc * self.tau(lam)
         norm = (self * acc).as_fraction()
@@ -189,12 +185,8 @@ class GFElem:
         m = _lam_mask(lam, len(self.qstars))
         out = {}
         for mask, co in self.c.items():
-            out[mask] = -co if _popcount(mask & m) % 2 else co
+            out[mask] = -co if (mask & m).bit_count() % 2 else co
         return GFElem(self.qstars, out)
-
-    def conj(self):
-        """Complex conjugation: flips every sqrt of a negative factor."""
-        return self.tau(self.neg_mask)
 
     # -- numerics -----------------------------------------------------
 
@@ -232,14 +224,6 @@ class GFElem:
 
 def gf_rational(qstars, v):
     return GFElem(qstars, {0: Fraction(v)})
-
-
-def gf_one(qstars):
-    return GFElem(qstars, {0: Fraction(1)})
-
-
-def gf_zero(qstars):
-    return GFElem(qstars)
 
 
 def gf_sqrt_q(qstars, i):
@@ -314,7 +298,7 @@ class GenusBasis:
         neg = self.beta[0].neg_mask
         self._coord_maps = {}
         for side, parity in ((REAL_PART, 0), (IMAG_PART, 1)):
-            masks = [m for m in range(1 << self.t) if _popcount(m & neg) % 2 == parity]
+            masks = [m for m in range(1 << self.t) if (m & neg).bit_count() % 2 == parity]
             mat = [[e.c.get(mask, Fraction(0)) for e in self.family(side)] for mask in masks]
             lcm = math.lcm(*(x.denominator for row in mat for x in row))
             det, adj = adjugate([[int(x * lcm) for x in row] for row in mat])
@@ -375,7 +359,7 @@ def build_basis(d):
     assert sum(1 for q in qstars if q % 2 == 0) <= 1
     assert (t - u) % 2 == 1  # discriminant is negative
 
-    one = gf_one(qstars)
+    one = gf_rational(qstars, 1)
     alpha, atil = [], []
     for i, q in enumerate(qstars):
         half = Fraction(1, 2)
@@ -439,7 +423,7 @@ def build_basis(d):
     sqrt_d = basis.sqrt_d
     for eta in range(m):
         for nu in range(m):
-            want = sqrt_d if eta == nu else gf_zero(qstars)
+            want = sqrt_d if eta == nu else gf_rational(qstars, 0)
             if duality_sum(basis, eta, nu) != want:
                 raise InternalInvariantError(
                     f"basis duality failed for qstars={qstars} eta={eta} nu={nu}")
@@ -452,10 +436,10 @@ def duality_sum(basis, eta, nu):
     Equals sqrt_d when eta == nu and 0 otherwise for a correct basis.
     """
     prod = basis.beta[eta] * basis.beta_star[nu]
-    acc = gf_zero(basis.qstars)
+    acc = gf_rational(basis.qstars, 0)
     for mu in range(basis.m):
         term = prod.tau(mu)
-        acc = acc + (-term if _popcount(mu) % 2 else term)
+        acc = acc + (-term if mu.bit_count() % 2 else term)
     return acc
 
 
@@ -469,8 +453,8 @@ class MPair:
     """The field's dual system: M-values, the dual bases by side, the set
     X of multipliers and the two structure-constant tensors over it.
 
-    omega(REAL_PART) = beta/beta_0 and omega(IMAG_PART) = beta*/beta*_0;
-    omega_star(side) is omega(other side), and norm(side), the omega
+    omegas[REAL_PART] = beta/beta_0 and omegas[IMAG_PART] = beta*/beta*_0;
+    omega_star(side) is the other side's omegas, and norm(side), the omega
     denominator, is beta_0 or beta*_0.  M(tau_mu) makes
     Sum_mu M(tau_mu) tau_mu(omega_lam * omega_star_lam') = [lam == lam']
     hold exactly, which is verified at construction on REAL_PART; the
@@ -489,9 +473,6 @@ class MPair:
     @property
     def mid(self):
         return self.mvals[0]
-
-    def omega(self, side):
-        return self.omegas[side]
 
     def omega_star(self, side):
         return self.omegas[OTHER_SIDE[side]]
@@ -517,13 +498,13 @@ def build_mpair(basis):
     mvals = []
     for mu in range(m):
         v = prod0.tau(mu) * inv_sqrt_d
-        mvals.append(-v if _popcount(mu) % 2 else v)
+        mvals.append(-v if mu.bit_count() % 2 else v)
     mvals = tuple(mvals)
 
     if om[0] != 1 or oms[0] != 1:
         raise InternalInvariantError("omega_0 or omega_star_0 is not 1")
-    one = gf_one(qstars)
-    zero = gf_zero(qstars)
+    one = gf_rational(qstars, 1)
+    zero = gf_rational(qstars, 0)
     for lam in range(m):
         for lamp in range(m):
             acc = zero
@@ -558,7 +539,7 @@ def delta_g(d, lam):
         if (mlam >> j) & 1:
             delta *= qstars[j]
             mask |= 1 << j
-    xor = _popcount(mlam >> u) % 2  # bits u..t-2 of lam
+    xor = (mlam >> u).bit_count() % 2  # bits u..t-2 of lam
     if xor:
         delta *= qstars[t - 1]
         mask |= 1 << (t - 1)
@@ -570,7 +551,7 @@ def delta_g(d, lam):
     root = GFElem(qstars, {mask: sign})  # equals the positive sqrt(delta)
     if delta % 2:
         assert delta % 4 == 1
-        g = (gf_one(qstars) + root) * Fraction(1, 2)
+        g = (gf_rational(qstars, 1) + root) * Fraction(1, 2)
     else:
         assert delta % 4 == 0
         g = root * Fraction(1, 2)
@@ -579,7 +560,7 @@ def delta_g(d, lam):
 
 def default_x_set(basis):
     """X_0 = 1 and X_eta = g_eta for eta != 0."""
-    xs = [gf_one(basis.qstars)]
+    xs = [gf_rational(basis.qstars, 1)]
     for lam in range(1, basis.m):
         xs.append(delta_g(basis, lam)[1])
     return tuple(xs)

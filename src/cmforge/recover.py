@@ -10,11 +10,11 @@ sum_mu A_mu B_{mu,eta}, and the linear system
 
 is then solved exactly over the integers.  The plan object fixes T0, the
 approximation threshold N0, epsilon and the working precision so that the
-rounding is provably correct.  T0 is ``genus_T0``: the largest product
-prod (1 + B_f) over one genus's forms, with B_f the closed-form bound
-``modfns.theta_bound``, so by Vieta it bounds every conjugate of every
-divisor coefficient.  Each recovery is checked against gamma and against
-T0 on every other conjugate.
+rounding is provably correct.  The field's M-pair, the sides to recover and
+T0, a bound on every conjugate of every divisor coefficient, are the
+caller's: this module knows nothing of discriminants, forms or invariants.
+Each recovery is checked against gamma and against T0 on every other
+conjugate.
 """
 
 from __future__ import annotations
@@ -24,23 +24,11 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .approx import ApproxRun, run_approx
-from .arith import Discriminant
 from .errors import InternalInvariantError, InvalidParameters, PrecisionEscalation
-from .forms import n_system, phi_class
-from .genusfield import IMAG_PART, REAL_PART, GenusBasis, adjugate, build_basis, \
-    build_mpair
-from .modfns import InvariantKind, height_bound
+from .genusfield import GenusBasis, adjugate
 
 FLOAT_BITS_MARGIN = 64
 CONJ_CHECK_BITS = 128
-
-
-def genus_T0(kind, forms, labels):
-    """T0 = the largest ``height_bound`` over the genera: forms sharing a
-    genus label are the roots of one genus divisor, so by Vieta it bounds
-    every conjugate of every coefficient of every genus divisor."""
-    return max(height_bound(kind, [f for f, lab in zip(forms, labels) if lab == genus])
-               for genus in set(labels))
 
 
 @dataclass(frozen=True)
@@ -83,11 +71,9 @@ def _recovery_side(run, prec):
 class RecoveryPlan:
     """T0, N0, epsilon and the working precision, plus the recovery sides.
 
-    ``sides`` always holds REAL_PART; it holds IMAG_PART only when the
-    invariant's divisor coefficients can be non-real.
+    ``sides`` holds a RecoverySide for each side the plan was asked for.
     """
 
-    d: Discriminant
     T0: object
     N0: int
     epsilon: object
@@ -137,26 +123,18 @@ def _side_epsilon(run, prec=160):
         return +best
 
 
-def make_plan(D, kind=None, T0=None):
-    """Choose N0, run the approximation on each side the invariant needs,
-    fix epsilon and precision.
+def make_plan(mpair, sides, T0):
+    """The recovery plan over the field of ``mpair`` for each side in
+    ``sides`` (REAL_PART, and IMAG_PART when coefficients can be non-real)
+    at the conjugate bound T0: choose N0, run the approximation on each
+    side, fix epsilon and the working precision.
 
-    T0 defaults to ``genus_T0`` over kind's N-system; the divisor path
-    passes the same value from the forms and labels it already has, and a
-    squared T0 on escalation.
-
-    When kind's N-system is closed under (A,B,C) -> (A,-B,C), complex
-    conjugation maps each genus's theta values onto themselves, so every
-    divisor coefficient is real and the imaginary side is not built.
+    The field layer (basis, M-pair, tensors) depends only on the
+    discriminant and is built once by the caller; an escalation that squares
+    T0 hands the same M-pair to its next plan, so only the parts that
+    depend on T0 are redone.
     """
-    kind = kind or InvariantKind.j()
-    d = Discriminant.from_D(D)
-    basis = build_basis(d)
-    mpair = build_mpair(basis)
-    names = (REAL_PART,) if kind.conjugation_closed(d) else (REAL_PART, IMAG_PART)
-    if T0 is None:
-        forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
-        T0 = genus_T0(kind, forms, [phi_class(f, d) for f in forms])
+    basis = mpair.basis
     with mp.workprec(160):
         T_eff = 2 * mp.mpf(T0)   # recovered sums are 2*Re z and 2i*Im z
         delta_cap = mp.sqrt(abs(basis.d)) ** basis.m
@@ -164,19 +142,18 @@ def make_plan(D, kind=None, T0=None):
         if basis.m > 1:
             mid = abs(mpair.mid.numeric_real(160))
             head = 1 + mp.mpf(2) ** -40   # so re-verification can't miss by an ulp
-            for side in names:
+            for side in sides:
                 z_req, C = _side_threshold(mpair, side, T_eff)
                 need = int(mp.floor(mid * z_req * head + C * delta_cap)) + 2
                 N0 = max(N0, need)
-    runs = {side: run_approx(mpair, side, N0=N0) for side in names}
+    runs = {side: run_approx(mpair, side, N0=N0) for side in sides}
     eps = min(_side_epsilon(run) for run in runs.values())
     with mp.workprec(160):
         eps = +(eps / 2)
         float_bits = int(mp.ceil(mp.log(T_eff / eps, 2))) + FLOAT_BITS_MARGIN
-    sides = {side: _recovery_side(run, float_bits + FLOAT_BITS_MARGIN)
-             for side, run in runs.items()}
-    plan = RecoveryPlan(d=d, T0=T0, N0=N0, epsilon=eps, float_bits=float_bits,
-                        basis=basis, sides=sides)
+    plan = RecoveryPlan(T0=T0, N0=N0, epsilon=eps, float_bits=float_bits, basis=basis,
+                        sides={side: _recovery_side(run, float_bits + FLOAT_BITS_MARGIN)
+                               for side, run in runs.items()})
     _check_plan(plan)
     return plan
 
@@ -186,7 +163,7 @@ def _check_plan(plan):
     with mp.workprec(192):
         T_eff = 2 * mp.mpf(plan.T0)
         for name, side in plan.sides.items():
-            if plan.d.m > 1:
+            if plan.basis.m > 1:
                 z_req, _ = _side_threshold(side.run.mpair, name, T_eff, 192)
                 Z = side.run.z_value()
                 if not Z > z_req:

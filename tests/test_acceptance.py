@@ -19,7 +19,7 @@ from cmforge.classpoly import class_poly_divisor, class_poly_full, \
     coset_product_check
 from cmforge.curve import gen_curve, naive_count, random_point, scalar_mul
 from cmforge.genusfield import (IMAG_PART, REAL_PART, build_basis,
-                                build_mpair, duality_sum, gf_zero)
+                                build_mpair, duality_sum, gf_rational)
 from cmforge.modfns import InvariantKind
 from cmforge.recover import make_plan, recover_coords
 
@@ -96,7 +96,7 @@ def test_criterion_5_integral_basis_identities():
         if f != 1:
             continue
         basis = build_basis(Discriminant.from_D(D))
-        zero = gf_zero(basis.qstars)
+        zero = gf_rational(basis.qstars, 0)
         for eta, nu in product(range(basis.m), repeat=2):
             got = duality_sum(basis, eta, nu)
             want = basis.sqrt_d if eta == nu else zero
@@ -153,12 +153,11 @@ def test_criterion_7_recovery_round_trip():
     < epsilon, recovered exactly; < 120 s."""
     t = time.perf_counter()
     trials = 200
-    # j's coefficients are real, so its plan has no imaginary side; a
-    # doubleeta kind with non-real coefficients and j's T0 gives the same plan
-    # with both sides
-    imag_kinds = {-40: InvariantKind.double_eta(11, 13), -84: InvariantKind.double_eta(5, 7)}
+    # j's coefficients are real, so its divisor's plan has no imaginary side;
+    # the plan over that plan's M-pair and T0 with both sides adds it
     for D in (-40, -84):
-        plan = make_plan(D, imag_kinds[D], T0=make_plan(D).T0)
+        j = class_poly_divisor(D, J, route="paper").plan
+        plan = make_plan(j.sides[REAL_PART].run.mpair, (REAL_PART, IMAG_PART), j.T0)
         basis = plan.basis
         m = basis.m
         rng = random.Random(-D)

@@ -9,10 +9,10 @@ from mpmath import mp
 from cmforge.approx import ApproxRun, CFRegister, approx_quality, cf_step, \
     make_register, run_approx
 from cmforge.arith import Discriminant
+from cmforge.classpoly import class_poly_divisor
 from cmforge.errors import InvalidParameters
 from cmforge.genusfield import IMAG_PART, REAL_PART, build_basis, build_mpair, \
     delta_g
-from cmforge.recover import make_plan
 
 BITS = 192
 
@@ -186,7 +186,7 @@ def test_run_golden_gives_fibonacci_vector():
     q = approx_quality(run)
     assert q["ok"]
     with mp.workprec(run.bits):
-        om1 = mpair.omega(REAL_PART)[1].numeric_real(run.bits)
+        om1 = mpair.omegas[REAL_PART][1].numeric_real(run.bits)
         assert abs(mp.mpf(run.A[1]) / run.A[0] - om1) < mp.mpf(1) / run.A[0] ** 2
 
 
@@ -242,7 +242,7 @@ def test_z_lower_bound_from_step_counts():
 def finalapprox_constants(mpair, bits=BITS):
     """C and C_i of the simultaneous-approximation error bound."""
     m = mpair.basis.m
-    omega = mpair.omega(REAL_PART)
+    omega = mpair.omegas[REAL_PART]
     with mp.workprec(bits):
         mvals = [v.numeric_real(bits) for v in mpair.mvals]
         om = [w.numeric_real(bits) for w in omega]
@@ -305,7 +305,7 @@ def test_conj_values_resolve_the_bound():
 def test_quality_at_the_plan_threshold_minus5460():
     # the -5460 j plan's N0 has 6622 bits; its run's conjugates must be
     # checked at more than the run's own 6814 bits to see them below the bound
-    run = make_plan(-5460).sides[REAL_PART].run
+    run = class_poly_divisor(-5460, route="paper").plan.sides[REAL_PART].run
     assert run.N0.bit_length() == 6622
     q = approx_quality(run)
     assert q["conj_ok"] and q["ok"]

@@ -9,12 +9,11 @@ from mpmath import mp
 from cmforge import classpoly
 from cmforge.arith import Discriminant
 from cmforge.classpoly import ClassPolynomial, class_poly_divisor, \
-    class_poly_full, coset_divisor, coset_labels, coset_product_check
+    class_poly_full, coset_divisor, coset_labels, coset_product_check, genus_T0
 from cmforge.errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted
 from cmforge.forms import QuadForm, enumerate_reduced, n_system, phi_class
 from cmforge.genusfield import GFElem
 from cmforge.modfns import InvariantKind, height_bound
-from cmforge.recover import genus_T0
 from test_golden import DIVISORS, FULL, digest
 
 J = InvariantKind.j()

@@ -5,16 +5,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmforge.arith import cornacchia, kronecker, search_fixed_D
+from cmforge.arith import cornacchia, kronecker, search_fixed_D, sqrt_mod_p
 from cmforge.classpoly import ClassPolynomial, class_poly_divisor, class_poly_full
 from cmforge.curve import (WeierstrassCurve, _pdivmod, _pmul, _ppow_linear,
-                           curve_from_j, gen_curve, is_on_curve, j_from_theta,
-                           make_curve, naive_count, point_add, point_neg,
-                           random_point, reduce_divisor_mod_p, roots_in_fp,
-                           scalar_mul, select_twist, sqrt_mod_p)
+                           curve_from_j, gen_curve, is_on_curve, make_curve,
+                           naive_count, point_add, point_neg, random_point,
+                           reduce_divisor_mod_p, roots_in_fp, scalar_mul,
+                           select_twist)
 from cmforge.errors import (InternalInvariantError, InvalidParameters,
                             PrecisionExhausted, UnsupportedInvariant)
-from cmforge.modfns import InvariantKind
+from cmforge.modfns import InvariantKind, j_from_theta
 
 J = InvariantKind.j()
 

@@ -1,5 +1,6 @@
 """Tests for T0 bounds, recovery plans, and exact coefficient recovery."""
 
+import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -9,34 +10,33 @@ from mpmath import mp
 
 from cmforge.errors import InternalInvariantError, InvalidParameters, \
     PrecisionEscalation
-from cmforge import genusfield
-from cmforge.genusfield import IMAG_PART, REAL_PART, adjugate
+from cmforge import classpoly, genusfield
+from cmforge.genusfield import IMAG_PART, REAL_PART, adjugate, build_basis, build_mpair
 from cmforge.arith import Discriminant
+from cmforge.classpoly import class_poly_divisor, coset_divisor, coset_labels, \
+    genus_T0
 from cmforge.forms import QuadForm, n_system, phi_class
 from cmforge.modfns import InvariantKind, height_bound
-from cmforge.recover import CONJ_CHECK_BITS, genus_T0, make_plan, \
-    recover_coords, recovery_matrix, _solve_adjugate
+from cmforge.recover import CONJ_CHECK_BITS, make_plan, recover_coords, \
+    recovery_matrix, _solve_adjugate
+from test_golden import DIVISORS, digest
 
-PLANS = {}
-
-# doubleeta kinds whose N-system is not closed under B -> -B at D, so their
-# plans build the imaginary side; with j's T0 their N0, epsilon, precision
-# and real side are the j plan's
-IMAG_KINDS = {-3: InvariantKind.double_eta(7, 13), -40: InvariantKind.double_eta(11, 13),
-              -84: InvariantKind.double_eta(5, 7), -120: InvariantKind.double_eta(2, 11)}
+J = InvariantKind.j()
+BOTH = (REAL_PART, IMAG_PART)
 
 
-def plan_for(D):
-    if D not in PLANS:
-        PLANS[D] = make_plan(D)
-    return PLANS[D]
+@functools.cache
+def field_at(D):
+    """D's M-pair and j's T0 at D, as the paper route builds them."""
+    return build_mpair(build_basis(Discriminant.from_D(D))), _genus_T0_at(D, J)[0]
 
 
-def both_sides_plan(D):
-    key = (D, "both")
-    if key not in PLANS:
-        PLANS[key] = make_plan(D, IMAG_KINDS[D], T0=plan_for(D).T0)
-    return PLANS[key]
+@functools.cache
+def plan_for(D, sides=(REAL_PART,)):
+    """The plan over D's field with j's T0 on ``sides``: the paper route's
+    j plan on REAL_PART alone, and that plan plus the imaginary side on BOTH."""
+    mpair, T0 = field_at(D)
+    return make_plan(mpair, sides, T0)
 
 
 def evaluate(coords, elems, prec, perturb=0):
@@ -67,7 +67,7 @@ def test_coset_sums_examples():
 def _check_T0_minus40(kind, c, b):
     T0, _ = _genus_T0_at(-40, kind)
     assert T0 == height_bound(kind, [QuadForm(1, 0, 10)])
-    assert T0 == make_plan(-40, kind).T0
+    assert T0 == class_poly_divisor(-40, kind, route="paper").plan.T0
     # the genus divisors are x - theta_f, and theta at (1, 0, 10) is the
     # larger root of the full polynomial x^2 + b x + c
     with mp.workprec(96):
@@ -84,7 +84,7 @@ def test_t0_heuristic_gamma2():
 
 
 def test_plan_degenerate_t1():
-    plan = both_sides_plan(-3)
+    plan = plan_for(-3, BOTH)
     assert plan.N0 == 1
     assert plan.sides[REAL_PART].run.A == [1] and plan.sides[IMAG_PART].run.A == [1]
     assert plan.epsilon < 0.25
@@ -95,7 +95,7 @@ def test_plan_degenerate_t1():
 
 @pytest.mark.parametrize("D", [-40, -84, -120])
 def test_plan_invariants_independent_check(D):
-    plan = both_sides_plan(D)
+    plan = plan_for(D, BOTH)
     basis = plan.basis
     m = basis.m
     prec = 224
@@ -121,7 +121,7 @@ def test_plan_invariants_independent_check(D):
 
 @pytest.mark.parametrize("D", [-40, -84, -120])
 def test_round_trip_both_sides(D):
-    plan = both_sides_plan(D)
+    plan = plan_for(D, BOTH)
     basis = plan.basis
     m = basis.m
     rng = random.Random(D)
@@ -152,13 +152,13 @@ def test_round_trip_stays_within_t0():
 
 
 def test_gamma_zero_gives_zero_vector():
-    plan = both_sides_plan(-84)
+    plan = plan_for(-84, BOTH)
     assert recover_coords(mp.mpf(0), plan, REAL_PART) == [0] * 4
     assert recover_coords(mp.mpf(0), plan, IMAG_PART) == [0] * 4
 
 
 def test_t1_recovery_is_integer_rounding():
-    plan = both_sides_plan(-3)
+    plan = plan_for(-3, BOTH)
     assert recover_coords(mp.mpf(14), plan, REAL_PART) == [14]
     assert recover_coords(mp.mpf("13.93"), plan, REAL_PART) == [14]
     with mp.workprec(96):
@@ -169,7 +169,7 @@ def test_t1_recovery_is_integer_rounding():
 def test_bigger_n0_still_recovers():
     # the plan an escalation builds: T0 squared, and with it a larger N0
     base = plan_for(-40)
-    plan = make_plan(-40, T0=base.T0 ** 2)
+    plan = make_plan(field_at(-40)[0], (REAL_PART,), base.T0 ** 2)
     assert plan.N0 > base.N0 * 10 ** 6
     basis = plan.basis
     rng = random.Random(2)
@@ -211,15 +211,15 @@ def test_recovery_far_from_gamma_escalates():
     with pytest.raises(PrecisionEscalation, match="from its approximation"):
         recover_coords(mp.mpf("3e-12"), plan_for(-40), REAL_PART)
     with pytest.raises(PrecisionEscalation, match="from its approximation"):
-        recover_coords(mp.mpc(0, "3e-12"), both_sides_plan(-40), IMAG_PART)
+        recover_coords(mp.mpc(0, "3e-12"), plan_for(-40, BOTH), IMAG_PART)
 
 
 def test_recovery_with_large_conjugates_escalates():
-    # gamma = 1e-10 i on IMAG_PART of the -40 doubleeta:11,13 plan with j's
-    # T0 can recover a vector whose value lies within epsilon of gamma, so
+    # gamma = 1e-10 i on IMAG_PART of the two-sided -40 plan with j's T0
+    # can recover a vector whose value lies within epsilon of gamma, so
     # the residual check passes, but whose other conjugate is far above 2 T0
     with pytest.raises(PrecisionEscalation, match="conjugate tau_1"):
-        recover_coords(mp.mpc(0, "1e-10"), both_sides_plan(-40), IMAG_PART)
+        recover_coords(mp.mpc(0, "1e-10"), plan_for(-40, BOTH), IMAG_PART)
     with pytest.raises(PrecisionEscalation, match="conjugate tau_1"):
         recover_coords(mp.mpf("3e-10"), plan_for(-40), REAL_PART)
 
@@ -229,7 +229,7 @@ def test_conjugate_check_precision(D):
     # the precision condition in recover_coords's docstring: with C the
     # conjugate matrix (tau_lam(beta_xi)), V its largest entry and c the
     # largest entry of its inverse, m^2 c V < 2^(CONJ_CHECK_BITS - 38)
-    plan = both_sides_plan(D) if D in IMAG_KINDS else plan_for(D)
+    plan = plan_for(D, BOTH)
     m = plan.basis.m
     for rec in plan.sides.values():
         with mp.workprec(CONJ_CHECK_BITS):
@@ -306,7 +306,7 @@ def test_solve_integer_system():
 
 def test_recovery_matrix_nonsingular():
     for D in (-40, -84, -120):
-        plan = both_sides_plan(D)
+        plan = plan_for(D, BOTH)
         for side in (REAL_PART, IMAG_PART):
             M = recovery_matrix(plan.sides[side].run)
             assert adjugate(M)[0] == _det_fractions(M) != 0
@@ -318,17 +318,20 @@ def test_recovery_matrix_nonsingular():
     (-120, InvariantKind.double_eta(2, 3)),
 ])
 def test_closed_invariants_plan_real_side_only(D, kind):
-    plan = make_plan(D, kind)
+    # the paper route decides the sides: real coefficients, one side
+    plan = class_poly_divisor(D, kind, route="paper").plan
     assert set(plan.sides) == {REAL_PART}
     with pytest.raises(InvalidParameters):
         recover_coords(mp.mpf(0), plan, IMAG_PART)
 
 
 def test_doubleeta_plan_has_both_sides():
-    plan = make_plan(-84, InvariantKind.double_eta(5, 7))
+    plan = class_poly_divisor(-84, InvariantKind.double_eta(5, 7), route="paper").plan
     assert set(plan.sides) == {REAL_PART, IMAG_PART}
-    for D in IMAG_KINDS:
-        both, j = both_sides_plan(D), plan_for(D)
+    # the imaginary side leaves N0, epsilon, precision and the real side as
+    # the one-sided plan at the same M-pair and T0 has them
+    for D in (-3, -40, -84, -120):
+        both, j = plan_for(D, BOTH), plan_for(D)
         assert (both.N0, both.epsilon, both.float_bits) == (j.N0, j.epsilon, j.float_bits)
         assert both.sides[REAL_PART].run.A == j.sides[REAL_PART].run.A
 
@@ -344,7 +347,7 @@ def test_doubleeta_plan_has_both_sides():
      "5b6492f8ecbab78bf4e07e36"),
 ], ids=["-420-j", "-1239-j", "-3135-doubleeta:5,7"])
 def test_plan_numbers_pinned(D, kind, float_bits, n0_bits, n0_low, iters, digest):
-    plan = make_plan(D, InvariantKind.parse(kind))
+    plan = class_poly_divisor(D, InvariantKind.parse(kind), route="paper").plan
     sides = sorted(plan.sides)
     A = [plan.sides[s].run.A for s in sides]
     assert plan.float_bits == float_bits
@@ -353,13 +356,13 @@ def test_plan_numbers_pinned(D, kind, float_bits, n0_bits, n0_low, iters, digest
     assert hashlib.sha256(repr((plan.N0, A)).encode()).hexdigest()[:24] == digest
 
 
-def test_one_mpair_and_two_tensors_per_plan(monkeypatch):
-    # a two-sided plan builds the genus-field layer once: one M-pair and
-    # the two tensors, beta's and beta*'s
+def count_field_builds(monkeypatch, *names):
+    """Count calls of the named genusfield functions at every cmforge
+    binding, as the benchmark's tracer sees them."""
     import cmforge
 
-    calls = {"build_mpair": 0, "structure_constants": 0}
-    for name in calls:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         fn = getattr(genusfield, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -369,6 +372,26 @@ def test_one_mpair_and_two_tensors_per_plan(monkeypatch):
         for mod in vars(cmforge).values():
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counted)
-    plan = make_plan(-40, InvariantKind.double_eta(11, 13))
+    return calls
+
+
+def test_one_mpair_and_two_tensors_per_plan(monkeypatch):
+    # a two-sided divisor on the paper route builds the genus-field layer
+    # once: one M-pair and the two tensors, beta's and beta*'s
+    calls = count_field_builds(monkeypatch, "build_mpair", "structure_constants")
+    plan = class_poly_divisor(-40, InvariantKind.double_eta(11, 13), route="paper").plan
     assert set(plan.sides) == {REAL_PART, IMAG_PART}
     assert calls == {"build_mpair": 1, "structure_constants": 2}
+
+
+@pytest.mark.parametrize("D", [-1239, -420])
+def test_paper_route_retries_share_one_field(D, monkeypatch):
+    # a T0 of 4 is far too small, so the paper route escalates; every plan
+    # of its ladder takes the one basis and M-pair built for the divisor
+    calls = count_field_builds(monkeypatch, "build_basis", "build_mpair")
+    monkeypatch.setattr(classpoly, "genus_T0", lambda kind, forms, labels: 4)
+    div = class_poly_divisor(D, J, route="paper")
+    assert div.plan.T0 > 4
+    assert calls == {"build_basis": 1, "build_mpair": 1}
+    want = next(w for d, inv, w in DIVISORS if (d, inv) == (D, "j"))
+    assert digest([coset_divisor(div, phi).to_json() for phi in coset_labels(D)]) == want
