@@ -111,7 +111,7 @@ class ApproxRun:
         self.m = self.basis.m
         self.N0 = N0
         self.bits = max(160, 64 + int(N0).bit_length() + 8 * self.m)
-        self.c = mpair.sc(OTHER_SIDE[side])
+        self.c = mpair.tensors[OTHER_SIDE[side]]
         self.A = [1] + [0] * (self.m - 1)
         self.iters = 0
         t = self.basis.t

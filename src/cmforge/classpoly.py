@@ -222,8 +222,7 @@ def _principal_divisor(d, kind, route, max_bits):
         rows, B = _exact_rounding(d.D, kind, d.qstars, forms,
                                   [_mask(lab) for lab in labels], T0, max_bits)
         N = 1 << d.t
-        coeffs = tuple(GFElem(d.qstars, {S: Fraction(r, N) for S, r in enumerate(row)})
-                       for row in rows) + (gf_rational(d.qstars, 1),)
+        coeffs = tuple(GFElem(d.qstars, row, N) for row in rows) + (gf_rational(d.qstars, 1),)
         return ClassPolynomial(d.D, kind, principal, coeffs, plan=ConjugatePlan(T0, B))
     sel = [f for f, lab in zip(forms, labels) if lab == principal]
     # the field layer depends on d alone: every plan of the ladder shares it

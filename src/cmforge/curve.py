@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from operator import mul
 
-from .arith import Discriminant, kronecker, sqrt_mod_p, validate_params
+from .arith import kronecker, sqrt_mod_p, validate_params
 from .classpoly import DEFAULT_MAX_BITS, ClassPolynomial, class_poly_divisor, \
     class_poly_full
 from .errors import (InternalInvariantError, InvalidParameters,
@@ -70,7 +70,7 @@ def reduce_divisor_mod_p(poly: ClassPolynomial, p):
     if not poly.is_divisor:
         return [c % p for c in poly.coeffs]
     roots = []
-    for q in Discriminant.from_D(poly.D).qstars:
+    for q in poly.coeffs[-1].qstars:
         r = sqrt_mod_p(q % p, p)
         if r is None:
             raise InvalidParameters(
@@ -134,14 +134,6 @@ def _unpack(x, n, k, p):
     return [int.from_bytes(raw[i:i + k], "little") % p for i in range(0, n * k, k)]
 
 
-def _pmul(f, g, p, n):
-    """The n lowest coefficients of f*g over F_p, from one integer product
-    (Kronecker substitution)."""
-    k = _slot_bytes(p, min(len(f), len(g)))
-    F = _pack(f, k)
-    return _unpack(F * (F if g is f else _pack(g, k)), n, k, p)
-
-
 def _mulx_plus(r, a, low, p):
     """(x + a)*r mod x^n + low over F_p, for r of length n."""
     top = r[-1]
@@ -188,12 +180,14 @@ def roots_in_fp(f, p, seed=0):
     """One root of f in F_p, p an odd prime, as a one-element list, or []
     when f has none.  f need not be monic, but must be nonzero mod p.
 
-    gcd with x^p - x keeps the distinct linear factors; each equal-degree
-    split by (x+a)^((p-1)/2) - 1 then descends into the smaller factor until
-    one linear factor is left.  One power w = x^((p-1)/2) mod f serves
-    twice: x^p = x*w^2 mod f feeds the gcd, and w - 1 is the first split,
-    at a = 0.  Later splits draw a from a Random(seed), so the result is
-    deterministic for a fixed seed.
+    Every root r of f in F_p is a root of x^((p-1)/2) - 1 (r a nonzero
+    square) or of x (x^((p-1)/2) + 1) (r zero or a non-square), and both
+    are squarefree.  So with w = x^((p-1)/2) mod f, gcd(w - 1, f) and
+    gcd(x (w + 1), f) split the distinct linear factors of f in two; the
+    smaller nonconstant piece is kept.  Each equal-degree split by
+    (x+a)^((p-1)/2) - 1 then descends into the smaller factor until one
+    linear factor is left.  These draw a from a Random(seed), so the result
+    is deterministic for a fixed seed.
     """
     f = _ptrim([c % p for c in f])
     if not f:
@@ -204,15 +198,18 @@ def roots_in_fp(f, p, seed=0):
         return []
     rng = random.Random(seed)
     w = _ppow_linear(0, (p - 1) // 2, f, p)
-    xp = _pdivmod([0] + _pmul(w, w, p, 2 * len(w) - 1), f, p)[1]
-    g = _pgcd(_psub(xp, [0, 1], p), f, p)
+    # gcd(w - 1, f), then gcd(x (w + 1), f); the tie goes to the first
+    pieces = [g for g in (_pgcd(_psub(w, [1], p), f, p),
+                          _pgcd(_ptrim([0] + _psub(w, [-1], p)), f, p)) if len(g) > 1]
+    if not pieces:
+        return []
+    g = min(pieces, key=len)
     while len(g) > 2:
+        w = _ppow_linear(rng.randrange(p), (p - 1) // 2, g, p)
         d = _pgcd(_psub(w, [1], p), g, p)
         if 0 < len(d) - 1 < len(g) - 1:
             g = min(d, _pdivmod(g, d, p)[0], key=len)
-        if len(g) > 2:
-            w = _ppow_linear(rng.randrange(p), (p - 1) // 2, g, p)
-    return [(-g[0]) % p] if len(g) == 2 else []
+    return [(-g[0]) % p]
 
 
 # ---------------------------------------------------------------------------

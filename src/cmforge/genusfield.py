@@ -1,10 +1,11 @@
 """Exact arithmetic in multiquadratic fields Q(sqrt(q1),...,sqrt(qt)).
 
 An element is a rational combination of products of square roots of the
-prime-power factors q_i of a discriminant.  We store it as a map
-{subset bitmask -> Fraction}, where the basis vector for a mask S is the
-*product* of principal square roots prod_{i in S} sqrt(q_i) (positive
-real for q_i > 0, i*sqrt(|q_i|) for q_i < 0).  In particular the
+prime-power factors q_i of a discriminant.  We store it as 2^t integer
+numerators over one positive denominator, in lowest terms: numerator S
+goes with the *product* of principal square roots
+r_S = prod_{i in S} sqrt(q_i) over the bits i of the subset mask S
+(positive real for q_i > 0, i*sqrt(|q_i|) for q_i < 0).  In particular the
 distinguished root of the discriminant, sqrt_d, is the product
 sqrt(q_1)...sqrt(q_t); every sign convention below is anchored to that.
 
@@ -35,14 +36,12 @@ REAL_PART = "REAL_PART"
 IMAG_PART = "IMAG_PART"
 
 
-def _mask_bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+def _subset_products(xs, one=1):
+    """out[S] = one * prod xs[i] over the bits i of S, multiplied in
+    increasing i, for every mask S below 2^len(xs)."""
+    out = [one]
+    for x in xs:
+        out += [y * x for y in out]
     return out
 
 
@@ -54,21 +53,19 @@ def _lam_mask(lam, nbits):
 
 
 class GFElem:
-    """One element of Q(sqrt(q1),...,sqrt(qt)) with exact rational coords."""
+    """One element of Q(sqrt(q1),...,sqrt(qt)): sum_S nums[S] r_S / den."""
 
-    __slots__ = ("qstars", "c")
+    __slots__ = ("qstars", "nums", "den")
 
-    def __init__(self, qstars, coeffs=None):
+    def __init__(self, qstars, nums, den=1):
         self.qstars = tuple(qstars)
-        c = {}
-        if coeffs:
-            top = 1 << len(self.qstars)
-            for mask, v in coeffs.items():
-                v = v if isinstance(v, Fraction) else Fraction(v)
-                if v != 0:
-                    assert 0 <= mask < top
-                    c[mask] = v
-        self.c = c
+        nums = tuple(nums)
+        assert len(nums) == 1 << len(self.qstars) and den
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        self.nums = tuple(x // g for x in nums) if g != 1 else nums
+        self.den = den // g
 
     # -- helpers ------------------------------------------------------
 
@@ -84,40 +81,43 @@ class GFElem:
                 m |= 1 << i
         return m
 
+    def coeff(self, mask):
+        """The rational coordinate on r_mask."""
+        return Fraction(self.nums[mask], self.den)
+
     def is_zero(self):
-        return not self.c
+        return not any(self.nums)
 
     def is_rational(self):
-        return all(m == 0 for m in self.c)
+        return not any(self.nums[1:])
 
     def as_fraction(self):
         if not self.is_rational():
             raise InternalInvariantError(f"not rational: {self!r}")
-        return self.c.get(0, Fraction(0))
+        return self.coeff(0)
 
     def is_real(self):
         neg = self.neg_mask
-        return all((m & neg).bit_count() % 2 == 0 for m in self.c)
+        return all((S & neg).bit_count() % 2 == 0 for S, x in enumerate(self.nums) if x)
 
     def is_imag(self):
         neg = self.neg_mask
-        return all((m & neg).bit_count() % 2 == 1 for m in self.c)
+        return all((S & neg).bit_count() % 2 == 1 for S, x in enumerate(self.nums) if x)
 
     # -- ring ops -----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GFElem(self.qstars, {0: other})
+        if not isinstance(other, GFElem):
+            other = gf_rational(self.qstars, other)
         self._check(other)
-        out = dict(self.c)
-        for m, co in other.c.items():
-            out[m] = out.get(m, Fraction(0)) + co
-        return GFElem(self.qstars, out)
+        a, b = self.den, other.den
+        return GFElem(self.qstars, [x * b + y * a for x, y in zip(self.nums, other.nums)],
+                      a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GFElem(self.qstars, {m: -co for m, co in self.c.items()})
+        return GFElem(self.qstars, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, GFElem) else -Fraction(other))
@@ -126,21 +126,19 @@ class GFElem:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GFElem(self.qstars, {m: co * other for m, co in self.c.items()})
+        if not isinstance(other, GFElem):
+            v = Fraction(other)
+            return GFElem(self.qstars, [x * v.numerator for x in self.nums],
+                          self.den * v.denominator)
         self._check(other)
-        out = {}
-        for ma, ca in self.c.items():
-            for mb, cb in other.c.items():
-                f = ca * cb
-                for i in _mask_bits(ma & mb):
-                    f *= self.qstars[i]
-                key = ma ^ mb
-                if key in out:
-                    out[key] += f
-                else:
-                    out[key] = f
-        return GFElem(self.qstars, out)
+        qprod = _subset_products(self.qstars)   # r_A r_B = qprod[A & B] r_(A ^ B)
+        out = [0] * len(qprod)
+        for A, x in enumerate(self.nums):
+            if x:
+                for B, y in enumerate(other.nums):
+                    if y:
+                        out[A ^ B] += x * y * qprod[A & B]
+        return GFElem(self.qstars, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -157,50 +155,41 @@ class GFElem:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = GFElem(self.qstars, {0: other})
+            other = gf_rational(self.qstars, other)
         if not isinstance(other, GFElem):
             return NotImplemented
-        return self.qstars == other.qstars and self.c == other.c
+        return (self.qstars, self.nums, self.den) == (other.qstars, other.nums, other.den)
 
     def __hash__(self):
-        return hash((self.qstars, frozenset(self.c.items())))
+        return hash((self.qstars, self.nums, self.den))
 
     def __repr__(self):
-        if not self.c:
-            return "GF<0>"
         bits = []
-        for m in sorted(self.c):
-            co = self.c[m]
-            if m == 0:
-                bits.append(f"{co}")
-            else:
-                rad = "*".join(f"sqrt({self.qstars[i]})" for i in _mask_bits(m))
-                bits.append(f"{co}*{rad}")
-        return "GF<" + " + ".join(bits) + ">"
+        for S, x in enumerate(self.nums):
+            if x:
+                rad = "*".join(f"sqrt({q})" for i, q in enumerate(self.qstars) if S >> i & 1)
+                bits.append(f"{self.coeff(S)}*{rad}" if S else f"{self.coeff(S)}")
+        return "GF<" + (" + ".join(bits) or "0") + ">"
 
     # -- automorphisms ------------------------------------------------
 
     def tau(self, lam):
         """Flip the sign of sqrt(q_i) for every bit i of the mask lam."""
         m = _lam_mask(lam, len(self.qstars))
-        out = {}
-        for mask, co in self.c.items():
-            out[mask] = -co if (mask & m).bit_count() % 2 else co
-        return GFElem(self.qstars, out)
+        return GFElem(self.qstars, [-x if (S & m).bit_count() % 2 else x
+                                    for S, x in enumerate(self.nums)], self.den)
 
     # -- numerics -----------------------------------------------------
 
     def numeric(self, prec=96):
         """Evaluate with principal square roots at the given bit precision."""
         with mp.workprec(prec + 8):
-            roots = [mp.sqrt(mp.mpc(q)) for q in self.qstars]
+            roots = _subset_products([mp.sqrt(mp.mpc(q)) for q in self.qstars], mp.mpc(1))
             acc = mp.mpc(0)
-            for mask in sorted(self.c):
-                co = self.c[mask]
-                w = mp.mpc(1)
-                for i in _mask_bits(mask):
-                    w = w * roots[i]
-                acc += w * mp.mpf(co.numerator) / co.denominator
+            for S, w in enumerate(roots):
+                if self.nums[S]:
+                    co = self.coeff(S)
+                    acc += w * mp.mpf(co.numerator) / co.denominator
             return +acc
 
     def numeric_real(self, prec=96):
@@ -209,37 +198,35 @@ class GFElem:
         return v.real
 
     def mod_p(self, roots, p):
-        """The image mod p when each sqrt(q_i) is sent to roots[i]; every
+        """The image mod p when each sqrt(q_i) is sent to roots[i]; the
         denominator must be prime to p."""
-        acc = 0
-        for mask, co in self.c.items():
-            term = co.numerator * pow(co.denominator, -1, p)
-            for i in _mask_bits(mask):
-                term *= roots[i]
-            acc += term
-        return acc % p
+        acc = sum(x * r for x, r in zip(self.nums, _subset_products(roots)) if x)
+        return acc * pow(self.den, -1, p) % p
 
 
 # -- constructors and serialization -----------------------------------
 
 def gf_rational(qstars, v):
-    return GFElem(qstars, {0: Fraction(v)})
+    v = Fraction(v)
+    return gf_monomial(qstars, 0, v.numerator, v.denominator)
 
 
-def gf_sqrt_q(qstars, i):
-    """The principal sqrt(q_i) as a field element."""
-    assert 0 <= i < len(qstars)
-    return GFElem(qstars, {1 << i: Fraction(1)})
-
-
-def gf_sqrt_d(qstars):
-    """sqrt of the discriminant: the product of all the sqrt(q_i)."""
-    return GFElem(qstars, {(1 << len(qstars)) - 1: Fraction(1)})
+def gf_monomial(qstars, mask, num=1, den=1):
+    """num/den times r_mask, the product of the principal sqrt(q_i) over
+    the bits i of mask."""
+    nums = [0] * (1 << len(qstars))
+    nums[mask] = num
+    return GFElem(qstars, nums, den)
 
 
 def gf_to_json(x):
     """Serialize as {mask-as-decimal-string: "num/den"}."""
-    return {str(m): f"{co.numerator}/{co.denominator}" for m, co in sorted(x.c.items())}
+    out = {}
+    for S, n in enumerate(x.nums):
+        if n:
+            co = x.coeff(S)
+            out[str(S)] = f"{co.numerator}/{co.denominator}"
+    return out
 
 
 # -- integral bases ---------------------------------------------------
@@ -289,20 +276,21 @@ class GenusBasis:
         self.case = case
         self.beta = tuple(beta)
         self.beta_star = tuple(beta_star)
-        self.sqrt_d = gf_sqrt_d(self.qstars)
+        self.sqrt_d = gf_monomial(self.qstars, (1 << self.t) - 1)
         self.d = math.prod(self.qstars)
         # per side: the masks its family lives on (an even number of negative
-        # factors for real elements, odd for imaginary ones), and the inverse
-        # of the family's coordinate matrix on them as scale * adj, the
-        # adjugate of the matrix scaled to integers
+        # factors for real elements, odd for imaginary ones), det and the
+        # coordinate map det * F^-1.  F = A diag(1/den_mu), A holding the
+        # family's numerators on those masks, so row mu of the map is
+        # den_mu times row mu of adj A
         neg = self.beta[0].neg_mask
         self._coord_maps = {}
         for side, parity in ((REAL_PART, 0), (IMAG_PART, 1)):
-            masks = [m for m in range(1 << self.t) if (m & neg).bit_count() % 2 == parity]
-            mat = [[e.c.get(mask, Fraction(0)) for e in self.family(side)] for mask in masks]
-            lcm = math.lcm(*(x.denominator for row in mat for x in row))
-            det, adj = adjugate([[int(x * lcm) for x in row] for row in mat])
-            self._coord_maps[side] = (masks, Fraction(lcm, det), adj)
+            fam = self.family(side)
+            masks = [S for S in range(1 << self.t) if (S & neg).bit_count() % 2 == parity]
+            det, adj = adjugate([[e.nums[S] for e in fam] for S in masks])
+            rows = tuple(tuple(e.den * a for a in row) for e, row in zip(fam, adj))
+            self._coord_maps[side] = (masks, det, rows)
 
     def family(self, side):
         """beta on REAL_PART, beta_star on IMAG_PART."""
@@ -313,23 +301,25 @@ class GenusBasis:
         raise InvalidParameters(f"unknown side {side!r}")
 
     def element(self, coords, side):
-        """sum_mu coords[mu] * family(side)[mu]."""
-        z = gf_rational(self.qstars, 0)
-        for c, e in zip(coords, self.family(side)):
-            z = z + c * e
-        return z
+        """sum_mu coords[mu] * family(side)[mu] for integer coords, in one
+        pass over the family's numerators."""
+        fam = self.family(side)
+        den = math.lcm(*(e.den for e in fam))
+        nums = [0] * (1 << self.t)
+        for c, e in zip(coords, fam):
+            if c:
+                k = c * (den // e.den)
+                nums = [x + k * y for x, y in zip(nums, e.nums)]
+        return GFElem(self.qstars, nums, den)
 
     def coords(self, v, side):
         """Rational coordinates of v over family(side); v must be real on
         REAL_PART and pure imaginary on IMAG_PART."""
         assert v.is_real() if side == REAL_PART else v.is_imag(), \
             f"expected a {side} element, got {v!r}"
-        masks, scale, adj = self._coord_maps[side]
-        col = [v.c.get(mask, Fraction(0)) for mask in masks]
-        den = math.lcm(*(c.denominator for c in col))
-        col = [c.numerator * (den // c.denominator) for c in col]   # v scaled to integers
-        scale /= den
-        return [scale * sum(a * c for a, c in zip(row, col)) for row in adj]
+        masks, det, rows = self._coord_maps[side]
+        col = [v.nums[S] for S in masks]
+        return [Fraction(sum(a * c for a, c in zip(row, col)), det * v.den) for row in rows]
 
 
 def _selections(s, alpha, atil, lo, hi, one):
@@ -362,16 +352,16 @@ def build_basis(d):
     one = gf_rational(qstars, 1)
     alpha, atil = [], []
     for i, q in enumerate(qstars):
-        half = Fraction(1, 2)
+        r = gf_monomial(qstars, 1 << i, 1, 2)
         if q % 2:
             assert q % 4 == 1
-            alpha.append(GFElem(qstars, {0: half, 1 << i: half}))
-            atil.append(GFElem(qstars, {0: half, 1 << i: -half}))
+            half = gf_monomial(qstars, 0, 1, 2)
+            alpha.append(half + r)
+            atil.append(half - r)
         else:
             assert q in (8, -4, -8)
-            a = GFElem(qstars, {1 << i: half})  # sqrt(q/4)
-            alpha.append(a)
-            atil.append(-a)
+            alpha.append(r)  # sqrt(q/4)
+            atil.append(-r)
 
     if 8 in qstars:
         assert qstars[0] == 8 and 1 <= u <= t - 1
@@ -394,7 +384,7 @@ def build_basis(d):
 
         if case in (CASE_ALL_ODD, CASE_PLUS8):
             if case == CASE_PLUS8:
-                root2 = GFElem(qstars, {1: Fraction(1, 2)})  # sqrt(8)/2 = sqrt(2)
+                root2 = gf_monomial(qstars, 1, 1, 2)  # sqrt(8)/2 = sqrt(2)
                 pre = pre * (root2 if s[0] else one)
                 pre_s = pre_s * (one if s[0] else root2)
             p1, q1, p2, q2 = _selections(s, alpha, atil, u, t - 1, one)
@@ -412,7 +402,7 @@ def build_basis(d):
 
         else:  # CASE_ALLPOS
             b = pre
-            bs = pre_s * gf_sqrt_q(qstars, t - 1)
+            bs = pre_s * gf_monomial(qstars, 1 << (t - 1))
 
         assert b.is_real(), (qstars, smask)
         assert bs.is_imag(), (qstars, smask)
@@ -459,9 +449,9 @@ class MPair:
     Sum_mu M(tau_mu) tau_mu(omega_lam * omega_star_lam') = [lam == lam']
     hold exactly, which is verified at construction on REAL_PART; the
     IMAG_PART identities are the REAL_PART ones transposed (lam and lam'
-    swapped), as the product is commutative.  ``sc(side)`` is the tensor
-    over family(side): recovery on a side uses that side's tensor, and the
-    approximation run on a side the other side's.
+    swapped), as the product is commutative.  ``tensors[side]`` is the
+    tensor over family(side): recovery on a side uses that side's tensor,
+    and the approximation run on a side the other side's.
     """
 
     basis: GenusBasis
@@ -470,18 +460,11 @@ class MPair:
     X_set: tuple
     tensors: dict
 
-    @property
-    def mid(self):
-        return self.mvals[0]
-
     def omega_star(self, side):
         return self.omegas[OTHER_SIDE[side]]
 
     def norm(self, side):
         return self.basis.family(side)[0]
-
-    def sc(self, side):
-        return self.tensors[side]
 
 
 def build_mpair(basis):
@@ -503,16 +486,24 @@ def build_mpair(basis):
 
     if om[0] != 1 or oms[0] != 1:
         raise InternalInvariantError("omega_0 or omega_star_0 is not 1")
-    one = gf_rational(qstars, 1)
+    # by linearity Sum_mu M(tau_mu) tau_mu(P) = Sum_S P_S E_S, with
+    # E_S = r_S Sum_mu (-1)^|mu & S| M(tau_mu): over one denominator L for
+    # the E_S, each pair's sum is an integer combination of their numerators
+    N = 1 << basis.t
     zero = gf_rational(qstars, 0)
+    E = [gf_monomial(qstars, S) * sum((-v if (mu & S).bit_count() % 2 else v
+                                       for mu, v in enumerate(mvals)), zero)
+         for S in range(N)]
+    L = math.lcm(*(e.den for e in E))
+    rows = [[x * (L // e.den) for x in e.nums] for e in E]
     for lam in range(m):
         for lamp in range(m):
-            acc = zero
             prod = om[lam] * oms[lamp]
-            for mu in range(m):
-                acc = acc + mvals[mu] * prod.tau(mu)
-            want = one if lam == lamp else zero
-            if acc != want:
+            acc = [0] * N
+            for x, row in zip(prod.nums, rows):
+                if x:
+                    acc = [a + x * y for a, y in zip(acc, row)]
+            if acc != [prod.den * L if lam == lamp else 0] + [0] * (N - 1):
                 raise InternalInvariantError(
                     f"dual-system identity failed for qstars={qstars} "
                     f"lam={lam} lam'={lamp}")
@@ -545,10 +536,10 @@ def delta_g(d, lam):
         mask |= 1 << (t - 1)
     assert delta > 0
     assert math.isqrt(delta) ** 2 != delta
-    negs = sum(1 for i in _mask_bits(mask) if qstars[i] < 0)
+    negs = sum(1 for i, q in enumerate(qstars) if mask >> i & 1 and q < 0)
     assert negs % 2 == 0
     sign = 1 if negs % 4 == 0 else -1
-    root = GFElem(qstars, {mask: sign})  # equals the positive sqrt(delta)
+    root = gf_monomial(qstars, mask, sign)  # equals the positive sqrt(delta)
     if delta % 2:
         assert delta % 4 == 1
         g = (gf_rational(qstars, 1) + root) * Fraction(1, 2)

@@ -55,7 +55,7 @@ class RecoverySide:
 def _recovery_side(run, prec):
     mpair, side = run.mpair, run.side
     with mp.workprec(prec):
-        mid = mpair.mid.numeric_real(prec)
+        mid = mpair.mvals[0].numeric_real(prec)
         Z = +sum(a * w.numeric_real(prec) for a, w in zip(run.A, run.omega_star))
         scales = tuple(mid * Z * X.numeric_real(prec) for X in mpair.X_set)
         family = mpair.basis.family(side)
@@ -114,7 +114,7 @@ def _side_epsilon(run, prec=160):
     mpair = run.mpair
     with mp.workprec(prec):
         Z = run.z_value()
-        mid = abs(mpair.mid.numeric_real(prec))
+        mid = abs(mpair.mvals[0].numeric_real(prec))
         norm = abs(mpair.norm(run.side).numeric(prec))
         best = mp.inf
         for X in mpair.X_set:
@@ -140,7 +140,7 @@ def make_plan(mpair, sides, T0):
         delta_cap = mp.sqrt(abs(basis.d)) ** basis.m
         N0 = 1
         if basis.m > 1:
-            mid = abs(mpair.mid.numeric_real(160))
+            mid = abs(mpair.mvals[0].numeric_real(160))
             head = 1 + mp.mpf(2) ** -40   # so re-verification can't miss by an ulp
             for side in sides:
                 z_req, C = _side_threshold(mpair, side, T_eff)
@@ -190,7 +190,7 @@ def _solve_adjugate(det, adj, r):
 def recovery_matrix(run):
     """M_{eta,xi} = sum_mu A_mu x_{mu,xi,eta}, over the run side's tensor."""
     m = len(run.A)
-    T = run.mpair.sc(run.side)
+    T = run.mpair.tensors[run.side]
     return [[sum(run.A[mu] * T[eta][xi][mu] for mu in range(m))
              for xi in range(m)] for eta in range(m)]
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cmforge.arith import cornacchia, kronecker, search_fixed_D, sqrt_mod_p
 from cmforge.classpoly import ClassPolynomial, class_poly_divisor, class_poly_full
-from cmforge.curve import (WeierstrassCurve, _pdivmod, _pmul, _ppow_linear,
+from cmforge.curve import (WeierstrassCurve, _pdivmod, _ppow_linear,
                            curve_from_j, gen_curve, is_on_curve, make_curve,
                            naive_count, point_add, point_neg, random_point,
                            reduce_divisor_mod_p, roots_in_fp, scalar_mul,
@@ -120,19 +120,6 @@ def school_pow_linear(a, e, h, p):
 
 
 @given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_kronecker_product_matches_schoolbook(data):
-    p = data.draw(st.sampled_from(PRIMES))
-    f, g = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=80)), \
-        data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=80))
-    full = len(f) + len(g) - 1
-    assert _pmul(f, g, p, full) == school_mul(f, g, p)
-    n = data.draw(st.integers(0, full + 3))
-    assert _pmul(f, g, p, n) == (school_mul(f, g, p) + [0] * 3)[:n]
-    assert _pmul(f, f, p, 2 * len(f) - 1) == school_mul(f, f, p)
-
-
-@given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_linear_powering_matches_schoolbook(data):
     p = data.draw(st.sampled_from(PRIMES))
@@ -147,14 +134,9 @@ def test_linear_powering_matches_schoolbook(data):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_kronecker_worst_case_slots(p):
-    # every coefficient p - 1 makes every slot of the product as full as it
-    # can be; a slot one bit short would carry into its neighbour
-    for n in (1, 2, 3, 34, 70, 257):
-        f = [p - 1] * n
-        assert _pmul(f, f, p, 2 * n - 1) == school_mul(f, f, p)
-        assert _pmul(f, [p - 1] * (n + 5), p, 2 * n + 4) == \
-            school_mul(f, [p - 1] * (n + 5), p)
-    # the fold adds up to n - 1 rows x^(n+i) mod h, each entry p - 1 here,
+    # every coefficient p - 1 makes every slot of the square as full as it
+    # can be, and a slot one bit short would carry into its neighbour; the
+    # fold adds up to n - 1 rows x^(n+i) mod h, each entry p - 1 here,
     # to low slots that hold up to n*(p-1)^2; 64 and 65 are the full path's
     # degree at -2519 and one past it
     for n in (1, 2, 33, 64, 65):
@@ -184,6 +166,38 @@ def test_roots_in_fp_many_linear_factors():
     # the non-residues
     assert roots_in_fp(school_mul([0, 1], [P256 - 5, 1], P256), P256) in ([0], [5])
     assert roots_in_fp([0, 1], P256) == [0]
+
+
+@pytest.mark.parametrize("p", (13, P256))
+def test_roots_in_fp_first_split_branches(p):
+    # the first split keeps the smaller nonconstant piece of gcd(w - 1, f)
+    # (nonzero squares) and gcd(x (w + 1), f) (zero and non-squares)
+    sq = [r * r % p for r in (2, 3, 5)]
+    nsq = [r for r in range(2, 100) if kronecker(r, p) == -1][:3]
+    c = nsq[0]
+    irred = [(-c) % p, 0, 1]     # x^2 - c has no root in F_p
+
+    def poly(*roots):
+        f = [1]
+        for r in roots:
+            f = school_mul(f, [(-r) % p, 1], p)
+        return f
+    # a zero root: alone, with squares (the smaller piece), and repeated in
+    # a tie of one distinct root each, which goes to the squares
+    assert roots_in_fp(poly(0), p) == [0]
+    assert roots_in_fp(school_mul(poly(0), irred, p), p) == [0]
+    assert roots_in_fp(poly(0, *sq), p) == [0]
+    assert roots_in_fp(poly(0, 0, 0, sq[0], sq[0]), p) == [sq[0]]
+    # every root a nonzero square: the second piece is constant
+    for seed in range(4):
+        assert roots_in_fp(poly(*sq), p, seed=seed)[0] in sq
+        assert roots_in_fp(school_mul(poly(sq[1], sq[1]), irred, p), p, seed=seed) == [sq[1]]
+    # every root a non-square: the first piece is constant
+    assert roots_in_fp(poly(*nsq), p)[0] in nsq
+    assert roots_in_fp(poly(nsq[0], sq[0], sq[1]), p) == [nsq[0]]
+    # no root: both pieces constant
+    assert roots_in_fp(irred, p) == []
+    assert roots_in_fp(school_mul(irred, irred, p), p) == []
 
 
 def test_roots_in_fp_small_shapes():

@@ -16,13 +16,14 @@ import pytest
 from mpmath import mp
 
 from cmforge.arith import Discriminant
-from cmforge.errors import InvalidParameters
+from cmforge.errors import InternalInvariantError, InvalidParameters
 from cmforge.genusfield import (
     CASE_ALL_ODD,
     CASE_ALLPOS,
     CASE_MIXED,
     CASE_PLUS8,
     GFElem,
+    GenusBasis,
     IMAG_PART,
     OTHER_SIDE,
     REAL_PART,
@@ -31,9 +32,8 @@ from cmforge.genusfield import (
     default_x_set,
     delta_g,
     duality_sum,
+    gf_monomial,
     gf_rational,
-    gf_sqrt_d,
-    gf_sqrt_q,
     gf_to_json,
     structure_constants,
 )
@@ -50,12 +50,28 @@ def fundamental_range(bound):
 
 
 def rand_elem(rng, qstars, max_terms=3, size=9):
-    c = {}
+    x = gf_rational(qstars, 0)
     for _ in range(rng.randint(1, max_terms)):
         mask = rng.randrange(1 << len(qstars))
-        c[mask] = c.get(mask, Fraction(0)) + Fraction(
-            rng.randint(-size, size), rng.randint(1, 4))
-    return GFElem(qstars, c)
+        x = x + gf_monomial(qstars, mask, rng.randint(-size, size), rng.randint(1, 4))
+    return x
+
+
+def from_json(qstars, blob):
+    """The element that gf_to_json serialized as blob."""
+    x = gf_rational(qstars, 0)
+    for k, v in blob.items():
+        v = Fraction(v)
+        x = x + gf_monomial(qstars, int(k), v.numerator, v.denominator)
+    return x
+
+
+def sqrt_q(qstars, i):
+    return gf_monomial(qstars, 1 << i)
+
+
+def sqrt_d(qstars):
+    return gf_monomial(qstars, (1 << len(qstars)) - 1)
 
 
 def eval_indep(x, flips=0, prec=160):
@@ -69,7 +85,8 @@ def eval_indep(x, flips=0, prec=160):
                 r = -r
             roots.append(r)
         tot = mp.mpc(0)
-        for mask, co in x.c.items():
+        for mask in range(len(x.nums)):
+            co = x.coeff(mask)
             w = mp.mpc(1)
             for i in range(len(x.qstars)):
                 if (mask >> i) & 1:
@@ -83,18 +100,18 @@ def eval_indep(x, flips=0, prec=160):
 
 def test_mul_rules_examples():
     q = (5, -8)
-    s5 = gf_sqrt_q(q, 0)
-    s8 = gf_sqrt_q(q, 1)
+    s5 = sqrt_q(q, 0)
+    s8 = sqrt_q(q, 1)
     assert s5 * s5 == 5
-    assert s5 * s8 == gf_sqrt_d(q)
+    assert s5 * s8 == sqrt_d(q)
     assert s8.tau(s8.neg_mask) == -s8
     assert s5.tau(s5.neg_mask) == s5
 
 
 def test_product_of_two_imaginary_roots_is_negative_real():
     q = (-3, -7, -4)
-    prod = gf_sqrt_q(q, 0) * gf_sqrt_q(q, 1)
-    assert prod == GFElem(q, {0b011: 1})
+    prod = sqrt_q(q, 0) * sqrt_q(q, 1)
+    assert prod == gf_monomial(q, 0b011)
     with mp.workprec(80):
         v = prod.numeric_real(80)
         assert abs(v + mp.sqrt(21)) < mp.mpf(2) ** -60  # equals -sqrt(21)
@@ -103,8 +120,8 @@ def test_product_of_two_imaginary_roots_is_negative_real():
 def test_numeric_principal_roots():
     q = (5, -3)
     with mp.workprec(80):
-        v5 = gf_sqrt_q(q, 0).numeric(80)
-        v3 = gf_sqrt_q(q, 1).numeric(80)
+        v5 = sqrt_q(q, 0).numeric(80)
+        v3 = sqrt_q(q, 1).numeric(80)
         assert abs(v5 - mp.sqrt(5)) < mp.mpf(2) ** -70
         assert v3.real == 0 and abs(v3.imag - mp.sqrt(3)) < mp.mpf(2) ** -70
 
@@ -126,8 +143,8 @@ def test_ring_laws_random():
 
 def test_scalar_ops_and_pow():
     q = (5, -8)
-    x = GFElem(q, {0: Fraction(1, 2), 1: Fraction(1, 2)})  # (1+sqrt5)/2
-    assert 2 * x == GFElem(q, {0: 1, 1: 1})
+    x = GFElem(q, [1, 1, 0, 0], 2)  # (1+sqrt5)/2
+    assert 2 * x == GFElem(q, [1, 1, 0, 0])
     assert x * x == x + 1  # golden ratio relation
     assert gf_rational(q, 1) == 1
 
@@ -194,7 +211,7 @@ def test_serialization_roundtrip():
     for _ in range(20):
         x = rand_elem(rng, q)
         blob = gf_to_json(x)
-        assert GFElem(q, {int(k): Fraction(v) for k, v in blob.items()}) == x
+        assert from_json(q, blob) == x
 
 
 # ---------------------------------------------------------------- bases
@@ -224,10 +241,9 @@ def test_case_assignment(D, case):
 def test_basis_minus40_explicit():
     basis = build_basis(Discriminant.from_D(-40))
     q = basis.qstars
-    half = Fraction(1, 2)
-    a1 = GFElem(q, {0: half, 1: half})
-    a1t = GFElem(q, {0: half, 1: -half})
-    s8 = gf_sqrt_q(q, 1)
+    a1 = GFElem(q, [1, 1, 0, 0], 2)
+    a1t = GFElem(q, [1, -1, 0, 0], 2)
+    s8 = sqrt_q(q, 1)
     assert basis.beta == (a1, a1t)
     assert basis.beta_star == (a1 * s8, -(a1t * s8))
 
@@ -235,10 +251,9 @@ def test_basis_minus40_explicit():
 def test_basis_minus15_explicit():
     basis = build_basis(Discriminant.from_D(-15))
     q = basis.qstars
-    half = Fraction(1, 2)
-    assert basis.beta[0] == GFElem(q, {0: half, 1: half})
-    assert basis.beta[1] == GFElem(q, {0: half, 1: -half})
-    s3 = gf_sqrt_q(q, 1)
+    assert basis.beta[0] == GFElem(q, [1, 1, 0, 0], 2)
+    assert basis.beta[1] == GFElem(q, [1, -1, 0, 0], 2)
+    s3 = sqrt_q(q, 1)
     assert basis.beta_star[0] == basis.beta[0] * s3
     assert basis.beta_star[1] == -(basis.beta[1] * s3)
 
@@ -249,7 +264,7 @@ def test_basis_degenerate_t1():
             basis = build_basis(Discriminant.from_D(D))
             assert basis.m == 1
             assert basis.beta == (gf_rational(basis.qstars, 1),)
-            assert basis.beta_star == (gf_sqrt_d(basis.qstars),)
+            assert basis.beta_star == (sqrt_d(basis.qstars),)
             v = basis.beta_star[0].numeric(80)
             assert v.real == 0
             assert abs(v.imag - imag_value) < mp.mpf(2) ** -60
@@ -271,7 +286,7 @@ def test_beta_real_beta_star_imaginary():
 def test_duality_exact_small_range():
     for disc in fundamental_range(200):
         basis = build_basis(disc)  # construction already verifies duality
-        sd = gf_sqrt_d(basis.qstars)
+        sd = sqrt_d(basis.qstars)
         for eta in range(basis.m):
             for nu in range(basis.m):
                 want = sd if eta == nu else gf_rational(basis.qstars, 0)
@@ -374,12 +389,23 @@ def test_dual_identity_imag_orientation_minus3135():
     assert not _dual_identity_holds(dataclasses.replace(pair, mvals=bad), IMAG_PART)
 
 
+@pytest.mark.parametrize("D", [-420, -3135, -5460])
+def test_mpair_rejects_a_wrong_dual_system(D):
+    # beta*_1 negated leaves every M-value as it was (they depend on
+    # beta_0 beta*_0 alone) but makes omega_1 omega*_1 sum to -1
+    b = build_basis(Discriminant.from_D(D))
+    assert b.m in (8, 16)
+    bad = (b.beta_star[0], -b.beta_star[1]) + b.beta_star[2:]
+    with pytest.raises(InternalInvariantError, match="dual-system identity failed"):
+        build_mpair(GenusBasis(b.qstars, b.u, b.case, b.beta, bad))
+
+
 def test_mpair_omega_minus40():
     basis = build_basis(Discriminant.from_D(-40))
     pair = build_mpair(basis)
     # omega_1 = (1-sqrt5)/(1+sqrt5) = (sqrt5-3)/2
     q = basis.qstars
-    want = GFElem(q, {0: Fraction(-3, 2), 1: Fraction(1, 2)})
+    want = GFElem(q, [-3, 1, 0, 0], 2)
     assert pair.omegas[REAL_PART][1] == want
     # M(Id) = beta_0*beta_star_0/sqrt(d); check against duality by hand
     acc = gf_rational(q, 0)
@@ -415,7 +441,7 @@ def test_delta_g_examples():
     d40 = Discriminant.from_D(-40)
     delta, g = delta_g(d40, 1)
     assert delta == 5
-    assert g == GFElem(d40.qstars, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+    assert g == GFElem(d40.qstars, [1, 1, 0, 0], 2)
     d84 = Discriminant.from_D(-84)
     assert delta_g(d84, 0b01)[0] == 12
     assert delta_g(d84, 0b11)[0] == 21
@@ -479,8 +505,8 @@ def test_mpair_holds_both_tensors():
     pair = build_mpair(basis)
     assert pair.X_set == default_x_set(basis) and pair.X_set[0] == 1
     for side in (REAL_PART, IMAG_PART):
-        assert pair.sc(side) == structure_constants(basis, side)
-    assert pair.sc(REAL_PART) != pair.sc(IMAG_PART)
+        assert pair.tensors[side] == structure_constants(basis, side)
+    assert pair.tensors[REAL_PART] != pair.tensors[IMAG_PART]
 
 
 # (side, dual) as before the M-pair folded its two orientations: dual=False
@@ -492,7 +518,7 @@ def test_mpair_holds_both_tensors():
 def test_structure_constants_match_numerics(D, side, dual):
     basis = build_basis(Discriminant.from_D(D))
     pair = build_mpair(basis)
-    tensor = pair.sc(OTHER_SIDE[side] if dual else side)
+    tensor = pair.tensors[OTHER_SIDE[side] if dual else side]
     fam = pair.omega_star(side) if dual else pair.omegas[side]
     prec = 120
     with mp.workprec(prec):

@@ -107,7 +107,7 @@ def test_plan_invariants_independent_check(D):
             mpair = run.mpair
             Z = sum(a * w.numeric_real(prec)
                     for a, w in zip(run.A, mpair.omega_star(side)))
-            mid = abs(mpair.mid.numeric_real(prec))
+            mid = abs(mpair.mvals[0].numeric_real(prec))
             for X in mpair.X_set:
                 s = sum(abs(mpair.mvals[lam].numeric_real(prec))
                         * abs(X.tau(lam).numeric(prec))
@@ -195,7 +195,7 @@ def test_big_perturbation_escalates():
     prec = plan.float_bits + 16
     b = [123456, -654321]
     with mp.workprec(prec):
-        mid = real.run.mpair.mid.numeric_real(prec)
+        mid = real.run.mpair.mvals[0].numeric_real(prec)
         Z = sum(a * w.numeric_real(prec)
                 for a, w in zip(real.run.A, real.run.mpair.omega_star(REAL_PART)))
         norm = basis.beta[0].numeric_real(prec)
