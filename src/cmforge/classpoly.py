@@ -30,7 +30,7 @@ from .arith import Discriminant
 from .errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted
 from .forms import QuadForm, enumerate_reduced, n_system, phi_class
 from .genusfield import IMAG_PART, REAL_PART, GFElem, build_basis, build_mpair, \
-    gf_rational, gf_to_json
+    gf_rational, gf_to_json, negative_mask, root_products, walsh_hadamard
 from .modfns import InvariantKind, height_bound, theta_value
 from .recover import make_plan, recover_coords
 
@@ -261,18 +261,6 @@ def _exact_rounding(D, kind, qstars, forms, masks, T, max_bits):
             B *= 2
 
 
-def _walsh_hadamard(v):
-    """sum_mu (-1)^|mu & S| v[mu] for every S, by t rounds of butterflies."""
-    v = list(v)
-    h = 1
-    while h < len(v):
-        for i in range(0, len(v), 2 * h):
-            for j in range(i, i + h):
-                v[j], v[j + h] = v[j] + v[j + h], v[j] - v[j + h]
-        h *= 2
-    return v
-
-
 def _exact_attempt(kind, qstars, forms, masks, B, T):
     """The exact coordinates of a monic polynomial over
     Q(sqrt(q_1*), ..., sqrt(q_t*)), read off all N = 2^t of its embeddings:
@@ -303,7 +291,7 @@ def _exact_attempt(kind, qstars, forms, masks, B, T):
     embedding exceeds T.
     """
     N = 1 << len(qstars)
-    neg = sum(1 << i for i, q in enumerate(qstars) if q < 0)
+    neg = negative_mask(qstars)
     n = len(forms) // len(set(masks))
     prec = B + 3 + _pad(n)
     mask = dict(zip(forms, masks))
@@ -321,18 +309,17 @@ def _exact_attempt(kind, qstars, forms, masks, B, T):
         if not N * eps < 0.25:
             raise PrecisionEscalation(
                 f"error bound {mp.nstr(N * eps, 5)} on N a_S at {B} bits")
-        roots = [mp.fprod(mp.sqrt(mp.mpc(q)) for i, q in enumerate(qstars) if S >> i & 1)
-                 for S in range(N)]
+        roots = root_products(qstars, prec + 64)
         for k in range(n):
             row = []
-            for S, x in enumerate(_walsh_hadamard(e[k] for e in emb)):
+            for S, x in enumerate(walsh_hadamard(e[k] for e in emb)):
                 x /= roots[S]
                 r = int(mp.nint(mp.re(x)))
                 if not abs(x - r) < 0.25:
                     raise PrecisionEscalation(
                         f"coordinate residual {mp.nstr(abs(x - r), 5)} at {B} bits")
                 row.append(r)
-            back = _walsh_hadamard(r * root for r, root in zip(row, roots))
+            back = walsh_hadamard(r * root for r, root in zip(row, roots))
             for mu, got in enumerate(back):
                 got /= N
                 if not abs(got - emb[mu][k]) <= 2 * eps:

@@ -9,16 +9,21 @@ r_S = prod_{i in S} sqrt(q_i) over the bits i of the subset mask S
 distinguished root of the discriminant, sqrt_d, is the product
 sqrt(q_1)...sqrt(q_t); every sign convention below is anchored to that.
 
+tau_mu flips sqrt(q_i) for each bit i of mu, so every signed sum over the
+automorphisms is one Walsh-Hadamard transform (``walsh_hadamard``; Enge and
+Morain, AAECC-15, 2003): sum_mu c_mu tau_mu(x) = sum_S x_S r_S c^_S, c^ the
+transform of c.  ``root_products`` is the one memoized table of the r_S.
+
 On top of raw field arithmetic this module builds explicit Z-bases
 (beta, beta_star) of the real and pure-imaginary parts of the ring of
-integers, the sign-flip automorphisms tau, and, once per field, the dual
-system (M-values, omega and omega_star for either side) with the two
-integer structure-constant tensors that drive the approximation loop and
-coefficient recovery.
+integers and, once per field, the dual system (M-values, omega and
+omega_star for either side) with the two integer structure-constant
+tensors that drive the approximation loop and coefficient recovery.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +48,32 @@ def _subset_products(xs, one=1):
     for x in xs:
         out += [y * x for y in out]
     return out
+
+
+def negative_mask(qstars):
+    """The mask of the negative q_i: complex conjugation is tau of it."""
+    return sum(1 << i for i, q in enumerate(qstars) if q < 0)
+
+
+def walsh_hadamard(v):
+    """sum_mu (-1)^|mu & S| v[mu] for every S, by log2 len(v) rounds of
+    butterflies, on ints, mpmath values or GFElems alike."""
+    v = list(v)
+    h = 1
+    while h < len(v):
+        for i in range(0, len(v), 2 * h):
+            for j in range(i, i + h):
+                v[j], v[j + h] = v[j] + v[j + h], v[j] - v[j + h]
+        h *= 2
+    return v
+
+
+@functools.lru_cache(maxsize=64)
+def root_products(qstars, prec):
+    """r_S for every mask S, as mpc values at prec bits: the principal
+    sqrt(q_i) multiplied in increasing i."""
+    with mp.workprec(prec):
+        return tuple(_subset_products([mp.sqrt(mp.mpc(q)) for q in qstars], mp.mpc(1)))
 
 
 def _lam_mask(lam, nbits):
@@ -75,11 +106,7 @@ class GFElem:
 
     @property
     def neg_mask(self):
-        m = 0
-        for i, q in enumerate(self.qstars):
-            if q < 0:
-                m |= 1 << i
-        return m
+        return negative_mask(self.qstars)
 
     def coeff(self, mask):
         """The rational coordinate on r_mask."""
@@ -183,8 +210,8 @@ class GFElem:
 
     def numeric(self, prec=96):
         """Evaluate with principal square roots at the given bit precision."""
+        roots = root_products(self.qstars, prec + 8)
         with mp.workprec(prec + 8):
-            roots = _subset_products([mp.sqrt(mp.mpc(q)) for q in self.qstars], mp.mpc(1))
             acc = mp.mpc(0)
             for S, w in enumerate(roots):
                 if self.nums[S]:
@@ -283,7 +310,7 @@ class GenusBasis:
         # coordinate map det * F^-1.  F = A diag(1/den_mu), A holding the
         # family's numerators on those masks, so row mu of the map is
         # den_mu times row mu of adj A
-        neg = self.beta[0].neg_mask
+        neg = negative_mask(self.qstars)
         self._coord_maps = {}
         for side, parity in ((REAL_PART, 0), (IMAG_PART, 1)):
             fam = self.family(side)
@@ -410,27 +437,19 @@ def build_basis(d):
         beta_star.append(bs)
 
     basis = GenusBasis(qstars, u, case, beta, beta_star)
-    sqrt_d = basis.sqrt_d
+    # duality: sum_(mu < m) (-1)^|mu| tau_mu(beta_eta beta*_nu) is sqrt_d when
+    # eta == nu and 0 otherwise; the transform of those signs is m on the two
+    # masks holding bits 0..t-2 and 0 elsewhere, so each sum is one pointwise product
+    signs = walsh_hadamard([(-1) ** mu.bit_count() for mu in range(m)] + [0] * m)
+    zero = gf_rational(qstars, 0)
     for eta in range(m):
         for nu in range(m):
-            want = sqrt_d if eta == nu else gf_rational(qstars, 0)
-            if duality_sum(basis, eta, nu) != want:
+            prod = basis.beta[eta] * basis.beta_star[nu]
+            got = GFElem(qstars, [x * c for x, c in zip(prod.nums, signs)], prod.den)
+            if got != (basis.sqrt_d if eta == nu else zero):
                 raise InternalInvariantError(
                     f"basis duality failed for qstars={qstars} eta={eta} nu={nu}")
     return basis
-
-
-def duality_sum(basis, eta, nu):
-    """Sum over mu of (-1)^|mu| tau_mu(beta_eta * beta_star_nu), exactly.
-
-    Equals sqrt_d when eta == nu and 0 otherwise for a correct basis.
-    """
-    prod = basis.beta[eta] * basis.beta_star[nu]
-    acc = gf_rational(basis.qstars, 0)
-    for mu in range(basis.m):
-        term = prod.tau(mu)
-        acc = acc + (-term if mu.bit_count() % 2 else term)
-    return acc
 
 
 # -- dual systems -----------------------------------------------------
@@ -478,22 +497,16 @@ def build_mpair(basis):
     om, oms = omegas[REAL_PART], omegas[IMAG_PART]
     prod0 = basis.beta[0] * basis.beta_star[0]
     inv_sqrt_d = basis.sqrt_d * Fraction(1, basis.d)  # 1/sqrt(d)
-    mvals = []
-    for mu in range(m):
-        v = prod0.tau(mu) * inv_sqrt_d
-        mvals.append(-v if mu.bit_count() % 2 else v)
-    mvals = tuple(mvals)
+    mvals = tuple((-1) ** mu.bit_count() * prod0.tau(mu) * inv_sqrt_d for mu in range(m))
 
     if om[0] != 1 or oms[0] != 1:
         raise InternalInvariantError("omega_0 or omega_star_0 is not 1")
-    # by linearity Sum_mu M(tau_mu) tau_mu(P) = Sum_S P_S E_S, with
-    # E_S = r_S Sum_mu (-1)^|mu & S| M(tau_mu): over one denominator L for
-    # the E_S, each pair's sum is an integer combination of their numerators
+    # by linearity Sum_mu M(tau_mu) tau_mu(P) = Sum_S P_S E_S, with E_S =
+    # r_S times the transform of the M-values at S: over one denominator L
+    # for the E_S, each pair's sum is an integer combination of their numerators
     N = 1 << basis.t
-    zero = gf_rational(qstars, 0)
-    E = [gf_monomial(qstars, S) * sum((-v if (mu & S).bit_count() % 2 else v
-                                       for mu, v in enumerate(mvals)), zero)
-         for S in range(N)]
+    E = [gf_monomial(qstars, S) * w
+         for S, w in enumerate(walsh_hadamard(mvals + (0,) * (N - m)))]
     L = math.lcm(*(e.den for e in E))
     rows = [[x * (L // e.den) for x in e.nums] for e in E]
     for lam in range(m):

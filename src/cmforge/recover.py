@@ -98,13 +98,12 @@ def _side_threshold(mpair, side, T_eff, prec=160):
         delta_cap = mp.sqrt(abs(basis.d)) ** m
         mv = [abs(v.numeric_real(prec)) for v in mpair.mvals]
         C = +sum(mv[1:])
+        tn = [abs(norm.tau(lam).numeric(prec)) for lam in range(1, m)]
         z_req = mp.mpf(0)
         for X in mpair.X_set:
             s = mp.mpf(0)
-            for lam in range(1, m):
-                tx = abs(X.tau(lam).numeric(prec))
-                tn = abs(norm.tau(lam).numeric(prec))
-                s += mv[lam] * tx / tn
+            for lam, n in enumerate(tn, 1):
+                s += mv[lam] * abs(X.tau(lam).numeric(prec)) / n
             z_req = max(z_req, (4 * s * delta_cap * T_eff) ** (m - 1))
         return +z_req, +C
 

@@ -19,9 +19,10 @@ from cmforge.classpoly import class_poly_divisor, class_poly_full, \
     coset_product_check
 from cmforge.curve import gen_curve, naive_count, random_point, scalar_mul
 from cmforge.genusfield import (IMAG_PART, REAL_PART, build_basis,
-                                build_mpair, duality_sum, gf_rational)
+                                build_mpair, gf_rational)
 from cmforge.modfns import InvariantKind
 from cmforge.recover import make_plan, recover_coords
+from test_genusfield import duality_sum
 
 J = InvariantKind.j()
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from cmforge import genusfield
 from cmforge.arith import Discriminant
 from cmforge.errors import InternalInvariantError, InvalidParameters
 from cmforge.genusfield import (
@@ -31,11 +32,12 @@ from cmforge.genusfield import (
     build_mpair,
     default_x_set,
     delta_g,
-    duality_sum,
     gf_monomial,
     gf_rational,
     gf_to_json,
+    root_products,
     structure_constants,
+    walsh_hadamard,
 )
 
 
@@ -72,6 +74,18 @@ def sqrt_q(qstars, i):
 
 def sqrt_d(qstars):
     return gf_monomial(qstars, (1 << len(qstars)) - 1)
+
+
+def duality_sum(basis, eta, nu):
+    """Sum over mu < m of (-1)^|mu| tau_mu(beta_eta * beta_star_nu), term
+    by term: the reference for build_basis's transform check, sqrt_d when
+    eta == nu and 0 otherwise for a correct basis."""
+    prod = basis.beta[eta] * basis.beta_star[nu]
+    acc = gf_rational(basis.qstars, 0)
+    for mu in range(basis.m):
+        term = prod.tau(mu)
+        acc = acc + (-term if mu.bit_count() % 2 else term)
+    return acc
 
 
 def eval_indep(x, flips=0, prec=160):
@@ -172,6 +186,38 @@ def test_tau_matches_numeric_root_flips():
         got = x.tau(lam).numeric(160)
         want = eval_indep(x, flips=lam)
         assert abs(got - want) < mp.mpf(2) ** -130
+
+
+@pytest.mark.parametrize("q", [(-3,), (5, -4), (8, 5, -3), (5, -3, -7, -4),
+                               (8, 5, 13, -3, -7)])
+def test_walsh_hadamard_of_conjugates(q):
+    # sum_mu (-1)^|mu & S| tau_mu(x) keeps exactly the r_S term, N times
+    rng = random.Random(len(q))
+    N = 1 << len(q)
+    for _ in range(5):
+        x = rand_elem(rng, q, max_terms=N)
+        got = walsh_hadamard([x.tau(mu) for mu in range(N)])
+        for S in range(N):
+            assert got[S] == gf_monomial(q, S, N * x.nums[S], x.den)
+
+
+def test_numeric_ignores_the_order_of_precisions():
+    # root_products is memoized by precision: a value never depends on which
+    # precision was asked for first
+    rng = random.Random(3)
+    q = (8, 5, 13, -3, -7)
+    xs = [rand_elem(rng, q, max_terms=8) for _ in range(4)]
+
+    def values(precs):
+        root_products.cache_clear()
+        out = {}
+        for prec in precs:
+            for i, x in enumerate(xs):
+                for lam in (0, 5, 31):
+                    out[prec, i, lam] = x.tau(lam).numeric(prec)
+        return out
+
+    assert values((80, 240)) == values((240, 80))
 
 
 def test_conj_matches_complex_conjugation():
@@ -387,6 +433,18 @@ def test_dual_identity_imag_orientation_minus3135():
     # and the check can fail: a wrong sign on one M-value breaks it
     bad = pair.mvals[:1] + (-pair.mvals[1],) + pair.mvals[2:]
     assert not _dual_identity_holds(dataclasses.replace(pair, mvals=bad), IMAG_PART)
+
+
+@pytest.mark.parametrize("D", [-40, -420, -3135, -5460])
+def test_basis_rejects_a_wrong_duality(D, monkeypatch):
+    # beta*_1 negated leaves (eta, nu) = (1, 1) summing to -sqrt_d
+    def negated(qstars, u, case, beta, beta_star):
+        return GenusBasis(qstars, u, case, beta,
+                          (beta_star[0], -beta_star[1]) + tuple(beta_star[2:]))
+
+    monkeypatch.setattr(genusfield, "GenusBasis", negated)
+    with pytest.raises(InternalInvariantError, match="basis duality failed.* eta=1 nu=1$"):
+        build_basis(Discriminant.from_D(D))
 
 
 @pytest.mark.parametrize("D", [-420, -3135, -5460])
