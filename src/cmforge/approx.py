@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .errors import InternalInvariantError, InvalidParameters
-from .genusfield import OTHER_SIDE, delta_g
+from .genusfield import OTHER_SIDE, delta_g, embeddings
 
 ITER_CAP_SLOPE = 8
 ITER_CAP_OFFSET = 64
@@ -98,7 +98,7 @@ class ApproxRun:
 
     The run drives sum_mu A_mu omega_star(side)_mu, so A is updated with
     the structure constants of omega_star(side)'s family, the other side's
-    tensor.
+    tensor c, summed per (lam, mu) over its non-zero c[lam][xi][mu] alone.
     """
 
     def __init__(self, mpair, side, N0=1):
@@ -122,8 +122,9 @@ class ApproxRun:
         self.regs = {lam: make_register(self.basis, lam, _Z_BITS) for lam in self.lam_order}
         self.iter_cap = ITER_CAP_SLOPE * (self.m - 1) * max(1, int(N0).bit_length()) \
             + ITER_CAP_OFFSET
+        self._terms = {lam: [[(xi, row[mu]) for xi, row in enumerate(self.c[lam]) if row[mu]]
+                             for mu in range(self.m)] for lam in self.lam_order}
         self._base = None
-        self._taus = None
 
     def done(self):
         return self.m == 1 or abs(self.A[0]) >= self.N0
@@ -143,11 +144,9 @@ class ApproxRun:
         reg = self.regs[lam]
         a = cf_step(reg, _Z_BITS)
         x_new, y_old = reg.x, reg.y_prev
-        cl = self.c[lam]
         newA = []
-        for mu in range(self.m):
-            num = sum(self.A[xi] * cl[xi][mu] for xi in range(self.m)) \
-                + self.A[mu] * x_new
+        for mu, terms in enumerate(self._terms[lam]):
+            num = sum(self.A[xi] * c for xi, c in terms) + self.A[mu] * x_new
             q, rem = divmod(num, y_old)
             if rem:
                 raise InternalInvariantError(
@@ -177,13 +176,6 @@ class ApproxRun:
         with mp.workprec(self.bits):
             return +sum(a * w for a, w in zip(self.A, self._base))
 
-    def _tau_table(self, prec):
-        """tau_lam(omega_star_mu) for lam != 0, at prec bits or more."""
-        if self._taus is None or self._taus[0] < prec:
-            self._taus = (prec, {lam: [w.tau(lam).numeric_real(prec) for w in self.omega_star]
-                                 for lam in self.lam_order})
-        return self._taus[1]
-
     def conj_bound(self):
         """sqrt(|d|)^m / Z^(1/(m-1)), the bound on every conjugate of Z."""
         with mp.workprec(self.bits):
@@ -192,20 +184,14 @@ class ApproxRun:
     def conj_values(self):
         """tau_lam applied to sum A_mu omega_star_mu, for every lam != 0.
 
-        The terms A_mu tau_lam(omega_star_mu) cancel down to at most
-        conj_bound(), so they are summed at bits(m max|A| max|tau|) -
-        log2(conj_bound()) + 64, which keeps the error below 2^-64 of it.
+        They are embeddings of the exact W = sum A_mu omega_star_mu, whose
+        largest is Z while the bound holds: at bits(Z / conj_bound()) + t + 67
+        bits each is within 2^-64 conj_bound() of its value (``embeddings``).
         """
-        taus = self._tau_table(self.bits)
         with mp.workprec(self.bits):
-            size = self.m * max(abs(a) for a in self.A) \
-                * max(abs(w) for row in taus.values() for w in row)
-            prec = int(mp.ceil(mp.log(size / self.conj_bound(), 2))) + 64
-        prec = max(self.bits, prec)
-        taus = self._tau_table(prec)
-        with mp.workprec(prec):
-            return {lam: +sum(a * w for a, w in zip(self.A, taus[lam]))
-                    for lam in self.lam_order}
+            prec = max(0, mp.mag(self.z_value() / self.conj_bound())) + self.basis.t + 67
+        emb = embeddings(sum(w * a for a, w in zip(self.A, self.omega_star)), prec)
+        return {lam: emb[lam].real for lam in self.lam_order}
 
 
 def run_approx(mpair, side, N0=1, trace=None):
@@ -225,9 +211,7 @@ def approx_quality(run):
         if run.m > 1:
             bound = run.conj_bound()
             slack = 1 + mp.mpf(2) ** (-run.bits // 2)
-            worst = mp.mpf(0)
-            for lam, v in run.conj_values().items():
-                worst = max(worst, abs(v))
+            worst = max(abs(v) for v in run.conj_values().values())
             report["conj_max"] = worst
             report["conj_bound"] = bound
             report["conj_ok"] = worst <= bound * slack

@@ -30,7 +30,7 @@ from .arith import Discriminant
 from .errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted
 from .forms import QuadForm, enumerate_reduced, n_system, phi_class
 from .genusfield import IMAG_PART, REAL_PART, GFElem, build_basis, build_mpair, \
-    gf_rational, gf_to_json, negative_mask, root_products, walsh_hadamard
+    embeddings, gf_rational, gf_to_json, negative_mask, root_products, walsh_hadamard
 from .modfns import InvariantKind, height_bound, theta_value
 from .recover import make_plan, recover_coords
 
@@ -288,7 +288,7 @@ def _exact_attempt(kind, qstars, forms, masks, B, T):
     a residual below 1/4; the coefficient reproduces all N embeddings within
     2 eps, where a wrong one misses some embedding by at least
     1/N - eps > 2 eps (the transform is N times an orthogonal one); and no
-    embedding exceeds T.
+    embedding exceeds T (``_check_height``, as on the paper route).
     """
     N = 1 << len(qstars)
     neg = negative_mask(qstars)
@@ -319,25 +319,34 @@ def _exact_attempt(kind, qstars, forms, masks, B, T):
                     raise PrecisionEscalation(
                         f"coordinate residual {mp.nstr(abs(x - r), 5)} at {B} bits")
                 row.append(r)
-            back = walsh_hadamard(r * root for r, root in zip(row, roots))
-            for mu, got in enumerate(back):
-                got /= N
-                if not abs(got - emb[mu][k]) <= 2 * eps:
-                    raise PrecisionEscalation(
-                        f"coefficient {k} misses embedding {mu} by "
-                        f"{mp.nstr(abs(got - emb[mu][k]), 5)} at {B} bits")
-                if abs(got) > T:
-                    raise PrecisionEscalation(
-                        f"coefficient {k} exceeds the height bound at {B} bits")
+            coeff = GFElem(qstars, row, N)
+            miss = max(abs(got - e[k]) for got, e in zip(embeddings(coeff, prec + 64), emb))
+            if not miss <= 2 * eps:
+                raise PrecisionEscalation(
+                    f"coefficient {k} misses an embedding by {mp.nstr(miss, 5)} at {B} bits")
+            _check_height(coeff, T, f"coefficient {k} at {B} bits")
             rows.append(row)
     return rows
+
+
+def _check_height(x, T, what):
+    """Escalate unless every embedding of the exact coefficient x is at most
+    T.  At t + 67 bits each is within 2^-64 K of its value, K the largest
+    (``embeddings``), and the 1 + 2^-32 pad of ``height_bound`` covers that."""
+    prec = len(x.qstars) + 67
+    with mp.workprec(prec):
+        if any(abs(v) > T for v in embeddings(x, prec)):
+            raise PrecisionEscalation(f"{what} exceeds the height bound")
 
 
 def _divisor_attempt(kind, sel, plan):
     """The paper route: recover each coefficient from the principal
     embedding with ``plan``.  Theta runs at float_bits + ``_pad(n)``, so each
-    coefficient is off by at most 2^-float_bits M~; the sums 2 Re and 2i Im
-    must come within the plan's epsilon, which float_bits was sized for."""
+    coefficient is off by at most 2^-float_bits M~; the sums R = 2 Re and
+    I = 2i Im must come within the plan's epsilon, which float_bits was sized
+    for.  Each z = (R + I)/2 must pass ``_check_height`` against T0, so every
+    conjugate of R = z + tau_c(z) and I = z - tau_c(z), tau_c complex
+    conjugation, is within 2 T0."""
     basis = plan.basis
     prec = plan.float_bits + _pad(len(sel))
     poly, err = _expand(_theta_values(kind, sel, prec), prec)
@@ -347,7 +356,7 @@ def _divisor_attempt(kind, sel, plan):
         if not 2 * err < plan.epsilon:
             raise PrecisionEscalation(
                 f"product error bound {mp.nstr(err, 5)} at {plan.float_bits} bits")
-        for c in poly[:-1]:
+        for k, c in enumerate(poly[:-1]):
             g_re, g_im = c + mp.conj(c), c - mp.conj(c)
             z = basis.element(recover_coords(g_re, plan, REAL_PART), REAL_PART)
             if IMAG_PART in plan.sides:
@@ -357,6 +366,7 @@ def _divisor_attempt(kind, sel, plan):
                     f"coefficient of a real divisor has imaginary part "
                     f"{mp.nstr(abs(g_im) / 2, 5)} at {plan.float_bits} bits")
             coeffs.append(half * z)
+            _check_height(coeffs[-1], plan.T0, f"coefficient {k} at {plan.float_bits} bits")
     return tuple(coeffs) + (gf_rational(basis.qstars, 1),)
 
 

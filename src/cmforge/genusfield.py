@@ -12,7 +12,8 @@ sqrt(q_1)...sqrt(q_t); every sign convention below is anchored to that.
 tau_mu flips sqrt(q_i) for each bit i of mu, so every signed sum over the
 automorphisms is one Walsh-Hadamard transform (``walsh_hadamard``; Enge and
 Morain, AAECC-15, 2003): sum_mu c_mu tau_mu(x) = sum_S x_S r_S c^_S, c^ the
-transform of c.  ``root_products`` is the one memoized table of the r_S.
+transform of c.  ``root_products`` is the one memoized table of the r_S,
+and ``embeddings`` the one numeric source of an element's conjugates.
 
 On top of raw field arithmetic this module builds explicit Z-bases
 (beta, beta_star) of the real and pure-imaginary parts of the ring of
@@ -74,6 +75,18 @@ def root_products(qstars, prec):
     sqrt(q_i) multiplied in increasing i."""
     with mp.workprec(prec):
         return tuple(_subset_products([mp.sqrt(mp.mpc(q)) for q in qstars], mp.mpc(1)))
+
+
+def embeddings(x, prec):
+    """sigma_mu(x) = sum_S (-1)^|mu & S| x_S r_S, the principal embedding of
+    tau_mu(x), for every mask mu at prec bits: one transform of the x_S r_S.
+    With K the largest |sigma_mu(x)|, sum_S |x_S r_S| <= 2^(t/2) K (Parseval),
+    so the 2t + 1 roundings of each term, one per round of butterflies and the
+    division leave each value within ((3t + 1) 2^(t/2) + 1) 2^-prec K <=
+    2^(t+3-prec) K of the true one."""
+    roots = root_products(x.qstars, prec)
+    with mp.workprec(prec):
+        return [v / x.den for v in walsh_hadamard(n * r for n, r in zip(x.nums, roots))]
 
 
 def _lam_mask(lam, nbits):

@@ -12,7 +12,7 @@ from cmforge.classpoly import ClassPolynomial, class_poly_divisor, \
     class_poly_full, coset_divisor, coset_labels, coset_product_check, genus_T0
 from cmforge.errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted
 from cmforge.forms import QuadForm, enumerate_reduced, n_system, phi_class
-from cmforge.genusfield import GFElem
+from cmforge.genusfield import GFElem, embeddings
 from test_genusfield import from_json
 from cmforge.modfns import InvariantKind, height_bound
 from test_golden import DIVISORS, FULL, digest
@@ -282,6 +282,37 @@ def test_exact_attempt_checks_the_height_bound(D, full):
     assert classpoly._exact_attempt(J, qstars, forms, masks, B, above) == want
     with pytest.raises(PrecisionEscalation, match="height bound"):
         classpoly._exact_attempt(J, qstars, forms, masks, B, below)
+
+
+@pytest.mark.parametrize("D,invariant", [(-5460, "j"), (-3135, "doubleeta:5,7")])
+def test_height_check_is_sharp(D, invariant):
+    # on the paper route's divisors (the largest -5460 j embedding is 2^-31
+    # below T0, the pad's whole margin; -3135 doubleeta:5,7 recovers both
+    # sides) every coefficient passes at T0, and the check resolves each
+    # coefficient's largest embedding K to within 2^-40
+    kind = InvariantKind.parse(invariant)
+    div = class_poly_divisor(D, kind, route="paper")
+    tops = []
+    for k, c in enumerate(div.coeffs[:-1]):
+        classpoly._check_height(c, div.plan.T0, f"coefficient {k}")
+        with mp.workprec(400):
+            tops.append(max(abs(v) for v in embeddings(c, 400)))
+            below, above = tops[-1] * (1 - mp.mpf(2) ** -40), tops[-1] * (1 + mp.mpf(2) ** -40)
+        with pytest.raises(PrecisionEscalation, match="exceeds the height bound"):
+            classpoly._check_height(c, below, f"coefficient {k}")
+        classpoly._check_height(c, above, f"coefficient {k}")
+    # the paper route's attempt runs the check on what it recovers: with T0
+    # just below the largest embedding, the same plan recovers the same
+    # coefficients and escalates
+    d = Discriminant.from_D(D)
+    sel = [f for f in n_system(D, kind.modulus(d), kind.b_target(d)).forms
+           if phi_class(f, d) == div.phi0]
+    with mp.workprec(400):
+        below, above = max(tops) * (1 - mp.mpf(2) ** -40), max(tops) * (1 + mp.mpf(2) ** -40)
+    assert classpoly._divisor_attempt(kind, sel, dataclasses.replace(div.plan, T0=above)) \
+        == div.coeffs
+    with pytest.raises(PrecisionEscalation, match="exceeds the height bound"):
+        classpoly._divisor_attempt(kind, sel, dataclasses.replace(div.plan, T0=below))
 
 
 def test_precision_cap_divisor():

@@ -32,6 +32,7 @@ from cmforge.genusfield import (
     build_mpair,
     default_x_set,
     delta_g,
+    embeddings,
     gf_monomial,
     gf_rational,
     gf_to_json,
@@ -199,6 +200,14 @@ def test_walsh_hadamard_of_conjugates(q):
         got = walsh_hadamard([x.tau(mu) for mu in range(N)])
         for S in range(N):
             assert got[S] == gf_monomial(q, S, N * x.nums[S], x.den)
+        # embeddings: every sigma_mu(x) within 2^(t+3-prec) K, K the largest
+        with mp.workprec(400):
+            K = max(abs(v) for v in embeddings(x, 400))
+        for prec in (53, 100):
+            for mu, v in enumerate(embeddings(x, prec)):
+                with mp.workprec(400):
+                    assert abs(v - x.tau(mu).numeric(prec)) \
+                        <= mp.mpf(2) ** (len(q) + 3 - prec) * K
 
 
 def test_numeric_ignores_the_order_of_precisions():

@@ -17,8 +17,8 @@ from cmforge.classpoly import class_poly_divisor, coset_divisor, coset_labels, \
     genus_T0
 from cmforge.forms import QuadForm, n_system, phi_class
 from cmforge.modfns import InvariantKind, height_bound
-from cmforge.recover import CONJ_CHECK_BITS, make_plan, recover_coords, \
-    recovery_matrix, _solve_adjugate
+from cmforge.recover import make_plan, recover_coords, recovery_matrix, \
+    _solve_adjugate
 from test_golden import DIVISORS, digest
 
 J = InvariantKind.j()
@@ -216,27 +216,15 @@ def test_recovery_far_from_gamma_escalates():
 
 def test_recovery_with_large_conjugates_escalates():
     # gamma = 1e-10 i on IMAG_PART of the two-sided -40 plan with j's T0
-    # can recover a vector whose value lies within epsilon of gamma, so
-    # the residual check passes, but whose other conjugate is far above 2 T0
-    with pytest.raises(PrecisionEscalation, match="conjugate tau_1"):
-        recover_coords(mp.mpc(0, "1e-10"), plan_for(-40, BOTH), IMAG_PART)
-    with pytest.raises(PrecisionEscalation, match="conjugate tau_1"):
-        recover_coords(mp.mpf("3e-10"), plan_for(-40), REAL_PART)
-
-
-@pytest.mark.parametrize("D", [-40, -84, -120, -420])
-def test_conjugate_check_precision(D):
-    # the precision condition in recover_coords's docstring: with C the
-    # conjugate matrix (tau_lam(beta_xi)), V its largest entry and c the
-    # largest entry of its inverse, m^2 c V < 2^(CONJ_CHECK_BITS - 38)
-    plan = plan_for(D, BOTH)
-    m = plan.basis.m
-    for rec in plan.sides.values():
-        with mp.workprec(CONJ_CHECK_BITS):
-            C = mp.matrix([list(rec.values)] + [list(c) for c in rec.conjugates])
-            c = max(abs(x) for row in (C ** -1).tolist() for x in row)
-            V = max(abs(x) for row in C.tolist() for x in row)
-            assert m * m * c * V < mp.mpf(2) ** (CONJ_CHECK_BITS - 38)
+    # (and 3e-10 on REAL_PART) recovers a vector whose value lies within
+    # epsilon of gamma, so the residual check passes, but whose other
+    # conjugate is far above 2 T0: the height check on z = sum / 2 rejects it
+    for gamma, plan, side in ((mp.mpc(0, "1e-10"), plan_for(-40, BOTH), IMAG_PART),
+                              (mp.mpf("3e-10"), plan_for(-40), REAL_PART)):
+        b = recover_coords(gamma, plan, side)
+        z = plan.basis.element(b, side) * Fraction(1, 2)
+        with pytest.raises(PrecisionEscalation, match="exceeds the height bound"):
+            classpoly._check_height(z, plan.T0, "the recovered coefficient")
 
 
 def test_invalid_side_rejected():
