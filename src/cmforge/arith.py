@@ -9,6 +9,7 @@ factors.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -85,7 +86,8 @@ def _miller_rabin(n: int, base: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic below 3.3e24, 64 fixed bases beyond that."""
+    """Miller-Rabin; deterministic below 3.3e24, 64 fixed bases beyond that
+    (``_is_prime_64``, which remembers its last 64 decisions)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -94,10 +96,16 @@ def is_probable_prime(n: int) -> bool:
         if n % p == 0:
             return False
     if n < 3317044064679887385961981:
-        bases = _MR_BASES_SMALL
-    else:
-        bases = _64_bases()
-    return all(_miller_rabin(n, b) for b in bases)
+        return all(_miller_rabin(n, b) for b in _MR_BASES_SMALL)
+    return _is_prime_64(n)
+
+
+# search_fixed_D proves a prime that gen_curve's validate_params proves again
+# (and gencurve proves p in cornacchia and validate_params): the last
+# decisions of the 64-base test are remembered, not repeated
+@functools.lru_cache(maxsize=64)
+def _is_prime_64(n: int) -> bool:
+    return all(_miller_rabin(n, b) for b in _64_bases())
 
 
 def _64_bases(_cache=[]):

@@ -3,6 +3,8 @@ import random
 
 import pytest
 import sympy
+
+from cmforge import arith
 from hypothesis import given, settings, strategies as st
 
 from cmforge.arith import (
@@ -82,6 +84,28 @@ def test_primality_against_sympy_random():
     p = int(sympy.nextprime(1 << 89))
     for n in (p - 2, p - 1, p, p + 1, p + 2):
         assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+def test_primality_memo_proves_a_prime_once(monkeypatch):
+    # the 64-base branch remembers its decisions: a second call on a
+    # 128-bit prime runs no Miller-Rabin round, and no answer changes
+    p = int(sympy.nextprime(1 << 127))
+    k = 13700526   # Chernick: 6k+1, 12k+1, 18k+1 prime, so their product is Carmichael
+    carmichael = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+    assert carmichael > 3317044064679887385961981
+    cases = [(p, True), ((1 << 127) - 1, True), ((1 << 255) - 19, True),
+             (p * int(sympy.nextprime(1 << 64)), False), (carmichael, False)]
+    rounds = []
+    mr = arith._miller_rabin
+    monkeypatch.setattr(arith, "_miller_rabin", lambda n, b: rounds.append(n) or mr(n, b))
+    arith._is_prime_64.cache_clear()
+    for n, want in cases:
+        assert is_probable_prime(n) is want, n
+        assert n in rounds
+    rounds.clear()
+    for n, want in cases:
+        assert is_probable_prime(n) is want, n
+    assert rounds == []
 
 
 # --- sqrt_mod_p -------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import threading
 
 import pytest
 from mpmath import mp
@@ -469,6 +471,9 @@ def test_conjugate_route_never_returns_a_wrong_divisor(D, invariant, want, shift
         with mp.workprec(prec + 64):
             return v * (1 + mp.mpf(2) ** -shift) if form == seen[0] else v
 
+    # one process, so that seen[0] is one form: a forked child would skew
+    # the first form of its own share as well
+    monkeypatch.setattr(classpoly, "_workers", lambda n, work: 1)
     monkeypatch.setattr(classpoly, "theta_value", skewed)
     try:
         div = class_poly_divisor(D, kind, max_bits=2 * B, route="conjugates")
@@ -551,3 +556,116 @@ def test_expand_matches_the_floating_point_loop(D, invariant, phi):
         want = expand_reference(values, prec)
         with mp.workprec(prec + 64):
             assert max(abs(c - e) for c, e in zip(poly, want)) <= err, prec
+
+
+def attempt_forms(D, principal):
+    """The j N-system at D, or its principal genus (a paper-route attempt)."""
+    d = Discriminant.from_D(D)
+    forms = n_system(D, J.modulus(d), J.b_target(d)).forms
+    return [f for f in forms if phi_class(f, d) == (1,) * d.t] if principal else forms
+
+
+def counted_forks(monkeypatch):
+    """Patch os.fork to count, in the parent, the forks it makes."""
+    fork, forks = os.fork, []
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def pin_workers(monkeypatch, workers):
+    monkeypatch.setattr(classpoly, "_workers", lambda n, work: workers)
+
+
+def mpc_rows(values):
+    return [(f, th._mpc_, paired) for f, th, paired in values]
+
+
+# the first attempts of the -2519 j conjugate route (33 values at 993 bits)
+# and of the -9911 j paper route (18 values at 5157 bits)
+@pytest.mark.parametrize("D,principal,prec,n", [(-2519, False, 993, 33),
+                                                (-9911, True, 5157, 18)])
+def test_forked_theta_values_are_bit_identical(D, principal, prec, n, monkeypatch):
+    # two workers even on a one-CPU runner: the values and their order are
+    # those of one worker, bit for bit
+    forms = attempt_forms(D, principal)
+    forks = counted_forks(monkeypatch)
+    pin_workers(monkeypatch, 2)
+    forked = classpoly._theta_values(J, forms, prec)
+    assert forks == [1]
+    pin_workers(monkeypatch, 1)
+    serial = classpoly._theta_values(J, forms, prec)
+    assert len(serial) == n and mpc_rows(forked) == mpc_rows(serial)
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failing_share_raises_and_leaves_no_child(where, monkeypatch):
+    # the largest A heads the parent's share and the next one the child's;
+    # a child that fails exits non-zero and the parent evaluates its share,
+    # so the error surfaces in the parent either way, and every child is
+    # reaped (killed first when the parent's own share raises)
+    forms = attempt_forms(-2519, False)
+    pin_workers(monkeypatch, 1)
+    evaluated = [f for f, _, _ in classpoly._theta_values(J, forms, 60)]
+    bad = sorted(evaluated, key=lambda f: -f.A)[0 if where == "parent" else 1]
+    theta = classpoly.theta_value
+
+    def failing(kind, form, prec=96):
+        if form == bad:
+            raise ZeroDivisionError(f"theta at {form}")
+        return theta(kind, form, prec)
+
+    monkeypatch.setattr(classpoly, "theta_value", failing)
+    forks = counted_forks(monkeypatch)
+    pin_workers(monkeypatch, 2)
+    with pytest.raises(ZeroDivisionError):
+        classpoly._theta_values(J, forms, 200)
+    assert forks == [1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("case", ["one cpu", "one cpu, no affinity", "no fork",
+                                  "another thread", "below the cutoff"])
+def test_serial_cases_never_fork(case, monkeypatch):
+    # 33 values at 993 bits fork on two CPUs; at 363 bits (33 * 363 bits
+    # below _FORK_BITS) they fork on no number of CPUs
+    forms = attempt_forms(-2519, False)
+    prec = (classpoly._FORK_BITS - 1) // 33 if case == "below the cutoff" else 993
+    with monkeypatch.context() as m:
+        pin_workers(m, 1)
+        want = mpc_rows(classpoly._theta_values(J, forms, prec))
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    if case == "one cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    elif case == "one cpu, no affinity":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    elif case == "no fork":
+        monkeypatch.delattr(os, "fork")
+        pin_workers(monkeypatch, 2)
+    elif case == "another thread":
+        pin_workers(monkeypatch, 2)
+        other.start()
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert classpoly._workers(33, 33 * prec) == 1
+        assert classpoly._workers(33, 33 * (prec + 1)) == 2
+    try:
+        got = mpc_rows(classpoly._theta_values(J, forms, prec))
+    finally:
+        stop.set()
+        if other.is_alive():
+            other.join(timeout=10)
+    assert not other.is_alive()
+    assert got == want
