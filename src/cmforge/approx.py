@@ -51,7 +51,7 @@ class CFRegister:
 def make_register(d, lam, bits=160):
     delta, g = delta_g(d, lam)
     with mp.workprec(bits):
-        g_real = g.numeric_real(bits)
+        g_real = embeddings(g, bits)[0].real
         return CFRegister(
             lam=lam, delta=delta, g_real=g_real, isq=math.isqrt(delta),
             x=0, y=1, y_prev=delta // 4, z=mp.mpf(1), n=0)
@@ -172,7 +172,7 @@ class ApproxRun:
 
     def z_value(self):
         if self._base is None:
-            self._base = [w.numeric_real(self.bits) for w in self.omega_star]
+            self._base = [embeddings(w, self.bits)[0].real for w in self.omega_star]
         with mp.workprec(self.bits):
             return +sum(a * w for a, w in zip(self.A, self._base))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import traceback
 
@@ -47,10 +48,15 @@ def _emit(obj, out):
 
 
 def _as_int(x, what):
-    try:
-        return int(x)
-    except (TypeError, ValueError):
-        raise InvalidParameters(f"{what} must be an integer, got {x!r}")
+    """A JSON integer (not a bool) or a decimal-integer string, as int."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+        try:
+            return int(x)
+        except ValueError:   # more digits than int() converts
+            pass
+    raise InvalidParameters(f"{what} must be an integer, got {x!r:.80}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +143,8 @@ def cmd_verify(args, out):
         else:
             text = sys.stdin.read()
         blob = json.loads(text.strip().splitlines()[0])
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, IndexError) as e:
+    except (OSError, ValueError, IndexError) as e:
+        # ValueError: undecodable bytes, bad JSON or an integer of too many digits
         raise InvalidParameters(f"verify needs a curve JSON object: {e}")
     if not isinstance(blob, dict):
         raise InvalidParameters("verify needs a curve JSON object")

@@ -24,10 +24,8 @@ __all__ = [
     "reduce_divisor_mod_p",
     "roots_in_fp",
     "curve_from_j",
-    "point_add",
     "point_neg",
     "scalar_mul",
-    "is_on_curve",
     "random_point",
     "naive_count",
     "select_twist",
@@ -228,36 +226,11 @@ def curve_from_j(j, p):
 # ---------------------------------------------------------------------------
 # point arithmetic
 
-def is_on_curve(P, curve):
-    if P is None:
-        return True
-    x, y = P
-    return (y * y - x * x * x - curve.a * x - curve.b) % curve.p == 0
-
-
 def point_neg(P, curve):
     if P is None:
         return None
     x, y = P
     return (x, (-y) % curve.p)
-
-
-def point_add(P, Q, curve):
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    p = curve.p
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2 and (y1 + y2) % p == 0:
-        return None
-    if P == Q:
-        lam = (3 * x1 * x1 + curve.a) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return (x3, (lam * (x1 - x3) - y1) % p)
 
 
 def _jacobian_double(X, Y, Z, a, p):

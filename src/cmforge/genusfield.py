@@ -13,7 +13,7 @@ tau_mu flips sqrt(q_i) for each bit i of mu, so every signed sum over the
 automorphisms is one Walsh-Hadamard transform (``walsh_hadamard``; Enge and
 Morain, AAECC-15, 2003): sum_mu c_mu tau_mu(x) = sum_S x_S r_S c^_S, c^ the
 transform of c.  ``root_products`` is the one memoized table of the r_S,
-and ``embeddings`` the one numeric source of an element's conjugates.
+and ``embeddings`` the one numeric view of an element: all its conjugates.
 
 On top of raw field arithmetic this module builds explicit Z-bases
 (beta, beta_star) of the real and pure-imaginary parts of the ring of
@@ -79,14 +79,22 @@ def root_products(qstars, prec):
 
 def embeddings(x, prec):
     """sigma_mu(x) = sum_S (-1)^|mu & S| x_S r_S, the principal embedding of
-    tau_mu(x), for every mask mu at prec bits: one transform of the x_S r_S.
-    With K the largest |sigma_mu(x)|, sum_S |x_S r_S| <= 2^(t/2) K (Parseval),
-    so the 2t + 1 roundings of each term, one per round of butterflies and the
-    division leave each value within ((3t + 1) 2^(t/2) + 1) 2^-prec K <=
-    2^(t+3-prec) K of the true one."""
-    roots = root_products(x.qstars, prec)
+    tau_mu(x), for every mask mu at prec bits: one transform of the x_S r_S,
+    the only numeric view of an element.  Row 0 is x itself; a row of an
+    element that is real by construction has a zero imaginary part.
+
+    The transform runs at prec + 8 bits.  With K the largest |sigma_mu(x)|,
+    sum_S |x_S r_S| <= 2^(t/2) K (Parseval), so the roundings of each term
+    before the division leave each value within ((3t + 1) 2^(t/2) + 1)
+    2^-(prec+8) K <= 2^(t-5-prec) K of the true one.  The division by the
+    denominator, at prec, rounds each value once, which adds at most 2^-prec
+    times its size, under 2^(1-prec) K; so the total stays within
+    2^(t+3-prec) K."""
+    roots = root_products(x.qstars, prec + 8)
+    with mp.workprec(prec + 8):
+        vals = walsh_hadamard(n * r for n, r in zip(x.nums, roots))
     with mp.workprec(prec):
-        return [v / x.den for v in walsh_hadamard(n * r for n, r in zip(x.nums, roots))]
+        return [v / x.den for v in vals]
 
 
 def _lam_mask(lam, nbits):
@@ -219,23 +227,7 @@ class GFElem:
         return GFElem(self.qstars, [-x if (S & m).bit_count() % 2 else x
                                     for S, x in enumerate(self.nums)], self.den)
 
-    # -- numerics -----------------------------------------------------
-
-    def numeric(self, prec=96):
-        """Evaluate with principal square roots at the given bit precision."""
-        roots = root_products(self.qstars, prec + 8)
-        with mp.workprec(prec + 8):
-            acc = mp.mpc(0)
-            for S, w in enumerate(roots):
-                if self.nums[S]:
-                    co = self.coeff(S)
-                    acc += w * mp.mpf(co.numerator) / co.denominator
-            return +acc
-
-    def numeric_real(self, prec=96):
-        v = self.numeric(prec)
-        assert v.imag == 0, f"not a real element: {self!r}"
-        return v.real
+    # -- reduction mod p ----------------------------------------------
 
     def mod_p(self, roots, p):
         """The image mod p when each sqrt(q_i) is sent to roots[i]; the
@@ -444,8 +436,9 @@ def build_basis(d):
             b = pre
             bs = pre_s * gf_monomial(qstars, 1 << (t - 1))
 
-        assert b.is_real(), (qstars, smask)
-        assert bs.is_imag(), (qstars, smask)
+        if not (b.is_real() and bs.is_imag()):
+            raise InternalInvariantError(
+                f"beta not real or beta_star not imaginary for qstars={qstars} s={smask}")
         beta.append(b)
         beta_star.append(bs)
 
@@ -533,8 +526,8 @@ def build_mpair(basis):
                 raise InternalInvariantError(
                     f"dual-system identity failed for qstars={qstars} "
                     f"lam={lam} lam'={lamp}")
-    for v in mvals:
-        assert v.is_real()
+    if not all(v.is_real() for v in mvals):
+        raise InternalInvariantError(f"non-real M-value for qstars={qstars}")
     tensors = {side: structure_constants(basis, side) for side in (REAL_PART, IMAG_PART)}
     return MPair(basis, mvals, omegas, default_x_set(basis), tensors)
 

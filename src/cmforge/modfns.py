@@ -230,14 +230,6 @@ class InvariantKind:
         return cls("j")
 
     @classmethod
-    def gamma2(cls):
-        return cls("gamma2")
-
-    @classmethod
-    def weber(cls):
-        return cls("weber")
-
-    @classmethod
     def double_eta(cls, p1, p2):
         return cls("doubleeta", min(p1, p2), max(p1, p2))
 

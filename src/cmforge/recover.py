@@ -25,7 +25,7 @@ from mpmath import mp
 
 from .approx import ApproxRun, run_approx
 from .errors import InternalInvariantError, InvalidParameters, PrecisionEscalation
-from .genusfield import GenusBasis, adjugate
+from .genusfield import GenusBasis, adjugate, embeddings
 
 FLOAT_BITS_MARGIN = 64
 
@@ -50,11 +50,11 @@ class RecoverySide:
 def _recovery_side(run, prec):
     mpair, side = run.mpair, run.side
     with mp.workprec(prec):
-        mid = mpair.mvals[0].numeric_real(prec)
-        Z = +sum(a * w.numeric_real(prec) for a, w in zip(run.A, run.omega_star))
-        scales = tuple(mid * Z * X.numeric_real(prec) for X in mpair.X_set)
-        values = tuple(e.numeric(prec) for e in mpair.basis.family(side))
-        norm = mpair.norm(side).numeric(prec)
+        mid = embeddings(mpair.mvals[0], prec)[0].real
+        Z = +sum(a * embeddings(w, prec)[0].real for a, w in zip(run.A, run.omega_star))
+        scales = tuple(mid * Z * embeddings(X, prec)[0].real for X in mpair.X_set)
+        values = tuple(embeddings(e, prec)[0] for e in mpair.basis.family(side))
+        norm = embeddings(mpair.norm(side), prec)[0]
     det, adj = adjugate(recovery_matrix(run))
     return RecoverySide(run, norm, scales, values, det, adj)
 
@@ -79,23 +79,24 @@ def _side_threshold(mpair, side, T_eff, prec=160):
 
     The quantity being bounded is tau_lam(sum b omega) * tau_lam(X_eta) =
     tau_lam(sum b beta)/tau_lam(beta_norm) * tau_lam(X_eta), so each term
-    carries 1/|tau_lam(beta_norm)|.
+    carries 1/|tau_lam(beta_norm)|: rows 1..m-1 of the embeddings of the
+    norm and of each X_eta.
     """
     basis = mpair.basis
     m = basis.m
     if m == 1:
         return mp.mpf(0), mp.mpf(0)
-    norm = mpair.norm(side)
     with mp.workprec(prec):
         delta_cap = mp.sqrt(abs(basis.d)) ** m
-        mv = [abs(v.numeric_real(prec)) for v in mpair.mvals]
+        mv = [abs(embeddings(v, prec)[0].real) for v in mpair.mvals]
         C = +sum(mv[1:])
-        tn = [abs(norm.tau(lam).numeric(prec)) for lam in range(1, m)]
+        tn = embeddings(mpair.norm(side), prec)
         z_req = mp.mpf(0)
         for X in mpair.X_set:
+            tx = embeddings(X, prec)
             s = mp.mpf(0)
-            for lam, n in enumerate(tn, 1):
-                s += mv[lam] * abs(X.tau(lam).numeric(prec)) / n
+            for lam in range(1, m):
+                s += mv[lam] * abs(tx[lam]) / abs(tn[lam])
             z_req = max(z_req, (4 * s * delta_cap * T_eff) ** (m - 1))
         return +z_req, +C
 
@@ -105,11 +106,11 @@ def _side_epsilon(run, prec=160):
     mpair = run.mpair
     with mp.workprec(prec):
         Z = run.z_value()
-        mid = abs(mpair.mvals[0].numeric_real(prec))
-        norm = abs(mpair.norm(run.side).numeric(prec))
+        mid = abs(embeddings(mpair.mvals[0], prec)[0].real)
+        norm = abs(embeddings(mpair.norm(run.side), prec)[0])
         best = mp.inf
         for X in mpair.X_set:
-            xv = abs(X.numeric(prec))
+            xv = abs(embeddings(X, prec)[0])
             best = min(best, norm / (4 * mid * xv * Z))
         return +best
 
@@ -131,7 +132,7 @@ def make_plan(mpair, sides, T0):
         delta_cap = mp.sqrt(abs(basis.d)) ** basis.m
         N0 = 1
         if basis.m > 1:
-            mid = abs(mpair.mvals[0].numeric_real(160))
+            mid = abs(embeddings(mpair.mvals[0], 160)[0].real)
             head = 1 + mp.mpf(2) ** -40   # so re-verification can't miss by an ulp
             for side in sides:
                 z_req, C = _side_threshold(mpair, side, T_eff)

@@ -13,6 +13,7 @@ from cmforge.classpoly import class_poly_divisor
 from cmforge.errors import InvalidParameters
 from cmforge.genusfield import IMAG_PART, REAL_PART, build_basis, build_mpair, \
     delta_g
+from test_genusfield import sigma_ref
 
 BITS = 192
 
@@ -186,7 +187,7 @@ def test_run_golden_gives_fibonacci_vector():
     q = approx_quality(run)
     assert q["ok"]
     with mp.workprec(run.bits):
-        om1 = mpair.omegas[REAL_PART][1].numeric_real(run.bits)
+        om1 = sigma_ref(mpair.omegas[REAL_PART][1], 0, run.bits).real
         assert abs(mp.mpf(run.A[1]) / run.A[0] - om1) < mp.mpf(1) / run.A[0] ** 2
 
 
@@ -244,14 +245,14 @@ def finalapprox_constants(mpair, bits=BITS):
     m = mpair.basis.m
     omega = mpair.omegas[REAL_PART]
     with mp.workprec(bits):
-        mvals = [v.numeric_real(bits) for v in mpair.mvals]
-        om = [w.numeric_real(bits) for w in omega]
+        mvals = [sigma_ref(v, 0, bits).real for v in mpair.mvals]
+        om = [sigma_ref(w, 0, bits).real for w in omega]
         C = sum(abs(mvals[lam]) for lam in range(1, m))  # tau(omega_0) = 1
         Cs = {}
         for i in range(1, m):
             acc = mp.mpf(0)
             for lam in range(1, m):
-                ti = omega[i].tau(lam).numeric_real(bits)
+                ti = sigma_ref(omega[i], lam, bits).real
                 acc += abs(mvals[lam] * (ti - om[i]))
             Cs[i] = +acc
         return +C, Cs, mvals, om
@@ -295,7 +296,7 @@ def test_conj_values_resolve_the_bound():
     assert bound < mp.mpf(2) ** -300
     with mp.workprec(4000):
         for lam in run.lam_order:
-            want = sum(a * w.tau(lam).numeric_real(4000)
+            want = sum(a * sigma_ref(w, lam, 4000).real
                        for a, w in zip(run.A, mpair.omega_star(REAL_PART)))
             assert abs(got[lam] - want) < bound * mp.mpf(2) ** -60
             assert abs(want) <= bound

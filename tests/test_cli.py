@@ -222,6 +222,25 @@ def test_verify_unreadable_input_exit_code(kind, tmp_path, capsys):
     assert rc == 2 and "Traceback" not in err
 
 
+# v = 2.5 would truncate to the true v = 2 and verify; 1e400 and Infinity
+# parse as float infinity, which int() cannot convert; a JSON integer of
+# 5000 digits is more than json.loads converts
+@pytest.mark.parametrize("field,text", [("v", "2.5"), ("v", "true"), ("p", "1e400"),
+                                        ("p", "Infinity"), ("p", "1" * 5000)],
+                         ids=["v-2.5", "v-true", "p-1e400", "p-Infinity", "p-5000-digits"])
+def test_verify_non_integer_field_exit_code(field, text, tmp_path, capsys):
+    _, out, _ = run_cli(["gencurve", "--disc", "-40", "--prime", "41",
+                         "--order", "44"], capsys)
+    blob = lines(out)[0]
+    assert blob["v"] == 2
+    blob[field] = "@"
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(blob).replace('"@"', text))
+    rc, _, err = run_cli(["verify", str(path)], capsys)
+    assert rc == 2 and "Traceback" not in err
+    assert f"{field} must be an integer" in err or "verify needs a curve JSON object" in err
+
+
 def test_unsupported_invariant_exit_code(capsys):
     rc, _, _ = run_cli(["classpoly", "--disc", "-84", "--invariant", "gamma2"],
                        capsys)

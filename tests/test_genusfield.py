@@ -8,6 +8,7 @@ algebraic integers.
 """
 
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
@@ -89,24 +90,33 @@ def duality_sum(basis, eta, nu):
     return acc
 
 
-def eval_indep(x, flips=0, prec=160):
-    """Evaluate an element numerically from scratch, optionally negating
-    the principal root of q_i for each bit i of flips."""
+@functools.cache
+def _flipped_root_products(qstars, mu, prec):
+    """r_S for every mask S, product by product from scratch, with the
+    principal root of q_i negated for each bit i of mu."""
     with mp.workprec(prec):
-        roots = []
-        for i, q in enumerate(x.qstars):
-            r = mp.sqrt(mp.mpc(q))
-            if (flips >> i) & 1:
-                r = -r
-            roots.append(r)
-        tot = mp.mpc(0)
-        for mask in range(len(x.nums)):
-            co = x.coeff(mask)
+        roots = [-mp.sqrt(mp.mpc(q)) if mu >> i & 1 else mp.sqrt(mp.mpc(q))
+                 for i, q in enumerate(qstars)]
+        out = []
+        for S in range(1 << len(qstars)):
             w = mp.mpc(1)
-            for i in range(len(x.qstars)):
-                if (mask >> i) & 1:
-                    w = w * roots[i]
-            tot += w * mp.mpf(co.numerator) / co.denominator
+            for i, r in enumerate(roots):
+                if S >> i & 1:
+                    w = w * r
+            out.append(w)
+        return tuple(out)
+
+
+def sigma_ref(x, mu=0, prec=400):
+    """sigma_mu(x) = sum_S (-1)^|mu & S| x_S r_S, term by term with the root
+    of q_i negated for each bit i of mu: the reference for ``embeddings``,
+    as duality_sum is for build_basis's transform check."""
+    with mp.workprec(prec):
+        tot = mp.mpc(0)
+        for S, w in enumerate(_flipped_root_products(x.qstars, mu, prec)):
+            co = x.coeff(S)
+            if co:
+                tot += w * mp.mpf(co.numerator) / co.denominator
         return +tot
 
 
@@ -128,15 +138,15 @@ def test_product_of_two_imaginary_roots_is_negative_real():
     prod = sqrt_q(q, 0) * sqrt_q(q, 1)
     assert prod == gf_monomial(q, 0b011)
     with mp.workprec(80):
-        v = prod.numeric_real(80)
-        assert abs(v + mp.sqrt(21)) < mp.mpf(2) ** -60  # equals -sqrt(21)
+        v = embeddings(prod, 80)[0]
+        assert v.imag == 0 and abs(v.real + mp.sqrt(21)) < mp.mpf(2) ** -60  # -sqrt(21)
 
 
 def test_numeric_principal_roots():
     q = (5, -3)
     with mp.workprec(80):
-        v5 = sqrt_q(q, 0).numeric(80)
-        v3 = sqrt_q(q, 1).numeric(80)
+        v5 = embeddings(sqrt_q(q, 0), 80)[0]
+        v3 = embeddings(sqrt_q(q, 1), 80)[0]
         assert abs(v5 - mp.sqrt(5)) < mp.mpf(2) ** -70
         assert v3.real == 0 and abs(v3.imag - mp.sqrt(3)) < mp.mpf(2) ** -70
 
@@ -184,9 +194,9 @@ def test_tau_matches_numeric_root_flips():
     for _ in range(40):
         x = rand_elem(rng, q)
         lam = rng.randrange(1 << len(q))
-        got = x.tau(lam).numeric(160)
-        want = eval_indep(x, flips=lam)
-        assert abs(got - want) < mp.mpf(2) ** -130
+        want = sigma_ref(x, lam, 160)
+        assert abs(sigma_ref(x.tau(lam), 0, 160) - want) < mp.mpf(2) ** -130
+        assert abs(embeddings(x, 160)[lam] - want) < mp.mpf(2) ** -130
 
 
 @pytest.mark.parametrize("q", [(-3,), (5, -4), (8, 5, -3), (5, -3, -7, -4),
@@ -201,13 +211,13 @@ def test_walsh_hadamard_of_conjugates(q):
         for S in range(N):
             assert got[S] == gf_monomial(q, S, N * x.nums[S], x.den)
         # embeddings: every sigma_mu(x) within 2^(t+3-prec) K, K the largest
+        want = [sigma_ref(x, mu) for mu in range(N)]
         with mp.workprec(400):
-            K = max(abs(v) for v in embeddings(x, 400))
+            K = max(abs(v) for v in want)
         for prec in (53, 100):
-            for mu, v in enumerate(embeddings(x, prec)):
+            for v, w in zip(embeddings(x, prec), want):
                 with mp.workprec(400):
-                    assert abs(v - x.tau(mu).numeric(prec)) \
-                        <= mp.mpf(2) ** (len(q) + 3 - prec) * K
+                    assert abs(v - w) <= mp.mpf(2) ** (len(q) + 3 - prec) * K
 
 
 def test_numeric_ignores_the_order_of_precisions():
@@ -222,8 +232,9 @@ def test_numeric_ignores_the_order_of_precisions():
         out = {}
         for prec in precs:
             for i, x in enumerate(xs):
+                emb = embeddings(x, prec)
                 for lam in (0, 5, 31):
-                    out[prec, i, lam] = x.tau(lam).numeric(prec)
+                    out[prec, i, lam] = emb[lam]
         return out
 
     assert values((80, 240)) == values((240, 80))
@@ -234,10 +245,11 @@ def test_conj_matches_complex_conjugation():
     q = (5, -3, -7, -4)
     for _ in range(40):
         x = rand_elem(rng, q)
+        emb = embeddings(x, 160)
         with mp.workprec(160):
-            got = x.tau(x.neg_mask).numeric(160)
-            want = mp.conj(x.numeric(160))
-            assert abs(got - want) < mp.mpf(2) ** -130
+            assert abs(emb[x.neg_mask] - mp.conj(emb[0])) < mp.mpf(2) ** -130
+            assert abs(emb[x.neg_mask] - sigma_ref(x.tau(x.neg_mask), 0, 160)) \
+                < mp.mpf(2) ** -130
 
 
 def test_inverse_and_division():
@@ -320,7 +332,7 @@ def test_basis_degenerate_t1():
             assert basis.m == 1
             assert basis.beta == (gf_rational(basis.qstars, 1),)
             assert basis.beta_star == (sqrt_d(basis.qstars),)
-            v = basis.beta_star[0].numeric(80)
+            v = embeddings(basis.beta_star[0], 80)[0]
             assert v.real == 0
             assert abs(v.imag - imag_value) < mp.mpf(2) ** -60
 
@@ -332,9 +344,9 @@ def test_beta_real_beta_star_imaginary():
             assert basis.beta[mu].is_real()
             assert basis.beta_star[mu].is_imag()
             # and numerically: conj fixes beta, negates beta_star
-            b = basis.beta[mu].numeric(96)
+            b = embeddings(basis.beta[mu], 96)[0]
             assert b.imag == 0
-            s = basis.beta_star[mu].numeric(96)
+            s = embeddings(basis.beta_star[mu], 96)[0]
             assert s.real == 0
 
 
@@ -516,7 +528,7 @@ def test_delta_g_examples():
     # numeric: g for delta=12 is sqrt(3)
     g12 = delta_g(d84, 0b01)[1]
     with mp.workprec(80):
-        assert abs(g12.numeric_real(80) - mp.sqrt(3)) < mp.mpf(2) ** -60
+        assert abs(sigma_ref(g12, 0, 80).real - mp.sqrt(3)) < mp.mpf(2) ** -60
 
 
 def test_delta_g_positive_and_integral():
@@ -533,7 +545,7 @@ def test_delta_g_positive_and_integral():
                     sqfree //= p * p
             assert sqfree not in seen  # distinct quadratic subfields
             seen.add(sqfree)
-            assert g.numeric_real(80) > 1
+            assert sigma_ref(g, 0, 80).real > 1
             # g is an algebraic integer: monic quadratic relation
             if delta % 2:
                 assert g * g - g - Fraction(delta - 1, 4) == 0
@@ -590,12 +602,12 @@ def test_structure_constants_match_numerics(D, side, dual):
     prec = 120
     with mp.workprec(prec):
         for eta in range(basis.m):
-            xv = pair.X_set[eta].numeric_real(prec)
+            xv = sigma_ref(pair.X_set[eta], 0, prec).real
             for xi in range(basis.m):
-                want = fam[xi].numeric_real(prec) * xv
+                want = sigma_ref(fam[xi], 0, prec).real * xv
                 got = mp.mpf(0)
                 for mu in range(basis.m):
-                    got += tensor[eta][xi][mu] * fam[mu].numeric_real(prec)
+                    got += tensor[eta][xi][mu] * sigma_ref(fam[mu], 0, prec).real
                 assert abs(got - want) < mp.mpf(2) ** -90
 
 

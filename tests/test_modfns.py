@@ -18,7 +18,7 @@ from cmforge.modfns import (
 from test_golden import DIVISORS, FULL
 
 J = InvariantKind.j()
-WEBER = InvariantKind.weber()
+WEBER = InvariantKind("weber")
 ETA = (24, ((24, 1, 1),), 1, 1)   # eta(z) = q^(1/24) P(q), as a kernel quotient
 
 
@@ -137,16 +137,16 @@ def test_j_at_form_roots_minus40():
 def test_gamma2_minus40():
     sys3 = n_system(-40, 3, 0)
     with mp.workprec(220):
-        vals = [theta_value(InvariantKind.gamma2(), f, 160) for f in sys3.forms]
+        vals = [theta_value(InvariantKind("gamma2"), f, 160) for f in sys3.forms]
         assert abs(vals[0] + vals[1] - 780) < 1e-30
         assert abs(vals[0] * vals[1] - 20880) < 1e-30
 
 
 def test_gamma2_preconditions():
     with pytest.raises(InvalidParameters):
-        theta_value(InvariantKind.gamma2(), QuadForm(1, 1, 1), 96)  # B not divisible by 3
+        theta_value(InvariantKind("gamma2"), QuadForm(1, 1, 1), 96)  # B not divisible by 3
     with pytest.raises(UnsupportedInvariant):
-        InvariantKind.gamma2().validate_for(Discriminant.from_D(-84))  # 3 | D
+        InvariantKind("gamma2").validate_for(Discriminant.from_D(-84))  # 3 | D
 
 
 def test_weber_g_uncubed_minus40():
@@ -177,9 +177,9 @@ def test_weber_g_cubed_16_system():
     # D = -84: m = 21 = 5 (mod 8), cubed convention since 3 | D
     sys16 = n_system(-84, 16, 0)
     disc = Discriminant.from_D(-84)
-    assert InvariantKind.weber().weber_cubed(disc.D)
+    assert InvariantKind("weber").weber_cubed(disc.D)
     with mp.workprec(300):
-        vals = [theta_value(InvariantKind.weber(), f, 220) for f in sys16.forms]
+        vals = [theta_value(InvariantKind("weber"), f, 220) for f in sys16.forms]
         # symmetric functions must be (real) integers
         s1 = sum(vals)
         s4 = vals[0] * vals[1] * vals[2] * vals[3]
@@ -200,7 +200,7 @@ def test_weber_g_preconditions():
     with pytest.raises(UnsupportedInvariant):
         theta_value(WEBER, QuadForm(1, 1, 1), 96)  # odd discriminant
     with pytest.raises(UnsupportedInvariant):
-        InvariantKind.weber().validate_for(Discriminant.from_D(-32))  # m = 8
+        InvariantKind("weber").validate_for(Discriminant.from_D(-32))  # m = 8
 
 
 def test_double_eta_minus40():
@@ -243,12 +243,12 @@ def test_moduli_and_targets():
     d40 = Discriminant.from_D(-40)
     d84 = Discriminant.from_D(-84)
     assert InvariantKind.j().modulus(d40) == 1
-    assert InvariantKind.gamma2().modulus(d40) == 3
-    assert InvariantKind.weber().modulus(d40) == 48  # 3 coprime to D: uncubed
-    assert InvariantKind.weber().modulus(d84) == 16
+    assert InvariantKind("gamma2").modulus(d40) == 3
+    assert InvariantKind("weber").modulus(d40) == 48  # 3 coprime to D: uncubed
+    assert InvariantKind("weber").modulus(d84) == 16
     assert InvariantKind.double_eta(5, 7).modulus(d40) == 35
-    assert InvariantKind.gamma2().b_target(d40) == 0
-    assert InvariantKind.gamma2().b_target(Discriminant.from_D(-23)) == 3
+    assert InvariantKind("gamma2").b_target(d40) == 0
+    assert InvariantKind("gamma2").b_target(Discriminant.from_D(-23)) == 3
     b = InvariantKind.double_eta(5, 7).b_target(d40)
     assert (b * b + 40) % 140 == 0
     b = InvariantKind.double_eta(11, 13).b_target(d40)
@@ -282,17 +282,17 @@ def test_theta_bound_closed_forms():
         bj = mp.exp(mp.pi * mp.sqrt(40)) + 2079
         f = QuadForm(1, 0, 10)
         assert theta_bound(InvariantKind.j(), f) == bj * pad
-        assert theta_bound(InvariantKind.gamma2(), f) == mp.cbrt(bj) * pad
+        assert theta_bound(InvariantKind("gamma2"), f) == mp.cbrt(bj) * pad
         assert theta_bound(InvariantKind.j(), QuadForm(10, 0, 1)) == bj * pad
         # -40 is the f1^2 / sqrt2 case, uncubed: |f1^24| <= 2 sqrt(B_j + 768)
         x = 2 * mp.sqrt(bj + 768)
         want = x ** (mp.mpf(2) / 24) / mp.sqrt(2) * pad
-        assert abs(theta_bound(InvariantKind.weber(), QuadForm(1, 0, 10)) - want) \
+        assert abs(theta_bound(InvariantKind("weber"), QuadForm(1, 0, 10)) - want) \
             < want * 2 ** -60
         # -84 is the f^4 / 2 case, cubed
         b84 = mp.exp(mp.pi * mp.sqrt(84)) + 2079
         want = (2 * mp.sqrt(b84 + 768)) ** (mp.mpf(12) / 24) / 8 * pad
-        assert abs(theta_bound(InvariantKind.weber(), QuadForm(1, 0, 21)) - want) \
+        assert abs(theta_bound(InvariantKind("weber"), QuadForm(1, 0, 21)) - want) \
             < want * 2 ** -60
 
 
@@ -314,7 +314,7 @@ def test_bounds_ignore_caller_precision():
 KERNEL_QUOTIENTS = {"eta": eta, "weber_f": weber_f, "weber_f1": weber_f1}
 THETA_FORMS = {
     "j": (J, QuadForm(13, 11, 51)),
-    "gamma2": (InvariantKind.gamma2(), QuadForm(13, 15, 53)),
+    "gamma2": (InvariantKind("gamma2"), QuadForm(13, 15, 53)),
     "weber": (WEBER, QuadForm(15, -96, 155)),   # D = -84: f, cubed
     "doubleeta:5,7": (InvariantKind.double_eta(5, 7), QuadForm(13, -251, 1260)),  # D = -2519
 }
@@ -340,8 +340,8 @@ def test_entry_points_set_their_own_precision(name):
 
 
 @pytest.mark.parametrize("D,kind", [
-    (-1239, InvariantKind.j()), (-791, InvariantKind.gamma2()),
-    (-116, InvariantKind.weber()), (-264, InvariantKind.double_eta(2, 3)),
+    (-1239, InvariantKind.j()), (-791, InvariantKind("gamma2")),
+    (-116, InvariantKind("weber")), (-264, InvariantKind.double_eta(2, 3)),
 ])
 def test_mirror_form_gives_conjugate(D, kind):
     # theta(A,-B,C) = conj theta(A,B,C): classpoly evaluates one form per pair

@@ -19,6 +19,7 @@ from cmforge.forms import QuadForm, n_system, phi_class
 from cmforge.modfns import InvariantKind, height_bound
 from cmforge.recover import make_plan, recover_coords, recovery_matrix, \
     _solve_adjugate
+from test_genusfield import sigma_ref
 from test_golden import DIVISORS, digest
 
 J = InvariantKind.j()
@@ -41,7 +42,7 @@ def plan_for(D, sides=(REAL_PART,)):
 
 def evaluate(coords, elems, prec, perturb=0):
     with mp.workprec(prec):
-        val = sum(c * e.numeric(prec) for c, e in zip(coords, elems))
+        val = sum(c * sigma_ref(e, 0, prec) for c, e in zip(coords, elems))
         return +(val + perturb)
 
 
@@ -80,7 +81,7 @@ def test_t0_heuristic_j():
 
 
 def test_t0_heuristic_gamma2():
-    _check_T0_minus40(InvariantKind.gamma2(), 20880, -780)
+    _check_T0_minus40(InvariantKind("gamma2"), 20880, -780)
 
 
 def test_plan_degenerate_t1():
@@ -105,17 +106,17 @@ def test_plan_invariants_independent_check(D):
         for side, norm in ((REAL_PART, basis.beta[0]), (IMAG_PART, basis.beta_star[0])):
             run = plan.sides[side].run
             mpair = run.mpair
-            Z = sum(a * w.numeric_real(prec)
+            Z = sum(a * sigma_ref(w, 0, prec).real
                     for a, w in zip(run.A, mpair.omega_star(side)))
-            mid = abs(mpair.mvals[0].numeric_real(prec))
+            mid = abs(sigma_ref(mpair.mvals[0], 0, prec).real)
             for X in mpair.X_set:
-                s = sum(abs(mpair.mvals[lam].numeric_real(prec))
-                        * abs(X.tau(lam).numeric(prec))
-                        / abs(norm.tau(lam).numeric(prec))
+                s = sum(abs(sigma_ref(mpair.mvals[lam], 0, prec).real)
+                        * abs(sigma_ref(X, lam, prec))
+                        / abs(sigma_ref(norm, lam, prec))
                         for lam in range(1, m))
                 assert Z > (4 * s * cap * T_eff) ** (m - 1)
-                eps_cap = abs(norm.numeric(prec)) \
-                    / (4 * mid * abs(X.numeric(prec)) * Z)
+                eps_cap = abs(sigma_ref(norm, 0, prec)) \
+                    / (4 * mid * abs(sigma_ref(X, 0, prec)) * Z)
                 assert plan.epsilon < eps_cap
 
 
@@ -146,7 +147,7 @@ def test_round_trip_stays_within_t0():
         for _ in range(20):
             b = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(basis.m)]
             for lam in range(basis.m):
-                v = sum(c * e.tau(lam).numeric(160)
+                v = sum(c * sigma_ref(e, lam, 160)
                         for c, e in zip(b, basis.beta))
                 assert abs(v) <= mp.mpf(plan.T0)
 
@@ -195,10 +196,10 @@ def test_big_perturbation_escalates():
     prec = plan.float_bits + 16
     b = [123456, -654321]
     with mp.workprec(prec):
-        mid = real.run.mpair.mvals[0].numeric_real(prec)
-        Z = sum(a * w.numeric_real(prec)
+        mid = sigma_ref(real.run.mpair.mvals[0], 0, prec).real
+        Z = sum(a * sigma_ref(w, 0, prec).real
                 for a, w in zip(real.run.A, real.run.mpair.omega_star(REAL_PART)))
-        norm = basis.beta[0].numeric_real(prec)
+        norm = sigma_ref(basis.beta[0], 0, prec).real
         g = evaluate(b, basis.beta, prec, norm / (2 * mid * Z))
     with pytest.raises(PrecisionEscalation):
         recover_coords(g, plan, REAL_PART)
@@ -301,8 +302,8 @@ def test_recovery_matrix_nonsingular():
 
 
 @pytest.mark.parametrize("D,kind", [
-    (-40, InvariantKind.j()), (-40, InvariantKind.gamma2()),
-    (-40, InvariantKind.weber()), (-84, InvariantKind.j()),
+    (-40, InvariantKind.j()), (-40, InvariantKind("gamma2")),
+    (-40, InvariantKind("weber")), (-84, InvariantKind.j()),
     (-120, InvariantKind.double_eta(2, 3)),
 ])
 def test_closed_invariants_plan_real_side_only(D, kind):
@@ -333,7 +334,8 @@ def test_doubleeta_plan_has_both_sides():
     (-1239, "j", 1385, 1008, 606424649730, [760], "b25fac4c84f9d793ba835c61"),
     (-3135, "doubleeta:5,7", 559, 474, 8135389186, [352, 352],
      "5b6492f8ecbab78bf4e07e36"),
-], ids=["-420-j", "-1239-j", "-3135-doubleeta:5,7"])
+    (-5460, "weber", 2968, 2817, 768789336066, [1984], "9cc194e6a028e8366529a30e"),
+], ids=["-420-j", "-1239-j", "-3135-doubleeta:5,7", "-5460-weber"])
 def test_plan_numbers_pinned(D, kind, float_bits, n0_bits, n0_low, iters, digest):
     plan = class_poly_divisor(D, InvariantKind.parse(kind), route="paper").plan
     sides = sorted(plan.sides)
