@@ -20,6 +20,7 @@ from .errors import InternalInvariantError, InvalidParameters
 __all__ = [
     "kronecker",
     "is_probable_prime",
+    "least_nonresidue",
     "sqrt_mod_p",
     "cornacchia",
     "split_discriminant",
@@ -105,17 +106,20 @@ def is_probable_prime(n: int) -> bool:
 # decisions of the 64-base test are remembered, not repeated
 @functools.lru_cache(maxsize=64)
 def _is_prime_64(n: int) -> bool:
-    return all(_miller_rabin(n, b) for b in _64_bases())
+    return all(_miller_rabin(n, b) for b in _64_BASES)
 
 
-def _64_bases(_cache=[]):
-    if not _cache:
-        cand = 2
-        while len(_cache) < 64:
-            if is_probable_prime(cand):  # only hits the small deterministic path
-                _cache.append(cand)
-            cand += 1
-    return _cache
+# the first 64 primes (311 is the 64th); below 312 only the small
+# deterministic path runs
+_64_BASES = tuple(n for n in range(2, 312) if is_probable_prime(n))
+
+
+def least_nonresidue(p: int) -> int:
+    """The least quadratic non-residue mod the odd prime p."""
+    c = 2
+    while kronecker(c, p) != -1:
+        c += 1
+    return c
 
 
 def sqrt_mod_p(a: int, p: int) -> Optional[int]:
@@ -138,10 +142,7 @@ def sqrt_mod_p(a: int, p: int) -> Optional[int]:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while kronecker(z, p) != -1:
-        z += 1
-    m, c = s, pow(z, q, p)
+    m, c = s, pow(least_nonresidue(p), q, p)
     t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t

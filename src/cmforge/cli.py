@@ -19,8 +19,7 @@ from .arith import Discriminant, admissible_params, is_probable_prime, \
 from .approx import approx_quality, run_approx
 from .classpoly import DEFAULT_MAX_BITS, class_poly_divisor, class_poly_full, \
     coset_product_check
-from .curve import (gen_curve, make_curve, naive_count, random_point,
-                    scalar_mul)
+from .curve import gen_curve, make_curve, order_mismatch
 from .errors import (CMForgeError, InternalInvariantError, InvalidParameters,
                      PrecisionExhausted)
 from .genusfield import IMAG_PART, REAL_PART, build_basis, build_mpair
@@ -162,20 +161,12 @@ def cmd_verify(args, out):
     curve = make_curve(p, a, b)
     if curve.j_invariant() != j % p:
         raise InvalidParameters("stated j does not match the curve")
-    if p <= 10 ** 4:
-        n = naive_count(curve)
-        if n != order:
-            raise InvalidParameters(f"recount gives {n}, not {order}")
-        method = "naive-count"
-    else:
-        if (p + 1 - order) ** 2 > 4 * p:
-            raise InvalidParameters("order outside the Hasse interval")
-        rng = random.Random(args.seed)
-        for _ in range(10):
-            P = random_point(curve, rng)
-            if scalar_mul(order, P, curve) is not None:
-                raise InvalidParameters(f"order {order} does not kill a random point")
-        method = "10-point"
+    if (p + 1 - order) ** 2 > 4 * p:
+        raise InvalidParameters("order outside the Hasse interval")
+    why = order_mismatch(curve, order, random.Random(args.seed))
+    if why:
+        raise InvalidParameters(why)
+    method = "naive-count" if p <= 10 ** 4 else "10-point"
     _emit({"verified": True, "p": p, "order": order, "method": method}, out)
     return 0
 

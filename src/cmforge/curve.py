@@ -11,7 +11,8 @@ import random
 from dataclasses import dataclass
 from operator import mul
 
-from .arith import kronecker, sqrt_mod_p, validate_params
+from .arith import kronecker, least_nonresidue, sqrt_mod_p, \
+    validate_params
 from .classpoly import DEFAULT_MAX_BITS, ClassPolynomial, class_poly_divisor, \
     class_poly_full
 from .errors import (InternalInvariantError, InvalidParameters,
@@ -28,6 +29,7 @@ __all__ = [
     "scalar_mul",
     "random_point",
     "naive_count",
+    "order_mismatch",
     "select_twist",
     "gen_curve",
 ]
@@ -178,14 +180,13 @@ def roots_in_fp(f, p, seed=0):
     """One root of f in F_p, p an odd prime, as a one-element list, or []
     when f has none.  f need not be monic, but must be nonzero mod p.
 
-    Every root r of f in F_p is a root of x^((p-1)/2) - 1 (r a nonzero
-    square) or of x (x^((p-1)/2) + 1) (r zero or a non-square), and both
-    are squarefree.  So with w = x^((p-1)/2) mod f, gcd(w - 1, f) and
-    gcd(x (w + 1), f) split the distinct linear factors of f in two; the
-    smaller nonconstant piece is kept.  Each equal-degree split by
-    (x+a)^((p-1)/2) - 1 then descends into the smaller factor until one
-    linear factor is left.  These draw a from a Random(seed), so the result
-    is deterministic for a fixed seed.
+    Each pass splits g, first f itself, by w = (x+a)^((p-1)/2) mod g: every
+    root r of g in F_p is a root of w - 1 (r + a a nonzero square) or of
+    (x+a) (w + 1) (r + a zero or a non-square), and both are squarefree.  So
+    gcd(w - 1, g) and gcd((x+a) (w + 1), g) split the distinct linear
+    factors of g in two, and the smaller nonconstant piece is kept; a tie
+    goes to the first.  The first pass takes a = 0, every later one draws a
+    from a Random(seed), so the result is deterministic for a fixed seed.
     """
     f = _ptrim([c % p for c in f])
     if not f:
@@ -195,18 +196,17 @@ def roots_in_fp(f, p, seed=0):
     if len(f) == 1:
         return []
     rng = random.Random(seed)
-    w = _ppow_linear(0, (p - 1) // 2, f, p)
-    # gcd(w - 1, f), then gcd(x (w + 1), f); the tie goes to the first
-    pieces = [g for g in (_pgcd(_psub(w, [1], p), f, p),
-                          _pgcd(_ptrim([0] + _psub(w, [-1], p)), f, p)) if len(g) > 1]
-    if not pieces:
-        return []
-    g = min(pieces, key=len)
+    g, a = f, 0
     while len(g) > 2:
-        w = _ppow_linear(rng.randrange(p), (p - 1) // 2, g, p)
-        d = _pgcd(_psub(w, [1], p), g, p)
-        if 0 < len(d) - 1 < len(g) - 1:
-            g = min(d, _pdivmod(g, d, p)[0], key=len)
+        w = _ppow_linear(a, (p - 1) // 2, g, p)
+        w1 = _psub(w, [-1], p)
+        # (x + a) (w + 1), coefficient i is w1[i-1] + a w1[i]
+        xw1 = _ptrim([(lo + a * c) % p for lo, c in zip([0] + w1, w1 + [0])])
+        pieces = [d for d in (_pgcd(_psub(w, [1], p), g, p), _pgcd(xw1, g, p))
+                  if len(d) > 1]
+        if not pieces:
+            return []
+        g, a = min(pieces, key=len), rng.randrange(p)
     return [(-g[0]) % p]
 
 
@@ -304,19 +304,26 @@ def naive_count(curve):
     return total
 
 
+def order_mismatch(curve, order, rng):
+    """None when curve has order points, else why not.
+
+    p <= 10^4: the exact naive count.  Larger p: order*P = infinity at 10
+    random points from rng, each drawn only when the one before passed.
+    """
+    if curve.p <= 10 ** 4:
+        n = naive_count(curve)
+        return None if n == order else f"recount gives {n}, not {order}"
+    for _ in range(10):
+        if scalar_mul(order, random_point(curve, rng), curve) is not None:
+            return f"order {order} does not kill a random point"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # twist selection
 
-def _nonresidue(p):
-    c = 2
-    while kronecker(c, p) != -1:
-        c += 1
-    return c
-
-
 def _sextic_generator(p):
     # order-6 image in F_p* / (F_p*)^6: a non-square non-cube
-    assert p % 3 == 1
     g = 2
     while pow(g, (p - 1) // 2, p) == 1 or pow(g, (p - 1) // 3, p) == 1:
         g += 1
@@ -324,40 +331,41 @@ def _sextic_generator(p):
 
 
 def _twist_family(curve):
-    """All twists sharing curve's j-invariant, dispatched on its shape."""
+    """All twists sharing curve's j-invariant, dispatched on its shape.
+
+    j = 0 needs p = 1 (mod 3) and j = 1728 needs p = 1 (mod 4): otherwise
+    the curve is supersingular, and its twists all have p + 1 points.
+    """
     p = curve.p
     if curve.a == 0:       # j = 0: sextic family
+        if p % 3 != 1:
+            raise InvalidParameters(f"j = 0 is supersingular at p = {p}, not 1 (mod 3)")
         g = _sextic_generator(p)
         return [make_curve(p, 0, curve.b * pow(g, i, p)) for i in range(6)]
     if curve.b == 0:       # j = 1728: quartic family
-        g = _nonresidue(p)
+        if p % 4 != 1:
+            raise InvalidParameters(f"j = 1728 is supersingular at p = {p}, not 1 (mod 4)")
+        g = least_nonresidue(p)
         return [make_curve(p, curve.a * pow(g, i, p), 0) for i in range(4)]
-    c = _nonresidue(p)
+    c = least_nonresidue(p)
     return [curve, make_curve(p, curve.a * c * c, curve.b * pow(c, 3, p))]
 
 
 def select_twist(curve, target_order, rng=None):
     """The member of curve's twist family with the prescribed order.
 
-    Small p: exact naive count.  Large p: target*P = infinity on 10 random
-    points per candidate, each drawn only when tested, requiring a unique
-    survivor (candidate orders are pairwise distinct for valid CM parameters,
-    so ties mean the point test failed to separate and we refuse to guess).
+    Each member is put to ``order_mismatch`` in turn, with one rng, and the
+    survivor must be unique (candidate orders are pairwise distinct for
+    ordinary curves, so ties mean the point test failed to separate and we
+    refuse to guess).  Order p + 1 is trace 0, which only supersingular
+    curves have, and all their twists share it.
     """
+    if target_order == curve.p + 1:
+        raise InvalidParameters(f"order p + 1 = {target_order} is supersingular")
     if rng is None:
         rng = random.Random(0)
-    family = _twist_family(curve)
-    if curve.p <= 10 ** 4:
-        for cand in family:
-            if naive_count(cand) == target_order:
-                return cand
-        raise InvalidParameters(
-            f"no twist over F_{curve.p} has order {target_order}")
-    passing = []
-    for cand in family:
-        if all(scalar_mul(target_order, random_point(cand, rng), cand) is None
-               for _ in range(10)):
-            passing.append(cand)
+    passing = [cand for cand in _twist_family(curve)
+               if order_mismatch(cand, target_order, rng) is None]
     if len(passing) == 1:
         return passing[0]
     if not passing:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .arith import Discriminant, kronecker
+from .arith import Discriminant, _factorize, kronecker
 from .errors import InternalInvariantError, InvalidParameters
 
 __all__ = [
@@ -101,12 +101,6 @@ def enumerate_reduced(D: int) -> list[QuadForm]:
     return out
 
 
-def _prime_divisors(n: int) -> list[int]:
-    from .arith import _factorize
-
-    return sorted(_factorize(n))
-
-
 def make_coprime(f: QuadForm, N: int) -> QuadForm:
     """An equivalent form whose leading coefficient is coprime to N.
 
@@ -118,7 +112,7 @@ def make_coprime(f: QuadForm, N: int) -> QuadForm:
     A, B, C = f.A, f.B, f.C
     g = QuadForm(A, B, C)
     N0 = 1
-    for l in _prime_divisors(N):
+    for l in sorted(_factorize(N)):
         A, B, C = g.A, g.B, g.C
         if A % l == 0:
             if (A + N0 * B + N0 * N0 * C) % l != 0:

@@ -7,6 +7,7 @@ import pytest
 
 from cmforge import classpoly
 from cmforge.cli import main
+from cmforge.curve import _twist_family, curve_from_j, select_twist
 
 
 def run_cli(argv, capsys):
@@ -200,6 +201,35 @@ def test_verify_tampered(tmp_path, capsys):
     path.write_text(json.dumps(blob))
     rc, _, err = run_cli(["verify", str(path)], capsys)
     assert rc == 2 and "recount" in err
+
+
+P128 = 258749619880733665742487828236848938467    # the CI steps' 128-bit prime
+
+
+# the quadratic family at small p and at 128 bits, the quartic (-4) and the
+# sextic (-3) family at small p and at 10^9 + 9 = 1 (mod 12)
+@pytest.mark.parametrize("D,p", [(-40, 41), (-2519, P128), (-4, 13), (-4, 10 ** 9 + 9),
+                                 (-3, 13), (-3, 10 ** 9 + 9)])
+def test_verify_accepts_exactly_the_selected_twist(D, p, tmp_path, capsys):
+    rc, out, _ = run_cli(["params", "--disc", str(D), "--p-min", str(p),
+                          "--p-max", str(p)], capsys)
+    orders = [int(order) for order in lines(out)[0]["orders"]]
+    path = tmp_path / "curve.json"
+    for order in orders:
+        rc, out, _ = run_cli(["gencurve", "--disc", str(D), "--prime", str(p),
+                              "--order", str(order)], capsys)
+        row = lines(out)[0]
+        base = curve_from_j(int(row["j"]), p)
+        picked = select_twist(base, order)
+        family = _twist_family(base)
+        assert (picked.a, picked.b) == (int(row["a"]), int(row["b"])) and picked in family
+        for cand in family:
+            path.write_text(json.dumps(dict(row, a=str(cand.a), b=str(cand.b))))
+            rc, out, err = run_cli(["verify", str(path)], capsys)
+            if cand == picked:
+                assert rc == 0 and lines(out)[0]["verified"] is True
+            else:
+                assert rc == 2 and ("recount" if p <= 10 ** 4 else "random point") in err
 
 
 def test_verify_garbage(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the prime-field tail: reduction, roots, curves, twists."""
 
+import math
 import random
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from cmforge.arith import cornacchia, kronecker, search_fixed_D, sqrt_mod_p
 from cmforge.classpoly import ClassPolynomial, class_poly_divisor, class_poly_full
-from cmforge.curve import (WeierstrassCurve, _pdivmod, _ppow_linear,
-                           curve_from_j, gen_curve, make_curve,
+from cmforge.curve import (WeierstrassCurve, _pdivmod, _pgcd, _ppow_linear,
+                           _psub, _ptrim, curve_from_j, gen_curve, make_curve,
                            naive_count, point_neg, random_point,
                            reduce_divisor_mod_p, roots_in_fp, scalar_mul,
                            select_twist)
@@ -224,6 +225,46 @@ def test_roots_in_fp_not_monic_or_zero():
             roots_in_fp(zero, 13 if zero == [13, 26] else P256)
 
 
+def roots_reference(f, p, seed=0):
+    """``roots_in_fp``'s earlier two-phase search, the reference for its one
+    loop: a first split of f by w = x^((p-1)/2) into gcd(w - 1, f) and
+    gcd(x (w + 1), f), then a descent that splits g by gcd(w - 1, g) alone
+    and divides out the cofactor."""
+    f = _ptrim([c % p for c in f])
+    lead = pow(f[-1], -1, p)
+    f = [c * lead % p for c in f]
+    if len(f) == 1:
+        return []
+    rng = random.Random(seed)
+    w = _ppow_linear(0, (p - 1) // 2, f, p)
+    pieces = [g for g in (_pgcd(_psub(w, [1], p), f, p),
+                          _pgcd(_ptrim([0] + _psub(w, [-1], p)), f, p)) if len(g) > 1]
+    if not pieces:
+        return []
+    g = min(pieces, key=len)
+    while len(g) > 2:
+        w = _ppow_linear(rng.randrange(p), (p - 1) // 2, g, p)
+        d = _pgcd(_psub(w, [1], p), g, p)
+        if 0 < len(d) - 1 < len(g) - 1:
+            g = min(d, _pdivmod(g, d, p)[0], key=len)
+    return [(-g[0]) % p]
+
+
+def test_roots_in_fp_matches_the_two_phase_search():
+    # at p = 13 and 17 a drawn a often equals -r for a root r, so the (x + a)
+    # factor of the second piece decides where r goes; at 2^255 - 19 the
+    # root 0 tests the a = 0 pass
+    for p, zero in ((13, False), (17, False), (2 ** 255 - 19, True)):
+        for seed in range(200):
+            rng = random.Random(seed)
+            roots = [0] * zero + [rng.randrange(p) for _ in range(rng.randrange(4, 9) - zero)]
+            f = [1]
+            for r in roots:
+                f = school_mul(f, [(-r) % p, 1], p)
+            got = roots_in_fp(f, p, seed=seed)
+            assert got == roots_reference(f, p, seed=seed) and got[0] in roots, (p, seed)
+
+
 def test_curve_from_j():
     assert curve_from_j(0, 41) == WeierstrassCurve(41, 0, 1)
     assert curve_from_j(1728 % 41, 41) == WeierstrassCurve(41, 1, 0)
@@ -381,6 +422,27 @@ def test_select_twist_families():
     orders4 = {naive_count(make_curve(13, pow(2, i, 13), 0)) for i in range(4)}
     assert orders4 == {8, 20, 10, 18}
     assert naive_count(select_twist(curve_from_j(1728 % 13, 13), 20)) == 20
+
+
+@pytest.mark.parametrize("j,p", [(0, 11), (0, 10007), (1728, 19), (1728, 100003)])
+def test_select_twist_refuses_supersingular_families(j, p):
+    # j = 0 at p = 2 (mod 3) and j = 1728 at p = 3 (mod 4) are supersingular,
+    # with every twist of order p + 1: asking for that order, or for any
+    # other, is bad input at small and large p; the refusals raise, so they
+    # hold under python -O
+    base = curve_from_j(j, p)
+    for order in (p + 1, p + 1 - 2 * math.isqrt(p)):
+        with pytest.raises(InvalidParameters, match="supersingular"):
+            select_twist(base, order, rng=random.Random(0))
+
+
+def test_select_twist_refuses_order_p_plus_1():
+    # j = 3 is supersingular at p = 41: both twists have 42 points, and
+    # trace 0 is no ordinary curve's, so order p + 1 has no unique twist
+    base = curve_from_j(3, 41)
+    assert naive_count(base) == 42
+    with pytest.raises(InvalidParameters, match="supersingular"):
+        select_twist(base, 42)
 
 
 def test_select_twist_large_p():
