@@ -131,8 +131,6 @@ def sqrt_mod_p(a: int, p: int) -> Optional[int]:
     a %= p
     if a == 0:
         return 0
-    if p == 2:
-        return a
     if kronecker(a, p) != 1:
         return None
     if p % 4 == 3:
@@ -168,8 +166,6 @@ def cornacchia(D: int, p: int) -> Optional[tuple[int, int]]:
     if kronecker(D, p) != 1:
         return None
     x = sqrt_mod_p(D % p, p)
-    if x is None:
-        return None
     if (x - D) % 2 != 0:
         x = p - x
     # now x^2 = D (mod 4p); run the Euclidean descent on (2p, x)
@@ -178,13 +174,12 @@ def cornacchia(D: int, p: int) -> Optional[tuple[int, int]]:
     while b > bound:
         a, b = b, a % b
     t = 4 * p - b * b
-    if b == 0 or t % (-D) != 0:
+    if t % (-D) != 0:
         return None
-    v2 = t // (-D)
-    v = math.isqrt(v2)
-    if v * v != v2 or v == 0:
-        return None
-    return b, v
+    # b = s x (mod 2p) for the descent's cofactor s, 0 < |s| < sqrt(p), so
+    # b^2 + |D|s^2 = 4pk with 0 <= 4(k - 1) < |D|; |D| | t then gives
+    # |D| | 4(k - 1), so k = 1 and t/|D| = s^2
+    return b, math.isqrt(t // (-D))
 
 
 # --- factorization helpers (trial division + Pollard rho) -------------------
@@ -192,8 +187,6 @@ def cornacchia(D: int, p: int) -> Optional[tuple[int, int]]:
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 50):
         x, y, d = 2, 2, 1
         f = lambda v: (v * v + c) % n
@@ -222,8 +215,6 @@ def _factorize(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m):
             fac[m] = fac.get(m, 0) + 1
             continue
@@ -346,9 +337,7 @@ def validate_params(D: int, p: int, u: int, v: int) -> Discriminant:
         raise InvalidParameters(f"4p != u^2 + |D|v^2 for (D,p,u,v)=({disc.D},{p},{u},{v})")
     if v == 0 or math.gcd(u, p) != 1:
         raise InvalidParameters(f"degenerate parameters u={u}, v={v} at p={p}")
-    if kronecker(disc.D, p) != 1:
-        raise InvalidParameters(f"kronecker({disc.D},{p}) != 1 (p ramifies or is inert, or p | f)")
-    assert kronecker(disc.d, p) == 1
+    # so p does not divide v, and D = (u/v)^2 is a non-zero square mod p: (D/p) = 1
     return disc
 
 
@@ -426,8 +415,6 @@ def _search_210(disc, predicate, rng, budget, lo, hi):
         if rest < 4:
             continue
         u = 210 * ((math.isqrt(rest) - 1) // 210) + 1
-        if u < 1:
-            u = 1
         step = 106
         for _ in range(2000):
             spent += 1

@@ -258,7 +258,7 @@ def class_poly_full(D, kind=None, max_bits=DEFAULT_MAX_BITS):
     kind = kind or InvariantKind.j()
     d = Discriminant.from_D(D)
     kind.validate_for(d)
-    forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+    forms = n_system(D, kind.modulus(d), kind.b_target(d))
     T = height_bound(kind, forms)
     rows, _ = _exact_rounding(D, kind, (), forms, [0] * len(forms), T, max_bits)
     return ClassPolynomial(D, kind, None, tuple(row[0] for row in rows) + (1,))
@@ -319,7 +319,7 @@ def class_poly_divisor(D, kind=None, max_bits=DEFAULT_MAX_BITS, route="paper"):
 
 def _principal_divisor(d, kind, route, max_bits):
     principal = (1,) * d.t
-    forms = n_system(d.D, kind.modulus(d), kind.b_target(d)).forms
+    forms = n_system(d.D, kind.modulus(d), kind.b_target(d))
     labels = [phi_class(f, d) for f in forms]
     T0 = genus_T0(kind, forms, labels)
     if route == "conjugates":

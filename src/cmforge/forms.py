@@ -21,7 +21,6 @@ __all__ = [
     "reduce_form",
     "enumerate_reduced",
     "make_coprime",
-    "NSystem",
     "n_system",
     "root_of_form",
     "phi_class",
@@ -130,15 +129,7 @@ def make_coprime(f: QuadForm, N: int) -> QuadForm:
     return g
 
 
-@dataclass(frozen=True)
-class NSystem:
-    D: int
-    N: int
-    b: int  # the shared residue: every form has B = b (mod 2N)
-    forms: tuple[QuadForm, ...]
-
-
-def n_system(D: int, N: int, b_target: int | None = None) -> NSystem:
+def n_system(D: int, N: int, b_target: int | None = None) -> tuple[QuadForm, ...]:
     """One form per class of discriminant D with gcd(A, N) = 1, B = b (mod 2N).
 
     b_target picks the shared residue (it must have the parity of D); by
@@ -146,8 +137,6 @@ def n_system(D: int, N: int, b_target: int | None = None) -> NSystem:
     preserving the residue.
     """
     reps = enumerate_reduced(D)
-    if not reps:
-        raise InvalidParameters(f"no forms of discriminant {D}")
     out = []
     b = b_target
     for f in reps:
@@ -164,16 +153,17 @@ def n_system(D: int, N: int, b_target: int | None = None) -> NSystem:
         if j:
             g = g.translate(-N * j)
         out.append(g)
-    sys = NSystem(D, N, b % (2 * N), tuple(out))
-    _check_n_system(sys, reps)
-    return sys
+    forms = tuple(out)
+    _check_n_system(forms, D, N, b, reps)
+    return forms
 
 
-def _check_n_system(sys: NSystem, reps: list[QuadForm]) -> None:
-    for g in sys.forms:
-        if math.gcd(g.A, sys.N) != 1 or g.disc != sys.D or (g.B - sys.b) % (2 * sys.N):
-            raise InternalInvariantError(f"bad N-system member {g} for N={sys.N}")
-    if sorted(map(reduce_form, sys.forms), key=lambda q: (q.A, q.B)) != reps:
+def _check_n_system(forms: tuple[QuadForm, ...], D: int, N: int, b: int,
+                    reps: list[QuadForm]) -> None:
+    for g in forms:
+        if math.gcd(g.A, N) != 1 or g.disc != D or (g.B - b) % (2 * N):
+            raise InternalInvariantError(f"bad N-system member {g} for N={N}")
+    if sorted(map(reduce_form, forms), key=lambda q: (q.A, q.B)) != reps:
         raise InternalInvariantError("N-system does not hit every class exactly once")
 
 

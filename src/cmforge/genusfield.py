@@ -170,9 +170,6 @@ class GFElem:
     def __sub__(self, other):
         return self + (-other if isinstance(other, GFElem) else -Fraction(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, GFElem):
             v = Fraction(other)

@@ -437,8 +437,6 @@ def j_from_theta(r, kind: InvariantKind, p, D=None):
         s = r if kind.weber_cubed(D) else pow(r, 3, p)   # s = g^3
         # g = +-f^b / 2^(k/2), so x = f^24 = 2^(12k/b) s^(8/b) (f1 likewise)
         x = pow(2, 12 * k // b, p) * pow(s, 8 // b, p) % p
-        if x == 0:
-            raise InvalidParameters("degenerate Weber rebuild x = 0")
         shift = 16 if fname == "f1" else -16
         return pow(x + shift, 3, p) * pow(x, -1, p) % p
     raise UnsupportedInvariant(f"cannot rebuild j from {kind} values")

@@ -80,12 +80,10 @@ def _side_threshold(mpair, side, T_eff, prec=160):
     The quantity being bounded is tau_lam(sum b omega) * tau_lam(X_eta) =
     tau_lam(sum b beta)/tau_lam(beta_norm) * tau_lam(X_eta), so each term
     carries 1/|tau_lam(beta_norm)|: rows 1..m-1 of the embeddings of the
-    norm and of each X_eta.
+    norm and of each X_eta.  Only for m > 1; both callers skip it at m = 1.
     """
     basis = mpair.basis
     m = basis.m
-    if m == 1:
-        return mp.mpf(0), mp.mpf(0)
     with mp.workprec(prec):
         delta_cap = mp.sqrt(abs(basis.d)) ** m
         mv = [abs(embeddings(v, prec)[0].real) for v in mpair.mvals]

@@ -191,6 +191,15 @@ def test_run_golden_gives_fibonacci_vector():
         assert abs(mp.mpf(run.A[1]) / run.A[0] - om1) < mp.mpf(1) / run.A[0] ** 2
 
 
+def test_quality_reports_a_register_out_of_range():
+    d, basis, mpair = setup(-40)
+    run = run_approx(mpair, REAL_PART, N0=10 ** 3)
+    reg = next(reg for reg in run.regs.values() if reg.n)
+    reg.y = reg.isq + 1      # y^2 < delta no longer holds
+    q = approx_quality(run)
+    assert not q["ranges_ok"] and not q["ok"]
+
+
 def test_run_invariants_every_iteration():
     for D, side in [(-40, REAL_PART), (-84, REAL_PART), (-84, IMAG_PART),
                     (-420, REAL_PART)]:

@@ -44,6 +44,25 @@ def test_kronecker_at_two():
         assert kronecker(a, 2) == table[a % 8]
 
 
+def test_kronecker_negative_denominator():
+    # the definition: (a/-1) = -1 for a < 0, else 1; (a/b) is multiplicative
+    # in b, with (a/p) by Euler's criterion and (a/2) by a mod 8
+    def oracle(a, b):
+        out = -1 if a < 0 else 1
+        for q, e in sympy.factorint(-b).items():
+            if q == 2:
+                s = 0 if a % 2 == 0 else (1 if a % 8 in (1, 7) else -1)
+            else:
+                r = pow(a % q, (q - 1) // 2, q)
+                s = -1 if r == q - 1 else r
+            out *= s ** e
+        return out
+
+    for a in range(-40, 41):
+        for b in range(-60, 0):
+            assert kronecker(a, b) == oracle(a, b), (a, b)
+
+
 def test_kronecker_hand_values():
     assert kronecker(-40, 41) == 1
     assert kronecker(-3, 13) == 1
@@ -159,6 +178,21 @@ def test_cornacchia_vs_brute_scan():
                 assert 4 * p == u * u + (-D) * v * v and u > 0 and v > 0
 
 
+def test_cornacchia_vs_brute_scan_every_small_case():
+    # when |D| divides 4p - u^2 at the end of the descent, the quotient is
+    # always v^2: every (D, p) below, represented or not, agrees with the scan
+    primes = [p for p in range(5, 400) if sympy.isprime(p)]
+    for D in range(-3, -400, -1):
+        if D % 4 not in (0, 1):
+            continue
+        for p in primes:
+            got, want = cornacchia(D, p), _brute_4p(D, p)
+            assert (got is None) == (want is None), (D, p, got)
+            if got is not None:
+                u, v = got
+                assert 4 * p == u * u - D * v * v and u > 0 and v > 0, (D, p, got)
+
+
 def test_cornacchia_rejects_bad_input():
     with pytest.raises(InvalidParameters):
         cornacchia(-40, 40)  # not prime
@@ -226,6 +260,24 @@ def test_factor_d_properties(D):
             assert qs[-1] == q
 
 
+@pytest.mark.parametrize("n,want", [
+    (10007 * 10009, {10007: 1, 10009: 1}),
+    (10007 ** 2, {10007: 2}),
+    (10007 ** 2 * 10009, {10007: 2, 10009: 1}),
+    ((2 ** 31 - 1) * (2 ** 61 - 1), {2 ** 31 - 1: 1, 2 ** 61 - 1: 1}),
+])
+def test_factorize_past_trial_division(n, want):
+    # every factor is above the trial bound of 10^4, so Pollard rho splits n
+    assert arith._factorize(n) == want
+
+
+def test_discriminant_with_large_prime_factors():
+    disc = Discriminant.from_D(-100160063)        # -10007 * 10009
+    assert disc.qstars == (10009, -10007) and disc.f == 1
+    disc = Discriminant.from_D(-400640252)        # 4 * -100160063
+    assert (disc.d, disc.f) == (-100160063, 2)
+
+
 def test_factor_d_rejects_nonfundamental():
     with pytest.raises(InvalidParameters):
         factor_d(-12)
@@ -282,6 +334,12 @@ def test_search_fixed_D_210_branch_avoids_small_primes():
         assert math.gcd(got.order, 210) == 1
         assert abs(got.u) % 210 in (1, 107)
         assert got.v % 210 == 105
+    # at -19 and 16 bits, 19 * 105^2 / 4 = 52368.75 lies inside [2^15, 2^16):
+    # a draw below it leaves no room for u and is redrawn (seeds 1-3 start so)
+    for seed in range(6):
+        got = search_fixed_D(-19, None, p_bits=16, rng=random.Random(seed))
+        assert got is not None and got.v == 105 and got.p.bit_length() == 16
+        validate_params(-19, got.p, got.u, got.v)
 
 
 def test_search_fixed_D_budget_and_modes():
@@ -308,6 +366,8 @@ def test_search_fixed_D_budget_and_modes():
         search_fixed_D(-40, p_bits=7)
     with pytest.raises(InvalidParameters):
         search_fixed_D(-115, p_bits=16)      # v = 105 makes every p too big
+    with pytest.raises(InvalidParameters, match="too large"):
+        search_fixed_D(-4000, p_bits=8)      # 2p / |D| < 1 leaves no v
 
 
 def test_admissible_params_fixed_p():
@@ -329,3 +389,6 @@ def test_validate_params():
         validate_params(-40, 43, 2, 2)
     with pytest.raises(InvalidParameters):
         validate_params(-40, 4, 2, 2)
+    # 13 ramifies at -52: 4 * 13 = 0^2 + 52 * 1^2 has 13 | u
+    with pytest.raises(InvalidParameters, match="degenerate parameters"):
+        validate_params(-52, 13, 0, 1)

@@ -106,7 +106,7 @@ def test_coset_product_through_mirror_pairs(D, kind):
     # class groups of exponent > 2: some forms (A,B,C) and (A,-B,C) are both
     # evaluated, so the full and divisor products multiply real quadratics
     d = Discriminant.from_D(D)
-    forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+    forms = n_system(D, kind.modulus(d), kind.b_target(d))
     assert any(f.B and QuadForm(f.A, -f.B, f.C) in forms for f in forms)
     assert coset_check(D, kind)
 
@@ -130,7 +130,7 @@ def test_galois_action_permutes_cosets():
         kind = InvariantKind.parse(invariant)
         d = Discriminant.from_D(D)
         div = class_poly_divisor(D, kind, route="paper")
-        forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+        forms = n_system(D, kind.modulus(d), kind.b_target(d))
         seen = set()
         for phi in coset_labels(D):
             sel = [f for f in forms if phi_class(f, d) == phi]
@@ -166,7 +166,7 @@ def test_height_bound_covers_every_coset_divisor(D, invariant):
     kind = InvariantKind.parse(invariant)
     d = Discriminant.from_D(D)
     div = class_poly_divisor(D, kind, route="conjugates")
-    forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+    forms = n_system(D, kind.modulus(d), kind.b_target(d))
     labels = [phi_class(f, d) for f in forms]
     T0 = div.plan.T
     assert T0 == genus_T0(kind, forms, labels)
@@ -185,7 +185,7 @@ def test_height_bound_covers_every_coset_divisor(D, invariant):
 def test_height_bound_covers_full_coefficients(D, invariant):
     kind = InvariantKind.parse(invariant)
     d = Discriminant.from_D(D)
-    T = height_bound(kind, n_system(D, kind.modulus(d), kind.b_target(d)).forms)
+    T = height_bound(kind, n_system(D, kind.modulus(d), kind.b_target(d)))
     assert max(abs(c) for c in class_poly_full(D, kind).coeffs) <= T
 
 
@@ -195,7 +195,7 @@ def test_divisor_forms_counts():
     assert class_poly_divisor(-84, J).phi0 == (1, 1, 1)
     for D in (-84, -420, -3135):
         d = Discriminant.from_D(D)
-        forms = n_system(D, J.modulus(d), J.b_target(d)).forms
+        forms = n_system(D, J.modulus(d), J.b_target(d))
         labels = [phi_class(f, d) for f in forms]
         assert sorted(set(labels)) == sorted(coset_labels(D))
         assert all(labels.count(phi) == len(forms) // d.m for phi in labels)
@@ -234,7 +234,7 @@ def exact_args(D, kind, full):
     divisor (the genus field, one mask per coset, T = genus_T0), and the
     rows they must give."""
     d = Discriminant.from_D(D)
-    forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+    forms = n_system(D, kind.modulus(d), kind.b_target(d))
     if full:
         rows = [[c] for c in class_poly_full(D, kind).coeffs[:-1]]
         return ((), forms, [0] * len(forms), height_bound(kind, forms)), rows
@@ -307,7 +307,7 @@ def test_height_check_is_sharp(D, invariant):
     # just below the largest embedding, the same plan recovers the same
     # coefficients and escalates
     d = Discriminant.from_D(D)
-    sel = [f for f in n_system(D, kind.modulus(d), kind.b_target(d)).forms
+    sel = [f for f in n_system(D, kind.modulus(d), kind.b_target(d))
            if phi_class(f, d) == div.phi0]
     with mp.workprec(400):
         below, above = max(tops) * (1 - mp.mpf(2) ** -40), max(tops) * (1 + mp.mpf(2) ** -40)
@@ -401,13 +401,18 @@ def test_coset_product_check_sees_a_perturbed_divisor():
     assert coset_product_check(full, div)
     bad = dataclasses.replace(div, coeffs=(div.coeffs[0] + 1,) + div.coeffs[1:])
     assert not coset_product_check(full, bad)
+    # a divisor of another degree (x times the divisor) gives a product of
+    # another degree
+    zero = div.coeffs[0] * 0
+    wide = dataclasses.replace(div, coeffs=(zero,) + div.coeffs)
+    assert not coset_product_check(full, wide)
 
 
 def test_plan_reuse_same_result():
     # the memoized divisor's plan recovers that divisor again
     div = class_poly_divisor(-120, J, route="paper")
     d = Discriminant.from_D(-120)
-    forms = n_system(-120, J.modulus(d), J.b_target(d)).forms
+    forms = n_system(-120, J.modulus(d), J.b_target(d))
     sel = [f for f in forms if phi_class(f, d) == div.phi0]
     assert classpoly._divisor_attempt(J, sel, div.plan) == div.coeffs
 
@@ -434,7 +439,7 @@ def test_expand_error_bound_holds(D, invariant):
     # precision, from below the coefficient size to well above it
     kind = InvariantKind.parse(invariant)
     d = Discriminant.from_D(D)
-    forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+    forms = n_system(D, kind.modulus(d), kind.b_target(d))
     exact = class_poly_full(D, kind).coeffs
     top = int(mp.mag(height_bound(kind, forms)))
     for prec in (24, top // 2 + 16, top + 24):
@@ -459,7 +464,7 @@ def test_conjugate_route_never_returns_a_wrong_divisor(D, invariant, want, shift
     kind = InvariantKind.parse(invariant)
     d = Discriminant.from_D(D)
     B = class_poly_divisor(D, kind, route="conjugates").plan.B
-    n = len(n_system(D, kind.modulus(d), kind.b_target(d)).forms) // d.m
+    n = len(n_system(D, kind.modulus(d), kind.b_target(d))) // d.m
     prec = B + 3 + classpoly._pad(n)
     classpoly._DIVISORS.clear()
     theta = classpoly.theta_value
@@ -543,7 +548,7 @@ def test_expand_matches_the_floating_point_loop(D, invariant, phi):
     # error bound it returns, at the precisions of test_expand_error_bound_holds
     kind = InvariantKind.parse(invariant)
     d = Discriminant.from_D(D)
-    forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+    forms = n_system(D, kind.modulus(d), kind.b_target(d))
     if phi is not None:
         forms = [f for f in forms if phi_class(f, d) == phi]
     top = int(mp.mag(height_bound(kind, forms)))
@@ -561,7 +566,7 @@ def test_expand_matches_the_floating_point_loop(D, invariant, phi):
 def attempt_forms(D, principal):
     """The j N-system at D, or its principal genus (a paper-route attempt)."""
     d = Discriminant.from_D(D)
-    forms = n_system(D, J.modulus(d), J.b_target(d)).forms
+    forms = n_system(D, J.modulus(d), J.b_target(d))
     return [f for f in forms if phi_class(f, d) == (1,) * d.t] if principal else forms
 
 
@@ -600,6 +605,26 @@ def test_forked_theta_values_are_bit_identical(D, principal, prec, n, monkeypatc
     pin_workers(monkeypatch, 1)
     serial = classpoly._theta_values(J, forms, prec)
     assert len(serial) == n and mpc_rows(forked) == mpc_rows(serial)
+
+
+def test_a_failed_fork_leaves_the_share_to_the_parent(monkeypatch):
+    # os.fork raising OSError (no process to spare) forks nothing: the parent
+    # evaluates that share, and the values are those of one worker
+    forms = attempt_forms(-2519, False)
+    pin_workers(monkeypatch, 1)
+    want = mpc_rows(classpoly._theta_values(J, forms, 200))
+    forks = []
+
+    def failing():
+        forks.append(1)
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", failing)
+    pin_workers(monkeypatch, 3)
+    assert mpc_rows(classpoly._theta_values(J, forms, 200)) == want
+    assert forks == [1, 1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("where", ["child", "parent"])

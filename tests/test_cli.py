@@ -2,11 +2,15 @@
 
 import io
 import json
+import runpy
+import sys
+import warnings
 
 import pytest
 
-from cmforge import classpoly
+from cmforge import classpoly, cli
 from cmforge.cli import main
+from cmforge.errors import InternalInvariantError
 from cmforge.curve import _twist_family, curve_from_j, select_twist
 
 
@@ -44,6 +48,30 @@ def test_params_needs_exactly_one_mode(capsys):
     assert rc == 2 and "error" in err
     rc, _, _ = run_cli(["params", "--disc", "-40", "--fixed-p", "41"], capsys)
     assert rc == 2
+
+
+def test_module_entry_point_exits_with_the_code(monkeypatch, capsys):
+    # python -m cmforge.cli, with a fixed p that is not prime: exit 2
+    monkeypatch.setattr(sys, "argv", ["cmforge", "params", "--fixed-p", "12"])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        warnings.simplefilter("ignore", RuntimeWarning)   # cmforge.cli is imported already
+        runpy.run_module("cmforge.cli", run_name="__main__")
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "Traceback" not in err
+    assert "--fixed-p needs a prime > 3, got 12" in err
+
+
+@pytest.mark.parametrize("exc,message", [
+    (InternalInvariantError("boom"), "internal error: boom"),
+    (RuntimeError("boom"), "Traceback"),
+])
+def test_internal_error_exit_code(exc, message, monkeypatch, capsys):
+    def fail(args, out):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_params", fail)
+    rc, _, err = run_cli(["params", "--disc", "-40"], capsys)
+    assert rc == 4 and message in err
 
 
 def test_classpoly_full(capsys):
@@ -119,6 +147,10 @@ def test_gencurve_ok_and_bad_order(capsys):
     rc, _, err = run_cli(["gencurve", "--disc", "-40", "--prime", "41",
                           "--order", "43"], capsys)
     assert rc == 2 and "not admissible" in err
+    # 17 is inert at -40: no order is admissible
+    rc, _, err = run_cli(["gencurve", "--disc", "-40", "--prime", "17",
+                          "--order", "18"], capsys)
+    assert rc == 2 and "has no solution" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("path,route", [("auto", "conjugates"), ("divisor", "paper")])
@@ -232,6 +264,34 @@ def test_verify_accepts_exactly_the_selected_twist(D, p, tmp_path, capsys):
                 assert rc == 2 and ("recount" if p <= 10 ** 4 else "random point") in err
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"order": 44}, "order 44 != p + 1 - u = 40"),
+    ({"j": 0}, "stated j does not match the curve"),
+])
+def test_verify_inconsistent_fields(change, message, tmp_path, capsys):
+    _, out, _ = run_cli(["gencurve", "--disc", "-40", "--prime", "41",
+                         "--order", "40"], capsys)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(dict(lines(out)[0], **change)))
+    rc, _, err = run_cli(["verify", str(path)], capsys)
+    assert rc == 2 and message in err and "Traceback" not in err
+
+
+# a curve at 41, and 13 ramified at -52 (4 * 13 = 0^2 + 52 * 1^2, 13 | u)
+@pytest.mark.parametrize("blob,rc_want", [
+    ({"p": 41, "a": 30, "b": 20, "j": 39, "order": 44, "D": -40, "u": -2, "v": 2}, 0),
+    ({"p": 13, "a": 1, "b": 0, "j": 12, "order": 14, "D": -52, "u": 0, "v": 1}, 2),
+])
+def test_verify_reads_stdin(blob, rc_want, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(blob) + "\n"))
+    rc, out, err = run_cli(["verify", "-"], capsys)
+    assert rc == rc_want and "Traceback" not in err
+    if rc_want == 0:
+        assert lines(out)[0]["verified"] is True
+    else:
+        assert "degenerate parameters" in err
+
+
 def test_verify_garbage(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("not json at all")
@@ -254,10 +314,13 @@ def test_verify_unreadable_input_exit_code(kind, tmp_path, capsys):
 
 # v = 2.5 would truncate to the true v = 2 and verify; 1e400 and Infinity
 # parse as float infinity, which int() cannot convert; a JSON integer of
-# 5000 digits is more than json.loads converts
+# 5000 digits is more than json.loads converts, and a decimal string of
+# 5000 digits more than int() converts
 @pytest.mark.parametrize("field,text", [("v", "2.5"), ("v", "true"), ("p", "1e400"),
-                                        ("p", "Infinity"), ("p", "1" * 5000)],
-                         ids=["v-2.5", "v-true", "p-1e400", "p-Infinity", "p-5000-digits"])
+                                        ("p", "Infinity"), ("p", "1" * 5000),
+                                        ("p", '"' + "1" * 5000 + '"')],
+                         ids=["v-2.5", "v-true", "p-1e400", "p-Infinity", "p-5000-digits",
+                              "p-5000-digit-string"])
 def test_verify_non_integer_field_exit_code(field, text, tmp_path, capsys):
     _, out, _ = run_cli(["gencurve", "--disc", "-40", "--prime", "41",
                          "--order", "44"], capsys)

@@ -272,6 +272,8 @@ def test_curve_from_j():
         for j in (3, 77 % p, 1000 % p):
             c = curve_from_j(j, p)
             assert c.j_invariant() == j % p
+    with pytest.raises(InvalidParameters, match="singular"):
+        make_curve(41, 0, 0)
 
 
 def test_j_from_theta():
@@ -283,6 +285,8 @@ def test_j_from_theta():
     assert len(wj) == 2 and all(peval(full, j, 41) == 0 for j in wj)
     with pytest.raises(InvalidParameters):
         j_from_theta(0, InvariantKind("weber"), 41, D=-40)
+    with pytest.raises(InvalidParameters, match="needs D"):
+        j_from_theta(7, InvariantKind("weber"), 41)
     with pytest.raises(UnsupportedInvariant):
         j_from_theta(3, InvariantKind.double_eta(5, 7), 41)
 
@@ -364,7 +368,7 @@ def test_jacobian_scalar_mul_matches_affine(p):
     # (x0, 0) doubles to infinity, and P + (-P) is infinity
     assert scalar_mul(2, T, c) is None and scalar_mul(3, T, c) == T
     assert point_add(P, point_neg(P, c), c) is None
-    assert scalar_mul(5, None, c) is None
+    assert scalar_mul(5, None, c) is None and scalar_mul(-5, None, c) is None
 
 
 def test_jacobian_scalar_mul_at_the_point_order():

@@ -9,7 +9,6 @@ from mpmath import mp
 from cmforge.arith import Discriminant, kronecker, split_discriminant
 from cmforge.errors import InvalidParameters
 from cmforge.forms import (
-    NSystem,
     QuadForm,
     enumerate_reduced,
     make_coprime,
@@ -95,6 +94,16 @@ def test_reduce_form_roundtrip(D, seed):
     assert reduce_form(g) == f
 
 
+def test_form_rejections():
+    with pytest.raises(InvalidParameters):
+        QuadForm(1, 3, 1)                # discriminant 5: not positive definite
+    assert not QuadForm(2, 3, 5).is_reduced()   # |B| > A
+    with pytest.raises(InvalidParameters):
+        enumerate_reduced(-5)            # -5 = 3 (mod 4) is no discriminant
+    with pytest.raises(InvalidParameters):
+        make_coprime(QuadForm(1, 0, 10), 0)
+
+
 def test_reduced_forms_really_reduced():
     for D in (-40, -84, -120, -420, -1000000 + 1 - 3):
         if D % 4 not in (0, 1):
@@ -128,30 +137,30 @@ def test_make_coprime_property(D, N):
 # --- N-systems --------------------------------------------------------------
 
 def test_n_system_unchanged_example():
-    sys = n_system(-40, 3)
-    assert sys.forms == (QuadForm(1, 0, 10), QuadForm(2, 0, 5))
+    forms = n_system(-40, 3)
+    assert forms == (QuadForm(1, 0, 10), QuadForm(2, 0, 5))
 
 
 @pytest.mark.parametrize("D,N,b", [(-40, 16, None), (-40, 48, 0), (-40, 35, 10),
                                    (-84, 16, 0), (-120, 5, None), (-420, 16, 0),
                                    (-420, 35, None)])
 def test_n_system_invariants(D, N, b):
-    sys = n_system(D, N, b)
+    forms = n_system(D, N, b)
     reps = enumerate_reduced(D)
-    assert len(sys.forms) == len(reps)
-    for g in sys.forms:
+    assert len(forms) == len(reps)
+    b = forms[0].B if b is None else b
+    for g in forms:
         assert math.gcd(g.A, N) == 1
         assert g.disc == D
-        assert (g.B - sys.b) % (2 * N) == 0
-    assert sorted((reduce_form(g) for g in sys.forms), key=lambda q: (q.A, q.B)) == reps
+        assert (g.B - b) % (2 * N) == 0
+    assert sorted((reduce_form(g) for g in forms), key=lambda q: (q.A, q.B)) == reps
 
 
 def test_n_system_forces_NC_when_b_squares_to_D():
     # with b^2 = D (mod 4N) every member has N | C (needed by the double eta quotient)
     for (D, N, b) in [(-40, 35, 10), (-120, 143, 32)]:
         assert (b * b - D) % (4 * N) == 0
-        sys = n_system(D, N, b)
-        for g in sys.forms:
+        for g in n_system(D, N, b):
             assert g.C % N == 0, g
 
 

@@ -266,6 +266,22 @@ def test_inverse_and_division():
         gf_rational(q, 0).inv()
 
 
+def test_normal_form_equality_and_repr():
+    q = (5, -8)
+    x = GFElem(q, [1, 1, 0, 0], 2)                  # (1 + sqrt5)/2
+    y = GFElem(q, [-2, -2, 0, 0], -4)               # the same, negative denominator
+    assert (y.nums, y.den) == (x.nums, x.den) == ((1, 1, 0, 0), 2)
+    assert y == x and hash(y) == hash(x)
+    assert x.__eq__("x") is NotImplemented and x != "x"
+    assert repr(x) == "GF<1/2 + 1/2*sqrt(5)>"
+    assert repr(GFElem(q, [0, 0, 0, 3])) == "GF<3*sqrt(5)*sqrt(-8)>"
+    assert repr(gf_rational(q, 0)) == "GF<0>"
+    with pytest.raises(InternalInvariantError):
+        x.as_fraction()                             # not rational
+    with pytest.raises(InvalidParameters):
+        x.tau(4)                                    # two generators: labels 0..3
+
+
 def test_mismatched_fields_rejected():
     with pytest.raises(InvalidParameters):
         gf_rational((5, -8), 1) * gf_rational((-3, -7, -4), 1)

@@ -137,7 +137,7 @@ def test_j_at_form_roots_minus40():
 def test_gamma2_minus40():
     sys3 = n_system(-40, 3, 0)
     with mp.workprec(220):
-        vals = [theta_value(InvariantKind("gamma2"), f, 160) for f in sys3.forms]
+        vals = [theta_value(InvariantKind("gamma2"), f, 160) for f in sys3]
         assert abs(vals[0] + vals[1] - 780) < 1e-30
         assert abs(vals[0] * vals[1] - 20880) < 1e-30
 
@@ -152,7 +152,7 @@ def test_gamma2_preconditions():
 def test_weber_g_uncubed_minus40():
     sys48 = n_system(-40, 48, 0)
     with mp.workprec(260):
-        g1, g2 = (theta_value(WEBER, f, 200) for f in sys48.forms)
+        g1, g2 = (theta_value(WEBER, f, 200) for f in sys48)
         assert abs(g1 + g2 - 1) < 1e-45
         assert abs(g1 * g2 + 1) < 1e-45
 
@@ -162,9 +162,9 @@ def test_weber_g_relates_back_to_j():
     # must match the direct evaluations (D = -40 is the m = 2 mod 4 case)
     sys48 = n_system(-40, 48, 0)
     with mp.workprec(260):
-        js = sorted((theta_value(J, f, 200) for f in sys48.forms), key=lambda v: v.real)
+        js = sorted((theta_value(J, f, 200) for f in sys48), key=lambda v: v.real)
         from_g = []
-        for f in sys48.forms:
+        for f in sys48:
             g = theta_value(WEBER, f, 200)
             x = 64 * g ** 12  # (sqrt2 * g)^12 = f1^24, the (2/A) sign drops out
             from_g.append((x + 16) ** 3 / x)
@@ -179,7 +179,7 @@ def test_weber_g_cubed_16_system():
     disc = Discriminant.from_D(-84)
     assert InvariantKind("weber").weber_cubed(disc.D)
     with mp.workprec(300):
-        vals = [theta_value(InvariantKind("weber"), f, 220) for f in sys16.forms]
+        vals = [theta_value(InvariantKind("weber"), f, 220) for f in sys16]
         # symmetric functions must be (real) integers
         s1 = sum(vals)
         s4 = vals[0] * vals[1] * vals[2] * vals[3]
@@ -187,7 +187,7 @@ def test_weber_g_cubed_16_system():
         assert abs(s4.imag) < 1e-35 and abs(s4.real - mp.nint(s4.real)) < 1e-30
         # and reconstructing j from f^24 = (2 * (g^(1/3)))^... checks the case wiring:
         # m = 5 (mod 8): g = (f^4/2)^3 so f^24 = (8g)^2
-        js = sorted((theta_value(J, f, 220) for f in sys16.forms), key=lambda v: (v.real, v.imag))
+        js = sorted((theta_value(J, f, 220) for f in sys16), key=lambda v: (v.real, v.imag))
         from_g = sorted((((8 * v) ** 2 - 16) ** 3 / (8 * v) ** 2 for v in vals),
                         key=lambda v: (v.real, v.imag))
         for a, b in zip(js, from_g):
@@ -201,6 +201,8 @@ def test_weber_g_preconditions():
         theta_value(WEBER, QuadForm(1, 1, 1), 96)  # odd discriminant
     with pytest.raises(UnsupportedInvariant):
         InvariantKind("weber").validate_for(Discriminant.from_D(-32))  # m = 8
+    with pytest.raises(InvalidParameters, match="uncubed"):
+        theta_value(WEBER, QuadForm(3, 32, 86), 96)  # D = -8 is uncubed, and 3 | A
 
 
 def test_double_eta_minus40():
@@ -208,12 +210,12 @@ def test_double_eta_minus40():
     k57 = InvariantKind.double_eta(5, 7)
     sys35 = n_system(-40, 35, k57.b_target(disc))
     with mp.workprec(260):
-        v = [theta_value(k57, f, 200) for f in sys35.forms]
+        v = [theta_value(k57, f, 200) for f in sys35]
         assert abs(v[0] + v[1] - 1) < 1e-40 and abs(v[0] * v[1] + 1) < 1e-40
     k1113 = InvariantKind.double_eta(11, 13)
     sys143 = n_system(-40, 143, k1113.b_target(disc))
     with mp.workprec(260):
-        v = [theta_value(k1113, f, 200) for f in sys143.forms]
+        v = [theta_value(k1113, f, 200) for f in sys143]
         s, p = v[0] + v[1], v[0] * v[1]
         assert abs(p - 1) < 1e-35
         assert min(abs(s - 2), abs(s + 2)) < 1e-35  # x^2 +- 2x + 1
@@ -227,6 +229,28 @@ def test_double_eta_preconditions():
         theta_value(InvariantKind.double_eta(5, 7), QuadForm(1, 0, 10), 96)  # 35 does not divide C
     with pytest.raises(InvalidParameters):
         InvariantKind.double_eta(4, 7)
+    with pytest.raises(UnsupportedInvariant, match="conductor"):
+        InvariantKind.double_eta(5, 13).validate_for(Discriminant.from_D(-100))  # f = 5
+
+
+# p1 = p2 needs (D/p) = 1 or p | f, and 2,2 also excludes D = 4 (mod 32)
+@pytest.mark.parametrize("p,D,ok", [
+    (5, -4, True),       # (-4/5) = 1
+    (5, -100, True),     # 5 | f
+    (5, -40, False),     # 5 ramifies
+    (2, -7, True),       # (-7/2) = 1
+    (2, -12, True),      # f = 2, D = 20 (mod 32)
+    (2, -4, False),      # 2 ramifies, f = 1
+    (2, -28, False),     # f = 2 but D = 4 (mod 32)
+])
+def test_double_eta_equal_primes(p, D, ok):
+    kind = InvariantKind.double_eta(p, p)
+    disc = Discriminant.from_D(D)
+    if ok:
+        kind.validate_for(disc)
+    else:
+        with pytest.raises(UnsupportedInvariant):
+            kind.validate_for(disc)
 
 
 def test_invariant_kind_parse_and_str():
@@ -237,6 +261,8 @@ def test_invariant_kind_parse_and_str():
         InvariantKind.parse("frobnicate")
     with pytest.raises(InvalidParameters):
         InvariantKind.parse("doubleeta:x,y")
+    with pytest.raises(InvalidParameters):
+        InvariantKind("j", 5)
 
 
 def test_moduli_and_targets():
@@ -253,6 +279,8 @@ def test_moduli_and_targets():
     assert (b * b + 40) % 140 == 0
     b = InvariantKind.double_eta(11, 13).b_target(d40)
     assert (b * b + 40) % (4 * 143) == 0
+    with pytest.raises(UnsupportedInvariant):
+        InvariantKind.double_eta(5, 7).b_target(Discriminant.from_D(-4))  # 7 is inert
 
 
 # every N-system form of the golden divisor and full cases, plus -5460
@@ -269,7 +297,7 @@ BOUND_CASES = sorted({(D, inv) for D, inv, _ in DIVISORS + FULL}
 def test_theta_bound_covers_every_form(D, invariant):
     kind = InvariantKind.parse(invariant)
     d = Discriminant.from_D(D)
-    for f in n_system(D, kind.modulus(d), kind.b_target(d)).forms:
+    for f in n_system(D, kind.modulus(d), kind.b_target(d)):
         value = theta_value(kind, f, 128)
         with mp.workprec(256):
             assert theta_bound(kind, f) >= abs(value), f
@@ -299,7 +327,7 @@ def test_theta_bound_closed_forms():
 def test_bounds_ignore_caller_precision():
     kind = InvariantKind.double_eta(5, 7)
     d = Discriminant.from_D(-3135)
-    forms = n_system(-3135, 35, kind.b_target(d)).forms
+    forms = n_system(-3135, 35, kind.b_target(d))
     got = []
     for prec in (53, 5000):
         with mp.workprec(prec):
@@ -346,7 +374,7 @@ def test_entry_points_set_their_own_precision(name):
 def test_mirror_form_gives_conjugate(D, kind):
     # theta(A,-B,C) = conj theta(A,B,C): classpoly evaluates one form per pair
     d = Discriminant.from_D(D)
-    forms = n_system(D, kind.modulus(d), kind.b_target(d)).forms
+    forms = n_system(D, kind.modulus(d), kind.b_target(d))
     f = next(f for f in forms if f.B and QuadForm(f.A, -f.B, f.C) in forms)
     a = theta_value(kind, f, 1000)
     b = theta_value(kind, QuadForm(f.A, -f.B, f.C), 1000)

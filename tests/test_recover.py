@@ -48,7 +48,7 @@ def evaluate(coords, elems, prec, perturb=0):
 
 def _genus_T0_at(D, kind):
     d = Discriminant.from_D(D)
-    forms = n_system(D, 1).forms
+    forms = n_system(D, 1)
     labels = [phi_class(f, d) for f in forms]
     return genus_T0(kind, forms, labels), labels
 
