@@ -345,7 +345,9 @@ Predicate = Callable[[int, int], bool]
 
 
 def _offer(params: CurveOrderParams, predicate: Optional[Predicate]):
-    if predicate is None or predicate(params.p, params.order):
+    """params if predicate accepts them; never an anomalous order (order = p,
+    trace 1), whose curves Smart's attack breaks (J. Cryptology 12, 1999)."""
+    if params.order != params.p and (predicate is None or predicate(params.p, params.order)):
         return params
     return None
 
@@ -365,6 +367,8 @@ def search_fixed_D(
     or 7; otherwise plain rejection sampling, offering both signs.
 
     predicate(p, order) -> bool filters candidates; None accepts the first one.
+    Neither mode offers order = p.  Every candidate tried counts against
+    budget, and so does every draw of the 210 walk that leaves no room for u.
     Returns None if the budget runs out.
     """
     disc = D if isinstance(D, Discriminant) else Discriminant.from_D(D)
@@ -412,7 +416,8 @@ def _search_210(disc, predicate, rng, budget, lo, hi):
         v = 210 * rng.randrange(v0max) + 105
         target = rng.randrange(lo, hi)
         rest = 4 * target - absD * v * v
-        if rest < 4:
+        if rest < 4:    # no u: the draw is spent all the same
+            spent += 1
             continue
         u = 210 * ((math.isqrt(rest) - 1) // 210) + 1
         step = 106

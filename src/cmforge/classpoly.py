@@ -5,16 +5,23 @@ expands the product of (x - theta) over each coset of an N-system at about
 log2 T + t bits: those are all 2^t embeddings of each coefficient, and one
 Walsh-Hadamard transform gives its coordinates (Enge and Morain, "Fast
 decomposition of polynomials with known Galois group", AAECC-15, 2003).  The
-genus divisor on the conjugate route (what ``gen_curve`` and the CLI take
-by default) is that rounding over the genus field.  The full polynomial,
-kept as the oracle, is its t = 0 case: the field is Q, there is one coset
-and one embedding, and the transform is the identity.  The paper route
+genus divisor on the conjugate route (what the CLI's classpoly takes by
+default) is that rounding over the genus field.  What ``gen_curve`` takes
+by default is the same divisor split along a subgroup H of Cl^2 of index k
+(``class_poly_split``): the same rounding of the Hecke representation from
+that paper, R = prod_c (Y - s_c) over the H-cosets c and the numerators
+N_j, at the far smaller T of ``hecke_T``, so that a root mod p needs root
+searches of degree k and |H| instead of one of degree k |H|.  The full
+polynomial, kept as the oracle, is the rounding's t = 0 case: the field is
+Q, there is one coset and one embedding, and the transform is the
+identity.  The paper route
 expands only the principal genus (h / 2^(t-1) forms) at about m log2 T bits
 and recovers each coefficient from that one embedding through a recovery
 plan; ``class_poly_divisor`` takes it when no route is named.  Either way
 every other coset's divisor is a Galois conjugate of the principal one.
-Exact divisors are memoized per process, so repeated calls at one
-discriminant (one curve per prime, say) evaluate their theta values once.
+Exact divisors and splits are memoized per process, so repeated calls at
+one discriminant (one curve per prime, say) evaluate their theta values
+once.
 """
 
 from __future__ import annotations
@@ -31,10 +38,11 @@ from mpmath.libmp import to_fixed
 
 from .arith import Discriminant
 from .errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted
-from .forms import QuadForm, enumerate_reduced, n_system, phi_class
+from .forms import QuadForm, enumerate_reduced, n_system, phi_class, power_cosets, \
+    reduce_form
 from .genusfield import IMAG_PART, REAL_PART, GFElem, build_basis, build_mpair, \
     embeddings, gf_rational, gf_to_json, negative_mask, root_products, walsh_hadamard
-from .modfns import InvariantKind, height_bound, theta_value
+from .modfns import InvariantKind, height_bound, theta_bound, theta_value
 from .recover import make_plan, recover_coords
 
 DEFAULT_MAX_BITS = 1 << 20
@@ -77,6 +85,38 @@ class ClassPolynomial:
             out["phi0"] = None
             out["coeffs"] = [str(c) for c in self.coeffs]
         return out
+
+
+class HeckeSplit(NamedTuple):
+    """A class polynomial (or its principal genus divisor) P of degree
+    k |H|, split along a subgroup H of index k: R(Y) = prod_c (Y - s_c) over
+    the H-cosets c, s_c the sum of the theta values of c, and for each
+    j < |H| the Hecke numerator N_j(Y) = sum_c e_j(c) prod_(c' != c) (Y - s_c'),
+    e_j(c) the j-th coefficient of P_c = prod_(f in c) (x - theta_f).  Then
+    e_j(c) = N_j(s_c) / R'(s_c), and P is the product of the P_c.  At k = 1,
+    R = Y - s and N_j = e_j: the polynomial itself (``whole_split``)."""
+    D: int
+    kind: InvariantKind
+    R: tuple              # ascending, monic, degree k
+    N: tuple              # |H| rows N_j, each its k coefficients, ascending
+    plan: object          # the ConjugatePlan, or the split polynomial's plan
+
+    @property
+    def k(self):
+        return len(self.R) - 1
+
+    @property
+    def degree(self):
+        return self.k * len(self.N)
+
+
+def whole_split(poly):
+    """The k = 1 split of the monic ``poly`` of degree n: R = Y - s, s the
+    sum of its roots, is Y plus its coefficient of x^(n-1), and N_j is its
+    coefficient of x^j."""
+    c = poly.coeffs
+    return HeckeSplit(poly.D, poly.kind, (c[-2], c[-1]), tuple((x,) for x in c[:-1]),
+                      poly.plan)
 
 
 def _theta_values(kind, forms, prec):
@@ -234,21 +274,41 @@ def _expand(values, prec):
             M *= (1 + abs(th)) ** (2 if paired else 1)
         err = M * mp.mpf(2) ** (n.bit_length() + 2 - prec)
     P = prec + 64
-    re, im = [1 << P], [0]
+    return _from_fixed(*_product(_fixed(values, P), P), P), err
+
+
+def _fixed(values, P):
+    """(a, b, paired) for each of ``_theta_values``' entries: the value's
+    components rounded at P bits and floored at 2^-P, as integers at the
+    scale 2^P."""
     with mp.workprec(P):
-        for _, th, paired in values:
-            a, b = (to_fixed(x, P) for x in mp.mpc(th)._mpc_)
-            if paired:
-                c0, c1 = (a * a + b * b) >> P, -2 * a
-                re, im = ([x + ((c1 * y + c0 * z) >> P)
-                           for x, y, z in zip([0, 0] + p, [0] + p + [0], p + [0, 0])]
-                          for p in (re, im))
-            else:
-                low = list(zip(re + [0], im + [0]))
-                re, im = ([x + ((b * z - a * y) >> P) for x, (y, z) in zip([0] + re, low)],
-                          [x - ((a * z + b * y) >> P) for x, (y, z) in zip([0] + im, low)])
+        return [(*(to_fixed(x, P) for x in mp.mpc(th)._mpc_), paired)
+                for _, th, paired in values]
+
+
+def _product(roots, P):
+    """(re, im), ascending, of the product at the scale 2^P of
+    x^2 - 2a x + (a^2 + b^2) for each paired (a, b) of ``_fixed`` and of
+    x - (a + bi) for each other one; every new coefficient is floored."""
+    re, im = [1 << P], [0]
+    for a, b, paired in roots:
+        if paired:
+            c0, c1 = (a * a + b * b) >> P, -2 * a
+            re, im = ([x + ((c1 * y + c0 * z) >> P)
+                       for x, y, z in zip([0, 0] + p, [0] + p + [0], p + [0, 0])]
+                      for p in (re, im))
+        else:
+            low = list(zip(re + [0], im + [0]))
+            re, im = ([x + ((b * z - a * y) >> P) for x, (y, z) in zip([0] + re, low)],
+                      [x - ((a * z + b * y) >> P) for x, (y, z) in zip([0] + im, low)])
+    return re, im
+
+
+def _from_fixed(re, im, P):
+    """The mpmath values of fixed-point (re, im) lists at the scale 2^P."""
+    with mp.workprec(P):
         return [mp.mpc(mp.ldexp(x, -P), mp.ldexp(y, -P)) if y else mp.ldexp(x, -P)
-                for x, y in zip(re, im)], err
+                for x, y in zip(re, im)]
 
 
 def class_poly_full(D, kind=None, max_bits=DEFAULT_MAX_BITS):
@@ -272,10 +332,45 @@ def genus_T0(kind, forms, labels):
                for genus in set(labels))
 
 
-# exact principal divisors by (D, kind, route), oldest first: a process that
-# builds curves at one discriminant for several primes recovers its divisor once
+def hecke_T(kind, forms, masks, cosets):
+    """T for a split: the largest over the genera (``masks``) of
+    T_R = prod_c (1 + sum_(f in c) B_f) and
+    T_N = sum_c prod_(f in c) (1 + B_f) prod_(c' != c) (1 + sum_(f in c') B_f),
+    c over the genus's H-cosets (``cosets``) and B_f = ``theta_bound``.
+    |s_c| <= sum B_f and, by Vieta, |e_j(c)| <= prod (1 + B_f), so T_R
+    bounds every coefficient of R and T_N every coefficient of every N_j,
+    whichever of their conjugates.  At 64 bits, padded by 1 + 2^-32 as
+    ``height_bound`` is."""
+    with mp.workprec(64):
+        genera = {}
+        for f, mu, c in zip(forms, masks, cosets):
+            genera.setdefault(mu, {}).setdefault(c, []).append(theta_bound(kind, f))
+        T = mp.zero
+        for bounds in genera.values():
+            sums = [1 + mp.fsum(b) for b in bounds.values()]
+            prods = [mp.fprod(1 + x for x in b) for b in bounds.values()]
+            T_R = mp.fprod(sums)
+            T = max(T, T_R, mp.fsum(m * T_R / x for m, x in zip(prods, sums)))
+        return T * (1 + mp.mpf(2) ** -32)
+
+
+# exact principal divisors by (D, kind, route), and their splits by
+# (D, kind, "split"), oldest first: a process that builds curves at one
+# discriminant for several primes recovers its polynomials once
 _DIVISORS = {}
 _DIVISORS_MAX = 8
+
+
+def _memo(key, build):
+    """_DIVISORS[key], from ``build()`` on a miss; the oldest entry makes
+    room when the memo is full."""
+    got = _DIVISORS.get(key)
+    if got is None:
+        got = build()
+        if len(_DIVISORS) >= _DIVISORS_MAX:
+            del _DIVISORS[next(iter(_DIVISORS))]
+        _DIVISORS[key] = got
+    return got
 
 
 def _check_cap(D, bits, cap):
@@ -307,14 +402,43 @@ def class_poly_divisor(D, kind=None, max_bits=DEFAULT_MAX_BITS, route="paper"):
         raise InvalidParameters(f"unknown route {route!r}")
     d = Discriminant.from_D(D)
     kind.validate_for(d)
-    poly = _DIVISORS.get((D, kind, route))
-    if poly is None:
-        poly = _principal_divisor(d, kind, route, max_bits)
-        if len(_DIVISORS) >= _DIVISORS_MAX:
-            del _DIVISORS[next(iter(_DIVISORS))]
-        _DIVISORS[D, kind, route] = poly
+    poly = _memo((D, kind, route), lambda: _principal_divisor(d, kind, route, max_bits))
     _check_cap(D, _plan_bits(poly.plan), max_bits)
     return poly
+
+
+def class_poly_split(D, kind=None, max_bits=DEFAULT_MAX_BITS):
+    """The principal genus divisor of H_D[theta] as a ``HeckeSplit`` along
+    the subgroup H of Cl^2 that ``forms.power_cosets`` picks: R and every
+    N_j with exact genus-field coefficients, from one exact rounding over
+    the genus's cosets (``_exact_attempt``) with T = ``hecke_T``.  This is
+    what ``gen_curve`` reduces on its default path.  At k = 1 (n prime, or
+    Cl^2 of exponent 2) it is ``whole_split`` of the conjugate-route
+    divisor.  Memoized and capped as ``class_poly_divisor`` is; its plan is
+    a ConjugatePlan."""
+    kind = kind or InvariantKind.j()
+    d = Discriminant.from_D(D)
+    kind.validate_for(d)
+    split = _memo((D, kind, "split"), lambda: _split_divisor(d, kind, max_bits))
+    _check_cap(D, split.plan.B, max_bits)
+    return split
+
+
+def _split_divisor(d, kind, max_bits):
+    forms = n_system(d.D, kind.modulus(d), kind.b_target(d))
+    labels = [phi_class(f, d) for f in forms]
+    square = [reduce_form(f) for f, lab in zip(forms, labels) if lab == (1,) * d.t]
+    k, coset = power_cosets(d.D, square)
+    if k == 1:
+        return whole_split(class_poly_divisor(d.D, kind, max_bits, route="conjugates"))
+    masks = [_mask(lab) for lab in labels]
+    cosets = [coset[reduce_form(f)] for f in forms]
+    T = hecke_T(kind, forms, masks, cosets)
+    rows, B = _exact_rounding(d.D, kind, d.qstars, forms, masks, T, max_bits, cosets)
+    coeffs = [GFElem(d.qstars, row, 1 << d.t) for row in rows]
+    return HeckeSplit(d.D, kind, tuple(coeffs[:k]) + (gf_rational(d.qstars, 1),),
+                      tuple(tuple(coeffs[i:i + k]) for i in range(k, len(coeffs), k)),
+                      plan=ConjugatePlan(T, B))
 
 
 def _principal_divisor(d, kind, route, max_bits):
@@ -352,7 +476,7 @@ def _mask(phi):
     return sum(1 << i for i, e in enumerate(phi) if e == -1)
 
 
-def _exact_rounding(D, kind, qstars, forms, masks, T, max_bits):
+def _exact_rounding(D, kind, qstars, forms, masks, T, max_bits, cosets=None):
     """(``_exact_attempt``'s rows, B): the first attempt runs at
     B = ceil(log2 T) + t, B doubles on each escalation, and every attempt is
     checked against the cap."""
@@ -360,61 +484,72 @@ def _exact_rounding(D, kind, qstars, forms, masks, T, max_bits):
     while True:
         _check_cap(D, B, max_bits)
         try:
-            return _exact_attempt(kind, qstars, forms, masks, B, T), B
+            return _exact_attempt(kind, qstars, forms, masks, B, T, cosets), B
         except PrecisionEscalation:
             B *= 2
 
 
-def _exact_attempt(kind, qstars, forms, masks, B, T):
-    """The exact coordinates of a monic polynomial over
-    Q(sqrt(q_1*), ..., sqrt(q_t*)), read off all N = 2^t of its embeddings:
-    one row per coefficient below the leading one, holding the integers
-    N a_S for every subset mask S of the q_i*.
+def _exact_attempt(kind, qstars, forms, masks, B, T, cosets=None):
+    """The exact coordinates of polynomials over
+    Q(sqrt(q_1*), ..., sqrt(q_t*)), read off all N = 2^t of their
+    embeddings: one row per coefficient, holding the integers N a_S for
+    every subset mask S of the q_i*.  The polynomial is the monic divisor,
+    without its leading coefficient, when ``cosets`` is None; else the
+    ``HeckeSplit`` along the H-cosets that ``cosets`` labels (``_hecke``):
+    R without its leading coefficient, then N_0, N_1, ...
 
-    The product over the forms of mask mu gives sigma_mu of each
-    coefficient, sigma_mu the principal embedding after tau_mu, which flips
-    sqrt(q_i*) for each bit i of mu, and its complex conjugate gives
-    sigma_(mu xor c), c the mask of the negative q_i*.  For
-    a = sum_S a_S r_S, r_S = prod_(i in S) sqrt(q_i*),
+    The forms of mask mu give sigma_mu of each coefficient, sigma_mu the
+    principal embedding after tau_mu, which flips sqrt(q_i*) for each bit i
+    of mu, and its complex conjugate gives sigma_(mu xor c), c the mask of
+    the negative q_i*.  For a = sum_S a_S r_S, r_S = prod_(i in S) sqrt(q_i*),
     N a_S = sum_mu (-1)^|mu & S| sigma_mu(a) / r_S is an integer: the ring of
     integers is the tensor product of the quadratic ones.  With no q_i* (the
     full polynomial) N = 1, c = 0, one coset holds every form, and the
     transform is the identity.
 
-    Error chain, n forms per coset and T at least every embedding of every
-    coefficient: theta at B + 3 + ``_pad(n)`` bits puts each embedding within
-    eps, the largest of ``_expand``'s bounds over the cosets, so
-    eps <= 2^-(B+3) M~ for the values' majorant M~.  The transform sums N of
-    them and |r_S| >= 1, so N a_S is off by at most N eps, plus under
-    2^-40 N eps of rounding at 64 more bits.  At B >= log2 T + t,
-    N eps <= 2^-3 M~ / T, and an attempt escalates unless N eps < 1/4, which
-    holds whenever M~ < 2T.  Checks, each escalating: every N a_S rounds with
-    a residual below 1/4; the coefficient reproduces all N embeddings within
-    2 eps, where a wrong one misses some embedding by at least
-    1/N - eps > 2 eps (the transform is N times an orthogonal one); and no
-    embedding exceeds T (``_check_height``, as on the paper route).
+    Error chain, n forms per genus and T at least every embedding of every
+    coefficient: theta at B + 3 + ``_pad(n)`` bits, 2 more for a split,
+    puts each embedding within eps, the largest of the bounds of
+    ``_expand`` (or ``_hecke``) over the genera, so eps <= 2^-(B+3) V for
+    the values' majorant V: M~ for a divisor, and for a split the larger of
+    ``_hecke``'s V_R and V_N, the analogues of ``hecke_T``'s T_R and T_N at
+    the computed values.  The transform sums N of them and |r_S| >= 1, so
+    N a_S is off by at most N eps, plus under 2^-40 N eps of rounding at 64
+    more bits.  At B >= log2 T + t, N eps <= 2^-3 V / T, and an attempt
+    escalates unless N eps < 1/4, which holds whenever V < 2T.  Checks, each
+    escalating: every N a_S rounds with a residual below 1/4; the
+    coefficient reproduces all N embeddings within 2 eps, where a wrong one
+    misses some embedding by at least 1/N - eps > 2 eps (the transform is N
+    times an orthogonal one); and no embedding exceeds T
+    (``_check_height``, as on the paper route).
     """
     N = 1 << len(qstars)
     neg = negative_mask(qstars)
     n = len(forms) // len(set(masks))
-    prec = B + 3 + _pad(n)
+    prec = B + 3 + _pad(n) + (0 if cosets is None else 2)
     mask = dict(zip(forms, masks))
+    coset = None if cosets is None else dict(zip(forms, cosets))
     values = _theta_values(kind, forms, prec)
     emb = [None] * N
     eps = 0
     rows = []
     with mp.workprec(prec + 64):
         for mu in set(masks):
-            poly, err = _expand([v for v in values if mask[v[0]] == mu], prec)
+            genus = [v for v in values if mask[v[0]] == mu]
+            if coset is None:
+                poly, err = _expand(genus, prec)
+                poly = poly[:-1]
+            else:
+                poly, err = _hecke(genus, coset, prec)
             # the conjugate goes in first, so that at c = 0 the product itself stays
-            emb[mu ^ neg] = [mp.conj(c) for c in poly[:-1]]
-            emb[mu] = poly[:-1]
+            emb[mu ^ neg] = [mp.conj(c) for c in poly]
+            emb[mu] = poly
             eps = max(eps, err)
         if not N * eps < 0.25:
             raise PrecisionEscalation(
                 f"error bound {mp.nstr(N * eps, 5)} on N a_S at {B} bits")
         roots = root_products(qstars, prec + 64)
-        for k in range(n):
+        for k in range(len(emb[0])):
             row = []
             for S, x in enumerate(walsh_hadamard(e[k] for e in emb)):
                 x /= roots[S]
@@ -431,6 +566,64 @@ def _exact_attempt(kind, qstars, forms, masks, B, T):
             _check_height(coeff, T, f"coefficient {k} at {B} bits")
             rows.append(row)
     return rows
+
+
+def _hecke(values, coset, prec):
+    """The coefficients of one genus's R (but its leading 1) and of its
+    N_0, N_1, ... (``HeckeSplit``), and a bound eps on each one's error.
+
+    ``values`` are the genus's entries of ``_theta_values`` and ``coset``
+    maps each form to its H-coset.  A pair whose mirror lies in another
+    coset is taken apart: the form's coset gets its value unpaired, the
+    mirror's coset the conjugate.  Everything runs on ``_expand``'s
+    fixed-point integers: P_c is the product of c's values, s_c their sum,
+    and R and each Q_c = prod_(c' != c) (Y - s_c') products of the s_c; then
+    N_j = sum_c e_j(c) Q_c.
+
+    Error, u = 2^-prec, n values in the genus and n_c in coset c, each with
+    |theta~ - theta| <= u (1 + |theta|): let S_c = 1 + sum_(f in c) |theta~_f|
+    and M_c = prod_(f in c) (1 + |theta~_f|).  s_c is then off by at most
+    2u sum (1 + |theta~_f|) <= 2 n_c u S_c.  If |x~_i - x_i| <= d_i, each
+    coefficient of prod (Y - x_i) moves by at most prod (a_i + d_i) - prod a_i
+    for any a_i >= 1 + |x~_i| (sum over the subsets), so R's coefficients
+    move by at most (prod (1 + 2 n_c u) - 1) V_R <= 4nu V_R, V_R = prod S_c,
+    and Q_c's by 4nu V_R / S_c, each also bounded by V_R / S_c.  With
+    ``_expand``'s 2^(bitlen(n_c) + 2) u M_c on e_j(c) and |e_j(c)| below
+    M_c (1 + 2 n_c u), each coefficient of N_j is off by less than
+    2^(bitlen(n) + 3) u V_N, V_N = sum_c M_c V_R / S_c.  The products'
+    truncation (``_expand``'s) and the flooring of the s_c and the sums at
+    2^-(prec + 64) add under 2^-56 of that, so
+    eps = 2^(bitlen(n) + 4 - prec) max(V_R, V_N), with V_R and V_N at 64
+    bits, bounds every error: 4 times ``_expand``'s at the same n and
+    majorant.
+    """
+    groups = {}
+    for f, th, paired in values:
+        if paired:
+            mirror = QuadForm(f.A, -f.B, f.C)
+            if coset[mirror] != coset[f]:
+                groups.setdefault(coset[mirror], []).append((mirror, mp.conj(th), False))
+                paired = False
+        groups.setdefault(coset[f], []).append((f, th, paired))
+    groups = list(groups.values())
+    with mp.workprec(64):
+        S = [1 + mp.fsum((1 + paired) * abs(th) for _, th, paired in g) for g in groups]
+        M = [mp.fprod((1 + abs(th)) ** (1 + paired) for _, th, paired in g) for g in groups]
+        V_R = mp.fprod(S)
+        n = sum(1 + paired for g in groups for _, _, paired in g)
+        eps = max(V_R, mp.fsum(m * V_R / x for m, x in zip(M, S))) \
+            * mp.mpf(2) ** (n.bit_length() + 4 - prec)
+    P = prec + 64
+    roots = [_fixed(g, P) for g in groups]
+    polys = [_product(r, P) for r in roots]
+    s = [(sum((1 + paired) * a for a, _, paired in r),
+          sum(b for _, b, paired in r if not paired), False) for r in roots]
+    R = _product(s, P)
+    Q = [_product(s[:i] + s[i + 1:], P) for i in range(len(s))]
+    N = [((sum(pr[j] * qr[i] - pi[j] * qi[i] for (pr, pi), (qr, qi) in zip(polys, Q)) >> P),
+          (sum(pr[j] * qi[i] + pi[j] * qr[i] for (pr, pi), (qr, qi) in zip(polys, Q)) >> P))
+         for j in range(len(polys[0][0]) - 1) for i in range(len(s))]
+    return _from_fixed(R[0][:-1] + [x for x, _ in N], R[1][:-1] + [y for _, y in N], P), eps
 
 
 def _check_height(x, T, what):

@@ -13,8 +13,8 @@ from operator import mul
 
 from .arith import kronecker, least_nonresidue, sqrt_mod_p, \
     validate_params
-from .classpoly import DEFAULT_MAX_BITS, ClassPolynomial, class_poly_divisor, \
-    class_poly_full
+from .classpoly import DEFAULT_MAX_BITS, ClassPolynomial, HeckeSplit, \
+    class_poly_divisor, class_poly_full, class_poly_split, whole_split
 from .errors import (InternalInvariantError, InvalidParameters,
                      PrecisionExhausted, UnsupportedInvariant)
 from .modfns import InvariantKind, j_from_theta
@@ -23,6 +23,7 @@ __all__ = [
     "WeierstrassCurve",
     "make_curve",
     "reduce_divisor_mod_p",
+    "reduce_split_mod_p",
     "roots_in_fp",
     "curve_from_j",
     "point_neg",
@@ -67,18 +68,32 @@ def reduce_divisor_mod_p(poly: ClassPolynomial, p):
     Galois conjugate instead lands on a conjugate prime above p.  Full
     polynomials reduce verbatim.
     """
-    if not poly.is_divisor:
-        return [c % p for c in poly.coeffs]
+    out = _mod_p(poly.coeffs, p)
+    assert out[-1] == 1
+    return out
+
+
+def reduce_split_mod_p(split: HeckeSplit, p):
+    """(R, [N_0, N_1, ...]) mod the prime above p of ``reduce_divisor_mod_p``:
+    one prime for all of them, so that N_j(s) / R'(s) is the j-th
+    coefficient of the coset polynomial of the root s of R."""
+    k = split.k
+    flat = _mod_p(split.R + sum(split.N, ()), p)
+    return flat[:k + 1], [flat[i:i + k] for i in range(k + 1, len(flat), k)]
+
+
+def _mod_p(coeffs, p):
+    """Genus-field (or integer) coefficients mod the prime above p."""
+    if isinstance(coeffs[-1], int):
+        return [c % p for c in coeffs]
     roots = []
-    for q in poly.coeffs[-1].qstars:
+    for q in coeffs[-1].qstars:
         r = sqrt_mod_p(q % p, p)
         if r is None:
             raise InvalidParameters(
                 f"{q} is a non-residue mod {p}; p does not split in the genus field")
         roots.append(r)
-    out = [c.mod_p(roots, p) for c in poly.coeffs]
-    assert out[-1] == 1
-    return out
+    return [c.mod_p(roots, p) for c in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +189,19 @@ def _psub(f, g, p):
     for i, c in enumerate(g):
         out[i] = (out[i] - c) % p
     return _ptrim(out)
+
+
+def _peval(f, x, p):
+    """f(x) mod p, f ascending."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def _pderiv(f, p):
+    """f' mod p, f ascending."""
+    return [i * c % p for i, c in enumerate(f)][1:]
 
 
 def roots_in_fp(f, p, seed=0):
@@ -352,7 +380,8 @@ def _twist_family(curve):
 
 
 def select_twist(curve, target_order, rng=None):
-    """The member of curve's twist family with the prescribed order.
+    """(twist, index): the member of curve's twist family with the
+    prescribed order, and its index in ``_twist_family(curve)``.
 
     Each member is put to ``order_mismatch`` in turn, with one rng, and the
     survivor must be unique (candidate orders are pairwise distinct for
@@ -364,7 +393,7 @@ def select_twist(curve, target_order, rng=None):
         raise InvalidParameters(f"order p + 1 = {target_order} is supersingular")
     if rng is None:
         rng = random.Random(0)
-    passing = [cand for cand in _twist_family(curve)
+    passing = [(cand, i) for i, cand in enumerate(_twist_family(curve))
                if order_mismatch(cand, target_order, rng) is None]
     if len(passing) == 1:
         return passing[0]
@@ -378,59 +407,92 @@ def select_twist(curve, target_order, rng=None):
 # ---------------------------------------------------------------------------
 # end-to-end
 
+def _one_root(f, p, D, seed):
+    roots = roots_in_fp(f, p, seed=seed)
+    if not roots:
+        raise InternalInvariantError(
+            f"class polynomial for D={D} has no root mod {p} despite valid parameters")
+    return roots[0]
+
+
+def _coset_root(split, p, seed):
+    """A root mod p of the coset polynomial P_c that one root s of R picks,
+    with coefficients N_j(s) / R'(s); None when R'(s) = 0 mod p, where the
+    Hecke representation does not tell the cosets apart.  At k = 1 the
+    root search on R is one step and R' = 1."""
+    R, N = reduce_split_mod_p(split, p)
+    s = _one_root(R, p, split.D, seed)
+    dR = _peval(_pderiv(R, p), s, p)
+    if not dR:
+        return None
+    inv = pow(dR, -1, p)
+    return _one_root([_peval(row, s, p) * inv % p for row in N] + [1], p, split.D, seed)
+
+
+# the polynomials that each path tries in turn: auto moves on when one
+# would exceed max_bits or when R'(s) vanishes mod p
+_TRIES = {"auto": ("split", "conjugates", "full"), "divisor": ("paper",), "full": ("full",)}
+
+
+def _split_for(how, D, kind, max_bits):
+    if how == "split":
+        return class_poly_split(D, kind, max_bits)
+    if how == "full":
+        return whole_split(class_poly_full(D, kind, max_bits))
+    return whole_split(class_poly_divisor(D, kind, max_bits, route=how))
+
+
 def gen_curve(D, p, u, v, kind=None, path="auto", seed=0, max_bits=DEFAULT_MAX_BITS):
     """Curve over F_p with exactly p + 1 - u points, via the CM class polynomial.
 
     path: "auto" (the genus divisor on the conjugate route, recovered from
-    all 2^t embeddings, with the full path as the fallback on precision
-    exhaustion), "divisor" (the genus divisor on the paper's route, from one
-    embedding through a recovery plan) or "full" (classic H_D).  Returns
-    {curve, j, order, transcript}.  The transcript's "path" names the
-    polynomial used, "divisor" or "full"; for a divisor, "route" says
-    "conjugates" (with T and B) or "paper" (with T0, N0 and float_bits).
+    all 2^t embeddings and split along Cl^2 by ``class_poly_split``), with
+    the plain conjugate-route divisor as the fallback when R'(s) = 0 mod p
+    and the full path on precision exhaustion; "divisor" (the genus divisor
+    on the paper's route, from one embedding through a recovery plan); or
+    "full" (classic H_D).  Every polynomial is taken as a ``HeckeSplit``,
+    k = 1 but for the split: one root s of R, then one root of the coset
+    polynomial that s picks.  Returns {curve, j, order, transcript}.  The
+    transcript's "path" names the polynomial used, "divisor" or "full"; for
+    a divisor, "route" says "conjugates" (with T and B) or "paper" (with T0,
+    N0 and float_bits).  "degree" is the polynomial's, k |H|, and "k" and
+    "H" give the split's k and |H|.
 
-    The divisor comes from ``class_poly_divisor``'s per-process memo, so
-    further calls at the same D, invariant and route, for other primes,
-    evaluate no theta value and report the same numbers.
+    The polynomials come from ``classpoly``'s per-process memo, so further
+    calls at the same D, invariant and path, for other primes, evaluate no
+    theta value and report the same numbers.
     """
     kind = kind or InvariantKind.j()
     disc = validate_params(D, p, u, v)
     if kind.name not in ("j", "gamma2", "weber"):
         raise UnsupportedInvariant(f"no j reconstruction for {kind}")
     kind.validate_for(disc)
-    if path not in ("auto", "divisor", "full"):
+    if path not in _TRIES:
         raise InvalidParameters(f"unknown path {path!r}")
     target = p + 1 - u
 
     transcript = {"D": D, "p": p, "u": u, "v": v, "invariant": str(kind),
                   "target": target}
-    poly = None
-    if path != "full":
-        route = "conjugates" if path == "auto" else "paper"
+    tries = _TRIES[path]
+    for i, how in enumerate(tries):
         try:
-            poly = class_poly_divisor(D, kind, max_bits=max_bits, route=route)
+            split = _split_for(how, D, kind, max_bits)
         except PrecisionExhausted:
-            if path != "auto":
+            if i + 1 == len(tries):
                 raise
-        else:
-            plan = poly.plan
-            transcript.update(path="divisor", route=route, **(
-                dict(T0=plan.T0, N0=plan.N0, float_bits=plan.float_bits)
-                if route == "paper" else dict(T=plan.T, B=plan.B)))
-    if poly is None:
-        poly = class_poly_full(D, kind, max_bits=max_bits)
+            continue
+        r = _coset_root(split, p, seed)
+        if r is not None:
+            break
+    plan = split.plan
+    if how == "full":
         transcript["path"] = "full"
-    transcript["degree"] = poly.degree
-    fp = reduce_divisor_mod_p(poly, p)
-
-    roots = roots_in_fp(fp, p, seed=seed)
-    if not roots:
-        raise InternalInvariantError(
-            f"class polynomial for D={D} has no root mod {p} despite valid parameters")
-    r = roots[0]
+    else:
+        transcript.update(path="divisor", **(
+            dict(route="paper", T0=plan.T0, N0=plan.N0, float_bits=plan.float_bits)
+            if how == "paper" else dict(route="conjugates", T=plan.T, B=plan.B)))
+    transcript.update(degree=split.degree, k=split.k, H=len(split.N))
     j = j_from_theta(r, kind, p, D=D)
-    base = curve_from_j(j, p)
-    rng = random.Random(seed)
-    curve = select_twist(base, target, rng)
-    transcript.update(root=r, j=j, twist=_twist_family(base).index(curve))
+    curve, twist = select_twist(curve_from_j(j, p), target, random.Random(seed))
+    transcript.update(root=r, j=j, twist=twist)
     return {"curve": curve, "j": j, "order": target, "transcript": transcript}

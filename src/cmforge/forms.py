@@ -1,4 +1,4 @@
-"""Binary quadratic forms: reduction, class enumeration, N-systems, genus characters.
+"""Binary quadratic forms: reduction, class enumeration, composition, N-systems, genus characters.
 
 Forms (A, B, C) are positive definite with discriminant B^2 - 4AC = D < 0.
 An N-system is one representative per class with gcd(A, N) = 1 and all B
@@ -22,6 +22,8 @@ __all__ = [
     "enumerate_reduced",
     "make_coprime",
     "n_system",
+    "compose",
+    "power_cosets",
     "root_of_form",
     "phi_class",
 ]
@@ -165,6 +167,72 @@ def _check_n_system(forms: tuple[QuadForm, ...], D: int, N: int, b: int,
             raise InternalInvariantError(f"bad N-system member {g} for N={N}")
     if sorted(map(reduce_form, forms), key=lambda q: (q.A, q.B)) != reps:
         raise InternalInvariantError("N-system does not hit every class exactly once")
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x a + y b = g = gcd(a, b)."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def compose(f: QuadForm, g: QuadForm) -> QuadForm:
+    """The reduced form of the class [f][g]: Dirichlet composition.
+
+    With e = gcd(A1, A2, (B1 + B2)/2) = u A1 + v A2 + w (B1 + B2)/2, the
+    composite is (A1 A2 / e^2, B, .) where
+    B = (u A1 B2 + v A2 B1 + w (B1 B2 + D)/2) / e mod 2 A1 A2 / e^2
+    (see Cox, "Primes of the form x^2 + ny^2", section 3).
+    """
+    D = f.disc
+    e1, x, y = _xgcd(f.A, g.A)
+    e, z, w = _xgcd(e1, (f.B + g.B) // 2)
+    A = f.A * g.A // (e * e)
+    B = (z * x * f.A * g.B + z * y * g.A * f.B + w * (f.B * g.B + D) // 2) // e % (2 * A)
+    return reduce_form(QuadForm(A, B, (B * B - D) // (4 * A)))
+
+
+def _power(f: QuadForm, e: int) -> QuadForm:
+    """The reduced form of [f]^e, e >= 1, by square and multiply."""
+    out = reduce_form(f)
+    for bit in bin(e)[3:]:
+        out = compose(out, out)
+        if bit == "1":
+            out = compose(out, f)
+    return out
+
+
+def power_cosets(D: int, square: list[QuadForm]) -> tuple[int, dict]:
+    """(k, coset): the subgroup H = {x^e : x in ``square``} of index k that
+    minimizes max(k, |H|), the smaller k on a tie, and the label of the
+    H-coset of every reduced form of discriminant D.
+
+    ``square`` holds the reduced forms of the classes of a subgroup (Cl^2,
+    the principal genus), n of them.  Every e | n is tried: x^n = 1, so the
+    e-th powers for any e are the gcd(e, n)-th powers.  The e-th powers are
+    the q-th powers of the (e/q)-th ones, q the least prime factor of e, so
+    each subgroup costs one powering per element of a larger one.  The
+    labels are 0, 1, ... in the order of ``enumerate_reduced``: a coset
+    takes the next one at its first form.
+    """
+    n = len(square)
+    powers = {1: set(square)}
+    for e in range(2, n + 1):
+        if n % e == 0:
+            q = next(q for q in range(2, e + 1) if e % q == 0)
+            powers[e] = {_power(x, q) for x in powers[e // q]}
+    H = min(powers.values(), key=lambda H: (max(n // len(H), len(H)), n // len(H)))
+    k = n // len(H)
+    coset = {}
+    for f in enumerate_reduced(D):
+        if f not in coset:
+            label = len(coset) // len(H)
+            for x in H:
+                coset[compose(f, x)] = label
+    return k, coset
 
 
 def root_of_form(f: QuadForm):

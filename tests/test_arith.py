@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 import sympy
@@ -340,6 +341,41 @@ def test_search_fixed_D_210_branch_avoids_small_primes():
         got = search_fixed_D(-19, None, p_bits=16, rng=random.Random(seed))
         assert got is not None and got.v == 105 and got.p.bit_length() == 16
         validate_params(-19, got.p, got.u, got.v)
+
+
+def test_search_fixed_D_never_offers_an_anomalous_order():
+    # at -19 and 16 bits, u = 1 with v = 105 gives p = 52369, whose order
+    # p + 1 - u = p is trace 1 (Smart's attack): it is never offered, with
+    # or without a predicate, and the predicate never even sees it
+    seen = []
+    for seed in range(21):
+        got = search_fixed_D(-19, None, p_bits=16, rng=random.Random(seed))
+        assert got is not None and got.order != got.p
+        got = search_fixed_D(-19, lambda p, o: seen.append((p, o)) or True, p_bits=16,
+                             rng=random.Random(seed))
+        assert got.order != got.p
+    assert seen and all(o != p for p, o in seen)
+
+
+def test_search_fixed_D_charges_redrawn_targets():
+    # at -6233059 and 34 bits, 315 of the 2^33 targets leave room for u, so
+    # nearly every draw of the 210 walk is redrawn: each one is charged to
+    # the budget, so budget = 1 ends after one draw
+    start = time.perf_counter()
+    assert search_fixed_D(-6233059, lambda p, o: False, p_bits=34, budget=1) is None
+    assert time.perf_counter() - start < 1
+
+    class Counting(random.Random):
+        draws = 0
+
+        def randrange(self, *args):
+            self.draws += 1
+            return super().randrange(*args)
+
+    # each draw is a v and a target: 50 draws at most at budget = 50
+    rng = Counting(0)
+    assert search_fixed_D(-6233059, lambda p, o: False, p_bits=34, budget=50, rng=rng) is None
+    assert 0 < rng.draws <= 2 * 50
 
 
 def test_search_fixed_D_budget_and_modes():

@@ -11,9 +11,11 @@ from mpmath import mp
 from cmforge import classpoly
 from cmforge.arith import Discriminant
 from cmforge.classpoly import ClassPolynomial, class_poly_divisor, \
-    class_poly_full, coset_divisor, coset_labels, coset_product_check, genus_T0
+    class_poly_full, class_poly_split, coset_divisor, coset_labels, coset_product_check, \
+    genus_T0, hecke_T
 from cmforge.errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted
-from cmforge.forms import QuadForm, enumerate_reduced, n_system, phi_class
+from cmforge.forms import QuadForm, enumerate_reduced, n_system, phi_class, power_cosets, \
+    reduce_form
 from cmforge.genusfield import GFElem, embeddings
 from test_genusfield import from_json, sigma_ref
 from cmforge.modfns import InvariantKind, height_bound
@@ -694,3 +696,133 @@ def test_serial_cases_never_fork(case, monkeypatch):
             other.join(timeout=10)
     assert not other.is_alive()
     assert got == want
+
+
+# --- the split along Cl^2 (HeckeSplit) -------------------------------------
+
+def split_args(D, kind=J):
+    """(d, forms, masks, cosets, k) of the split that ``class_poly_split``
+    recovers at D: the N-system, each form's genus mask and H-coset label."""
+    d = Discriminant.from_D(D)
+    forms = n_system(D, kind.modulus(d), kind.b_target(d))
+    labels = [phi_class(f, d) for f in forms]
+    square = [reduce_form(f) for f, lab in zip(forms, labels) if lab == (1,) * d.t]
+    k, coset = power_cosets(D, square)
+    return (d, forms, [classpoly._mask(lab) for lab in labels],
+            [coset[reduce_form(f)] for f in forms], k)
+
+
+def split_rows(split):
+    """The rows N a_S of R (but its leading 1) and of every N_j, in order."""
+    N = 1 << len(split.R[-1].qstars)
+    return [[int(c.coeff(S) * N) for S in range(N)]
+            for c in split.R[:-1] + sum(split.N, ())]
+
+
+def test_split_at_prime_n_is_the_divisor():
+    # -47: n = 5 is prime, so k = 1 and the split is the conjugate-route
+    # divisor, R = Y - s and N_j = e_j.  The Hecke rounding itself, with
+    # one coset per genus, gives R's row and then the divisor's rows
+    split = class_poly_split(-47)
+    div = class_poly_divisor(-47, route="conjugates")
+    assert (split.k, len(split.N), split.degree) == (1, 5, 5)
+    assert [row[0] for row in split.N] == list(div.coeffs[:-1])
+    assert split.R == div.coeffs[-2:] and split.plan == div.plan
+    d, forms, masks, _, _ = split_args(-47)
+    T = hecke_T(J, forms, masks, masks)
+    rows = classpoly._exact_attempt(J, d.qstars, forms, masks, int(mp.mag(T)) + d.t, T, masks)
+    assert rows == split_rows(split)
+
+
+@pytest.mark.parametrize("D,bits", [(-2519, (979, 577)), (-9911, (1243, 980))])
+def test_hecke_T_is_the_closed_form(D, bits):
+    # log2 of genus_T0 and of the split's T (its T_N at both): the split
+    # needs about half the precision, and class_poly_split recovers at it
+    d, forms, masks, cosets, _ = split_args(D)
+    T = hecke_T(J, forms, masks, cosets)
+    T0 = genus_T0(J, forms, [phi_class(f, d) for f in forms])
+    assert (int(mp.log(T0, 2)), int(mp.log(T, 2))) == bits
+    split = class_poly_split(D)
+    assert (split.plan.T, split.plan.B) == (T, int(mp.mag(T)) + d.t)
+
+
+@pytest.mark.parametrize("D", [-1239, -2519])
+def test_split_attempt_escalates_or_is_exact(D):
+    # below log2 T + t an attempt escalates; at it the rows are R's and the
+    # N_j's; with T just below their largest embedding (the a-priori bound
+    # and every rounding still pass) only the height check stops it
+    d, forms, masks, cosets, k = split_args(D)
+    split = class_poly_split(D)
+    T, B = split.plan.T, split.plan.B
+    want = split_rows(split)
+    assert split.k == k and len(want) == k * (1 + len(split.N))
+    with pytest.raises(PrecisionEscalation):
+        classpoly._exact_attempt(J, d.qstars, forms, masks, 8, T, cosets)
+    assert classpoly._exact_attempt(J, d.qstars, forms, masks, B, T, cosets) == want
+    with mp.workprec(B + 64):
+        top = max(abs(v) for c in split.R[:-1] + sum(split.N, ())
+                  for v in embeddings(c, B + 64))
+        below = top * (1 - mp.mpf(2) ** -20)
+    with pytest.raises(PrecisionEscalation, match="height bound"):
+        classpoly._exact_attempt(J, d.qstars, forms, masks, B, below, cosets)
+
+
+def test_hecke_takes_apart_a_pair_split_across_cosets(monkeypatch):
+    # at -2519 (H of index 4 in the cyclic Cl^2 of order 32) a class x and
+    # its inverse share an H-coset exactly when x^2 is in H: those pairs
+    # stay paired, and every other form goes unpaired into its own coset
+    # while its mirror's coset gets the conjugate value
+    d, forms, masks, cosets, k = split_args(-2519)
+    coset = dict(zip(forms, cosets))
+    genus = [f for f, mu in zip(forms, masks) if mu == 0]
+    values = classpoly._theta_values(J, genus, 100)
+
+    def mirror(f):
+        return QuadForm(f.A, -f.B, f.C)
+
+    apart = [(f, v) for f, v, paired in values if paired and coset[mirror(f)] != coset[f]]
+    kept = [f for f, _, paired in values if paired and coset[mirror(f)] == coset[f]]
+    assert apart and kept
+    groups = []
+    fixed = classpoly._fixed
+
+    def recording(vals, P):
+        groups.append(list(vals))
+        return fixed(vals, P)
+
+    monkeypatch.setattr(classpoly, "_fixed", recording)
+    classpoly._hecke(values, coset, 100)
+    assert len(groups) == k
+    for g in groups:
+        assert len({coset[f] for f, _, _ in g}) == 1
+        assert sum(1 + paired for _, _, paired in g) == 8
+    entry = {f: (v, paired) for g in groups for f, v, paired in g}
+    for f, v in apart:
+        assert entry[f] == (v, False) and entry[mirror(f)] == (mp.conj(v), False)
+    for f in kept:
+        assert entry[f][1] is True and mirror(f) not in entry
+
+
+@pytest.mark.parametrize("shift", [40, 20])
+def test_split_never_returns_a_wrong_coefficient(shift, monkeypatch):
+    # one theta value off by a relative 2^-shift, far above the split's
+    # claim on theta at -2519 (j exceeds 2^28): it escalates until the cap
+    # stops it, or returns the right R and N_j
+    want = class_poly_split(-2519)
+    classpoly._DIVISORS.clear()
+    theta = classpoly.theta_value
+    seen = []
+
+    def skewed(kind, form, prec=96):
+        seen.append(form)
+        v = theta(kind, form, prec)
+        with mp.workprec(prec + 64):
+            return v * (1 + mp.mpf(2) ** -shift) if form == seen[0] else v
+
+    monkeypatch.setattr(classpoly, "_workers", lambda n, work: 1)
+    monkeypatch.setattr(classpoly, "theta_value", skewed)
+    try:
+        got = class_poly_split(-2519, max_bits=2 * want.plan.B)
+    except PrecisionExhausted:
+        return
+    assert (got.R, got.N) == (want.R, want.N)

@@ -252,9 +252,11 @@ def test_verify_accepts_exactly_the_selected_twist(D, p, tmp_path, capsys):
                               "--order", str(order)], capsys)
         row = lines(out)[0]
         base = curve_from_j(int(row["j"]), p)
-        picked = select_twist(base, order)
+        picked, index = select_twist(base, order)
         family = _twist_family(base)
-        assert (picked.a, picked.b) == (int(row["a"]), int(row["b"])) and picked in family
+        assert (picked.a, picked.b) == (int(row["a"]), int(row["b"])) == \
+            (family[index].a, family[index].b)
+        assert index == row["transcript"]["twist"]
         for cand in family:
             path.write_text(json.dumps(dict(row, a=str(cand.a), b=str(cand.b))))
             rc, out, err = run_cli(["verify", str(path)], capsys)

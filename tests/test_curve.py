@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmforge.arith import cornacchia, kronecker, search_fixed_D, sqrt_mod_p
-from cmforge.classpoly import ClassPolynomial, class_poly_divisor, class_poly_full
-from cmforge.curve import (WeierstrassCurve, _pdivmod, _pgcd, _ppow_linear,
+from cmforge import curve
+from cmforge.classpoly import ClassPolynomial, class_poly_divisor, class_poly_full, \
+    class_poly_split
+from cmforge.curve import (WeierstrassCurve, _pdivmod, _pgcd, _ppow_linear, _twist_family,
                            _psub, _ptrim, curve_from_j, gen_curve, make_curve,
                            naive_count, point_neg, random_point,
-                           reduce_divisor_mod_p, roots_in_fp, scalar_mul,
-                           select_twist)
+                           reduce_divisor_mod_p, reduce_split_mod_p, roots_in_fp,
+                           order_mismatch, scalar_mul, select_twist)
 from cmforge.errors import (InternalInvariantError, InvalidParameters,
                             PrecisionExhausted, UnsupportedInvariant)
 from cmforge.modfns import InvariantKind, j_from_theta
@@ -411,8 +413,8 @@ def test_hasse_bound():
 
 def test_select_twist_quadratic():
     base = curve_from_j(39, 41)
-    assert naive_count(select_twist(base, 44)) == 44
-    assert naive_count(select_twist(base, 40)) == 40
+    assert naive_count(select_twist(base, 44)[0]) == 44
+    assert naive_count(select_twist(base, 40)[0]) == 40
     with pytest.raises(InvalidParameters):
         select_twist(base, 43)
 
@@ -421,11 +423,13 @@ def test_select_twist_families():
     # sextic family at p=13 realizes six distinct orders incl. 7
     orders = {naive_count(make_curve(13, 0, pow(2, i, 13))) for i in range(6)}
     assert len(orders) == 6 and 7 in orders
-    assert naive_count(select_twist(curve_from_j(0, 13), 7)) == 7
+    picked, i = select_twist(curve_from_j(0, 13), 7)
+    assert naive_count(picked) == 7 and _twist_family(curve_from_j(0, 13))[i] == picked
     # quartic family: 4*13 = 6^2 + 4*2^2 -> orders {8, 20, 10, 18}
     orders4 = {naive_count(make_curve(13, pow(2, i, 13), 0)) for i in range(4)}
     assert orders4 == {8, 20, 10, 18}
-    assert naive_count(select_twist(curve_from_j(1728 % 13, 13), 20)) == 20
+    picked, i = select_twist(curve_from_j(1728 % 13, 13), 20)
+    assert naive_count(picked) == 20 and _twist_family(curve_from_j(1728 % 13, 13))[i] == picked
 
 
 @pytest.mark.parametrize("j,p", [(0, 11), (0, 10007), (1728, 19), (1728, 100003)])
@@ -454,13 +458,12 @@ def test_select_twist_large_p():
     res = gen_curve(-420, found.p, found.u, found.v, seed=1)
     c = res["curve"]
     again = select_twist(c, res["order"], rng=random.Random(9))
-    assert again == c
+    assert again == (c, 0)
 
 
 def test_select_twist_draws_points_lazily(monkeypatch):
     # the wrong twist fails on its first point and draws no more; the
     # survivor is tested on all 10
-    import cmforge.curve as curve
     found = search_fixed_D(-420, p_bits=64, rng=random.Random(4))
     base = gen_curve(-420, found.p, found.u, found.v)["curve"]
     drawn = []
@@ -473,7 +476,7 @@ def test_select_twist_draws_points_lazily(monkeypatch):
     family = base, twist = curve._twist_family(base)     # j is neither 0 nor 1728
     for good, order in ((base, found.order), (twist, 2 * found.p + 2 - found.order)):
         drawn.clear()
-        assert select_twist(base, order, rng=random.Random(7)) == good
+        assert select_twist(base, order, rng=random.Random(7)) == (good, family.index(good))
         assert [drawn.count(c) for c in family] == [10 if c == good else 1 for c in family]
 
 
@@ -566,8 +569,8 @@ def test_gen_curve_fallback_to_full():
 def test_gen_curve_transcript():
     # "path" names the polynomial that came out, "route" how a divisor was
     # recovered, with that route's own numbers
-    common = ("D", "p", "u", "v", "invariant", "target", "degree", "path", "root",
-              "j", "twist")
+    common = ("D", "p", "u", "v", "invariant", "target", "degree", "k", "H", "path",
+              "root", "j", "twist")
     for path, route, keys, absent in (
             ("auto", "conjugates", ("T", "B"), ("T0", "N0", "float_bits")),
             ("divisor", "paper", ("T0", "N0", "float_bits"), ("T", "B"))):
@@ -579,7 +582,7 @@ def test_gen_curve_transcript():
         assert (tr["path"], tr["route"], tr["degree"]) == ("divisor", route, 1)
         assert tr["target"] == res["order"]
     tr = gen_curve(-40, 41, 2, 2, path="full")["transcript"]
-    assert tr["path"] == "full" and tr["degree"] == 2
+    assert tr["path"] == "full" and (tr["degree"], tr["k"], tr["H"]) == (2, 1, 2)
     assert not any(key in tr for key in ("route", "T", "B", "T0", "N0", "float_bits"))
 
 
@@ -637,3 +640,66 @@ def test_gen_curve_weber_divisor_every_case(D):
     res = gen_curve(D, prm.p, prm.u, prm.v, kind=InvariantKind("weber"), path="divisor")
     assert res["transcript"]["path"] == "divisor"
     assert naive_count(res["curve"]) == prm.order == res["order"]
+
+
+# --- the split along Cl^2 mod p --------------------------------------------
+
+def pmul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+@pytest.mark.parametrize("D,k,H", [(-2519, 4, 8), (-9911, 2, 17)])
+def test_split_coset_polynomials_multiply_to_the_divisor(D, k, H):
+    # every root s of R mod p picks the coset polynomial with coefficients
+    # N_j(s) / R'(s); over all k roots their product is the conjugate-route
+    # divisor reduced at the same prime above p
+    split = class_poly_split(D)
+    assert (split.k, len(split.N), split.degree) == (k, H, k * H)
+    div = class_poly_divisor(D, route="conjugates")
+    for seed in (1, 2):
+        found = search_fixed_D(D, p_bits=128, rng=random.Random(seed))
+        p = found.p
+        R, N = reduce_split_mod_p(split, p)
+        dR = [i * c % p for i, c in enumerate(R)][1:]
+        g, prod = R, [1]
+        while len(g) > 1:
+            s, = roots_in_fp(g, p)
+            g, rem = _pdivmod(g, [-s % p, 1], p)
+            assert rem == []
+            inv = pow(peval(dR, s, p), -1, p)
+            prod = pmul(prod, [peval(row, s, p) * inv % p for row in N] + [1], p)
+        assert prod == reduce_divisor_mod_p(div, p)
+
+
+def test_gen_curve_auto_reports_the_split():
+    # -2519 on auto: the transcript keeps the divisor's degree n = 32 and
+    # the conjugate route's name, with the split's k, |H|, T and B
+    found = search_fixed_D(-2519, p_bits=128, rng=random.Random(5))
+    res = gen_curve(-2519, found.p, found.u, found.v)
+    tr = res["transcript"]
+    split = class_poly_split(-2519)
+    assert (tr["path"], tr["route"], tr["degree"], tr["k"], tr["H"]) == \
+        ("divisor", "conjugates", 32, 4, 8)
+    assert (tr["T"], tr["B"]) == (split.plan.T, split.plan.B)
+    assert order_mismatch(res["curve"], res["order"], random.Random(0)) is None
+
+
+def test_gen_curve_takes_the_k1_split_when_R_prime_vanishes(monkeypatch):
+    # R'(s) = 0 mod p (forced here for every k > 1) leaves the coset of s
+    # undetermined: the curve comes from the k = 1 split, the plain
+    # conjugate-route divisor, and is the one the divisor alone gives
+    found = search_fixed_D(-2519, p_bits=128, rng=random.Random(5))
+    deriv = curve._pderiv
+    monkeypatch.setattr(curve, "_pderiv", lambda f, p: [0] if len(f) > 2 else deriv(f, p))
+    res = gen_curve(-2519, found.p, found.u, found.v, seed=3)
+    tr = res["transcript"]
+    div = class_poly_divisor(-2519, route="conjugates")
+    assert (tr["path"], tr["route"], tr["k"], tr["H"]) == ("divisor", "conjugates", 1, 32)
+    assert (tr["T"], tr["B"]) == (div.plan.T, div.plan.B)
+    fp = reduce_divisor_mod_p(div, found.p)
+    assert tr["root"] == roots_in_fp(fp, found.p, seed=3)[0]
+    assert order_mismatch(res["curve"], res["order"], random.Random(0)) is None

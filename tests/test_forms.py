@@ -10,10 +10,12 @@ from cmforge.arith import Discriminant, kronecker, split_discriminant
 from cmforge.errors import InvalidParameters
 from cmforge.forms import (
     QuadForm,
+    compose,
     enumerate_reduced,
     make_coprime,
     n_system,
     phi_class,
+    power_cosets,
     reduce_form,
     root_of_form,
 )
@@ -209,3 +211,49 @@ def test_phi_class_group_structure():
         assert len(distinct) == disc.m
         for lab in distinct:
             assert labels.count(lab) == len(forms) // disc.m
+
+
+# --- composition and the power subgroups of Cl^2 ---------------------------
+
+@pytest.mark.parametrize("D", [-3, -4, -23, -40, -420, -1239, -2519, -5460])
+def test_compose_is_the_class_group_law(D):
+    # the principal form is the identity, the mirror (A, -B, C) the inverse,
+    # and the law is commutative and associative on reduced forms; genus
+    # characters are homomorphisms, and an unreduced argument gives the
+    # class of its reduced form
+    disc = Discriminant.from_D(D)
+    reps = enumerate_reduced(D)
+    one = reps[0]
+    rng = random.Random(D)
+    for f in reps:
+        assert compose(f, one) == f == compose(one, f)
+        assert compose(f, QuadForm(f.A, -f.B, f.C)) == one
+        g = rng.choice(reps)
+        fg = compose(f, g)
+        assert fg in reps and fg == compose(g, f)
+        assert phi_class(fg, disc) == tuple(
+            a * b for a, b in zip(phi_class(f, disc), phi_class(g, disc)))
+        h = rng.choice(reps)
+        assert compose(fg, h) == compose(f, compose(g, h))
+        m = rand_unimodular(rng)
+        assert compose(f.transform(m[0][0], m[0][1], m[1][0], m[1][1]), g) == fg
+
+
+@pytest.mark.parametrize("D,k,H", [(-47, 1, 5), (-2519, 4, 8), (-9911, 2, 17),
+                                   (-8399, 1, 67), (-46151, 4, 19), (-420, 1, 1)])
+def test_power_cosets_splits_the_principal_genus(D, k, H):
+    # Cl^2 is cyclic at each D here, so H is the subgroup of index k and
+    # max(k, |H|) is as small as a divisor of n allows (a tie goes to the
+    # smaller k); every class gets a label, each coset holds |H| classes
+    # within one genus, and H itself is the coset of the principal form
+    disc = Discriminant.from_D(D)
+    reps = enumerate_reduced(D)
+    square = [f for f in reps if phi_class(f, disc) == (1,) * disc.t]
+    got_k, coset = power_cosets(D, square)
+    assert (got_k, len(square) // got_k) == (k, H)
+    assert set(coset) == set(reps)
+    for label in set(coset.values()):
+        members = [f for f in reps if coset[f] == label]
+        assert len(members) == H
+        assert len({phi_class(f, disc) for f in members}) == 1
+    assert sum(coset[f] == coset[reps[0]] for f in square) == H
