@@ -652,7 +652,7 @@ def pmul(f, g, p):
     return out
 
 
-@pytest.mark.parametrize("D,k,H", [(-2519, 4, 8), (-9911, 2, 17)])
+@pytest.mark.parametrize("D,k,H", [(-2519, 4, 8), (-9911, 2, 17), (-46151, 4, 19)])
 def test_split_coset_polynomials_multiply_to_the_divisor(D, k, H):
     # every root s of R mod p picks the coset polynomial with coefficients
     # N_j(s) / R'(s); over all k roots their product is the conjugate-route
