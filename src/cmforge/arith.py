@@ -125,8 +125,10 @@ def least_nonresidue(p: int) -> int:
 def sqrt_mod_p(a: int, p: int) -> Optional[int]:
     """Square root of a mod p for odd prime p; the smaller root min(r, p-r).
 
-    Returns None when a is a non-residue.  Tonelli-Shanks with a deterministic
-    non-residue search, so results are reproducible.
+    Returns None when a is a non-residue.  Tonelli-Shanks with one
+    exponentiation per call: for p - 1 = q 2^s, b = a^((q-1)/2) gives
+    r = a b and t = r b = a^q, and z^q for the least non-residue z comes
+    from ``_tonelli``'s per-prime cache, so results are reproducible.
     """
     a %= p
     if a == 0:
@@ -136,12 +138,10 @@ def sqrt_mod_p(a: int, p: int) -> Optional[int]:
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
         return min(r, p - r)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    m, c = s, pow(least_nonresidue(p), q, p)
-    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+    q, m, c = _tonelli(p)
+    b = pow(a, (q - 1) // 2, p)
+    r = a * b % p
+    t = r * b % p
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:
@@ -151,6 +151,18 @@ def sqrt_mod_p(a: int, p: int) -> Optional[int]:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return min(r, p - r)
+
+
+@functools.lru_cache(maxsize=8)
+def _tonelli(p: int) -> tuple[int, int, int]:
+    """(q, s, z^q) for p - 1 = q 2^s, q odd, and z the least non-residue:
+    a point test draws its x coordinates at one prime, so the constants of
+    the last few primes are kept."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    return q, s, pow(least_nonresidue(p), q, p)
 
 
 def cornacchia(D: int, p: int) -> Optional[tuple[int, int]]:

@@ -7,6 +7,7 @@ Points are (x, y) tuples or None for infinity.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from operator import mul
@@ -131,13 +132,6 @@ def _pgcd(f, g, p):
     return f
 
 
-def _slot_bytes(p, m):
-    """Kronecker slot size for products of lists over F_p, the shorter of
-    length at most m: a slot holds m*(p-1)^2, which bounds every
-    coefficient of the exact product, so no slot carries into the next."""
-    return (2 * p.bit_length() + m.bit_length() + 8) // 8
-
-
 def _pack(f, k):
     """The int with f's coefficients in consecutive k-byte slots."""
     return int.from_bytes(b"".join(c.to_bytes(k, "little") for c in f), "little")
@@ -155,6 +149,30 @@ def _mulx_plus(r, a, low, p):
     return [(prev + a * c - top * hc) % p for prev, c, hc in zip([0] + r[:-1], r, low)]
 
 
+def _packed_barrett(p, n, L):
+    """(k, reduce): k, a slot size in bytes for values below 2^L, L >= 2b
+    with b = bitlen(p), and reduce, which brings each of the n lowest
+    k-byte slots of an int below 3p, keeping it mod p.
+
+    Barrett's reduction (Handbook of Applied Cryptography, 14.42) on the
+    packed int: with per-slot masks, floor(floor(v / 2^(b-1)) mu / 2^s),
+    mu = floor(2^(L+1) / p) and s = L - b + 2, is floor(v / p) less 0, 1
+    or 2 in every slot at once.  Its product needs 2L - 2b + 3 bits, so no
+    slot carries into the next.
+    """
+    b = p.bit_length()
+    shift = L - b + 2
+    k = (2 * L - 2 * b + 10) // 8
+    ones = _pack([1] * n, k)
+    high = ((1 << 8 * k) - (1 << b - 1)) * ones
+    quot = ((1 << 8 * k) - (1 << shift)) * ones
+    mu = (1 << L + 1) // p
+
+    def reduce(x):
+        return x - ((((x & high) >> b - 1) * mu & quot) >> shift) * p
+    return k, reduce
+
+
 def _ppow_linear(a, e, h, p):
     """(x + a)^e mod the monic h over F_p, deg h = n >= 1.
 
@@ -162,24 +180,32 @@ def _ppow_linear(a, e, h, p):
     Gathen & Gerhard, Modern Computer Algebra, ch. 9 and 14): reduction mod
     h is linear, so the remainder is the square's low n slots plus its top
     coefficients s_(n+i) mod p, i < n-1, times packed rows x^(n+i) mod h
-    built once per call.  A low slot holds under n*p^2 and the rows add
-    under (n-1)*p^2, so slots sized for 2n*p^2 never carry into slot n, and
-    reading the low n slots needs no mask.
+    built once per call; the first row, x^n mod h, also folds the top slot
+    of a step by x + a.  The square's 2n-1 slots are read from one byte
+    string.  The remainder stays packed, each slot brought below 3p by
+    ``_packed_barrett``, and only the result is unpacked.  With
+    coefficients below 3p a low slot of the square holds under 9n*p^2 and
+    the rows add under (n-1)*p^2, and a step by x + a holds under 4p^2, so
+    every slot value stays below 10n*p^2.
     """
     n = len(h) - 1
     low = h[:n]
-    k = _slot_bytes(p, 2 * n)
-    rows, row = [], [(-c) % p for c in low]
-    for _ in range(n - 1):
-        rows.append(_pack(row, k))
+    k, below_3p = _packed_barrett(p, n, (10 * n * p * p).bit_length())
+    row = [(-c) % p for c in low]
+    rows = [_pack(row, k)]
+    for _ in range(n - 2):
         row = _mulx_plus(row, 0, low, p)
-    r = [1] + [0] * (n - 1)
+        rows.append(_pack(row, k))
+    nk, size, mask = n * k, (2 * n - 1) * k, (1 << 8 * n * k) - 1
+    r = 1
     for bit in bin(e)[2:]:
-        S = _pack(r, k) ** 2
-        r = _unpack(S + sum(map(mul, _unpack(S >> 8 * n * k, n - 1, k, p), rows)), n, k, p)
+        raw = (r * r).to_bytes(size, "little")
+        top = [int.from_bytes(raw[i:i + k], "little") % p for i in range(nk, size, k)]
+        r = below_3p(int.from_bytes(raw[:nk], "little") + sum(map(mul, top, rows)))
         if bit == "1":
-            r = _mulx_plus(r, a, low, p)
-    return _ptrim(r)
+            r = (r << 8 * k) + a * r
+            r = below_3p((r & mask) + (r >> 8 * nk) % p * rows[0])
+    return _ptrim(_unpack(r, n, k, p))
 
 
 def _psub(f, g, p):
@@ -215,6 +241,7 @@ def roots_in_fp(f, p, seed=0):
     factors of g in two, and the smaller nonconstant piece is kept; a tie
     goes to the first.  The first pass takes a = 0, every later one draws a
     from a Random(seed), so the result is deterministic for a fixed seed.
+    A quadratic g is not powered: ``_quadratic_root`` replays its passes.
     """
     f = _ptrim([c % p for c in f])
     if not f:
@@ -225,7 +252,7 @@ def roots_in_fp(f, p, seed=0):
         return []
     rng = random.Random(seed)
     g, a = f, 0
-    while len(g) > 2:
+    while len(g) > 3:
         w = _ppow_linear(a, (p - 1) // 2, g, p)
         w1 = _psub(w, [-1], p)
         # (x + a) (w + 1), coefficient i is w1[i-1] + a w1[i]
@@ -235,7 +262,35 @@ def roots_in_fp(f, p, seed=0):
         if not pieces:
             return []
         g, a = min(pieces, key=len), rng.randrange(p)
+    if len(g) == 3:
+        return _quadratic_root(g, a, rng, p)
     return [(-g[0]) % p]
+
+
+def _quadratic_root(g, a, rng, p):
+    """The root that ``roots_in_fp``'s passes keep of the monic quadratic
+    g, from the pass that takes a on, drawing from the same rng.
+
+    Both roots come from the quadratic formula, and a pass needs only the
+    Legendre symbol of r + a for each: the piece gcd(w - 1, g) holds the
+    roots with r + a a nonzero square.  A pass that keeps both roots on one
+    side leaves g as it is and draws the next a; one that parts them keeps
+    the first piece, a tie of degree 1.  An irreducible g splits in no
+    pass, and a double root, which only f itself can have (every later
+    piece is squarefree), is kept whatever the pass.
+    """
+    s = sqrt_mod_p(g[1] * g[1] - 4 * g[0], p)
+    if s is None:
+        return []
+    half = (p + 1) // 2
+    roots = [(s - g[1]) * half % p, (-s - g[1]) * half % p]
+    if not s:
+        return roots[:1]
+    while True:
+        square = [r for r in roots if kronecker(r + a, p) == 1]
+        if len(square) == 1:
+            return square
+        a = rng.randrange(p)
 
 
 # ---------------------------------------------------------------------------
@@ -261,54 +316,124 @@ def point_neg(P, curve):
     return (x, (-y) % curve.p)
 
 
-def _jacobian_double(X, Y, Z, a, p):
-    """2*(X : Y : Z); Z = 0 (infinity) and Y = 0 both give Z = 0."""
-    YY = Y * Y % p
-    S = 4 * X * YY % p
-    ZZ = Z * Z % p
-    M = (3 * X * X + a * ZZ * ZZ) % p
-    X3 = (M * M - 2 * S) % p
-    return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
+_INFINITY = (1, 1, 0, 0)
 
 
-def _jacobian_add_affine(X, Y, Z, x2, y2, a, p):
-    """(X : Y : Z) + (x2, y2)."""
+def _mjac_double(X, Y, Z, W, n, p):
+    """2^n*(X : Y : Z : W) in modified Jacobian coordinates, W = a Z^4:
+    each doubling takes four multiplications and four squarings, and reads
+    a from W.  Z = 0 (infinity) and Y = 0 both give Z = 0."""
+    for _ in range(n):
+        YY = Y * Y % p
+        U = 8 * YY * YY % p
+        S = 4 * X * YY % p
+        M = (3 * X * X + W) % p
+        X = (M * M - 2 * S) % p
+        Y, Z, W = (M * (S - X) - U) % p, 2 * Y * Z % p, 2 * U * W % p
+    return X, Y, Z, W
+
+
+def _mjac_add_affine(X, Y, Z, W, x2, y2, a, p):
+    """(X : Y : Z : W) + (x2, y2) on y^2 = x^3 + ax + b."""
     if not Z:
-        return x2, y2, 1
+        return x2, y2, 1, a
     ZZ = Z * Z % p
     H = (x2 * ZZ - X) % p
     R = (y2 * ZZ * Z - Y) % p
     if not H:
-        return (1, 1, 0) if R else _jacobian_double(X, Y, Z, a, p)
+        return _INFINITY if R else _mjac_double(X, Y, Z, W, 1, p)
     HH = H * H % p
     HHH = H * HH % p
     V = X * HH % p
     X3 = (R * R - HHH - 2 * V) % p
-    return X3, (R * (V - X3) - Y * HHH) % p, Z * H % p
+    Z3 = Z * H % p
+    ZZ3 = Z3 * Z3 % p
+    return X3, (R * (V - X3) - Y * HHH) % p, Z3, a * ZZ3 * ZZ3 % p
+
+
+def _affine(points, p):
+    """Jacobian points (X, Y, Z) in affine coordinates, None where Z = 0,
+    with one inversion for all of them (Montgomery's trick)."""
+    acc, before = 1, []
+    for _, _, Z in points:
+        before.append(acc)
+        acc = acc * (Z or 1) % p
+    inv, out = pow(acc, -1, p), []
+    for (X, Y, Z), b in zip(reversed(points), reversed(before)):
+        if not Z:
+            out.append(None)
+            continue
+        zi = inv * b % p
+        inv = inv * Z % p
+        zi2 = zi * zi % p
+        out.append((X * zi2 % p, Y * zi2 * zi % p))
+    return out[::-1]
+
+
+def _odd_multiples(P, a, p):
+    """[P, 3P, ..., 15P], affine, None for infinity: 2P made affine, then
+    a Jacobian chain adding it, made affine by one more inversion."""
+    [twice] = _affine([_mjac_double(*P, 1, a, 1, p)[:3]], p)
+    if twice is None:
+        return [P] * 8
+    chain, Q = [], (*P, 1, a)
+    for _ in range(7):
+        Q = _mjac_add_affine(*Q, *twice, a, p)
+        chain.append(Q[:3])
+    return [P] + _affine(chain, p)
+
+
+@functools.lru_cache(maxsize=8)
+def _wnaf(k):
+    """The width-5 NAF of k > 0 (Solinas, Designs, Codes and Cryptography
+    19, 2000): digits 0 or odd in [-15, 15], each nonzero one followed by
+    at least four zeros.  Returned as the leading digit d and steps (n, d):
+    k is the leading digit, and each step takes k to 2^n k + d.  The point
+    test multiplies every point of a twist family by one order, so the
+    last few recodings are kept."""
+    digits = []
+    while k:
+        d = k & 31 if k & 1 else 0
+        if d > 16:
+            d -= 32
+        digits.append(d)
+        k = (k - d) >> 1
+    steps, n = [], 0
+    for d in reversed(digits[:-1]):
+        n += 1
+        if d:
+            steps.append((n, d))
+            n = 0
+    if n:
+        steps.append((n, 0))
+    return digits[-1], tuple(steps)
 
 
 def scalar_mul(k, P, curve):
-    """k*P, left to right in Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3).
+    """k*P, left to right over the width-5 NAF of |k| in modified Jacobian
+    coordinates (x, y) = (X/Z^2, Y/Z^3), W = a Z^4 (Cohen, Miyaji & Ono,
+    ASIACRYPT 1998).
 
-    The chain adds only the affine P, and one inversion at the end takes
-    the result back to affine coordinates; Z = 0 is the point at infinity.
+    The chain adds the affine odd multiples P, 3P, ..., 15P or their
+    negatives, and one inversion at the end takes the result back to
+    affine coordinates; Z = 0 is the point at infinity, and so is an odd
+    multiple None.
     """
     if k < 0:
         k, P = -k, point_neg(P, curve)
-    if P is None:
+    if P is None or not k:
         return None
     p, a = curve.p, curve.a
-    x2, y2 = P
-    X, Y, Z = 1, 1, 0
-    for bit in bin(k)[2:]:
-        X, Y, Z = _jacobian_double(X, Y, Z, a, p)
-        if bit == "1":
-            X, Y, Z = _jacobian_add_affine(X, Y, Z, x2, y2, a, p)
-    if not Z:
-        return None
-    zi = pow(Z, -1, p)
-    zi2 = zi * zi % p
-    return (X * zi2 % p, Y * zi2 * zi % p)
+    odd = _odd_multiples(P, a, p)
+    top, steps = _wnaf(k)
+    Q = odd[top >> 1]
+    X, Y, Z, W = _INFINITY if Q is None else (*Q, 1, a)
+    for n, d in steps:
+        X, Y, Z, W = _mjac_double(X, Y, Z, W, n, p)
+        Q = odd[abs(d) >> 1] if d else None
+        if Q is not None:
+            X, Y, Z, W = _mjac_add_affine(X, Y, Z, W, Q[0], Q[1] if d > 0 else -Q[1] % p, a, p)
+    return _affine([(X, Y, Z)], p)[0]
 
 
 def random_point(curve, rng):

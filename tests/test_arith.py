@@ -143,6 +143,26 @@ def test_sqrt_mod_p(p):
             assert r <= p - r  # canonical smaller root
 
 
+# v2(p - 1) = 1, 2, 3, 4, 5, 6, 8, 9 and 12
+TONELLI_PRIMES = (7, 13, 41, 17, 97, 193, 257, 7681, 12289)
+
+
+def test_sqrt_mod_p_every_a():
+    # every a against the brute-force table; the calls of two primes are
+    # interleaved, so that constants cached for one prime cannot answer for
+    # the other
+    table = {}
+    for p in TONELLI_PRIMES:
+        table[p] = [None] * p
+        for x in range(p):
+            table[p][x * x % p] = min(x, p - x)
+    for pair in zip(TONELLI_PRIMES, TONELLI_PRIMES[1:]):
+        for a in range(max(pair)):
+            for p in pair:
+                if a < p:
+                    assert sqrt_mod_p(a, p) == table[p][a], (a, p)
+
+
 # --- cornacchia -------------------------------------------------------------
 
 def _brute_4p(D, p):

@@ -152,6 +152,22 @@ def test_kronecker_worst_case_slots(p):
             assert _ppow_linear(p - 1, p, h, p) == want
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_barrett_at_the_slot_bound(p):
+    # every slot of the packed int at once: the largest value the powering's
+    # slots admit, values around multiples of p, and random ones, each
+    # brought below 3p and kept mod p
+    rng = random.Random(p)
+    for n in (1, 2, 7, 64):
+        L = (10 * n * p * p).bit_length()
+        k, reduce = curve._packed_barrett(p, n, L)
+        for vals in ([(1 << L) - 1] * n, ([3 * p - 1, 3 * p, p, p - 1, 0, 1, 2 * p] * 10)[:n],
+                     [rng.randrange(1 << L) for _ in range(n)]):
+            raw = reduce(curve._pack(vals, k)).to_bytes(n * k, "little")
+            got = [int.from_bytes(raw[i:i + k], "little") for i in range(0, n * k, k)]
+            assert all(g < 3 * p and (g - v) % p == 0 for g, v in zip(got, vals)), (n, vals)
+
+
 def test_roots_in_fp_many_linear_factors():
     # 64 is the full path's degree at -2519, here at 256 bits
     rng = random.Random(11)
@@ -265,6 +281,36 @@ def test_roots_in_fp_matches_the_two_phase_search():
                 f = school_mul(f, [(-r) % p, 1], p)
             got = roots_in_fp(f, p, seed=seed)
             assert got == roots_reference(f, p, seed=seed) and got[0] in roots, (p, seed)
+
+
+@pytest.mark.parametrize("p", (13, 17, 65537))
+def test_roots_in_fp_matches_the_two_phase_search_at_degrees_2_and_3(p):
+    # a quadratic piece is not powered: its passes are replayed by Legendre
+    # symbols.  Random roots at 13 and 17 repeat, include 0 and meet a = -r;
+    # 65537 = 2^16 + 1 takes Tonelli-Shanks' longest path.  The fixed
+    # shapes: irreducible, irreducible times linear, a double root, and
+    # x (x - r) on the a = 0 pass, r a square (parted: r is kept) or not
+    # (one side: the next a is drawn)
+    c = next(c for c in range(2, p) if kronecker(c, p) == -1)
+    fixed = ([(-c) % p, 0, 1], school_mul([(-c) % p, 0, 1], [p - 5, 1], p),
+             school_mul([p - 5, 1], [p - 5, 1], p), [0, p - 4, 1], [0, (-c) % p, 1])
+    for seed in range(200):
+        rng = random.Random(seed)
+        for deg in (2, 3):
+            roots = [rng.randrange(p) for _ in range(deg)]
+            f = [1]
+            for r in roots:
+                f = school_mul(f, [(-r) % p, 1], p)
+            got = roots_in_fp(f, p, seed=seed)
+            assert got == roots_reference(f, p, seed=seed) and got[0] in roots, (seed, roots)
+            f = [rng.randrange(p) for _ in range(deg)] + [1]
+            got = roots_in_fp(f, p, seed=seed)
+            assert got == roots_reference(f, p, seed=seed), (seed, f)
+            assert all(peval(f, r, p) == 0 for r in got)
+        for f in fixed:
+            assert roots_in_fp(f, p, seed=seed) == roots_reference(f, p, seed=seed), (seed, f)
+    assert roots_in_fp(fixed[0], p) == [] and roots_in_fp(fixed[1], p) == [5]
+    assert roots_in_fp(fixed[2], p) == [5] and roots_in_fp(fixed[3], p) == [4]
 
 
 def test_curve_from_j():
@@ -390,6 +436,37 @@ def test_jacobian_scalar_mul_at_the_point_order():
     for k in range(order - 3, order + 4):
         assert scalar_mul(k, P, c) == repeated_add(k, P, c), k
     assert scalar_mul(order, P, c) is None
+
+
+def point_order(P, c):
+    order, Q = 1, P
+    while Q is not None:
+        Q = point_add(Q, P, c)
+        order += 1
+    return order
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_scalar_mul_at_points_of_small_order(m):
+    # the window's odd multiples P, 3P, ..., 15P of a point of order m <= 8
+    # meet infinity and +-P: at m = 2, 2P is infinity and every odd multiple
+    # is P
+    p, rng = 10007, random.Random(m)
+    while True:
+        a, b = rng.randrange(p), rng.randrange(p)
+        if (4 * a ** 3 + 27 * b ** 2) % p == 0:
+            continue
+        c = make_curve(p, a, b)
+        n = p + 1 + sum(kronecker(x ** 3 + a * x + b, p) for x in range(p))
+        if n % m == 0:
+            P = affine_mul(n // m, random_point(c, rng), c)
+            if P is not None and point_order(P, c) == m:
+                break
+    for k in range(-2 * m, 2 * m + 1):
+        assert scalar_mul(k, P, c) == repeated_add(k, P, c), k
+    for _ in range(20):
+        k = rng.randrange(1 << 256)
+        assert scalar_mul(k, P, c) == affine_mul(k, P, c) == repeated_add(k % m, P, c)
 
 
 def test_naive_count_oracle():

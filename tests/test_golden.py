@@ -1,4 +1,5 @@
-"""Golden outputs: sha256 digests of exact class polynomials.
+"""Golden outputs: sha256 digests of exact class polynomials, and the
+curves ``gen_curve`` builds from them.
 
 Each divisor digest covers the ``to_json()`` of every coset divisor of one
 (D, invariant), each the Galois conjugate of the principal divisor that
@@ -15,8 +16,10 @@ import json
 import pytest
 from mpmath import mp
 
-from cmforge.classpoly import ROUTES, class_poly_divisor, class_poly_full, \
-    coset_divisor, coset_labels
+from cmforge.arith import cornacchia
+from cmforge.classpoly import DEFAULT_MAX_BITS, ROUTES, class_poly_divisor, \
+    class_poly_full, coset_divisor, coset_labels
+from cmforge.curve import gen_curve
 from cmforge.modfns import InvariantKind
 
 
@@ -97,3 +100,75 @@ def test_digests_ignore_ambient_precision(ambient):
         for D, invariant, want in AMBIENT_FULL:
             full = class_poly_full(D, InvariantKind.parse(invariant), max_bits=5000)
             assert digest(full.to_json()) == want, (D, invariant)
+
+
+# gen_curve's (a, b, j, transcript["root"], transcript["twist"]) for each
+# gencurve case of the CI workflow: (D, p, order, path, max_bits); u is
+# p + 1 - order and v comes from Cornacchia.  The last p is the first
+# 128-bit p = 1 (mod 16) of search_fixed_D(-2519, p_bits=128,
+# rng=Random(0)).  A change of the root or twist chosen changes these.
+CURVES = [
+    ((-40, 41, 44, 'auto', None), (30, 20, 39, 39, 0)),
+    ((-2519, 114136652416051318475904952879190024553663721447421684995107415264082504601349,
+      114136652416051318475904952879190024553145641366974813108543013143317435819660, 'full', None),
+     (50623104332783585789763991640439644702239139372771655418672233678259957216639,
+      71794287027206163351810978720023104652714000064321665277483960873534139678209,
+      72397466824983952380604215703888738625918653661680339677259399029976038122662,
+      72397466824983952380604215703888738625918653661680339677259399029976038122662, 0)),
+    ((-2519, 258749619880733665742487828236848938467,
+      258749619880733665710707515980461272440, 'auto', None),
+     (57786348246426020767305844236663064719,
+      38524232164284013844870562824442043146,
+      202871321835076781050336789708038154909,
+      202871321835076781050336789708038154909, 0)),
+    ((-2519, 258749619880733665742487828236848938467,
+      258749619880733665710707515980461272440, 'divisor', None),
+     (239268498067620842184001123751917806120,
+      159512332045080561456000749167945204080,
+      182523870015922274068887264479760446737,
+      182523870015922274068887264479760446737, 0)),
+    ((-420, 14565720460121097061,
+      14565720452844686994, 'divisor', None),
+     (8465857925008874959,
+      6432570413304800925,
+      3284332666635161494,
+      3284332666635161494, 1)),
+    ((-5460, 261555229857398824899273091866516965569,
+      261555229857398824867898187463070009476, 'divisor', None),
+     (245871264238485125942441824066928896308,
+      163914176158990083961627882711285930872,
+      250070022127774368454054051376287263168,
+      250070022127774368454054051376287263168, 0)),
+    ((-5460, 261555229857398824899273091866516965569,
+      261555229857398824867898187463070009476, 'auto', None),
+     (245871264238485125942441824066928896308,
+      163914176158990083961627882711285930872,
+      250070022127774368454054051376287263168,
+      250070022127774368454054051376287263168, 0)),
+    ((-9911, 65147445912611088304855032271905091456524325593151772578900906052804425597349,
+      65147445912611088304855032271905091456090605056670156925607638540972612920960, 'auto', None),
+     (47682455420886646324239498867242944560633931850867817584771000728703810015968,
+      20144976619441469562415976975053865109829025405722575060427396936402129623058,
+      38563951781891600026012487100548024500684764946601674716981528122203109012621,
+      38563951781891600026012487100548024500684764946601674716981528122203109012621, 1)),
+    ((-23, 101, 96, 'auto', 46), (4, 39, 28, 28, 1)),
+    ((-2519, 298908655723650288295130869349976518497,
+      298908655723650288261432268485596139520, 'auto', None),
+     (44803560925868081171673901368649189269,
+      29869040617245387447782600912432792846,
+      130610752215938797954581911316517153975,
+      130610752215938797954581911316517153975, 0)),
+]
+
+
+@pytest.mark.parametrize("case,want", CURVES, ids=[
+    "-40-auto", "-2519-full-256", "-2519-auto-128", "-2519-divisor-128", "-420-divisor-64",
+    "-5460-divisor-128", "-5460-auto-128", "-9911-auto-256", "-23-auto-46bits",
+    "-2519-auto-128-1mod16"])
+def test_gen_curve_golden(case, want):
+    D, p, order, path, max_bits = case
+    v = cornacchia(D, p)[1]
+    res = gen_curve(D, p, p + 1 - order, v, path=path,
+                    max_bits=max_bits or DEFAULT_MAX_BITS)
+    tr = res["transcript"]
+    assert (res["curve"].a, res["curve"].b, res["j"], tr["root"], tr["twist"]) == want
