@@ -6,22 +6,25 @@ log2 T + t bits: those are all 2^t embeddings of each coefficient, and one
 Walsh-Hadamard transform gives its coordinates (Enge and Morain, "Fast
 decomposition of polynomials with known Galois group", AAECC-15, 2003).  The
 genus divisor on the conjugate route (what the CLI's classpoly takes by
-default) is that rounding over the genus field.  What ``gen_curve`` takes
-by default is the same divisor split along a subgroup H of Cl^2 of index k
-(``class_poly_split``): the same rounding of the Hecke representation from
-that paper, R = prod_c (Y - s_c) over the H-cosets c and the numerators
-N_j, at the far smaller T of ``hecke_T``, so that a root mod p needs root
-searches of degree k and |H| instead of one of degree k |H|.  The full
-polynomial, kept as the oracle, is the rounding's t = 0 case: the field is
-Q, there is one coset and one embedding, and the transform is the
-identity.  The paper route
-expands only the principal genus (h / 2^(t-1) forms) at about m log2 T bits
-and recovers each coefficient from that one embedding through a recovery
-plan; ``class_poly_divisor`` takes it when no route is named.  Either way
-every other coset's divisor is a Galois conjugate of the principal one.
-Exact divisors and splits are memoized per process, so repeated calls at
-one discriminant (one curve per prime, say) evaluate their theta values
-once.
+default) is that rounding over the genus field.  The full polynomial, kept
+as the oracle, is the rounding's t = 0 case: the field is Q, there is one
+coset and one embedding, and the transform is the identity.  The paper
+route expands only the principal genus (h / 2^(t-1) forms) at about
+m log2 T bits and recovers each coefficient from that one embedding through
+a recovery plan (``_divisor_attempt``); ``class_poly_divisor`` takes it when
+no route is named.  Either way every other coset's divisor is a Galois
+conjugate of the principal one.
+
+What ``gen_curve`` reduces is the divisor split along a subgroup H of Cl^2
+of index k (``class_poly_split``): the Hecke representation from that
+paper, R = prod_c (Y - s_c) over the H-cosets c and the numerators N_j, at
+the far smaller T of ``hecke_T``, so that a root mod p needs root searches
+of degree k and |H| instead of one of degree k |H|.  Either route recovers
+it: the conjugate route by the same exact rounding (``gen_curve``'s
+default path), the paper route from the principal genus through a plan at
+T (its divisor path).  Exact divisors and splits are memoized per process,
+so repeated calls at one discriminant (one curve per prime, say) evaluate
+their theta values once.
 """
 
 from __future__ import annotations
@@ -355,8 +358,8 @@ def hecke_T(kind, forms, masks, cosets):
 
 
 # exact principal divisors by (D, kind, route), and their splits by
-# (D, kind, "split"), oldest first: a process that builds curves at one
-# discriminant for several primes recovers its polynomials once
+# (D, kind, route, "split"), oldest first: a process that builds curves at
+# one discriminant for several primes recovers its polynomials once
 _DIVISORS = {}
 _DIVISORS_MAX = 8
 
@@ -385,6 +388,11 @@ def _plan_bits(plan):
     return plan.B if isinstance(plan, ConjugatePlan) else plan.float_bits
 
 
+def _check_route(route):
+    if route not in ROUTES:
+        raise InvalidParameters(f"unknown route {route!r}")
+
+
 def class_poly_divisor(D, kind=None, max_bits=DEFAULT_MAX_BITS, route="paper"):
     """The principal genus divisor of H_D[theta] with exact genus-field
     coefficients, recovered on ``route``: "conjugates" (``_exact_attempt``)
@@ -398,8 +406,7 @@ def class_poly_divisor(D, kind=None, max_bits=DEFAULT_MAX_BITS, route="paper"):
     (``coset_divisor``).
     """
     kind = kind or InvariantKind.j()
-    if route not in ROUTES:
-        raise InvalidParameters(f"unknown route {route!r}")
+    _check_route(route)
     d = Discriminant.from_D(D)
     kind.validate_for(d)
     poly = _memo((D, kind, route), lambda: _principal_divisor(d, kind, route, max_bits))
@@ -407,38 +414,44 @@ def class_poly_divisor(D, kind=None, max_bits=DEFAULT_MAX_BITS, route="paper"):
     return poly
 
 
-def class_poly_split(D, kind=None, max_bits=DEFAULT_MAX_BITS):
+def class_poly_split(D, kind=None, max_bits=DEFAULT_MAX_BITS, route="conjugates"):
     """The principal genus divisor of H_D[theta] as a ``HeckeSplit`` along
     the subgroup H of Cl^2 that ``forms.power_cosets`` picks: R and every
-    N_j with exact genus-field coefficients, from one exact rounding over
-    the genus's cosets (``_exact_attempt``) with T = ``hecke_T``.  This is
-    what ``gen_curve`` reduces on its default path.  At k = 1 (n prime, or
-    Cl^2 of exponent 2) it is ``whole_split`` of the conjugate-route
-    divisor.  Memoized and capped as ``class_poly_divisor`` is; its plan is
-    a ConjugatePlan."""
+    N_j with exact genus-field coefficients at T = ``hecke_T``, recovered on
+    ``route``: "conjugates", one exact rounding over the genus's cosets
+    (``_exact_attempt``), or "paper", from the principal embedding through
+    a recovery plan at T (``_divisor_attempt``).  ``gen_curve`` reduces the
+    first on its default path and the second on its divisor path.  At k = 1
+    (n prime, or Cl^2 of exponent 2) it is ``whole_split`` of that route's
+    divisor.  Memoized by (D, kind, route, "split") and capped as
+    ``class_poly_divisor`` is; its plan is a ConjugatePlan or a
+    RecoveryPlan."""
     kind = kind or InvariantKind.j()
+    _check_route(route)
     d = Discriminant.from_D(D)
     kind.validate_for(d)
-    split = _memo((D, kind, "split"), lambda: _split_divisor(d, kind, max_bits))
-    _check_cap(D, split.plan.B, max_bits)
+    split = _memo((D, kind, route, "split"), lambda: _split_divisor(d, kind, route, max_bits))
+    _check_cap(D, _plan_bits(split.plan), max_bits)
     return split
 
 
-def _split_divisor(d, kind, max_bits):
+def _split_divisor(d, kind, route, max_bits):
     forms = n_system(d.D, kind.modulus(d), kind.b_target(d))
     labels = [phi_class(f, d) for f in forms]
     square = [reduce_form(f) for f, lab in zip(forms, labels) if lab == (1,) * d.t]
     k, coset = power_cosets(d.D, square)
     if k == 1:
-        return whole_split(class_poly_divisor(d.D, kind, max_bits, route="conjugates"))
+        return whole_split(class_poly_divisor(d.D, kind, max_bits, route=route))
     masks = [_mask(lab) for lab in labels]
     cosets = [coset[reduce_form(f)] for f in forms]
     T = hecke_T(kind, forms, masks, cosets)
-    rows, B = _exact_rounding(d.D, kind, d.qstars, forms, masks, T, max_bits, cosets)
-    coeffs = [GFElem(d.qstars, row, 1 << d.t) for row in rows]
-    return HeckeSplit(d.D, kind, tuple(coeffs[:k]) + (gf_rational(d.qstars, 1),),
-                      tuple(tuple(coeffs[i:i + k]) for i in range(k, len(coeffs), k)),
-                      plan=ConjugatePlan(T, B))
+    if route == "conjugates":
+        coeffs, plan = _conjugate_recovery(d, kind, forms, masks, T, max_bits, cosets)
+    else:
+        sel = [f for f, mu in zip(forms, masks) if mu == 0]
+        coeffs, plan = _paper_recovery(d, kind, sel, T, max_bits, dict(zip(forms, cosets)))
+    return HeckeSplit(d.D, kind, coeffs[:k] + coeffs[-1:],
+                      tuple(coeffs[i:i + k] for i in range(k, len(coeffs) - 1, k)), plan)
 
 
 def _principal_divisor(d, kind, route, max_bits):
@@ -447,28 +460,43 @@ def _principal_divisor(d, kind, route, max_bits):
     labels = [phi_class(f, d) for f in forms]
     T0 = genus_T0(kind, forms, labels)
     if route == "conjugates":
-        rows, B = _exact_rounding(d.D, kind, d.qstars, forms,
-                                  [_mask(lab) for lab in labels], T0, max_bits)
-        N = 1 << d.t
-        coeffs = tuple(GFElem(d.qstars, row, N) for row in rows) + (gf_rational(d.qstars, 1),)
-        return ClassPolynomial(d.D, kind, principal, coeffs, plan=ConjugatePlan(T0, B))
-    sel = [f for f, lab in zip(forms, labels) if lab == principal]
+        coeffs, plan = _conjugate_recovery(d, kind, forms, [_mask(lab) for lab in labels],
+                                           T0, max_bits)
+    else:
+        sel = [f for f, lab in zip(forms, labels) if lab == principal]
+        coeffs, plan = _paper_recovery(d, kind, sel, T0, max_bits)
+    return ClassPolynomial(d.D, kind, principal, coeffs, plan=plan)
+
+
+def _conjugate_recovery(d, kind, forms, masks, T, max_bits, cosets=None):
+    """(coefficients, ending in the leading 1, ConjugatePlan) of
+    ``_exact_rounding``: the divisor's, or the split's along ``cosets``."""
+    rows, B = _exact_rounding(d.D, kind, d.qstars, forms, masks, T, max_bits, cosets)
+    N = 1 << d.t
+    return (tuple(GFElem(d.qstars, row, N) for row in rows) + (gf_rational(d.qstars, 1),),
+            ConjugatePlan(T, B))
+
+
+def _paper_recovery(d, kind, sel, T, max_bits, coset=None):
+    """(``_divisor_attempt``'s coefficients, RecoveryPlan) from the
+    principal genus's forms ``sel``: the first plan is at T, and each
+    escalation squares T (exactly), which roughly doubles the working
+    precision.  Every plan is checked against the cap."""
     # the field layer depends on d alone: every plan of the ladder shares it
     mpair = build_mpair(build_basis(d))
     # when kind's N-system is closed under (A,B,C) -> (A,-B,C), complex
-    # conjugation maps each genus's theta values onto themselves, so every
-    # coefficient is real and the imaginary side is not built
+    # conjugation maps each genus's theta values onto themselves (and each
+    # H-coset onto the coset of the inverse classes), so every coefficient
+    # of the divisor and of its split is real and the imaginary side is not
+    # built
     sides = (REAL_PART,) if kind.conjugation_closed(d) else (REAL_PART, IMAG_PART)
-    plan = make_plan(mpair, sides, T0)
+    plan = make_plan(mpair, sides, T)
     while True:
         _check_cap(d.D, plan.float_bits, max_bits)
         try:
-            coeffs = _divisor_attempt(kind, sel, plan)
-            break
+            return _divisor_attempt(kind, sel, plan, coset), plan
         except PrecisionEscalation:
-            # squaring T0 (exactly) roughly doubles the working precision
             plan = make_plan(mpair, sides, mp.fmul(plan.T0, plan.T0, exact=True))
-    return ClassPolynomial(d.D, kind, principal, coeffs, plan=plan)
 
 
 def _mask(phi):
@@ -535,12 +563,7 @@ def _exact_attempt(kind, qstars, forms, masks, B, T, cosets=None):
     rows = []
     with mp.workprec(prec + 64):
         for mu in set(masks):
-            genus = [v for v in values if mask[v[0]] == mu]
-            if coset is None:
-                poly, err = _expand(genus, prec)
-                poly = poly[:-1]
-            else:
-                poly, err = _hecke(genus, coset, prec)
+            poly, err = _genus_poly([v for v in values if mask[v[0]] == mu], coset, prec)
             # the conjugate goes in first, so that at c = 0 the product itself stays
             emb[mu ^ neg] = [mp.conj(c) for c in poly]
             emb[mu] = poly
@@ -566,6 +589,16 @@ def _exact_attempt(kind, qstars, forms, masks, B, T, cosets=None):
             _check_height(coeff, T, f"coefficient {k} at {B} bits")
             rows.append(row)
     return rows
+
+
+def _genus_poly(values, coset, prec):
+    """(coefficients, error bound) from one genus's ``_theta_values``: its
+    monic product's but the leading 1 (``_expand``), or, with ``coset``
+    mapping each form to its H-coset, its split's (``_hecke``)."""
+    if coset is None:
+        poly, err = _expand(values, prec)
+        return poly[:-1], err
+    return _hecke(values, coset, prec)
 
 
 def _hecke(values, coset, prec):
@@ -598,13 +631,14 @@ def _hecke(values, coset, prec):
     majorant.
     """
     groups = {}
-    for f, th, paired in values:
-        if paired:
-            mirror = QuadForm(f.A, -f.B, f.C)
-            if coset[mirror] != coset[f]:
-                groups.setdefault(coset[mirror], []).append((mirror, mp.conj(th), False))
-                paired = False
-        groups.setdefault(coset[f], []).append((f, th, paired))
+    with mp.workprec(prec + 64):   # conj rounds at the working precision
+        for f, th, paired in values:
+            if paired:
+                mirror = QuadForm(f.A, -f.B, f.C)
+                if coset[mirror] != coset[f]:
+                    groups.setdefault(coset[mirror], []).append((mirror, mp.conj(th), False))
+                    paired = False
+            groups.setdefault(coset[f], []).append((f, th, paired))
     groups = list(groups.values())
     with mp.workprec(64):
         S = [1 + mp.fsum((1 + paired) * abs(th) for _, th, paired in g) for g in groups]
@@ -636,24 +670,31 @@ def _check_height(x, T, what):
             raise PrecisionEscalation(f"{what} exceeds the height bound")
 
 
-def _divisor_attempt(kind, sel, plan):
+def _divisor_attempt(kind, sel, plan, coset=None):
     """The paper route: recover each coefficient from the principal
-    embedding with ``plan``.  Theta runs at float_bits + ``_pad(n)``, so each
-    coefficient is off by at most 2^-float_bits M~; the sums R = 2 Re and
-    I = 2i Im must come within the plan's epsilon, which float_bits was sized
-    for.  Each z = (R + I)/2 must pass ``_check_height`` against T0, so every
-    conjugate of R = z + tau_c(z) and I = z - tau_c(z), tau_c complex
-    conjugation, is within 2 T0."""
+    embedding with ``plan``, those of the monic divisor of the principal
+    genus's forms ``sel`` or, with ``coset`` mapping each form to its
+    H-coset, those of its ``HeckeSplit`` (``_hecke``): R's and then every
+    N_j's.  The 1 that leads the divisor (or R) comes last.
+
+    Theta runs at float_bits + ``_pad(n)``, 2 more for a split, so each
+    coefficient is off by at most 2^-float_bits V, V the values' majorant
+    (``_expand``'s M~, or ``_hecke``'s larger of V_R and V_N); the sums
+    G = 2 Re and G* = 2i Im must come within the plan's epsilon, which
+    float_bits was sized for.  Each z = (G + G*)/2 must pass
+    ``_check_height`` against the plan's T0, so every conjugate of
+    G = z + tau_c(z) and G* = z - tau_c(z), tau_c complex conjugation, is
+    within 2 T0."""
     basis = plan.basis
-    prec = plan.float_bits + _pad(len(sel))
-    poly, err = _expand(_theta_values(kind, sel, prec), prec)
+    prec = plan.float_bits + _pad(len(sel)) + (0 if coset is None else 2)
+    poly, err = _genus_poly(_theta_values(kind, sel, prec), coset, prec)
     half = Fraction(1, 2)
     coeffs = []
     with mp.workprec(prec + 64):
         if not 2 * err < plan.epsilon:
             raise PrecisionEscalation(
                 f"product error bound {mp.nstr(err, 5)} at {plan.float_bits} bits")
-        for k, c in enumerate(poly[:-1]):
+        for k, c in enumerate(poly):
             g_re, g_im = c + mp.conj(c), c - mp.conj(c)
             z = basis.element(recover_coords(g_re, plan, REAL_PART), REAL_PART)
             if IMAG_PART in plan.sides:

@@ -554,17 +554,19 @@ def _coset_root(split, p, seed):
     return _one_root([_peval(row, s, p) * inv % p for row in N] + [1], p, split.D, seed)
 
 
-# the polynomials that each path tries in turn: auto moves on when one
-# would exceed max_bits or when R'(s) vanishes mod p
-_TRIES = {"auto": ("split", "conjugates", "full"), "divisor": ("paper",), "full": ("full",)}
+# the polynomials that each path tries in turn, (what, route): both move
+# on when R'(s) vanishes mod p, and auto also when one would exceed max_bits
+_TRIES = {"auto": (("split", "conjugates"), ("divisor", "conjugates"), ("full", None)),
+          "divisor": (("split", "paper"), ("divisor", "paper")),
+          "full": (("full", None),)}
 
 
-def _split_for(how, D, kind, max_bits):
-    if how == "split":
-        return class_poly_split(D, kind, max_bits)
-    if how == "full":
+def _split_for(what, route, D, kind, max_bits):
+    if what == "split":
+        return class_poly_split(D, kind, max_bits, route=route)
+    if what == "full":
         return whole_split(class_poly_full(D, kind, max_bits))
-    return whole_split(class_poly_divisor(D, kind, max_bits, route=how))
+    return whole_split(class_poly_divisor(D, kind, max_bits, route=route))
 
 
 def gen_curve(D, p, u, v, kind=None, path="auto", seed=0, max_bits=DEFAULT_MAX_BITS):
@@ -573,15 +575,17 @@ def gen_curve(D, p, u, v, kind=None, path="auto", seed=0, max_bits=DEFAULT_MAX_B
     path: "auto" (the genus divisor on the conjugate route, recovered from
     all 2^t embeddings and split along Cl^2 by ``class_poly_split``), with
     the plain conjugate-route divisor as the fallback when R'(s) = 0 mod p
-    and the full path on precision exhaustion; "divisor" (the genus divisor
-    on the paper's route, from one embedding through a recovery plan); or
-    "full" (classic H_D).  Every polynomial is taken as a ``HeckeSplit``,
-    k = 1 but for the split: one root s of R, then one root of the coset
-    polynomial that s picks.  Returns {curve, j, order, transcript}.  The
-    transcript's "path" names the polynomial used, "divisor" or "full"; for
-    a divisor, "route" says "conjugates" (with T and B) or "paper" (with T0,
-    N0 and float_bits).  "degree" is the polynomial's, k |H|, and "k" and
-    "H" give the split's k and |H|.
+    and the full path on precision exhaustion; "divisor" (the same split on
+    the paper's route, recovered from one embedding through a recovery plan
+    at the split's T), with the plain paper-route divisor as the fallback
+    when R'(s) = 0 mod p; or "full" (classic H_D).  Every polynomial is
+    taken as a ``HeckeSplit``, k = 1 but for a split: one root s of R, then
+    one root of the coset polynomial that s picks.  Returns {curve, j,
+    order, transcript}.  The transcript's "path" names the polynomial used,
+    "divisor" or "full"; for a divisor, "route" says "conjugates" (with T
+    and B) or "paper" (with T0, N0 and float_bits), each the numbers of the
+    split or divisor that gave the root.  "degree" is the polynomial's,
+    k |H|, and "k" and "H" give the split's k and |H|.
 
     The polynomials come from ``classpoly``'s per-process memo, so further
     calls at the same D, invariant and path, for other primes, evaluate no
@@ -599,23 +603,23 @@ def gen_curve(D, p, u, v, kind=None, path="auto", seed=0, max_bits=DEFAULT_MAX_B
     transcript = {"D": D, "p": p, "u": u, "v": v, "invariant": str(kind),
                   "target": target}
     tries = _TRIES[path]
-    for i, how in enumerate(tries):
+    for i, (what, route) in enumerate(tries):
         try:
-            split = _split_for(how, D, kind, max_bits)
+            split = _split_for(what, route, D, kind, max_bits)
         except PrecisionExhausted:
-            if i + 1 == len(tries):
+            if path != "auto" or i + 1 == len(tries):
                 raise
             continue
         r = _coset_root(split, p, seed)
         if r is not None:
             break
     plan = split.plan
-    if how == "full":
+    if what == "full":
         transcript["path"] = "full"
     else:
         transcript.update(path="divisor", **(
             dict(route="paper", T0=plan.T0, N0=plan.N0, float_bits=plan.float_bits)
-            if how == "paper" else dict(route="conjugates", T=plan.T, B=plan.B)))
+            if route == "paper" else dict(route="conjugates", T=plan.T, B=plan.B)))
     transcript.update(degree=split.degree, k=split.k, H=len(split.N))
     j = j_from_theta(r, kind, p, D=D)
     curve, twist = select_twist(curve_from_j(j, p), target, random.Random(seed))

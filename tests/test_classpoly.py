@@ -432,6 +432,8 @@ def test_gamma2_divisor_consistent_with_cube_root():
 def test_unknown_route_rejected():
     with pytest.raises(InvalidParameters):
         class_poly_divisor(-40, J, route="sideways")
+    with pytest.raises(InvalidParameters):
+        class_poly_split(-40, J, route="sideways")
 
 
 @pytest.mark.parametrize("D,invariant", [(D, inv) for D, inv, _ in FULL],
@@ -797,8 +799,9 @@ def test_hecke_takes_apart_a_pair_split_across_cosets(monkeypatch):
         assert len({coset[f] for f, _, _ in g}) == 1
         assert sum(1 + paired for _, _, paired in g) == 8
     entry = {f: (v, paired) for g in groups for f, v, paired in g}
-    for f, v in apart:
-        assert entry[f] == (v, False) and entry[mirror(f)] == (mp.conj(v), False)
+    with mp.workprec(164):   # _hecke's own precision: the conjugate is exact
+        for f, v in apart:
+            assert entry[f] == (v, False) and entry[mirror(f)] == (mp.conj(v), False)
     for f in kept:
         assert entry[f][1] is True and mirror(f) not in entry
 
@@ -826,3 +829,52 @@ def test_split_never_returns_a_wrong_coefficient(shift, monkeypatch):
     except PrecisionExhausted:
         return
     assert (got.R, got.N) == (want.R, want.N)
+
+
+# --- the split on the paper route ------------------------------------------
+
+@pytest.mark.parametrize("D,invariant,k,bits", [
+    (-2519, "j", 4, 1243), (-9911, "j", 2, 4090), (-46151, "j", 4, None),
+    (-2519, "gamma2", 4, None)])
+def test_paper_split_is_the_conjugate_split(D, invariant, k, bits):
+    # the paper route recovers R and every N_j from the principal genus
+    # alone, through a plan at hecke_T, and in one attempt (the plan's T0
+    # is T itself, never squared) they equal the conjugate route's exactly.
+    # At -2519 mirrors fall in other cosets
+    kind = InvariantKind.parse(invariant)
+    d, forms, masks, cosets, _ = split_args(D, kind)
+    T = hecke_T(kind, forms, masks, cosets)
+    paper = class_poly_split(D, kind, route="paper")
+    want = class_poly_split(D, kind)
+    assert paper.k == k and paper.plan.T0 == T
+    assert (paper.R, paper.N) == (want.R, want.N)
+    if bits is not None:
+        assert paper.plan.float_bits == bits
+    # the memo keeps one split per route
+    assert classpoly._DIVISORS[D, kind, "paper", "split"] is paper
+    assert class_poly_split(D, kind, route="paper") is paper
+    with pytest.raises(PrecisionExhausted):
+        class_poly_split(D, kind, max_bits=paper.plan.float_bits - 1, route="paper")
+
+
+def test_paper_split_at_k1_is_the_paper_divisor():
+    # -8399: n = 67 is prime, so the split is the whole paper-route divisor
+    split = class_poly_split(-8399, route="paper")
+    assert split.k == 1
+    assert split == classpoly.whole_split(class_poly_divisor(-8399, route="paper"))
+
+
+def test_hecke_sets_its_own_precision():
+    # the mirror's conjugate is taken at _hecke's own working precision, so
+    # the ambient one does not change a bit of its output
+    d, forms, masks, cosets, _ = split_args(-2519)
+    coset = dict(zip(forms, cosets))
+    prec = 400
+    values = classpoly._theta_values(J, [f for f, mu in zip(forms, masks) if mu == 0], prec)
+    assert any(paired and coset[QuadForm(f.A, -f.B, f.C)] != coset[f]
+               for f, _, paired in values)
+    with mp.workprec(53):
+        low = classpoly._hecke(values, coset, prec)
+    with mp.workprec(prec + 64):
+        high = classpoly._hecke(values, coset, prec)
+    assert low == high

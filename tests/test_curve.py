@@ -767,8 +767,8 @@ def test_gen_curve_auto_reports_the_split():
 
 def test_gen_curve_takes_the_k1_split_when_R_prime_vanishes(monkeypatch):
     # R'(s) = 0 mod p (forced here for every k > 1) leaves the coset of s
-    # undetermined: the curve comes from the k = 1 split, the plain
-    # conjugate-route divisor, and is the one the divisor alone gives
+    # undetermined: the curve comes from the k = 1 split, the plain divisor
+    # of the path's route, and is the one that divisor alone gives
     found = search_fixed_D(-2519, p_bits=128, rng=random.Random(5))
     deriv = curve._pderiv
     monkeypatch.setattr(curve, "_pderiv", lambda f, p: [0] if len(f) > 2 else deriv(f, p))
@@ -778,5 +778,14 @@ def test_gen_curve_takes_the_k1_split_when_R_prime_vanishes(monkeypatch):
     assert (tr["path"], tr["route"], tr["k"], tr["H"]) == ("divisor", "conjugates", 1, 32)
     assert (tr["T"], tr["B"]) == (div.plan.T, div.plan.B)
     fp = reduce_divisor_mod_p(div, found.p)
+    assert tr["root"] == roots_in_fp(fp, found.p, seed=3)[0]
+    assert order_mismatch(res["curve"], res["order"], random.Random(0)) is None
+    # the divisor path falls back the same way, to the paper-route divisor
+    res = gen_curve(-2519, found.p, found.u, found.v, path="divisor", seed=3)
+    tr = res["transcript"]
+    div = class_poly_divisor(-2519, route="paper")
+    assert (tr["path"], tr["route"], tr["k"], tr["H"]) == ("divisor", "paper", 1, 32)
+    assert (tr["T0"], tr["N0"], tr["float_bits"]) == \
+        (div.plan.T0, div.plan.N0, div.plan.float_bits)
     assert tr["root"] == roots_in_fp(fp, found.p, seed=3)[0]
     assert order_mismatch(res["curve"], res["order"], random.Random(0)) is None
