@@ -1,30 +1,34 @@
 """Class polynomials: the full integer H_D[theta] and its genus divisor.
 
-Both are rebuilt from floats by one exact rounding (``_exact_attempt``).  It
-expands the product of (x - theta) over each coset of an N-system at about
-log2 T + t bits: those are all 2^t embeddings of each coefficient, and one
-Walsh-Hadamard transform gives its coordinates (Enge and Morain, "Fast
-decomposition of polynomials with known Galois group", AAECC-15, 2003).  The
-genus divisor on the conjugate route (what the CLI's classpoly takes by
-default) is that rounding over the genus field.  The full polynomial, kept
-as the oracle, is the rounding's t = 0 case: the field is Q, there is one
-coset and one embedding, and the transform is the identity.  The paper
+Every polynomial here is recovered as a split along a subgroup H of index
+k: the Hecke representation of Enge and Morain ("Fast decomposition of
+polynomials with known Galois group", AAECC-15, 2003), R = prod_c (Y - s_c)
+over the H-cosets c and the numerators N_j (``HeckeSplit``, ``_hecke``).  A
+polynomial is its own split with every form in coset 0 (k = 1): R = Y - s
+and N_j = e_j.  So the full polynomial, the genus divisor and the divisor's
+split along Cl^2 share one bound (``hecke_T``), one product kernel and one
+recovery per route.
+
+The conjugate route rebuilds them by one exact rounding
+(``_exact_attempt``): it expands each genus's split at about log2 T + t
+bits, which gives all 2^t embeddings of each coefficient, and one
+Walsh-Hadamard transform gives its coordinates.  The genus divisor on that
+route is what the CLI's classpoly takes by default.  The full polynomial,
+kept as the oracle, is the rounding's t = 0 case: the field is Q, there is
+one coset and one embedding, and the transform is the identity.  The paper
 route expands only the principal genus (h / 2^(t-1) forms) at about
 m log2 T bits and recovers each coefficient from that one embedding through
-a recovery plan (``_divisor_attempt``); ``class_poly_divisor`` takes it when
-no route is named.  Either way every other coset's divisor is a Galois
+a recovery plan (``_divisor_attempt``); ``class_poly_divisor`` takes it
+when no route is named.  Either way every other coset's divisor is a Galois
 conjugate of the principal one.
 
-What ``gen_curve`` reduces is the divisor split along a subgroup H of Cl^2
-of index k (``class_poly_split``): the Hecke representation from that
-paper, R = prod_c (Y - s_c) over the H-cosets c and the numerators N_j, at
-the far smaller T of ``hecke_T``, so that a root mod p needs root searches
-of degree k and |H| instead of one of degree k |H|.  Either route recovers
-it: the conjugate route by the same exact rounding (``gen_curve``'s
-default path), the paper route from the principal genus through a plan at
-T (its divisor path).  Exact divisors and splits are memoized per process,
-so repeated calls at one discriminant (one curve per prime, say) evaluate
-their theta values once.
+What ``gen_curve`` reduces is the divisor split along the H of Cl^2 that
+``forms.power_cosets`` picks (``class_poly_split``), at the far smaller T
+of ``hecke_T``, so that a root mod p needs root searches of degree k and
+|H| instead of one of degree k |H|: its default path takes the conjugate
+route, its divisor path the paper route.  Exact divisors and splits are
+memoized per process, so repeated calls at one discriminant (one curve per
+prime, say) evaluate their theta values once.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ ROUTES = ("conjugates", "paper")
 
 
 class ConjugatePlan(NamedTuple):
-    """The conjugate route's T (``genus_T0``) and target precision B."""
+    """The conjugate route's T (``hecke_T``) and target precision B."""
     T: object
     B: int
 
@@ -102,7 +106,7 @@ class HeckeSplit(NamedTuple):
     kind: InvariantKind
     R: tuple              # ascending, monic, degree k
     N: tuple              # |H| rows N_j, each its k coefficients, ascending
-    plan: object          # the ConjugatePlan, or the split polynomial's plan
+    plan: object          # the ConjugatePlan or the RecoveryPlan
 
     @property
     def k(self):
@@ -243,41 +247,8 @@ def _forked_theta(kind, forms, prec, workers):
 
 
 def _pad(n):
-    """Bits that ``_expand`` adds to a target: see its error bound."""
-    return n.bit_length() + 2
-
-
-def _expand(values, prec):
-    """The monic polynomial whose roots are the values of ``_theta_values``,
-    each paired value with its conjugate, and a bound on each coefficient's
-    error.
-
-    The product runs on integers scaled by 2^P, P = prec + 64: a pair
-    enters as the real quadratic x^2 - 2 Re(theta) x + |theta|^2, a single
-    value as x - theta.  When every value is paired the product stays real.
-
-    Error: let each of the n roots come with |theta~ - theta| <= u (1 + |theta|),
-    u = 2^-prec, the contract of ``theta_value`` at ``prec`` bits.  Each
-    k-subset product then moves by at most ((1+u)^k - 1) prod (1 + |theta|)
-    over its roots, so every coefficient moves by at most ((1+u)^n - 1) M
-    <= 2nu M, M = prod (1 + |theta|) over all roots.  Truncation adds at
-    most 8n 2^-P M~, M~ the product over the computed values: theta's
-    components are rounded at P bits and floored at 2^-P, |theta|^2 is
-    floored, each new coefficient is floored once per component, and the
-    later factors multiply each such error by at most M~.  M <= M~ (1 + 2nu),
-    so for prec >= bitlen(n) + 8 the error is below
-    err = 2^(bitlen(n) + 2 - prec) M~, which is returned.  Theta at
-    target + ``_pad(n)`` bits thus gives err <= 2^-target M~, with M~ about
-    the ``height_bound`` of the forms.
-    """
-    n = sum(2 if paired else 1 for _, _, paired in values)
-    with mp.workprec(64):
-        M = mp.one
-        for _, th, paired in values:
-            M *= (1 + abs(th)) ** (2 if paired else 1)
-        err = M * mp.mpf(2) ** (n.bit_length() + 2 - prec)
-    P = prec + 64
-    return _from_fixed(*_product(_fixed(values, P), P), P), err
+    """Bits that ``_hecke`` adds to a target: see its error bound."""
+    return n.bit_length() + 4
 
 
 def _fixed(values, P):
@@ -315,24 +286,18 @@ def _from_fixed(re, im, P):
 
 
 def class_poly_full(D, kind=None, max_bits=DEFAULT_MAX_BITS):
-    """H_D[theta] with integer coefficients: the exact rounding over the
-    N-system with no q_i* and every mask 0, and T = ``height_bound``, which
-    bounds every coefficient by Vieta."""
+    """H_D[theta] with integer coefficients: the exact rounding of its k = 1
+    split over the N-system, with no q_i*, every mask and coset 0, and
+    T = ``height_bound``, which bounds every coefficient by Vieta.  R's
+    coefficient -s = e_(n-1), the rounding's first row, is dropped."""
     kind = kind or InvariantKind.j()
     d = Discriminant.from_D(D)
     kind.validate_for(d)
     forms = n_system(D, kind.modulus(d), kind.b_target(d))
-    T = height_bound(kind, forms)
-    rows, _ = _exact_rounding(D, kind, (), forms, [0] * len(forms), T, max_bits)
-    return ClassPolynomial(D, kind, None, tuple(row[0] for row in rows) + (1,))
-
-
-def genus_T0(kind, forms, labels):
-    """T0 = the largest ``height_bound`` over the genera: forms sharing a
-    genus label are the roots of one genus divisor, so by Vieta it bounds
-    every conjugate of every coefficient of every genus divisor."""
-    return max(height_bound(kind, [f for f, lab in zip(forms, labels) if lab == genus])
-               for genus in set(labels))
+    zeros = [0] * len(forms)
+    rows, _ = _exact_rounding(D, kind, (), forms, zeros, height_bound(kind, forms), max_bits,
+                              zeros)
+    return ClassPolynomial(D, kind, None, tuple(row[0] for row in rows[1:]) + (1,))
 
 
 def hecke_T(kind, forms, masks, cosets):
@@ -343,18 +308,25 @@ def hecke_T(kind, forms, masks, cosets):
     |s_c| <= sum B_f and, by Vieta, |e_j(c)| <= prod (1 + B_f), so T_R
     bounds every coefficient of R and T_N every coefficient of every N_j,
     whichever of their conjugates.  At 64 bits, padded by 1 + 2^-32 as
-    ``height_bound`` is."""
+    ``height_bound`` is.  With one coset per genus (k = 1) T_N is the
+    genus's product itself, so T is then bit for bit the largest
+    ``height_bound`` over the genera."""
     with mp.workprec(64):
         genera = {}
         for f, mu, c in zip(forms, masks, cosets):
             genera.setdefault(mu, {}).setdefault(c, []).append(theta_bound(kind, f))
-        T = mp.zero
-        for bounds in genera.values():
-            sums = [1 + mp.fsum(b) for b in bounds.values()]
-            prods = [mp.fprod(1 + x for x in b) for b in bounds.values()]
-            T_R = mp.fprod(sums)
-            T = max(T, T_R, mp.fsum(m * T_R / x for m, x in zip(prods, sums)))
+        T = max(_majorant([1 + mp.fsum(b) for b in g.values()],
+                          [mp.fprod(1 + x for x in b) for b in g.values()])
+                for g in genera.values())
         return T * (1 + mp.mpf(2) ** -32)
+
+
+def _majorant(S, M):
+    """max(V_R, V_N) at the working precision, for one genus's cosets c
+    with sums S_c and products M_c: V_R = prod S_c and
+    V_N = sum_c M_c V_R / S_c, which is M_c itself at one coset."""
+    V_R = mp.fprod(S)
+    return max(V_R, M[0] if len(M) == 1 else mp.fsum(m * V_R / s for m, s in zip(M, S)))
 
 
 # exact principal divisors by (D, kind, route), and their splits by
@@ -364,18 +336,6 @@ _DIVISORS = {}
 _DIVISORS_MAX = 8
 
 
-def _memo(key, build):
-    """_DIVISORS[key], from ``build()`` on a miss; the oldest entry makes
-    room when the memo is full."""
-    got = _DIVISORS.get(key)
-    if got is None:
-        got = build()
-        if len(_DIVISORS) >= _DIVISORS_MAX:
-            del _DIVISORS[next(iter(_DIVISORS))]
-        _DIVISORS[key] = got
-    return got
-
-
 def _check_cap(D, bits, cap):
     """Refuse an attempt at ``bits`` above ``cap``, on any path."""
     if bits > cap:
@@ -383,105 +343,94 @@ def _check_cap(D, bits, cap):
             f"class polynomial for D={D} would need {bits} bits (cap {cap})")
 
 
-def _plan_bits(plan):
-    """The precision the cap is checked against: B, or the paper's float_bits."""
-    return plan.B if isinstance(plan, ConjugatePlan) else plan.float_bits
-
-
-def _check_route(route):
-    if route not in ROUTES:
-        raise InvalidParameters(f"unknown route {route!r}")
-
-
 def class_poly_divisor(D, kind=None, max_bits=DEFAULT_MAX_BITS, route="paper"):
     """The principal genus divisor of H_D[theta] with exact genus-field
-    coefficients, recovered on ``route``: "conjugates" (``_exact_attempt``)
-    or "paper" (``_divisor_attempt``).  Its ``plan`` is the ConjugatePlan or
-    the RecoveryPlan that produced them.
-
-    The divisor is memoized per process by (D, kind, route).  A hit returns
-    the same object, and raises ``PrecisionExhausted`` exactly when a
-    recomputation would: when its plan's bits (B, or float_bits) exceed the
-    cap.  Every other coset's divisor is a Galois conjugate of this one
-    (``coset_divisor``).
-    """
-    kind = kind or InvariantKind.j()
-    _check_route(route)
-    d = Discriminant.from_D(D)
-    kind.validate_for(d)
-    poly = _memo((D, kind, route), lambda: _principal_divisor(d, kind, route, max_bits))
-    _check_cap(D, _plan_bits(poly.plan), max_bits)
-    return poly
+    coefficients: its k = 1 split at T = ``hecke_T``, the largest
+    ``height_bound`` over the genera, recovered on ``route``.  Its ``plan``
+    is the ConjugatePlan or the RecoveryPlan that produced them.  Every
+    other coset's divisor is a Galois conjugate of this one
+    (``coset_divisor``).  See ``_memoized`` for the routes, memo and cap."""
+    return _memoized(D, kind, max_bits, route, False)
 
 
 def class_poly_split(D, kind=None, max_bits=DEFAULT_MAX_BITS, route="conjugates"):
     """The principal genus divisor of H_D[theta] as a ``HeckeSplit`` along
     the subgroup H of Cl^2 that ``forms.power_cosets`` picks: R and every
-    N_j with exact genus-field coefficients at T = ``hecke_T``, recovered on
-    ``route``: "conjugates", one exact rounding over the genus's cosets
-    (``_exact_attempt``), or "paper", from the principal embedding through
-    a recovery plan at T (``_divisor_attempt``).  ``gen_curve`` reduces the
-    first on its default path and the second on its divisor path.  At k = 1
-    (n prime, or Cl^2 of exponent 2) it is ``whole_split`` of that route's
-    divisor.  Memoized by (D, kind, route, "split") and capped as
-    ``class_poly_divisor`` is; its plan is a ConjugatePlan or a
-    RecoveryPlan."""
+    N_j with exact genus-field coefficients at T = ``hecke_T``.
+    ``gen_curve`` reduces the conjugate route's on its default path and the
+    paper route's on its divisor path.  At k = 1 (n prime, or Cl^2 of
+    exponent 2) it is ``whole_split`` of that route's divisor.  See
+    ``_memoized`` for the routes, memo and cap."""
+    return _memoized(D, kind, max_bits, route, True)
+
+
+def _memoized(D, kind, max_bits, route, split):
+    """``_recover``'s divisor, or its split, at D, recovered on ``route``:
+    "conjugates", one exact rounding over every genus (``_exact_attempt``),
+    or "paper", from the principal embedding through a recovery plan at T
+    (``_divisor_attempt``).
+
+    Memoized per process by (D, kind, route), with "split" appended for a
+    split.  A hit returns the same object, and raises ``PrecisionExhausted``
+    exactly when a recomputation would: when its plan's bits (B, or
+    float_bits) exceed the cap."""
     kind = kind or InvariantKind.j()
-    _check_route(route)
+    if route not in ROUTES:
+        raise InvalidParameters(f"unknown route {route!r}")
     d = Discriminant.from_D(D)
     kind.validate_for(d)
-    split = _memo((D, kind, route, "split"), lambda: _split_divisor(d, kind, route, max_bits))
-    _check_cap(D, _plan_bits(split.plan), max_bits)
-    return split
+    key = (D, kind, route) + (("split",) if split else ())
+    got = _DIVISORS.get(key)
+    if got is None:
+        got = _recover(d, kind, route, max_bits, split)
+        if len(_DIVISORS) >= _DIVISORS_MAX:
+            del _DIVISORS[next(iter(_DIVISORS))]
+        _DIVISORS[key] = got
+    plan = got.plan
+    _check_cap(D, plan.B if isinstance(plan, ConjugatePlan) else plan.float_bits, max_bits)
+    return got
 
 
-def _split_divisor(d, kind, route, max_bits):
+def _recover(d, kind, route, max_bits, split):
+    """The principal genus divisor, recovered as its split with every form
+    in coset 0 (k = 1), or, when ``split``, its ``HeckeSplit`` along the H
+    that ``power_cosets`` picks.  When that H gives k = 1, the split is
+    ``whole_split`` of the memoized divisor."""
     forms = n_system(d.D, kind.modulus(d), kind.b_target(d))
-    labels = [phi_class(f, d) for f in forms]
-    square = [reduce_form(f) for f, lab in zip(forms, labels) if lab == (1,) * d.t]
-    k, coset = power_cosets(d.D, square)
-    if k == 1:
-        return whole_split(class_poly_divisor(d.D, kind, max_bits, route=route))
-    masks = [_mask(lab) for lab in labels]
-    cosets = [coset[reduce_form(f)] for f in forms]
+    masks = [_mask(phi_class(f, d)) for f in forms]
+    sel = [f for f, mu in zip(forms, masks) if mu == 0]
+    k, cosets = 1, [0] * len(forms)
+    if split:
+        k, coset = power_cosets(d.D, [reduce_form(f) for f in sel])
+        if k == 1:
+            return whole_split(class_poly_divisor(d.D, kind, max_bits, route=route))
+        cosets = [coset[reduce_form(f)] for f in forms]
     T = hecke_T(kind, forms, masks, cosets)
     if route == "conjugates":
         coeffs, plan = _conjugate_recovery(d, kind, forms, masks, T, max_bits, cosets)
     else:
-        sel = [f for f, mu in zip(forms, masks) if mu == 0]
         coeffs, plan = _paper_recovery(d, kind, sel, T, max_bits, dict(zip(forms, cosets)))
+    if not split:
+        return ClassPolynomial(d.D, kind, (1,) * d.t, coeffs[1:], plan=plan)
     return HeckeSplit(d.D, kind, coeffs[:k] + coeffs[-1:],
                       tuple(coeffs[i:i + k] for i in range(k, len(coeffs) - 1, k)), plan)
 
 
-def _principal_divisor(d, kind, route, max_bits):
-    principal = (1,) * d.t
-    forms = n_system(d.D, kind.modulus(d), kind.b_target(d))
-    labels = [phi_class(f, d) for f in forms]
-    T0 = genus_T0(kind, forms, labels)
-    if route == "conjugates":
-        coeffs, plan = _conjugate_recovery(d, kind, forms, [_mask(lab) for lab in labels],
-                                           T0, max_bits)
-    else:
-        sel = [f for f, lab in zip(forms, labels) if lab == principal]
-        coeffs, plan = _paper_recovery(d, kind, sel, T0, max_bits)
-    return ClassPolynomial(d.D, kind, principal, coeffs, plan=plan)
-
-
-def _conjugate_recovery(d, kind, forms, masks, T, max_bits, cosets=None):
-    """(coefficients, ending in the leading 1, ConjugatePlan) of
-    ``_exact_rounding``: the divisor's, or the split's along ``cosets``."""
+def _conjugate_recovery(d, kind, forms, masks, T, max_bits, cosets):
+    """(``_exact_rounding``'s coefficients of the split along ``cosets``,
+    ending in R's leading 1, ConjugatePlan)."""
     rows, B = _exact_rounding(d.D, kind, d.qstars, forms, masks, T, max_bits, cosets)
     N = 1 << d.t
     return (tuple(GFElem(d.qstars, row, N) for row in rows) + (gf_rational(d.qstars, 1),),
             ConjugatePlan(T, B))
 
 
-def _paper_recovery(d, kind, sel, T, max_bits, coset=None):
+def _paper_recovery(d, kind, sel, T, max_bits, coset):
     """(``_divisor_attempt``'s coefficients, RecoveryPlan) from the
-    principal genus's forms ``sel``: the first plan is at T, and each
-    escalation squares T (exactly), which roughly doubles the working
-    precision.  Every plan is checked against the cap."""
+    principal genus's forms ``sel`` and ``coset``, their H-cosets: the
+    first plan is at T, and each escalation squares T (exactly), which
+    roughly doubles the working precision.  Every plan is checked against
+    the cap."""
     # the field layer depends on d alone: every plan of the ladder shares it
     mpair = build_mpair(build_basis(d))
     # when kind's N-system is closed under (A,B,C) -> (A,-B,C), complex
@@ -504,7 +453,7 @@ def _mask(phi):
     return sum(1 << i for i, e in enumerate(phi) if e == -1)
 
 
-def _exact_rounding(D, kind, qstars, forms, masks, T, max_bits, cosets=None):
+def _exact_rounding(D, kind, qstars, forms, masks, T, max_bits, cosets):
     """(``_exact_attempt``'s rows, B): the first attempt runs at
     B = ceil(log2 T) + t, B doubles on each escalation, and every attempt is
     checked against the cap."""
@@ -517,14 +466,14 @@ def _exact_rounding(D, kind, qstars, forms, masks, T, max_bits, cosets=None):
             B *= 2
 
 
-def _exact_attempt(kind, qstars, forms, masks, B, T, cosets=None):
-    """The exact coordinates of polynomials over
-    Q(sqrt(q_1*), ..., sqrt(q_t*)), read off all N = 2^t of their
-    embeddings: one row per coefficient, holding the integers N a_S for
-    every subset mask S of the q_i*.  The polynomial is the monic divisor,
-    without its leading coefficient, when ``cosets`` is None; else the
-    ``HeckeSplit`` along the H-cosets that ``cosets`` labels (``_hecke``):
-    R without its leading coefficient, then N_0, N_1, ...
+def _exact_attempt(kind, qstars, forms, masks, B, T, cosets):
+    """The exact coordinates of the ``HeckeSplit`` along the H-cosets that
+    ``cosets`` labels (``_hecke``), over Q(sqrt(q_1*), ..., sqrt(q_t*)),
+    read off all N = 2^t of its embeddings: one row per coefficient, R's
+    without its leading coefficient and then N_0's, N_1's, ..., each row
+    holding the integers N a_S for every subset mask S of the q_i*.  With
+    every coset 0 (k = 1) the rows are -s = e_(n-1) and then the monic
+    divisor's e_0, ..., e_(n-1).
 
     The forms of mask mu give sigma_mu of each coefficient, sigma_mu the
     principal embedding after tau_mu, which flips sqrt(q_i*) for each bit i
@@ -536,34 +485,33 @@ def _exact_attempt(kind, qstars, forms, masks, B, T, cosets=None):
     transform is the identity.
 
     Error chain, n forms per genus and T at least every embedding of every
-    coefficient: theta at B + 3 + ``_pad(n)`` bits, 2 more for a split,
-    puts each embedding within eps, the largest of the bounds of
-    ``_expand`` (or ``_hecke``) over the genera, so eps <= 2^-(B+3) V for
-    the values' majorant V: M~ for a divisor, and for a split the larger of
-    ``_hecke``'s V_R and V_N, the analogues of ``hecke_T``'s T_R and T_N at
-    the computed values.  The transform sums N of them and |r_S| >= 1, so
-    N a_S is off by at most N eps, plus under 2^-40 N eps of rounding at 64
-    more bits.  At B >= log2 T + t, N eps <= 2^-3 V / T, and an attempt
-    escalates unless N eps < 1/4, which holds whenever V < 2T.  Checks, each
-    escalating: every N a_S rounds with a residual below 1/4; the
-    coefficient reproduces all N embeddings within 2 eps, where a wrong one
-    misses some embedding by at least 1/N - eps > 2 eps (the transform is N
-    times an orthogonal one); and no embedding exceeds T
-    (``_check_height``, as on the paper route).
+    coefficient: theta at B + 3 + ``_pad(n)`` bits puts each embedding
+    within eps, the largest of ``_hecke``'s bounds over the genera, so
+    eps <= 2^-(B+3) V for the values' majorant V, the larger of ``_hecke``'s
+    V_R and V_N, the analogues of ``hecke_T``'s T_R and T_N at the computed
+    values.  The transform sums N of them and |r_S| >= 1, so N a_S is off by
+    at most N eps, plus under 2^-40 N eps of rounding at 64 more bits.  At
+    B >= log2 T + t, N eps <= 2^-3 V / T, and an attempt escalates unless
+    N eps < 1/4, which holds whenever V < 2T.  Checks, each escalating:
+    every N a_S rounds with a residual below 1/4; the coefficient
+    reproduces all N embeddings within 2 eps, where a wrong one misses some
+    embedding by at least 1/N - eps > 2 eps (the transform is N times an
+    orthogonal one); and no embedding exceeds T (``_check_height``, as on
+    the paper route).
     """
     N = 1 << len(qstars)
     neg = negative_mask(qstars)
     n = len(forms) // len(set(masks))
-    prec = B + 3 + _pad(n) + (0 if cosets is None else 2)
+    prec = B + 3 + _pad(n)
     mask = dict(zip(forms, masks))
-    coset = None if cosets is None else dict(zip(forms, cosets))
+    coset = dict(zip(forms, cosets))
     values = _theta_values(kind, forms, prec)
     emb = [None] * N
     eps = 0
     rows = []
     with mp.workprec(prec + 64):
         for mu in set(masks):
-            poly, err = _genus_poly([v for v in values if mask[v[0]] == mu], coset, prec)
+            poly, err = _hecke([v for v in values if mask[v[0]] == mu], coset, prec)
             # the conjugate goes in first, so that at c = 0 the product itself stays
             emb[mu ^ neg] = [mp.conj(c) for c in poly]
             emb[mu] = poly
@@ -591,16 +539,6 @@ def _exact_attempt(kind, qstars, forms, masks, B, T, cosets=None):
     return rows
 
 
-def _genus_poly(values, coset, prec):
-    """(coefficients, error bound) from one genus's ``_theta_values``: its
-    monic product's but the leading 1 (``_expand``), or, with ``coset``
-    mapping each form to its H-coset, its split's (``_hecke``)."""
-    if coset is None:
-        poly, err = _expand(values, prec)
-        return poly[:-1], err
-    return _hecke(values, coset, prec)
-
-
 def _hecke(values, coset, prec):
     """The coefficients of one genus's R (but its leading 1) and of its
     N_0, N_1, ... (``HeckeSplit``), and a bound eps on each one's error.
@@ -608,27 +546,38 @@ def _hecke(values, coset, prec):
     ``values`` are the genus's entries of ``_theta_values`` and ``coset``
     maps each form to its H-coset.  A pair whose mirror lies in another
     coset is taken apart: the form's coset gets its value unpaired, the
-    mirror's coset the conjugate.  Everything runs on ``_expand``'s
-    fixed-point integers: P_c is the product of c's values, s_c their sum,
-    and R and each Q_c = prod_(c' != c) (Y - s_c') products of the s_c; then
-    N_j = sum_c e_j(c) Q_c.
+    mirror's coset the conjugate.  Everything runs on integers scaled by
+    2^P, P = prec + 64 (``_fixed``, ``_product``): P_c is the product over
+    c's values, a pair entering as the real quadratic
+    x^2 - 2 Re(theta) x + |theta|^2 and a single value as x - theta, s_c is
+    their sum, and R and each Q_c = prod_(c' != c) (Y - s_c') are products
+    of the s_c; then N_j = sum_c e_j(c) Q_c.  With one coset, R = Y - s,
+    Q_c = 1 and N_j = e_j: the genus's monic product, exactly.
 
     Error, u = 2^-prec, n values in the genus and n_c in coset c, each with
-    |theta~ - theta| <= u (1 + |theta|): let S_c = 1 + sum_(f in c) |theta~_f|
-    and M_c = prod_(f in c) (1 + |theta~_f|).  s_c is then off by at most
+    |theta~ - theta| <= u (1 + |theta|), the contract of ``theta_value`` at
+    prec bits: let S_c = 1 + sum_(f in c) |theta~_f| and
+    M_c = prod_(f in c) (1 + |theta~_f|).  Each subset product of c's roots
+    moves by at most ((1+u)^i - 1) prod (1 + |theta|) over its i roots, so
+    every e_j(c) moves by at most ((1+u)^n_c - 1) M <= 2 n_c u M,
+    M = prod (1 + |theta|) over c.  Truncation adds at most 8 n_c 2^-P M_c:
+    theta's components are rounded at P bits and floored at 2^-P,
+    |theta|^2 is floored, each new coefficient is floored once per
+    component, and the later factors multiply each such error by at most
+    M_c.  M <= M_c (1 + 2 n_c u), so for prec >= bitlen(n_c) + 8, e_j(c) is
+    off by less than 2^(bitlen(n_c) + 2) u M_c.  s_c is off by at most
     2u sum (1 + |theta~_f|) <= 2 n_c u S_c.  If |x~_i - x_i| <= d_i, each
     coefficient of prod (Y - x_i) moves by at most prod (a_i + d_i) - prod a_i
     for any a_i >= 1 + |x~_i| (sum over the subsets), so R's coefficients
     move by at most (prod (1 + 2 n_c u) - 1) V_R <= 4nu V_R, V_R = prod S_c,
     and Q_c's by 4nu V_R / S_c, each also bounded by V_R / S_c.  With
-    ``_expand``'s 2^(bitlen(n_c) + 2) u M_c on e_j(c) and |e_j(c)| below
-    M_c (1 + 2 n_c u), each coefficient of N_j is off by less than
-    2^(bitlen(n) + 3) u V_N, V_N = sum_c M_c V_R / S_c.  The products'
-    truncation (``_expand``'s) and the flooring of the s_c and the sums at
-    2^-(prec + 64) add under 2^-56 of that, so
-    eps = 2^(bitlen(n) + 4 - prec) max(V_R, V_N), with V_R and V_N at 64
-    bits, bounds every error: 4 times ``_expand``'s at the same n and
-    majorant.
+    |e_j(c)| below M_c (1 + 2 n_c u), each coefficient of N_j is off by
+    less than 2^(bitlen(n) + 3) u V_N, V_N = sum_c M_c V_R / S_c
+    (``_majorant``).  The flooring of the s_c, the Q_c and the sums at 2^-P
+    adds under 2^-56 of that, so eps = 2^(bitlen(n) + 4 - prec)
+    max(V_R, V_N), with V_R and V_N at 64 bits, bounds every error.  With
+    one coset V_N = M_c >= V_R, and each e_j is within eps / 4.  Theta at
+    target + ``_pad(n)`` bits thus gives eps <= 2^-target max(V_R, V_N).
     """
     groups = {}
     with mp.workprec(prec + 64):   # conj rounds at the working precision
@@ -643,10 +592,8 @@ def _hecke(values, coset, prec):
     with mp.workprec(64):
         S = [1 + mp.fsum((1 + paired) * abs(th) for _, th, paired in g) for g in groups]
         M = [mp.fprod((1 + abs(th)) ** (1 + paired) for _, th, paired in g) for g in groups]
-        V_R = mp.fprod(S)
         n = sum(1 + paired for g in groups for _, _, paired in g)
-        eps = max(V_R, mp.fsum(m * V_R / x for m, x in zip(M, S))) \
-            * mp.mpf(2) ** (n.bit_length() + 4 - prec)
+        eps = _majorant(S, M) * mp.mpf(2) ** (n.bit_length() + 4 - prec)
     P = prec + 64
     roots = [_fixed(g, P) for g in groups]
     polys = [_product(r, P) for r in roots]
@@ -670,24 +617,22 @@ def _check_height(x, T, what):
             raise PrecisionEscalation(f"{what} exceeds the height bound")
 
 
-def _divisor_attempt(kind, sel, plan, coset=None):
-    """The paper route: recover each coefficient from the principal
-    embedding with ``plan``, those of the monic divisor of the principal
-    genus's forms ``sel`` or, with ``coset`` mapping each form to its
-    H-coset, those of its ``HeckeSplit`` (``_hecke``): R's and then every
-    N_j's.  The 1 that leads the divisor (or R) comes last.
+def _divisor_attempt(kind, sel, plan, coset):
+    """The paper route: recover each coefficient of the ``HeckeSplit``
+    (``_hecke``) of the principal genus's forms ``sel`` along the H-cosets
+    that ``coset`` maps them to, R's and then every N_j's, from the
+    principal embedding with ``plan``.  The 1 that leads R comes last.
 
-    Theta runs at float_bits + ``_pad(n)``, 2 more for a split, so each
-    coefficient is off by at most 2^-float_bits V, V the values' majorant
-    (``_expand``'s M~, or ``_hecke``'s larger of V_R and V_N); the sums
-    G = 2 Re and G* = 2i Im must come within the plan's epsilon, which
+    Theta runs at float_bits + ``_pad(n)``, so each coefficient is off by
+    at most 2^-float_bits V, V the larger of ``_hecke``'s V_R and V_N; the
+    sums G = 2 Re and G* = 2i Im must come within the plan's epsilon, which
     float_bits was sized for.  Each z = (G + G*)/2 must pass
     ``_check_height`` against the plan's T0, so every conjugate of
     G = z + tau_c(z) and G* = z - tau_c(z), tau_c complex conjugation, is
     within 2 T0."""
     basis = plan.basis
-    prec = plan.float_bits + _pad(len(sel)) + (0 if coset is None else 2)
-    poly, err = _genus_poly(_theta_values(kind, sel, prec), coset, prec)
+    prec = plan.float_bits + _pad(len(sel))
+    poly, err = _hecke(_theta_values(kind, sel, prec), coset, prec)
     half = Fraction(1, 2)
     coeffs = []
     with mp.workprec(prec + 64):

@@ -14,7 +14,7 @@ from operator import mul
 
 from .arith import kronecker, least_nonresidue, sqrt_mod_p, \
     validate_params
-from .classpoly import DEFAULT_MAX_BITS, ClassPolynomial, HeckeSplit, \
+from .classpoly import DEFAULT_MAX_BITS, HeckeSplit, \
     class_poly_divisor, class_poly_full, class_poly_split, whole_split
 from .errors import (InternalInvariantError, InvalidParameters,
                      PrecisionExhausted, UnsupportedInvariant)
@@ -23,7 +23,6 @@ from .modfns import InvariantKind, j_from_theta
 __all__ = [
     "WeierstrassCurve",
     "make_curve",
-    "reduce_divisor_mod_p",
     "reduce_split_mod_p",
     "roots_in_fp",
     "curve_from_j",
@@ -62,22 +61,13 @@ def make_curve(p, a, b):
 # ---------------------------------------------------------------------------
 # reduction of the genus divisor
 
-def reduce_divisor_mod_p(poly: ClassPolynomial, p):
-    """Coefficients of poly mod a prime of the genus field above p.
-
-    Each sqrt(q_i*) is sent to sqrt_mod_p(q_i*); reducing the divisor's
-    Galois conjugate instead lands on a conjugate prime above p.  Full
-    polynomials reduce verbatim.
-    """
-    out = _mod_p(poly.coeffs, p)
-    assert out[-1] == 1
-    return out
-
-
 def reduce_split_mod_p(split: HeckeSplit, p):
-    """(R, [N_0, N_1, ...]) mod the prime above p of ``reduce_divisor_mod_p``:
-    one prime for all of them, so that N_j(s) / R'(s) is the j-th
-    coefficient of the coset polynomial of the root s of R."""
+    """(R, [N_0, N_1, ...]) mod one prime of the genus field above p, the
+    one that sends each sqrt(q_i*) to sqrt_mod_p(q_i*): one prime for all
+    of them, so that N_j(s) / R'(s) is the j-th coefficient of the coset
+    polynomial of the root s of R.  Reducing a Galois conjugate of the
+    split instead lands on a conjugate prime above p.  Integer
+    coefficients (the full polynomial's) reduce verbatim."""
     k = split.k
     flat = _mod_p(split.R + sum(split.N, ()), p)
     return flat[:k + 1], [flat[i:i + k] for i in range(k + 1, len(flat), k)]

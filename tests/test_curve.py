@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from cmforge.arith import cornacchia, kronecker, search_fixed_D, sqrt_mod_p
 from cmforge import curve
 from cmforge.classpoly import ClassPolynomial, class_poly_divisor, class_poly_full, \
-    class_poly_split
+    class_poly_split, whole_split
 from cmforge.curve import (WeierstrassCurve, _pdivmod, _pgcd, _ppow_linear, _twist_family,
                            _psub, _ptrim, curve_from_j, gen_curve, make_curve,
                            naive_count, point_neg, random_point,
-                           reduce_divisor_mod_p, reduce_split_mod_p, roots_in_fp,
+                           reduce_split_mod_p, roots_in_fp,
                            order_mismatch, scalar_mul, select_twist)
 from cmforge.errors import (InternalInvariantError, InvalidParameters,
                             PrecisionExhausted, UnsupportedInvariant)
@@ -32,6 +32,15 @@ def peval(f, x, p):
     return acc
 
 
+def reduce_mod_p(poly, p):
+    """The coefficients of the monic ``poly`` mod the prime above p that
+    ``reduce_split_mod_p`` takes, read off its k = 1 split: R = Y - s is
+    Y plus the coefficient of x^(n-1), and N_j the coefficient of x^j."""
+    R, N = reduce_split_mod_p(whole_split(poly), p)
+    assert R == [N[-1][0], 1]
+    return [row[0] for row in N] + [1]
+
+
 def test_sqrt_mod_p_examples():
     assert sqrt_mod_p(5, 41) == 13
     assert sqrt_mod_p(0, 41) == 0
@@ -41,7 +50,7 @@ def test_sqrt_mod_p_examples():
 def test_reduce_divisor_minus40():
     div = class_poly_divisor(-40, J)
     full = [c % 41 for c in class_poly_full(-40, J).coeffs]
-    red = reduce_divisor_mod_p(div, 41)
+    red = reduce_mod_p(div, 41)
     assert len(red) == 2
     quo, rem = _pdivmod(full, red, 41)
     assert rem == []
@@ -51,22 +60,22 @@ def test_reduce_divisor_minus40():
                                tuple(c.tau(lam) for c in div.coeffs))
 
     # flipping the sqrt(5) sign lands on the conjugate factor, the cofactor
-    assert reduce_divisor_mod_p(conjugate(1), 41) == quo != red
+    assert reduce_mod_p(conjugate(1), 41) == quo != red
     # sqrt(-8) does not appear in the coefficients, flipping it is a no-op
-    assert reduce_divisor_mod_p(conjugate(2), 41) == red
+    assert reduce_mod_p(conjugate(2), 41) == red
 
 
 def test_reduce_trivial_t1():
     div = class_poly_divisor(-3, J)
-    assert reduce_divisor_mod_p(div, 13) == [0, 1]
+    assert reduce_mod_p(div, 13) == [0, 1]
     full = class_poly_full(-4, J)
-    assert reduce_divisor_mod_p(full, 13) == [(-1728) % 13, 1]
+    assert reduce_mod_p(full, 13) == [(-1728) % 13, 1]
 
 
 def test_reduce_nonresidue_rejected():
     div = class_poly_divisor(-40, J)
     with pytest.raises(InvalidParameters):
-        reduce_divisor_mod_p(div, 7)     # 5 is a non-residue mod 7
+        reduce_split_mod_p(whole_split(div), 7)     # 5 is a non-residue mod 7
 
 
 def test_roots_in_fp_basics():
@@ -664,8 +673,8 @@ def test_gen_curve_transcript():
 
 
 def test_gen_curve_transcript_reports_the_escalated_plan(monkeypatch):
-    # a T0 of 4 is far too small, so class_poly_divisor escalates; the
-    # transcript must describe the plan that produced the divisor
+    # a T of 4 is far too small, so the paper-route split escalates; the
+    # transcript must describe the plan that produced it
     import cmforge.classpoly as classpoly
     import cmforge.recover as recover
     built = []
@@ -674,7 +683,7 @@ def test_gen_curve_transcript_reports_the_escalated_plan(monkeypatch):
         built.append(recover.make_plan(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(classpoly, "genus_T0", lambda kind, forms, labels: 4)
+    monkeypatch.setattr(classpoly, "hecke_T", lambda kind, forms, masks, cosets: 4)
     monkeypatch.setattr(classpoly, "make_plan", recording_make_plan)
     found = search_fixed_D(-1239, p_bits=64, rng=random.Random(1239))
     res = gen_curve(-1239, found.p, found.u, found.v, path="divisor")
@@ -749,7 +758,7 @@ def test_split_coset_polynomials_multiply_to_the_divisor(D, k, H):
             assert rem == []
             inv = pow(peval(dR, s, p), -1, p)
             prod = pmul(prod, [peval(row, s, p) * inv % p for row in N] + [1], p)
-        assert prod == reduce_divisor_mod_p(div, p)
+        assert prod == reduce_mod_p(div, p)
 
 
 def test_gen_curve_auto_reports_the_split():
@@ -777,7 +786,7 @@ def test_gen_curve_takes_the_k1_split_when_R_prime_vanishes(monkeypatch):
     div = class_poly_divisor(-2519, route="conjugates")
     assert (tr["path"], tr["route"], tr["k"], tr["H"]) == ("divisor", "conjugates", 1, 32)
     assert (tr["T"], tr["B"]) == (div.plan.T, div.plan.B)
-    fp = reduce_divisor_mod_p(div, found.p)
+    fp = reduce_mod_p(div, found.p)
     assert tr["root"] == roots_in_fp(fp, found.p, seed=3)[0]
     assert order_mismatch(res["curve"], res["order"], random.Random(0)) is None
     # the divisor path falls back the same way, to the paper-route divisor

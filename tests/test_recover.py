@@ -13,8 +13,7 @@ from cmforge.errors import InternalInvariantError, InvalidParameters, \
 from cmforge import classpoly, genusfield
 from cmforge.genusfield import IMAG_PART, REAL_PART, adjugate, build_basis, build_mpair
 from cmforge.arith import Discriminant
-from cmforge.classpoly import class_poly_divisor, coset_divisor, coset_labels, \
-    genus_T0
+from cmforge.classpoly import class_poly_divisor, coset_divisor, coset_labels, hecke_T
 from cmforge.forms import QuadForm, n_system, phi_class
 from cmforge.modfns import InvariantKind, height_bound
 from cmforge.recover import make_plan, recover_coords, recovery_matrix, \
@@ -50,7 +49,8 @@ def _genus_T0_at(D, kind):
     d = Discriminant.from_D(D)
     forms = n_system(D, 1)
     labels = [phi_class(f, d) for f in forms]
-    return genus_T0(kind, forms, labels), labels
+    masks = [classpoly._mask(lab) for lab in labels]
+    return hecke_T(kind, forms, masks, [0] * len(forms)), labels
 
 
 def test_coset_sums_examples():
@@ -379,7 +379,7 @@ def test_paper_route_retries_share_one_field(D, monkeypatch):
     # a T0 of 4 is far too small, so the paper route escalates; every plan
     # of its ladder takes the one basis and M-pair built for the divisor
     calls = count_field_builds(monkeypatch, "build_basis", "build_mpair")
-    monkeypatch.setattr(classpoly, "genus_T0", lambda kind, forms, labels: 4)
+    monkeypatch.setattr(classpoly, "hecke_T", lambda kind, forms, masks, cosets: 4)
     div = class_poly_divisor(D, J, route="paper")
     assert div.plan.T0 > 4
     assert calls == {"build_basis": 1, "build_mpair": 1}
