@@ -49,7 +49,7 @@ from .forms import QuadForm, enumerate_reduced, n_system, phi_class, power_coset
     reduce_form
 from .genusfield import IMAG_PART, REAL_PART, GFElem, build_basis, build_mpair, \
     embeddings, gf_rational, gf_to_json, negative_mask, root_products, walsh_hadamard
-from .modfns import InvariantKind, height_bound, theta_bound, theta_value
+from .modfns import InvariantKind, theta_bound, theta_value
 from .recover import make_plan, recover_coords
 
 DEFAULT_MAX_BITS = 1 << 20
@@ -101,7 +101,11 @@ class HeckeSplit(NamedTuple):
     j < |H| the Hecke numerator N_j(Y) = sum_c e_j(c) prod_(c' != c) (Y - s_c'),
     e_j(c) the j-th coefficient of P_c = prod_(f in c) (x - theta_f).  Then
     e_j(c) = N_j(s_c) / R'(s_c), and P is the product of the P_c.  At k = 1,
-    R = Y - s and N_j = e_j: the polynomial itself (``whole_split``)."""
+    R = Y - s and N_j = e_j: the polynomial itself (``whole_split``).  A
+    recovery finds the k |H| coefficients of N_0, ..., N_(|H|-2) and of R
+    but its 1, in that order: e_(|H|-1)(c) = -s_c, so N_(|H|-1) =
+    -sum_c s_c prod_(c' != c) (Y - s_c') = k R - Y R', with (k - i) r_i at
+    Y^i, which ``_split`` appends."""
     D: int
     kind: InvariantKind
     R: tuple              # ascending, monic, degree k
@@ -117,13 +121,20 @@ class HeckeSplit(NamedTuple):
         return self.k * len(self.N)
 
 
+def _split(D, kind, coeffs, k, plan):
+    """The ``HeckeSplit`` of index k from a recovery's ``coeffs``, N_0, ...,
+    N_(|H|-2) and then R, monic, with N_(|H|-1) = k R - Y R' appended."""
+    R = coeffs[-k - 1:]
+    N = tuple(coeffs[i:i + k] for i in range(0, len(coeffs) - k - 1, k))
+    return HeckeSplit(D, kind, R, N + (tuple((k - i) * r for i, r in enumerate(R[:-1])),),
+                      plan)
+
+
 def whole_split(poly):
     """The k = 1 split of the monic ``poly`` of degree n: R = Y - s, s the
     sum of its roots, is Y plus its coefficient of x^(n-1), and N_j is its
     coefficient of x^j."""
-    c = poly.coeffs
-    return HeckeSplit(poly.D, poly.kind, (c[-2], c[-1]), tuple((x,) for x in c[:-1]),
-                      poly.plan)
+    return _split(poly.D, poly.kind, poly.coeffs, 1, poly.plan)
 
 
 def _theta_values(kind, forms, prec):
@@ -288,16 +299,16 @@ def _from_fixed(re, im, P):
 def class_poly_full(D, kind=None, max_bits=DEFAULT_MAX_BITS):
     """H_D[theta] with integer coefficients: the exact rounding of its k = 1
     split over the N-system, with no q_i*, every mask and coset 0, and
-    T = ``height_bound``, which bounds every coefficient by Vieta.  R's
-    coefficient -s = e_(n-1), the rounding's first row, is dropped."""
+    T = ``hecke_T`` = prod (1 + B_f), which bounds every coefficient by
+    Vieta.  Its rows are N_j = e_j, j < n - 1, then R's -s = e_(n-1)."""
     kind = kind or InvariantKind.j()
     d = Discriminant.from_D(D)
     kind.validate_for(d)
     forms = n_system(D, kind.modulus(d), kind.b_target(d))
     zeros = [0] * len(forms)
-    rows, _ = _exact_rounding(D, kind, (), forms, zeros, height_bound(kind, forms), max_bits,
-                              zeros)
-    return ClassPolynomial(D, kind, None, tuple(row[0] for row in rows[1:]) + (1,))
+    rows, _ = _exact_rounding(D, kind, (), forms, zeros, hecke_T(kind, forms, zeros, zeros),
+                              max_bits, zeros)
+    return ClassPolynomial(D, kind, None, tuple(row[0] for row in rows) + (1,))
 
 
 def hecke_T(kind, forms, masks, cosets):
@@ -307,10 +318,10 @@ def hecke_T(kind, forms, masks, cosets):
     c over the genus's H-cosets (``cosets``) and B_f = ``theta_bound``.
     |s_c| <= sum B_f and, by Vieta, |e_j(c)| <= prod (1 + B_f), so T_R
     bounds every coefficient of R and T_N every coefficient of every N_j,
-    whichever of their conjugates.  At 64 bits, padded by 1 + 2^-32 as
-    ``height_bound`` is.  With one coset per genus (k = 1) T_N is the
-    genus's product itself, so T is then bit for bit the largest
-    ``height_bound`` over the genera."""
+    whichever of their conjugates.  At 64 bits, padded by 1 + 2^-32 to
+    cover its own rounding.  With one coset per genus (k = 1) T_N is the
+    genus's product prod (1 + B_f) itself, which bounds every coefficient
+    of the genus's polynomial by Vieta, and T is the largest of them."""
     with mp.workprec(64):
         genera = {}
         for f, mu, c in zip(forms, masks, cosets):
@@ -346,7 +357,7 @@ def _check_cap(D, bits, cap):
 def class_poly_divisor(D, kind=None, max_bits=DEFAULT_MAX_BITS, route="paper"):
     """The principal genus divisor of H_D[theta] with exact genus-field
     coefficients: its k = 1 split at T = ``hecke_T``, the largest
-    ``height_bound`` over the genera, recovered on ``route``.  Its ``plan``
+    prod (1 + B_f) over the genera, recovered on ``route``.  Its ``plan``
     is the ConjugatePlan or the RecoveryPlan that produced them.  Every
     other coset's divisor is a Galois conjugate of this one
     (``coset_divisor``).  See ``_memoized`` for the routes, memo and cap."""
@@ -411,9 +422,8 @@ def _recover(d, kind, route, max_bits, split):
     else:
         coeffs, plan = _paper_recovery(d, kind, sel, T, max_bits, dict(zip(forms, cosets)))
     if not split:
-        return ClassPolynomial(d.D, kind, (1,) * d.t, coeffs[1:], plan=plan)
-    return HeckeSplit(d.D, kind, coeffs[:k] + coeffs[-1:],
-                      tuple(coeffs[i:i + k] for i in range(k, len(coeffs) - 1, k)), plan)
+        return ClassPolynomial(d.D, kind, (1,) * d.t, coeffs, plan=plan)
+    return _split(d.D, kind, coeffs, k, plan)
 
 
 def _conjugate_recovery(d, kind, forms, masks, T, max_bits, cosets):
@@ -469,11 +479,11 @@ def _exact_rounding(D, kind, qstars, forms, masks, T, max_bits, cosets):
 def _exact_attempt(kind, qstars, forms, masks, B, T, cosets):
     """The exact coordinates of the ``HeckeSplit`` along the H-cosets that
     ``cosets`` labels (``_hecke``), over Q(sqrt(q_1*), ..., sqrt(q_t*)),
-    read off all N = 2^t of its embeddings: one row per coefficient, R's
-    without its leading coefficient and then N_0's, N_1's, ..., each row
-    holding the integers N a_S for every subset mask S of the q_i*.  With
-    every coset 0 (k = 1) the rows are -s = e_(n-1) and then the monic
-    divisor's e_0, ..., e_(n-1).
+    read off all N = 2^t of its embeddings: one row per coefficient of
+    N_0, ..., N_(|H|-2) and then of R but its leading 1 (R fixes N_(|H|-1)),
+    each row holding the integers N a_S for every subset mask S of the q_i*.
+    With every coset 0 (k = 1) the rows are the monic divisor's e_0, ...,
+    e_(n-2) and R's -s = e_(n-1).
 
     The forms of mask mu give sigma_mu of each coefficient, sigma_mu the
     principal embedding after tau_mu, which flips sqrt(q_i*) for each bit i
@@ -540,8 +550,9 @@ def _exact_attempt(kind, qstars, forms, masks, B, T, cosets):
 
 
 def _hecke(values, coset, prec):
-    """The coefficients of one genus's R (but its leading 1) and of its
-    N_0, N_1, ... (``HeckeSplit``), and a bound eps on each one's error.
+    """The coefficients of one genus's N_0, ..., N_(|H|-2) and then of R but
+    its leading 1 (``HeckeSplit``: R fixes N_(|H|-1) = k R - Y R'), and a
+    bound eps on each one's error.
 
     ``values`` are the genus's entries of ``_theta_values`` and ``coset``
     maps each form to its H-coset.  A pair whose mirror lies in another
@@ -552,7 +563,7 @@ def _hecke(values, coset, prec):
     x^2 - 2 Re(theta) x + |theta|^2 and a single value as x - theta, s_c is
     their sum, and R and each Q_c = prod_(c' != c) (Y - s_c') are products
     of the s_c; then N_j = sum_c e_j(c) Q_c.  With one coset, R = Y - s,
-    Q_c = 1 and N_j = e_j: the genus's monic product, exactly.
+    Q_c = 1 and N_j = e_j, and -s is e_(n-1) bit for bit: the genus's product.
 
     Error, u = 2^-prec, n values in the genus and n_c in coset c, each with
     |theta~ - theta| <= u (1 + |theta|), the contract of ``theta_value`` at
@@ -590,9 +601,10 @@ def _hecke(values, coset, prec):
             groups.setdefault(coset[f], []).append((f, th, paired))
     groups = list(groups.values())
     with mp.workprec(64):
-        S = [1 + mp.fsum((1 + paired) * abs(th) for _, th, paired in g) for g in groups]
-        M = [mp.fprod((1 + abs(th)) ** (1 + paired) for _, th, paired in g) for g in groups]
-        n = sum(1 + paired for g in groups for _, _, paired in g)
+        mags = [[(1 + paired, abs(th)) for _, th, paired in g] for g in groups]
+        S = [1 + mp.fsum(m * a for m, a in g) for g in mags]
+        M = [mp.fprod((1 + a) ** m for m, a in g) for g in mags]
+        n = sum(m for g in mags for m, _ in g)
         eps = _majorant(S, M) * mp.mpf(2) ** (n.bit_length() + 4 - prec)
     P = prec + 64
     roots = [_fixed(g, P) for g in groups]
@@ -603,14 +615,14 @@ def _hecke(values, coset, prec):
     Q = [_product(s[:i] + s[i + 1:], P) for i in range(len(s))]
     N = [((sum(pr[j] * qr[i] - pi[j] * qi[i] for (pr, pi), (qr, qi) in zip(polys, Q)) >> P),
           (sum(pr[j] * qi[i] + pi[j] * qr[i] for (pr, pi), (qr, qi) in zip(polys, Q)) >> P))
-         for j in range(len(polys[0][0]) - 1) for i in range(len(s))]
-    return _from_fixed(R[0][:-1] + [x for x, _ in N], R[1][:-1] + [y for _, y in N], P), eps
+         for j in range(len(polys[0][0]) - 2) for i in range(len(s))]
+    return _from_fixed([x for x, _ in N] + R[0][:-1], [y for _, y in N] + R[1][:-1], P), eps
 
 
 def _check_height(x, T, what):
     """Escalate unless every embedding of the exact coefficient x is at most
     T.  At t + 67 bits each is within 2^-64 K of its value, K the largest
-    (``embeddings``), and the 1 + 2^-32 pad of ``height_bound`` covers that."""
+    (``embeddings``), and the 1 + 2^-32 pad of ``hecke_T`` covers that."""
     prec = len(x.qstars) + 67
     with mp.workprec(prec):
         if any(abs(v) > T for v in embeddings(x, prec)):
@@ -620,8 +632,9 @@ def _check_height(x, T, what):
 def _divisor_attempt(kind, sel, plan, coset):
     """The paper route: recover each coefficient of the ``HeckeSplit``
     (``_hecke``) of the principal genus's forms ``sel`` along the H-cosets
-    that ``coset`` maps them to, R's and then every N_j's, from the
-    principal embedding with ``plan``.  The 1 that leads R comes last.
+    that ``coset`` maps them to, N_0's, ..., N_(|H|-2)'s and then R's (R
+    fixes N_(|H|-1) = k R - Y R'), from the principal embedding with
+    ``plan``.  The 1 that leads R comes last: at k = 1, the divisor itself.
 
     Theta runs at float_bits + ``_pad(n)``, so each coefficient is off by
     at most 2^-float_bits V, V the larger of ``_hecke``'s V_R and V_N; the

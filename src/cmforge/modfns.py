@@ -22,9 +22,9 @@ All q-series here have real coefficients, so theta(-conj z) = conj theta(z);
 ``classpoly`` relies on this to evaluate one form of each mirror pair
 (A, +-B, C).  ``j_from_theta`` inverts each invariant's relation to j over
 F_p, with the Weber cases read from the same table that ``theta_value``
-evaluates.  ``theta_bound`` bounds |theta| at one form in closed form, and
-``height_bound`` turns those bounds into one on every coefficient of the
-forms' polynomial; both paths size their precision from it.
+evaluates.  ``theta_bound`` bounds |theta| at one form in closed form;
+``classpoly.hecke_T`` turns those bounds into one on every coefficient a
+recovery rounds, and both routes size their precision from it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "InvariantKind",
     "theta_value",
     "theta_bound",
-    "height_bound",
     "j_from_theta",
 ]
 
@@ -406,19 +405,6 @@ def theta_bound(kind: InvariantKind, form: QuadForm):
                 g = (2 * max(48, mp.sqrt(b + 768))) ** (mp.mpf(e) / 24) / mp.sqrt(2 ** k)
                 b = g ** 3 if kind.weber_cubed(D) else g
         return b * (1 + mp.mpf(2) ** -32)
-
-
-def height_bound(kind: InvariantKind, forms):
-    """T = prod (1 + B_f) over ``forms``: by Vieta it bounds every
-    coefficient of prod (x - theta_f), whichever of its conjugates.
-
-    A 64-bit product, padded by 1 + 2^-32 to cover its own rounding.
-    """
-    with mp.workprec(64):
-        T = mp.one
-        for f in forms:
-            T *= 1 + theta_bound(kind, f)
-        return T * (1 + mp.mpf(2) ** -32)
 
 
 def j_from_theta(r, kind: InvariantKind, p, D=None):

@@ -18,8 +18,9 @@ from cmforge.forms import QuadForm, enumerate_reduced, n_system, phi_class, powe
     reduce_form
 from cmforge.genusfield import GFElem, embeddings
 from test_genusfield import from_json, sigma_ref
-from cmforge.modfns import InvariantKind, height_bound
+from cmforge.modfns import InvariantKind
 from test_golden import DIVISORS, FULL, digest
+from test_modfns import height_reference
 
 J = InvariantKind.j()
 
@@ -136,7 +137,7 @@ def test_galois_action_permutes_cosets():
         seen = set()
         for phi in coset_labels(D):
             sel = [f for f in forms if phi_class(f, d) == phi]
-            own = classpoly._divisor_attempt(kind, sel, div.plan, dict.fromkeys(sel, 0))[1:]
+            own = classpoly._divisor_attempt(kind, sel, div.plan, dict.fromkeys(sel, 0))
             conj = coset_divisor(div, phi)
             assert conj.phi0 == phi and conj.coeffs == own, (D, invariant, phi)
             assert conj == coset_divisor(class_poly_divisor(D, kind, route="conjugates"), phi)
@@ -166,7 +167,7 @@ def test_height_bound_covers_every_coset_divisor(D, invariant):
     # conjugates are the other cosets' coefficients); -5460 weber is where
     # the old heuristic T0 fell 16.9 bits short.  T0 is hecke_T with one
     # coset per genus, bit for bit: its T_N as sum_c M_c T_R / S_c missed
-    # the largest height_bound by an ulp at -791 gamma2 and -2519 j
+    # the largest height_reference by an ulp at -791 gamma2 and -2519 j
     kind = InvariantKind.parse(invariant)
     d = Discriminant.from_D(D)
     div = class_poly_divisor(D, kind, route="conjugates")
@@ -175,12 +176,12 @@ def test_height_bound_covers_every_coset_divisor(D, invariant):
     T0 = div.plan.T
     masks = [classpoly._mask(lab) for lab in labels]
     assert T0 == hecke_T(kind, forms, masks, [0] * len(forms)) == \
-        max(height_bound(kind, [f for f, lab in zip(forms, labels) if lab == phi])
+        max(height_reference(kind, [f for f, lab in zip(forms, labels) if lab == phi])
             for phi in set(labels))
     prec = int(mp.mag(T0)) + 128
     with mp.workprec(prec):
         for phi in coset_labels(D):
-            T = height_bound(kind, [f for f, lab in zip(forms, labels) if lab == phi])
+            T = height_reference(kind, [f for f, lab in zip(forms, labels) if lab == phi])
             for c in coset_divisor(div, phi).coeffs:
                 assert abs(sigma_ref(c, 0, prec)) <= T
                 for lam in range(1 << d.t):
@@ -192,7 +193,11 @@ def test_height_bound_covers_every_coset_divisor(D, invariant):
 def test_height_bound_covers_full_coefficients(D, invariant):
     kind = InvariantKind.parse(invariant)
     d = Discriminant.from_D(D)
-    T = height_bound(kind, n_system(D, kind.modulus(d), kind.b_target(d)))
+    # class_poly_full's T, hecke_T at one coset, is the product bit for bit
+    forms = n_system(D, kind.modulus(d), kind.b_target(d))
+    zeros = [0] * len(forms)
+    T = height_reference(kind, forms)
+    assert T == hecke_T(kind, forms, zeros, zeros)
     assert max(abs(c) for c in class_poly_full(D, kind).coeffs) <= T
 
 
@@ -230,23 +235,23 @@ def test_precision_cap_full(monkeypatch):
     # 174-bit coefficients cannot be trusted at <= 16 working bits: with the
     # height bound replaced by 2^8, the attempt at 9 bits escalates and the
     # next one, at 18, is above the cap
-    monkeypatch.setattr(classpoly, "height_bound", lambda kind, forms: mp.mpf(256))
+    monkeypatch.setattr(classpoly, "hecke_T", lambda kind, forms, masks, cosets: mp.mpf(256))
     with pytest.raises(PrecisionExhausted):
         class_poly_full(-652, J, max_bits=16)
 
 
 def exact_args(D, kind, full):
     """The arguments after ``kind`` but B of ``_exact_attempt`` for the k = 1
-    split of the full polynomial (no q_i*, every mask 0, T = height_bound)
-    or of the principal divisor (the genus field, one mask per coset,
-    T = hecke_T), every coset 0, and the rows after R's that they must
-    give."""
+    split of the full polynomial (no q_i*, every mask 0) or of the
+    principal divisor (the genus field, one mask per coset), T = hecke_T
+    and every coset 0, and the rows that they must give: the polynomial's
+    but its leading 1."""
     d = Discriminant.from_D(D)
     forms = n_system(D, kind.modulus(d), kind.b_target(d))
     zeros = [0] * len(forms)
     if full:
         rows = [[c] for c in class_poly_full(D, kind).coeffs[:-1]]
-        return ((), forms, zeros, height_bound(kind, forms), zeros), rows
+        return ((), forms, zeros, hecke_T(kind, forms, zeros, zeros), zeros), rows
     masks = [classpoly._mask(phi_class(f, d)) for f in forms]
     N = 1 << d.t
     rows = [[int(c.coeff(S) * N) for S in range(N)]
@@ -265,10 +270,10 @@ def test_exact_attempt_escalates_to_correct_answer(D, full):
         classpoly._exact_attempt(J, qstars, forms, masks, 8, T, cosets)
     for bits in (16, 32, 64, 128):
         try:
-            assert classpoly._exact_attempt(J, qstars, forms, masks, bits, T, cosets)[1:] == want
+            assert classpoly._exact_attempt(J, qstars, forms, masks, bits, T, cosets) == want
         except PrecisionEscalation:
             pass
-    assert classpoly._exact_attempt(J, qstars, forms, masks, B, T, cosets)[1:] == want
+    assert classpoly._exact_attempt(J, qstars, forms, masks, B, T, cosets) == want
 
 
 @pytest.mark.parametrize("D,full", [(-652, True), (-1239, False)], ids=["-652", "-1239"])
@@ -289,7 +294,7 @@ def test_exact_attempt_checks_the_height_bound(D, full):
                       for lam in range(1 << len(qstars)))
         above, below = top * (1 + mp.mpf(2) ** -20), top * (1 - mp.mpf(2) ** -20)
     assert below < T
-    assert classpoly._exact_attempt(J, qstars, forms, masks, B, above, cosets)[1:] == want
+    assert classpoly._exact_attempt(J, qstars, forms, masks, B, above, cosets) == want
     with pytest.raises(PrecisionEscalation, match="height bound"):
         classpoly._exact_attempt(J, qstars, forms, masks, B, below, cosets)
 
@@ -321,7 +326,7 @@ def test_height_check_is_sharp(D, invariant):
         below, above = max(tops) * (1 - mp.mpf(2) ** -40), max(tops) * (1 + mp.mpf(2) ** -40)
     one = dict.fromkeys(sel, 0)
     assert classpoly._divisor_attempt(kind, sel, dataclasses.replace(div.plan, T0=above),
-                                      one)[1:] == div.coeffs
+                                      one) == div.coeffs
     with pytest.raises(PrecisionEscalation, match="exceeds the height bound"):
         classpoly._divisor_attempt(kind, sel, dataclasses.replace(div.plan, T0=below), one)
 
@@ -423,7 +428,7 @@ def test_plan_reuse_same_result():
     d = Discriminant.from_D(-120)
     forms = n_system(-120, J.modulus(d), J.b_target(d))
     sel = [f for f in forms if phi_class(f, d) == div.phi0]
-    assert classpoly._divisor_attempt(J, sel, div.plan, dict.fromkeys(sel, 0))[1:] == div.coeffs
+    assert classpoly._divisor_attempt(J, sel, div.plan, dict.fromkeys(sel, 0)) == div.coeffs
 
 
 def test_gamma2_divisor_consistent_with_cube_root():
@@ -453,12 +458,12 @@ def test_expand_error_bound_holds(D, invariant):
     d = Discriminant.from_D(D)
     forms = n_system(D, kind.modulus(d), kind.b_target(d))
     exact = class_poly_full(D, kind).coeffs
-    top = int(mp.mag(height_bound(kind, forms)))
+    top = int(mp.mag(height_reference(kind, forms)))
     for prec in (24, top // 2 + 16, top + 24):
         values = classpoly._theta_values(kind, forms, prec)
         poly, eps = classpoly._hecke(values, dict.fromkeys(forms, 0), prec)
         with mp.workprec(prec + 64):
-            assert max(abs(c - e) for c, e in zip(poly[1:], exact)) <= eps / 4, prec
+            assert max(abs(c - e) for c, e in zip(poly, exact)) <= eps / 4, prec
 
 
 @pytest.mark.parametrize("shift", [40, 20])
@@ -566,7 +571,7 @@ def test_expand_matches_the_floating_point_loop(D, invariant, phi):
     forms = n_system(D, kind.modulus(d), kind.b_target(d))
     if phi is not None:
         forms = [f for f in forms if phi_class(f, d) == phi]
-    top = int(mp.mag(height_bound(kind, forms)))
+    top = int(mp.mag(height_reference(kind, forms)))
     for prec in (24, top // 2 + 16, top + 24):
         values = classpoly._theta_values(kind, forms, prec)
         if phi is not None:
@@ -575,7 +580,7 @@ def test_expand_matches_the_floating_point_loop(D, invariant, phi):
         poly, eps = classpoly._hecke(values, dict.fromkeys(forms, 0), prec)
         want = expand_reference(values, prec)
         with mp.workprec(prec + 64):
-            assert max(abs(c - e) for c, e in zip(poly[1:], want)) <= eps / 4, prec
+            assert max(abs(c - e) for c, e in zip(poly, want)) <= eps / 4, prec
 
 
 def attempt_forms(D, principal):
@@ -726,16 +731,17 @@ def split_args(D, kind=J):
 
 
 def split_rows(split):
-    """The rows N a_S of R (but its leading 1) and of every N_j, in order."""
+    """The rows N a_S of every N_j but the last and then of R (but its
+    leading 1), in order: the coefficients that a recovery rounds."""
     N = 1 << len(split.R[-1].qstars)
     return [[int(c.coeff(S) * N) for S in range(N)]
-            for c in split.R[:-1] + sum(split.N, ())]
+            for c in sum(split.N[:-1], ()) + split.R[:-1]]
 
 
 def test_split_at_prime_n_is_the_divisor():
     # -47: n = 5 is prime, so k = 1 and the split is the conjugate-route
     # divisor, R = Y - s and N_j = e_j.  The Hecke rounding itself, with
-    # one coset per genus, gives R's row and then the divisor's rows
+    # one coset per genus, gives the divisor's rows, -s = e_4 last
     split = class_poly_split(-47)
     div = class_poly_divisor(-47, route="conjugates")
     assert (split.k, len(split.N), split.degree) == (1, 5, 5)
@@ -762,23 +768,60 @@ def test_hecke_T_is_the_closed_form(D, bits):
 
 @pytest.mark.parametrize("D", [-1239, -2519])
 def test_split_attempt_escalates_or_is_exact(D):
-    # below log2 T + t an attempt escalates; at it the rows are R's and the
-    # N_j's; with T just below their largest embedding (the a-priori bound
-    # and every rounding still pass) only the height check stops it
+    # below log2 T + t an attempt escalates; at it the rows are the N_j's
+    # but the last and then R's; with T just below their largest embedding
+    # (the a-priori bound and every rounding still pass) only the height
+    # check stops it
     d, forms, masks, cosets, k = split_args(D)
     split = class_poly_split(D)
     T, B = split.plan.T, split.plan.B
     want = split_rows(split)
-    assert split.k == k and len(want) == k * (1 + len(split.N))
+    assert split.k == k and len(want) == k * len(split.N)
     with pytest.raises(PrecisionEscalation):
         classpoly._exact_attempt(J, d.qstars, forms, masks, 8, T, cosets)
     assert classpoly._exact_attempt(J, d.qstars, forms, masks, B, T, cosets) == want
     with mp.workprec(B + 64):
-        top = max(abs(v) for c in split.R[:-1] + sum(split.N, ())
+        top = max(abs(v) for c in sum(split.N[:-1], ()) + split.R[:-1]
                   for v in embeddings(c, B + 64))
         below = top * (1 - mp.mpf(2) ** -20)
     with pytest.raises(PrecisionEscalation, match="height bound"):
         classpoly._exact_attempt(J, d.qstars, forms, masks, B, below, cosets)
+
+
+def test_a_recovery_rounds_k_H_coefficients(monkeypatch):
+    # a split recovers its k |H| coefficients and no more: N_(|H|-1) =
+    # k R - Y R' comes from R, and at k = 1 the rows are the polynomial's
+    # own.  At -2519 the conjugate route rounds 4 * 8 rows for the split,
+    # 32 for the divisor and 64 for the full polynomial; on the paper route
+    # the -9911 split (2 * 17, real) makes one recover_coords call per
+    # coefficient
+    d, forms, masks, cosets, _ = split_args(-2519)
+    zeros = [0] * len(forms)
+    counts = []
+    for qstars, mu, labels in ((d.qstars, masks, cosets), (d.qstars, masks, zeros),
+                               ((), zeros, zeros)):
+        T = hecke_T(J, forms, mu, labels)
+        rows, _ = classpoly._exact_rounding(-2519, J, qstars, forms, mu, T,
+                                            classpoly.DEFAULT_MAX_BITS, labels)
+        counts.append(len(rows))
+    assert counts == [32, 32, 64]
+    assert rows == [[c] for c in class_poly_full(-2519).coeffs[:-1]]
+
+    d, forms, masks, cosets, k = split_args(-9911)
+    paper = class_poly_split(-9911, route="paper")
+    assert classpoly.IMAG_PART not in paper.plan.sides
+    sel = [f for f, mu in zip(forms, masks) if mu == 0]
+    calls = []
+    recover = classpoly.recover_coords
+
+    def counting(gamma, plan, side):
+        calls.append(side)
+        return recover(gamma, plan, side)
+
+    monkeypatch.setattr(classpoly, "recover_coords", counting)
+    coeffs = classpoly._divisor_attempt(J, sel, paper.plan, dict(zip(forms, cosets)))
+    assert len(calls) == k * len(paper.N) == 34
+    assert classpoly._split(-9911, J, coeffs, k, paper.plan) == paper
 
 
 def test_hecke_takes_apart_a_pair_split_across_cosets(monkeypatch):

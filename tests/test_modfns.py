@@ -3,6 +3,7 @@ import pytest
 from mpmath import mp
 
 from cmforge.arith import Discriminant
+from cmforge.classpoly import hecke_T
 from cmforge.errors import InvalidParameters, UnsupportedInvariant
 from cmforge.forms import QuadForm, n_system, root_of_form
 from cmforge.modfns import (
@@ -11,7 +12,6 @@ from cmforge.modfns import (
     InvariantKind,
     _eta_quotient,
     _pentagonal,
-    height_bound,
     theta_bound,
     theta_value,
 )
@@ -24,6 +24,17 @@ ETA = (24, ((24, 1, 1),), 1, 1)   # eta(z) = q^(1/24) P(q), as a kernel quotient
 
 def eta(z, prec):
     return _eta_quotient(z, *ETA, prec)
+
+
+def height_reference(kind, forms):
+    """prod (1 + theta_bound) over ``forms`` at 64 bits, padded by
+    1 + 2^-32: the bound every coefficient of their polynomial meets by
+    Vieta, which ``hecke_T`` gives at one coset."""
+    with mp.workprec(64):
+        T = mp.one
+        for f in forms:
+            T *= 1 + theta_bound(kind, f)
+        return T * (1 + mp.mpf(2) ** -32)
 
 
 def weber_f(z, prec):
@@ -332,8 +343,8 @@ def test_bounds_ignore_caller_precision():
     for prec in (53, 5000):
         with mp.workprec(prec):
             got.append(([theta_bound(kind, f) for f in forms],
-                        height_bound(kind, forms),
-                        height_bound(InvariantKind.j(), [QuadForm(1, 1, 310)])))
+                        hecke_T(kind, forms, [0] * len(forms), [0] * len(forms)),
+                        hecke_T(InvariantKind.j(), [QuadForm(1, 1, 310)], [0], [0])))
     assert got[0] == got[1]
 
 

@@ -15,11 +15,12 @@ from cmforge.genusfield import IMAG_PART, REAL_PART, adjugate, build_basis, buil
 from cmforge.arith import Discriminant
 from cmforge.classpoly import class_poly_divisor, coset_divisor, coset_labels, hecke_T
 from cmforge.forms import QuadForm, n_system, phi_class
-from cmforge.modfns import InvariantKind, height_bound
+from cmforge.modfns import InvariantKind
 from cmforge.recover import make_plan, recover_coords, recovery_matrix, \
     _solve_adjugate
 from test_genusfield import sigma_ref
 from test_golden import DIVISORS, digest
+from test_modfns import height_reference
 
 J = InvariantKind.j()
 BOTH = (REAL_PART, IMAG_PART)
@@ -58,16 +59,16 @@ def test_coset_sums_examples():
     # is the larger form's 1 + B_f, padded once more for the product
     T0, labels = _genus_T0_at(-40, InvariantKind.j())
     assert len(set(labels)) == 2
-    assert T0 == height_bound(InvariantKind.j(), [QuadForm(1, 0, 10)])
+    assert T0 == height_reference(InvariantKind.j(), [QuadForm(1, 0, 10)])
     # h(-3) = 1: one genus of the one form (1,1,1)
     T0, labels = _genus_T0_at(-3, InvariantKind.j())
     assert len(set(labels)) == 1
-    assert T0 == height_bound(InvariantKind.j(), [QuadForm(1, 1, 1)])
+    assert T0 == height_reference(InvariantKind.j(), [QuadForm(1, 1, 1)])
 
 
 def _check_T0_minus40(kind, c, b):
     T0, _ = _genus_T0_at(-40, kind)
-    assert T0 == height_bound(kind, [QuadForm(1, 0, 10)])
+    assert T0 == height_reference(kind, [QuadForm(1, 0, 10)])
     assert T0 == class_poly_divisor(-40, kind, route="paper").plan.T0
     # the genus divisors are x - theta_f, and theta at (1, 0, 10) is the
     # larger root of the full polynomial x^2 + b x + c
