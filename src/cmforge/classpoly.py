@@ -23,7 +23,7 @@ when no route is named.  Either way every other coset's divisor is a Galois
 conjugate of the principal one.
 
 What ``gen_curve`` reduces is the divisor split along the H of Cl^2 that
-``forms.power_cosets`` picks (``class_poly_split``), at the far smaller T
+``forms.class_group`` picks (``class_poly_split``), at the far smaller T
 of ``hecke_T``, so that a root mod p needs root searches of degree k and
 |H| instead of one of degree k |H|: its default path takes the conjugate
 route, its divisor path the paper route.  Exact divisors and splits are
@@ -45,8 +45,7 @@ from mpmath.libmp import to_fixed
 
 from .arith import Discriminant
 from .errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted
-from .forms import QuadForm, enumerate_reduced, n_system, phi_class, power_cosets, \
-    reduce_form
+from .forms import QuadForm, class_group, genus_mask, n_system
 from .genusfield import IMAG_PART, REAL_PART, GFElem, build_basis, build_mpair, \
     embeddings, gf_rational, gf_to_json, negative_mask, root_products, walsh_hadamard
 from .modfns import InvariantKind, theta_bound, theta_value
@@ -366,7 +365,7 @@ def class_poly_divisor(D, kind=None, max_bits=DEFAULT_MAX_BITS, route="paper"):
 
 def class_poly_split(D, kind=None, max_bits=DEFAULT_MAX_BITS, route="conjugates"):
     """The principal genus divisor of H_D[theta] as a ``HeckeSplit`` along
-    the subgroup H of Cl^2 that ``forms.power_cosets`` picks: R and every
+    the subgroup H of Cl^2 that ``forms.class_group`` picks: R and every
     N_j with exact genus-field coefficients at T = ``hecke_T``.
     ``gen_curve`` reduces the conjugate route's on its default path and the
     paper route's on its divisor path.  At k = 1 (n prime, or Cl^2 of
@@ -405,17 +404,14 @@ def _memoized(D, kind, max_bits, route, split):
 def _recover(d, kind, route, max_bits, split):
     """The principal genus divisor, recovered as its split with every form
     in coset 0 (k = 1), or, when ``split``, its ``HeckeSplit`` along the H
-    that ``power_cosets`` picks.  When that H gives k = 1, the split is
-    ``whole_split`` of the memoized divisor."""
+    that ``class_group`` picks.  When that H gives k = 1, the split is
+    ``whole_split`` of the memoized divisor.  Masks and cosets go by index."""
+    masks = class_group(d.D).masks
+    k, cosets = class_group(d.D).split if split else (1, (0,) * len(masks))
+    if k == 1 and split:
+        return whole_split(class_poly_divisor(d.D, kind, max_bits, route=route))
     forms = n_system(d.D, kind.modulus(d), kind.b_target(d))
-    masks = [_mask(phi_class(f, d)) for f in forms]
     sel = [f for f, mu in zip(forms, masks) if mu == 0]
-    k, cosets = 1, [0] * len(forms)
-    if split:
-        k, coset = power_cosets(d.D, [reduce_form(f) for f in sel])
-        if k == 1:
-            return whole_split(class_poly_divisor(d.D, kind, max_bits, route=route))
-        cosets = [coset[reduce_form(f)] for f in forms]
     T = hecke_T(kind, forms, masks, cosets)
     if route == "conjugates":
         coeffs, plan = _conjugate_recovery(d, kind, forms, masks, T, max_bits, cosets)
@@ -456,11 +452,6 @@ def _paper_recovery(d, kind, sel, T, max_bits, coset):
             return _divisor_attempt(kind, sel, plan, coset), plan
         except PrecisionEscalation:
             plan = make_plan(mpair, sides, mp.fmul(plan.T0, plan.T0, exact=True))
-
-
-def _mask(phi):
-    """The automorphism mask of a coset label: bit i where phi_i = -1."""
-    return sum(1 << i for i, e in enumerate(phi) if e == -1)
 
 
 def _exact_rounding(D, kind, qstars, forms, masks, T, max_bits, cosets):
@@ -667,15 +658,11 @@ def _divisor_attempt(kind, sel, plan, coset):
 
 
 def coset_labels(D):
-    """The image of the genus character map: 2^(t-1) labels."""
-    d = Discriminant.from_D(D)
-    seen = []
-    for f in enumerate_reduced(D):
-        lab = phi_class(f, d)
-        if lab not in seen:
-            seen.append(lab)
-    assert len(seen) == d.m
-    return seen
+    """The image of the genus character map: 2^(t-1) labels, in the order
+    of their first forms in ``class_group(D)``."""
+    group = class_group(D)
+    return [tuple(-1 if mu >> i & 1 else 1 for i in range(group.disc.t))
+            for mu in dict.fromkeys(group.masks)]
 
 
 def coset_divisor(poly, phi):
@@ -686,7 +673,7 @@ def coset_divisor(poly, phi):
     exactly where phi_i = -1 (labels in ``Discriminant.qstars`` order).
     """
     return ClassPolynomial(poly.D, poly.kind, tuple(phi),
-                           tuple(c.tau(_mask(phi)) for c in poly.coeffs))
+                           tuple(c.tau(genus_mask(phi)) for c in poly.coeffs))
 
 
 def coset_product_check(full, divisor):

@@ -1,13 +1,15 @@
 """Binary quadratic forms: reduction, class enumeration, composition, N-systems, genus characters.
 
 Forms (A, B, C) are positive definite with discriminant B^2 - 4AC = D < 0.
-An N-system is one representative per class with gcd(A, N) = 1 and all B
-congruent mod 2N — the shape needed before evaluating level-N modular
-functions at form roots.
+``class_group(D)``, built once per D per process, holds the reduced forms,
+their genus masks and, on first use, the split of the principal genus.  An
+N-system is one representative per class with gcd(A, N) = 1 and all B
+congruent mod 2N, the shape needed to evaluate level-N functions at roots.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,12 +22,13 @@ __all__ = [
     "QuadForm",
     "reduce_form",
     "enumerate_reduced",
+    "class_group",
     "make_coprime",
     "n_system",
     "compose",
-    "power_cosets",
     "root_of_form",
     "phi_class",
+    "genus_mask",
 ]
 
 
@@ -83,23 +86,70 @@ def reduce_form(f: QuadForm) -> QuadForm:
 
 
 def enumerate_reduced(D: int) -> list[QuadForm]:
-    """All primitive reduced forms of discriminant D, ordered by (A, B)."""
+    """All primitive reduced forms of discriminant D, ordered by (A, B), by
+    Cohen's loop (A Course in Computational Algebraic Number Theory, 5.3.5):
+    each A | (B^2 - D)/4 with B <= A <= C, for B = D (mod 2) in [0, sqrt(|D|/3)]."""
     if D >= 0 or D % 4 not in (0, 1):
         raise InvalidParameters(f"not an imaginary quadratic discriminant: {D}")
     out = []
-    for A in range(1, math.isqrt(-D // 3) + 1):
-        for B in range(-A + 1, A + 1):
-            if (B - D) % 2 != 0 or (B * B - D) % (4 * A) != 0:
-                continue
-            C = (B * B - D) // (4 * A)
-            if C < A:
-                continue
-            if B < 0 and A == C:
-                continue
-            if math.gcd(math.gcd(A, B), C) != 1:
+    for B in range(D % 2, math.isqrt(-D // 3) + 1, 2):
+        AC = (B * B - D) // 4
+        for A in range(max(B, 1), math.isqrt(AC) + 1):
+            C = AC // A
+            if AC % A or math.gcd(A, B, C) != 1:
                 continue
             out.append(QuadForm(A, B, C))
-    return out
+            if 0 < B < A < C:
+                out.append(QuadForm(A, -B, C))
+    return sorted(out, key=lambda f: (f.A, f.B))
+
+
+@dataclass(frozen=True)
+class ClassGroup:
+    """The class group at D: its reduced forms in ``enumerate_reduced``'s
+    order and their genus masks, bit i where (q_i*/.) = -1 in
+    ``Discriminant.qstars`` order, so the principal genus is mask 0."""
+    disc: Discriminant
+    forms: tuple[QuadForm, ...]
+    masks: tuple[int, ...]
+
+    @functools.cached_property
+    def split(self) -> tuple[int, tuple[int, ...]]:
+        """(k, cosets), built on first use: H = {x^e : x in Cl^2}, Cl^2 the
+        principal genus of n classes, of the index k that minimizes
+        max(k, |H|), the smaller k on a tie, with each form's H-coset label,
+        0, 1, ... in the order of ``forms``.  Every e | n is tried (x^n = 1),
+        as the q-th powers of the (e/q)-th, q the least prime factor of e."""
+        square = [f for f, mu in zip(self.forms, self.masks) if mu == 0]
+        n = len(square)
+        powers = {1: set(square)}
+        for e in range(2, n + 1):
+            if n % e == 0:
+                q = next(q for q in range(2, e + 1) if e % q == 0)
+                powers[e] = {_power(x, q) for x in powers[e // q]}
+        H = min(powers.values(), key=lambda H: (max(n // len(H), len(H)), n // len(H)))
+        label = {}
+        for f in self.forms:
+            if f not in label:
+                nxt = len(label) // len(H)
+                label.update((compose(f, x), nxt) for x in H)
+        k = len({label.get(f) for f in square})
+        if len(label) != len(self.forms) or k * len(H) != n:
+            raise InternalInvariantError(f"H-cosets of {len(H)} miss Cl^2 at {self.disc.D}")
+        return k, tuple(label[f] for f in self.forms)
+
+
+@functools.lru_cache(maxsize=8)
+def class_group(D: int) -> ClassGroup:
+    """The ``ClassGroup`` at D, from one ``enumerate_reduced``; the last few
+    are kept, so every route at one D shares it.  Raises unless the masks
+    take 2^(t-1) values and the principal genus holds h / 2^(t-1) forms."""
+    disc = Discriminant.from_D(D)
+    forms = tuple(enumerate_reduced(D))
+    masks = tuple(genus_mask(phi_class(f, disc)) for f in forms)
+    if len(set(masks)) != disc.m or masks.count(0) * disc.m != len(forms):
+        raise InternalInvariantError(f"the genus masks at {D} miss 2^(t-1) equal genera")
+    return ClassGroup(disc, forms, masks)
 
 
 def make_coprime(f: QuadForm, N: int) -> QuadForm:
@@ -136,9 +186,9 @@ def n_system(D: int, N: int, b_target: int | None = None) -> tuple[QuadForm, ...
 
     b_target picks the shared residue (it must have the parity of D); by
     default the first class's B is used.  A final translation shrinks |B|,
-    preserving the residue.
+    preserving the residue.  Its i-th form is in class_group(D).forms[i].
     """
-    reps = enumerate_reduced(D)
+    reps = class_group(D).forms
     out = []
     b = b_target
     for f in reps:
@@ -149,24 +199,16 @@ def n_system(D: int, N: int, b_target: int | None = None) -> tuple[QuadForm, ...
             raise InvalidParameters(f"target residue {b} has wrong parity for D={D}")
         a = (pow(g.A, -1, N) * ((b - g.B) // 2)) % N
         g = g.translate(a)
-        assert (g.B - b) % (2 * N) == 0
         # shrink |B| by multiples of 2NA for smaller roots
         j = round(g.B / (2 * N * g.A))
         if j:
             g = g.translate(-N * j)
-        out.append(g)
-    forms = tuple(out)
-    _check_n_system(forms, D, N, b, reps)
-    return forms
-
-
-def _check_n_system(forms: tuple[QuadForm, ...], D: int, N: int, b: int,
-                    reps: list[QuadForm]) -> None:
-    for g in forms:
         if math.gcd(g.A, N) != 1 or g.disc != D or (g.B - b) % (2 * N):
             raise InternalInvariantError(f"bad N-system member {g} for N={N}")
-    if sorted(map(reduce_form, forms), key=lambda q: (q.A, q.B)) != reps:
+        out.append(g)
+    if tuple(map(reduce_form, out)) != reps:
         raise InternalInvariantError("N-system does not hit every class exactly once")
+    return tuple(out)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -205,52 +247,23 @@ def _power(f: QuadForm, e: int) -> QuadForm:
     return out
 
 
-def power_cosets(D: int, square: list[QuadForm]) -> tuple[int, dict]:
-    """(k, coset): the subgroup H = {x^e : x in ``square``} of index k that
-    minimizes max(k, |H|), the smaller k on a tie, and the label of the
-    H-coset of every reduced form of discriminant D.
-
-    ``square`` holds the reduced forms of the classes of a subgroup (Cl^2,
-    the principal genus), n of them.  Every e | n is tried: x^n = 1, so the
-    e-th powers for any e are the gcd(e, n)-th powers.  The e-th powers are
-    the q-th powers of the (e/q)-th ones, q the least prime factor of e, so
-    each subgroup costs one powering per element of a larger one.  The
-    labels are 0, 1, ... in the order of ``enumerate_reduced``: a coset
-    takes the next one at its first form.
-    """
-    n = len(square)
-    powers = {1: set(square)}
-    for e in range(2, n + 1):
-        if n % e == 0:
-            q = next(q for q in range(2, e + 1) if e % q == 0)
-            powers[e] = {_power(x, q) for x in powers[e // q]}
-    H = min(powers.values(), key=lambda H: (max(n // len(H), len(H)), n // len(H)))
-    k = n // len(H)
-    coset = {}
-    for f in enumerate_reduced(D):
-        if f not in coset:
-            label = len(coset) // len(H)
-            for x in H:
-                coset[compose(f, x)] = label
-    return k, coset
-
-
 def root_of_form(f: QuadForm):
     """The root tau = (-B + sqrt(D)) / 2A in the upper half plane (ambient mp precision)."""
     return (mp.mpc(-f.B) + mp.sqrt(mp.mpc(f.disc))) / (2 * f.A)
 
 
 def phi_class(f: QuadForm, disc: Discriminant) -> tuple[int, ...]:
-    """Genus character vector ((q1*/A'), ..., (qt*/A')) on a class representative
-    with A' coprime to D.  Constant on classes; all entries +-1 and their
-    product is +1."""
-    g = make_coprime(f, -disc.D)
-    chi = tuple(kronecker(q, g.A) for q in disc.qstars)
-    if any(c == 0 for c in chi):
-        raise InternalInvariantError(f"character hit 0 on {g} (A not coprime to d?)")
-    prod = 1
-    for c in chi:
-        prod *= c
-    if prod != 1:
-        raise InternalInvariantError(f"character product != 1 on {g}: {chi}")
+    """Genus character vector ((q1*/m_1), ..., (qt*/m_t)), m_i the first of
+    the values A, C, A + B + C of the form coprime to q_i* (one is, as the
+    form is primitive).  Constant on classes; entries +-1 with product +1."""
+    chi = tuple(kronecker(q, next((m for m in (f.A, f.C, f.A + f.B + f.C)
+                                   if math.gcd(m, q) == 1), 0))
+                for q in disc.qstars)
+    if math.prod(chi) != 1:
+        raise InternalInvariantError(f"character product != 1 on {f}: {chi}")
     return chi
+
+
+def genus_mask(phi: tuple[int, ...]) -> int:
+    """The automorphism mask of a genus label: bit i where phi_i = -1."""
+    return sum(1 << i for i, e in enumerate(phi) if e == -1)

@@ -9,13 +9,14 @@ import pytest
 from mpmath import mp
 
 from cmforge import classpoly
-from cmforge.arith import Discriminant
+from cmforge import forms as forms_module
+from cmforge.arith import Discriminant, admissible_params
 from cmforge.classpoly import ClassPolynomial, class_poly_divisor, \
     class_poly_full, class_poly_split, coset_divisor, coset_labels, coset_product_check, \
     hecke_T
 from cmforge.errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted
-from cmforge.forms import QuadForm, enumerate_reduced, n_system, phi_class, power_cosets, \
-    reduce_form
+from cmforge.curve import gen_curve
+from cmforge.forms import QuadForm, class_group, enumerate_reduced, n_system, phi_class
 from cmforge.genusfield import GFElem, embeddings
 from test_genusfield import from_json, sigma_ref
 from cmforge.modfns import InvariantKind
@@ -114,6 +115,29 @@ def test_coset_product_through_mirror_pairs(D, kind):
     assert coset_check(D, kind)
 
 
+def test_one_enumeration_per_discriminant(monkeypatch):
+    # the paper route at -8399 builds the split (k = 1, so it takes the
+    # divisor), then the full polynomial and the coset-product check: all
+    # of them read one class group, from one enumeration of reduced forms
+    calls = []
+    enumerate_ = forms_module.enumerate_reduced
+
+    def counting(D):
+        calls.append(D)
+        return enumerate_(D)
+
+    class_group.cache_clear()
+    classpoly._DIVISORS.clear()
+    monkeypatch.setattr(forms_module, "enumerate_reduced", counting)
+    p = 274907238722596194051832421643153156721
+    prm = next(x for x in admissible_params(-8399, p)
+               if x.order == 274907238722596194027601968020124118000)
+    res = gen_curve(-8399, p, prm.u, prm.v, path="divisor")
+    assert res["order"] == prm.order
+    assert coset_product_check(class_poly_full(-8399), class_poly_divisor(-8399))
+    assert calls == [-8399]
+
+
 def test_coset_labels_group():
     labs = coset_labels(-84)
     assert len(labs) == 4
@@ -174,7 +198,7 @@ def test_height_bound_covers_every_coset_divisor(D, invariant):
     forms = n_system(D, kind.modulus(d), kind.b_target(d))
     labels = [phi_class(f, d) for f in forms]
     T0 = div.plan.T
-    masks = [classpoly._mask(lab) for lab in labels]
+    masks = class_group(D).masks
     assert T0 == hecke_T(kind, forms, masks, [0] * len(forms)) == \
         max(height_reference(kind, [f for f, lab in zip(forms, labels) if lab == phi])
             for phi in set(labels))
@@ -252,7 +276,7 @@ def exact_args(D, kind, full):
     if full:
         rows = [[c] for c in class_poly_full(D, kind).coeffs[:-1]]
         return ((), forms, zeros, hecke_T(kind, forms, zeros, zeros), zeros), rows
-    masks = [classpoly._mask(phi_class(f, d)) for f in forms]
+    masks = class_group(D).masks
     N = 1 << d.t
     rows = [[int(c.coeff(S) * N) for S in range(N)]
             for c in class_poly_divisor(D, kind, route="conjugates").coeffs[:-1]]
@@ -723,11 +747,9 @@ def split_args(D, kind=J):
     recovers at D: the N-system, each form's genus mask and H-coset label."""
     d = Discriminant.from_D(D)
     forms = n_system(D, kind.modulus(d), kind.b_target(d))
-    labels = [phi_class(f, d) for f in forms]
-    square = [reduce_form(f) for f, lab in zip(forms, labels) if lab == (1,) * d.t]
-    k, coset = power_cosets(D, square)
-    return (d, forms, [classpoly._mask(lab) for lab in labels],
-            [coset[reduce_form(f)] for f in forms], k)
+    group = class_group(D)
+    k, cosets = group.split
+    return d, forms, group.masks, cosets, k
 
 
 def split_rows(split):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,19 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from cmforge import forms as forms_module
 from cmforge.arith import Discriminant, kronecker, split_discriminant
-from cmforge.errors import InvalidParameters
+from cmforge.errors import InternalInvariantError, InvalidParameters
 from cmforge.forms import (
     QuadForm,
+    class_group,
     compose,
     enumerate_reduced,
+    genus_mask,
     make_coprime,
     n_system,
     phi_class,
-    power_cosets,
     reduce_form,
     root_of_form,
 )
+from cmforge.modfns import InvariantKind
 
 
 def dirichlet_class_number(d):
@@ -40,6 +45,35 @@ def class_number_oracle(D):
             h *= Fraction(l - kronecker(d, l), l)
     assert h.denominator == 1
     return int(h)
+
+
+def enumerate_reference(D):
+    """Every primitive reduced form, by trying each (A, B) with |B| <= A: the
+    O(|D|) loop ``enumerate_reduced`` replaced, kept as its reference."""
+    out = []
+    for A in range(1, math.isqrt(-D // 3) + 1):
+        for B in range(-A + 1, A + 1):
+            if (B - D) % 2 != 0 or (B * B - D) % (4 * A) != 0:
+                continue
+            C = (B * B - D) // (4 * A)
+            if C < A:
+                continue
+            if B < 0 and A == C:
+                continue
+            if math.gcd(math.gcd(A, B), C) != 1:
+                continue
+            out.append(QuadForm(A, B, C))
+    return out
+
+
+def phi_reference(f, disc):
+    """The genus characters at an equivalent form whose A is coprime to D
+    (``make_coprime``): the ``phi_class`` that the coprime values A, C,
+    A + B + C replaced, kept as its reference."""
+    g = make_coprime(f, -disc.D)
+    chi = tuple(kronecker(q, g.A) for q in disc.qstars)
+    assert 0 not in chi and math.prod(chi) == 1
+    return chi
 
 
 def _prime_factors(n):
@@ -246,14 +280,83 @@ def test_power_cosets_splits_the_principal_genus(D, k, H):
     # max(k, |H|) is as small as a divisor of n allows (a tie goes to the
     # smaller k); every class gets a label, each coset holds |H| classes
     # within one genus, and H itself is the coset of the principal form
-    disc = Discriminant.from_D(D)
-    reps = enumerate_reduced(D)
-    square = [f for f in reps if phi_class(f, disc) == (1,) * disc.t]
-    got_k, coset = power_cosets(D, square)
+    group = class_group(D)
+    disc, reps = group.disc, list(group.forms)
+    square = [f for f, mu in zip(reps, group.masks) if mu == 0]
+    assert square == [f for f in reps if phi_class(f, disc) == (1,) * disc.t]
+    got_k, cosets = group.split
     assert (got_k, len(square) // got_k) == (k, H)
-    assert set(coset) == set(reps)
-    for label in set(coset.values()):
+    assert len(cosets) == len(reps)
+    coset = dict(zip(reps, cosets))
+    for label in set(cosets):
         members = [f for f in reps if coset[f] == label]
         assert len(members) == H
         assert len({phi_class(f, disc) for f in members}) == 1
     assert sum(coset[f] == coset[reps[0]] for f in square) == H
+
+
+# --- the class group ---------------------------------------------------------
+
+def test_class_group_matches_the_references():
+    # the enumeration and the genus masks agree with the O(|D|) loop and
+    # with the characters at a representative with A coprime to D, on
+    # every discriminant from -3 to -5000 (non-fundamental ones included,
+    # and even ones, where q* = -4, 8 and -8 all occur) and at -4000124
+    # (h = 928)
+    even = set()
+    for D in [*range(-3, -5001, -1), -4000124]:
+        if D % 4 not in (0, 1):
+            continue
+        disc = Discriminant.from_D(D)
+        reps = enumerate_reference(D)
+        group = class_group(D)
+        assert enumerate_reduced(D) == reps and group.forms == tuple(reps), D
+        assert group.masks == tuple(genus_mask(phi_reference(f, disc)) for f in reps), D
+        even.update(q for q in disc.qstars if q % 2 == 0)
+    assert even == {-4, 8, -8}
+
+
+# (D, invariant, k, sha256 of [k, [[A, B, C, mask, coset] per N-system form]]),
+# the values of the enumeration, characters and cosets the group replaced
+PINNED = [
+    (-2519, "j", 4, "e84575bc662d9e01bf8ae0c16671ce888b68168e1bc2d1f160096f434bcbd710"),
+    (-9911, "j", 2, "333371a879d28201ab45fc0332b2e1a2a1f3affa321c61e61c5fdb3d68c14f53"),
+    (-46151, "j", 4, "57895a67151f32cde34f6a4647c9f209d96262de020e4316eec40cf4faed28ff"),
+    (-92039, "j", 15, "c29e1fef8c8eb0de66f17367223bbc69d6c07863c3f28d55ce4f239e649fb0a7"),
+    (-4000124, "weber", 16,
+     "9b4af71cadfdf9ff9b36166ce699bbe3a18512179d1add721869760480e484ac"),
+    (-40000316, "weber", 29,
+     "fc5fac11eee9055288a8db2b0c5b0d0b9c68f55d383bf88f3e3601012c2fbea2"),
+]
+
+
+@pytest.mark.parametrize("D,invariant,k,want", PINNED,
+                         ids=[f"{D}-{inv}" for D, inv, _, _ in PINNED])
+def test_class_group_data_is_pinned(D, invariant, k, want):
+    kind = InvariantKind.parse(invariant)
+    d = Discriminant.from_D(D)
+    fs = n_system(D, kind.modulus(d), kind.b_target(d))
+    group = class_group(D)
+    got_k, cosets = group.split
+    assert got_k == k
+    rows = [[g.A, g.B, g.C, mu, c] for g, mu, c in zip(fs, group.masks, cosets)]
+    blob = json.dumps([got_k, rows], separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == want
+
+
+def test_class_group_checks_raise(monkeypatch):
+    # the checks raise, so they hold under python -O: one constant label
+    # puts every class of -2519 (t = 2) in one genus, and a composition that
+    # returns its first argument labels the classes in cosets of unequal size
+    class_group.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(forms_module, "phi_class", lambda f, disc: (1,) * disc.t)
+            with pytest.raises(InternalInvariantError, match="genus masks"):
+                class_group(-2519)
+        with monkeypatch.context() as m:
+            m.setattr(forms_module, "compose", lambda f, g: f)
+            with pytest.raises(InternalInvariantError, match="H-cosets"):
+                class_group(-2519).split
+    finally:
+        class_group.cache_clear()

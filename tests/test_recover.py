@@ -14,7 +14,7 @@ from cmforge import classpoly, genusfield
 from cmforge.genusfield import IMAG_PART, REAL_PART, adjugate, build_basis, build_mpair
 from cmforge.arith import Discriminant
 from cmforge.classpoly import class_poly_divisor, coset_divisor, coset_labels, hecke_T
-from cmforge.forms import QuadForm, n_system, phi_class
+from cmforge.forms import QuadForm, class_group, n_system, phi_class
 from cmforge.modfns import InvariantKind
 from cmforge.recover import make_plan, recover_coords, recovery_matrix, \
     _solve_adjugate
@@ -50,8 +50,7 @@ def _genus_T0_at(D, kind):
     d = Discriminant.from_D(D)
     forms = n_system(D, 1)
     labels = [phi_class(f, d) for f in forms]
-    masks = [classpoly._mask(lab) for lab in labels]
-    return hecke_T(kind, forms, masks, [0] * len(forms)), labels
+    return hecke_T(kind, forms, class_group(D).masks, [0] * len(forms)), labels
 
 
 def test_coset_sums_examples():
