@@ -181,12 +181,14 @@ def make_coprime(f: QuadForm, N: int) -> QuadForm:
     return g
 
 
+@functools.lru_cache(maxsize=8)
 def n_system(D: int, N: int, b_target: int | None = None) -> tuple[QuadForm, ...]:
     """One form per class of discriminant D with gcd(A, N) = 1, B = b (mod 2N).
 
     b_target picks the shared residue (it must have the parity of D); by
     default the first class's B is used.  A final translation shrinks |B|,
     preserving the residue.  Its i-th form is in class_group(D).forms[i].
+    The last few are kept, so every route at one (D, N, b) shares one.
     """
     reps = class_group(D).forms
     out = []

@@ -11,12 +11,26 @@ power t^g, g the gcd of the a, and takes every integer power by ``_ipow``:
 mpmath's complex ``**`` turns into exp(n log z) once n times the bit size
 passes 10^4, which costs far more than a few squarings.
 
+``_pentagonal`` sums P(x) along a short addition sequence for the
+generalized pentagonal numbers (Enge, Hart & Johansson, "Short addition
+sequences for theta functions", J. Integer Sequences 21, 2018): each power
+x^c it sums is one product of two earlier powers, or the square of one,
+with an auxiliary exponent where no two earlier ones sum to c, about one
+step in ten.  The sequence is built once per process, at double length
+when a series outgrows it.  Where a quotient has both P(+-x) and P(x^2),
+as gamma2 (P(q), P(q^2)), Weber (P(-+r^24), P(r^48)) and double eta at
+2,3 or 2,11 do, one pass gives both, each x^(2c) the square of an x^c it
+sums.
+
 Precision: ``theta_value`` computes z at prec + 64 bits whatever the
-caller's precision, and the kernel works at prec + 64 bits, plus bitlen(k)
-when k > 24: powering t by up to k multiplies its relative error by as
-much.  ``_pentagonal`` sums on integers scaled by 2^P: term n is about
-|q|^(n(3n-1)/2) in size, so its integers are shorter than P by the bits its
-smallness makes unnecessary.  Values are principal-branch throughout.
+caller's precision, and the kernel works at bits = prec + 64, plus
+bitlen(k) when k > 24: powering t by up to k multiplies its relative error
+by as much.  ``_pentagonal`` sums on Gaussian integers scaled by 2^P,
+P = bits + 3 bitlen(N+1) + 35 for a series of N pairs, so each sum is off
+by under 2^-(bits+23), rounding and truncation together (its docstring has
+the chain).  A power x^c is about |x|^c in size, so its integers are
+shorter than P by the bits its smallness makes unnecessary.  Values are
+principal-branch throughout.
 
 All q-series here have real coefficients, so theta(-conj z) = conj theta(z);
 ``classpoly`` relies on this to evaluate one form of each mirror pair
@@ -29,6 +43,8 @@ recovery rounds, and both routes size their precision from it.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -37,7 +53,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .arith import Discriminant, is_probable_prime, kronecker
-from .errors import InvalidParameters, UnsupportedInvariant
+from .errors import InternalInvariantError, InvalidParameters, UnsupportedInvariant
 from .forms import QuadForm, reduce_form, root_of_form
 
 __all__ = [
@@ -68,59 +84,138 @@ def _nome(z, k):
     return mp.exp(2 * mp.pi * mp.mpc(0, 1) * z / k)
 
 
-def _cmul(a, b, c, d, P):
-    """(a + bi)(c + di) / 2^P by three products, each component floored."""
-    t = c * (a + b)
-    return (t - b * (c + d)) >> P, (t + a * (d - c)) >> P
+@functools.lru_cache(maxsize=None)
+def _addition_sequence(k):
+    """An addition sequence through the generalized pentagonal numbers
+    n(3n-1)/2 and n(3n+1)/2 for 1 <= n < 2^k, as steps (i, j, n).
+
+    Entry 0 has exponent 1, and step m makes entry m + 1, whose exponent is
+    entry i's plus entry j's, i, j <= m: a square when i = j.  n is the
+    pair the new exponent belongs to, 0 when it is auxiliary.  Each
+    pentagonal c is a + b with a, b earlier exponents, a the smallest that
+    works; where none works, c = 2a + b with a, b earlier exponents, b the
+    smallest, and the auxiliary 2a comes first.  That always exists for
+    c >= 5: a and b can even be pentagonal (Enge, Hart & Johansson, "Short
+    addition sequences for theta functions", J. Integer Sequences 21,
+    2018).  About one step in ten is auxiliary.  Keyed by the bit length of
+    the pair count, so a longer series builds it at double length, not at
+    every new length.
+    """
+    where = {1: 0}    # exponent -> entry
+    exps = [1]        # the exponents so far, sorted
+    steps = []
+
+    def add(a, b, n):
+        where[a + b] = len(steps) + 1
+        bisect.insort(exps, a + b)
+        steps.append((where[a], where[b], n))
+
+    for n in range(1, 1 << k):
+        for c in (n * (3 * n - 1) // 2, n * (3 * n + 1) // 2):
+            if c == 1:
+                continue
+            # the largest b (the smallest a) first: exponents thin out upwards
+            b = next((b for b in reversed(exps) if c - b in where or 2 * b < c), 0)
+            if 2 * b < c:
+                half = exps[:bisect.bisect(exps, c // 2)]
+                a = next((a for a in reversed(half) if c - 2 * a in where), None)
+                if a is None:
+                    raise InternalInvariantError(f"no c = 2a + b for pentagonal {c}")
+                add(a, a, 0)
+                b = 2 * a
+            add(c - b, b, n)
+    return tuple(steps)
 
 
-def _pentagonal(q, bits):
-    """eta / q^(1/24) = 1 + sum_{n>=1} (-1)^n q^(n(3n-1)/2) (1 + q^n), summing
-    until three consecutive terms drop below 2^-(bits+16).
+def _ends(p, small, log_rho):
+    """Whether a power of size p, below ``small`` and in its units, may end
+    a series whose later powers shrink by rho = 2^log_rho each:
+    rho <= 2^(-1/64) and p rho <= small (1 - rho)."""
+    if log_rho > -1 / 64:
+        return False
+    rho = 2.0 ** log_rho
+    return p * rho <= small * (1 - rho)
+
+
+def _pentagonal(q, bits, square=False):
+    """eta / q^(1/24) = P(q) = 1 + sum_{n>=1} (-1)^n q^(n(3n-1)/2) (1 + q^n)
+    to within 2^-(bits+23); with ``square``, the pair (P(q), P(q^2)) from
+    one pass.
 
     The sum runs on Gaussian integers scaled by 2^P, P = bits + guard: q is
-    converted once, each component floored, and the sum converted back once
-    at the working precision.  Term n is about |q|^e, e = n(3n-1)/2, so its
-    integers are only about P + e log2|q| bits long: the precision tapers
-    by itself (Enge, Math. Comp. 78, 2009).
+    converted once, each component floored, and each sum converted back
+    once at the working precision.  Every power q^c is one product of two
+    earlier powers, or the square of one, along ``_addition_sequence``, and
+    P(q^2) takes each q^(2c) as the square of q^c.  A power is about
+    |q|^c, so its integers are only about P + c log2|q| bits long: the
+    precision tapers by itself (Enge, Math. Comp. 78, 2009).
 
-    Error, in units of 2^-P and besides the final rounding: a floor shift
-    is off by under 1 per component, so a product of two factors of modulus
-    below 1 adds under sqrt2 to their errors, under 2 with second-order terms.
-    A power q^e, a tree of e copies of q (each off by under sqrt2) and
-    e - 1 products, is off by under 4e, so term n = q^e + q^(e+n) is off by
-    under 8e + 4n = 12n^2.  Over N terms the sum is off by under
-    2N(N+1)(2N+1) < 4(N+1)^3, and guard = 3 bitlen(N+1) + 18 keeps that
-    below 2^-(bits+16).  N is bounded in advance: with L >= log2|q|, term
-    n is below the threshold once n^2 |L| >= bits + 24.  L is mag(q) when
-    that is negative, else half the float log2|q|: |q| is not tiny there,
-    and halving covers the float's rounding.
+    Error, in units of 2^-P and besides the final conversion, for a series
+    of N pairs; guard = 3 bitlen(N+1) + 35 makes E = 2^(guard-32) >= 8(N+1)^3
+    equal to 2^-(bits+32).  Rounding: a floor shift is off by under 1 per
+    component, so q is off by under sqrt2, and a product or square of
+    factors of modulus below 1 adds under sqrt2 to their errors, under 2
+    with second-order terms.  Whatever sequence builds it, q^c is a tree of
+    c copies of q and c - 1 products, so it is off by under 4c, and q^(2c)
+    by under 8c <= E; the n-th pair, c = n(3n-+1)/2, is off by under 12n^2,
+    and N pairs by under 2N(N+1)(2N+1) < 4(N+1)^3.  P(q^2)'s n-th pair is
+    off by under 24n^2, and it stops no later than P(q), so it is off by
+    under 8(N+1)^3 <= E.
+
+    Truncation: with L >= log2|q| (L < 0), a series stops after its first
+    power p (in size |re| + |im|), in a pair n with n |L| >= 1/64, such
+    that p rho <= S (1 - rho), rho = 2^(Ln), S = 2^8 E = 2^-(bits+24)
+    (``_ends``; P(q^2) takes rho^2).  Later exponents lie at least n apart, so each later power
+    is at most rho times the one before, and with rho / (1 - rho) < 2^7 the
+    rest of the series is below (p + E) rho / (1 - rho) < 1.5 S.  So each
+    sum is off by under E + 1.5 S < 2^-(bits+23).  The first power of pair
+    n is below 2^-(bits+34) = E/4 once n^2 |L| >= bits + 34, when it meets
+    the stopping test, so N is the first n with both bounds.  L is mag(q)
+    when that is negative, else half the float log2|q|: |q| is not tiny
+    there, and halving covers the float's rounding.
     """
     lg = mp.mag(q)
     if lg >= 0:
         lg = math.log2(abs(complex(q))) / 2
-    n_max = math.isqrt(int((bits + 24) / -lg) + 1) + 4
-    P = bits + 3 * (n_max + 1).bit_length() + 18
+    n_max = max(math.isqrt(int((bits + 34) / -lg)) + 1, math.ceil(-1 / (64 * lg)))
+    P = bits + 3 * (n_max + 1).bit_length() + 35
     one = 1 << P
-    small = 1 << (P - bits - 16)
+    small = 1 << (P - bits - 24)
     qr, qi = (to_fixed(x, P) for x in mp.mpc(q)._mpc_)
-    q3r, q3i = _cmul(*_cmul(qr, qi, qr, qi, P), qr, qi, P)
-    sr, si = one, 0
-    er, ei = one, 0       # q^(n(3n-1)/2), the smaller pentagonal exponent
-    nr, ni = one, 0       # q^n
-    tr, ti = qr, qi       # q^(3n-2), the ratio of consecutive q^e
-    below = n = 0
-    while below < 3:
-        n += 1
-        er, ei = _cmul(er, ei, tr, ti, P)
-        tr, ti = _cmul(tr, ti, q3r, q3i, P)
-        nr, ni = _cmul(nr, ni, qr, qi, P)
-        ur, ui = _cmul(er, ei, nr, ni, P)
-        ur, ui = ur + er, ui + ei
-        sr, si = (sr - ur, si - ui) if n % 2 else (sr + ur, si + ui)
-        below = below + 1 if abs(ur) + abs(ui) < small else 0
-    return mp.make_mpc(tuple(from_man_exp(x, -P, mp.prec, round_nearest)
-                             for x in (sr, si)))
+    re, im = [qr], [qi]   # q^e for the exponent e of each entry so far
+    sr, si = one - qr, -qi
+    twice = square
+    if square:
+        ur, ui = ((qr + qi) * (qr - qi)) >> P, (qr * qi) >> (P - 1)
+        s2r, s2i = one - ur, -ui
+    for i, j, n in _addition_sequence(n_max.bit_length()):
+        a, b = re[i], im[i]
+        if i == j:
+            ur, ui = ((a + b) * (a - b)) >> P, (a * b) >> (P - 1)
+        else:
+            c, d = re[j], im[j]
+            t = c * (a + b)
+            ur, ui = (t - b * (c + d)) >> P, (t + a * (d - c)) >> P
+        re.append(ur)
+        im.append(ui)
+        if not n:
+            continue
+        sr, si = (sr - ur, si - ui) if n & 1 else (sr + ur, si + ui)
+        p = abs(ur) + abs(ui)
+        if twice:
+            ur, ui = ((ur + ui) * (ur - ui)) >> P, (ur * ui) >> (P - 1)
+            s2r, s2i = (s2r - ur, s2i - ui) if n & 1 else (s2r + ur, s2i + ui)
+            p2 = abs(ur) + abs(ui)
+            twice = p2 >= small or not _ends(p2, small, 2 * lg * n)
+        if p < small and _ends(p, small, lg * n):
+            break
+    else:
+        raise InternalInvariantError(f"the pentagonal series passed its {n_max} pairs")
+
+    def back(s):
+        return mp.make_mpc(tuple(from_man_exp(x, -P, mp.prec, round_nearest) for x in s))
+
+    return (back((sr, si)), back((s2r, s2i))) if square else back((sr, si))
 
 
 def _eta_quotient(z, k, factors, lead, power, prec):
@@ -131,18 +226,29 @@ def _eta_quotient(z, k, factors, lead, power, prec):
     d = k/a, above (e = 1) or below (e = -1) the line, at a translate of z
     when s = -1, and lead collects their powers of t.  One exp gives t,
     every t^a is a power of t^g with g the gcd of the a, and so is t^lead
-    when g divides it.  The series multiply into one quotient before the
-    power.  Works at prec + 64 bits, plus bitlen(k) when k > 24.
+    when g divides it.  A factor (2a, 1, e') takes P(t^(2a)) from factor
+    a's pass, each power the square of one that pass sums: the factors are
+    walked in increasing a, so a comes first.  The series multiply into
+    one quotient before the power.  Works at prec + 64 bits, plus
+    bitlen(k) when k > 24.
     """
     bits = prec + 64 + (k.bit_length() if k > 24 else 0)
     with mp.workprec(bits):
         t = _nome(z, k)
         g = math.gcd(*(a for a, _, _ in factors))
         tg = _ipow(t, g)
+        doubles = {a for a, s, _ in factors if s > 0}
+        squares = {}   # a -> P(t^a), taken from factor a/2's pass
         num = den = None
-        for a, s, e in factors:
-            x = _ipow(tg, a // g)
-            x = _pentagonal(x if s > 0 else -x, bits)
+        for a, s, e in sorted(factors):
+            x = squares.pop(a, None) if s > 0 else None
+            if x is None:
+                x = _ipow(tg, a // g)
+                x = x if s > 0 else -x
+                if 2 * a in doubles:
+                    x, squares[2 * a] = _pentagonal(x, bits, square=True)
+                else:
+                    x = _pentagonal(x, bits)
             if e > 0:
                 num = x if num is None else num * x
             else:
@@ -324,8 +430,10 @@ def theta_value(kind: InvariantKind, form: QuadForm, prec=96):
     Weber g = +-f^b / 2^(k/2) as in ``_WEBER_CASES``, cubed when
     ``weber_cubed``; the double eta quotient from ``_double_eta``.
     ``classpoly`` takes |theta~ - theta| <= 2^-prec (1 + |theta|) from it: the
-    64 guard bits cover that on every form measured, but no error chain
-    proves it yet.
+    64 guard bits cover that for the kernel's quotients at every golden
+    form the tests check, but no error chain proves it yet, and at
+    Im z < 0.001 it can fail: there a series can sum terms near 1 to a
+    value near 2^-121, which needs x to far more than prec + 64 bits.
     """
     D = form.disc
     if kind.name == "gamma2" and (form.A % 3 == 0 or form.B % 3 != 0):

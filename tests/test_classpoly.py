@@ -118,17 +118,24 @@ def test_coset_product_through_mirror_pairs(D, kind):
 def test_one_enumeration_per_discriminant(monkeypatch):
     # the paper route at -8399 builds the split (k = 1, so it takes the
     # divisor), then the full polynomial and the coset-product check: all
-    # of them read one class group, from one enumeration of reduced forms
-    calls = []
-    enumerate_ = forms_module.enumerate_reduced
+    # of them read one class group, from one enumeration of reduced forms,
+    # and one N-system, from one make_coprime call per class
+    calls, coprime = [], []
+    enumerate_, make_coprime = forms_module.enumerate_reduced, forms_module.make_coprime
 
     def counting(D):
         calls.append(D)
         return enumerate_(D)
 
+    def counting_coprime(f, N):
+        coprime.append(f)
+        return make_coprime(f, N)
+
     class_group.cache_clear()
+    n_system.cache_clear()
     classpoly._DIVISORS.clear()
     monkeypatch.setattr(forms_module, "enumerate_reduced", counting)
+    monkeypatch.setattr(forms_module, "make_coprime", counting_coprime)
     p = 274907238722596194051832421643153156721
     prm = next(x for x in admissible_params(-8399, p)
                if x.order == 274907238722596194027601968020124118000)
@@ -136,6 +143,7 @@ def test_one_enumeration_per_discriminant(monkeypatch):
     assert res["order"] == prm.order
     assert coset_product_check(class_poly_full(-8399), class_poly_divisor(-8399))
     assert calls == [-8399]
+    assert len(coprime) == len(class_group(-8399).forms) == 134
 
 
 def test_coset_labels_group():
