@@ -44,7 +44,7 @@ from mpmath import mp
 from mpmath.libmp import to_fixed
 
 from .arith import Discriminant
-from .errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted
+from .errors import InvalidParameters, PrecisionEscalation, PrecisionExhausted, approx_str
 from .forms import QuadForm, class_group, genus_mask, n_system
 from .genusfield import IMAG_PART, REAL_PART, GFElem, build_basis, build_mpair, \
     embeddings, gf_rational, gf_to_json, negative_mask, root_products, walsh_hadamard
@@ -67,9 +67,9 @@ class ClassPolynomial:
     kind: InvariantKind
     phi0: object          # None for the full polynomial, else the +-1 tuple
     coeffs: tuple         # ascending, leading coefficient included (monic)
-    # the plan that produced a divisor's coefficients: a RecoveryPlan on the
-    # paper route, a ConjugatePlan on the conjugate route; None otherwise,
-    # never serialized or compared
+    # the plan that produced the coefficients: a RecoveryPlan on the paper
+    # route, a ConjugatePlan on the conjugate route and for the full
+    # polynomial; never serialized or compared
     plan: object = field(default=None, compare=False, repr=False)
 
     @property
@@ -299,15 +299,23 @@ def class_poly_full(D, kind=None, max_bits=DEFAULT_MAX_BITS):
     """H_D[theta] with integer coefficients: the exact rounding of its k = 1
     split over the N-system, with no q_i*, every mask and coset 0, and
     T = ``hecke_T`` = prod (1 + B_f), which bounds every coefficient by
-    Vieta.  Its rows are N_j = e_j, j < n - 1, then R's -s = e_(n-1)."""
+    Vieta.  Its rows are N_j = e_j, j < n - 1, then R's -s = e_(n-1).  Its
+    ``plan`` is the ConjugatePlan(T, B) that produced it, and it is memoized
+    by (D, kind, "full") under ``_memoized``'s cap rule."""
     kind = kind or InvariantKind.j()
     d = Discriminant.from_D(D)
     kind.validate_for(d)
-    forms = n_system(D, kind.modulus(d), kind.b_target(d))
+    return _memo((D, kind, "full"), max_bits, _full, d, kind, max_bits)
+
+
+def _full(d, kind, max_bits):
+    """``class_poly_full``'s polynomial, built on a memo miss."""
+    forms = n_system(d.D, kind.modulus(d), kind.b_target(d))
     zeros = [0] * len(forms)
-    rows, _ = _exact_rounding(D, kind, (), forms, zeros, hecke_T(kind, forms, zeros, zeros),
-                              max_bits, zeros)
-    return ClassPolynomial(D, kind, None, tuple(row[0] for row in rows) + (1,))
+    T = hecke_T(kind, forms, zeros, zeros)
+    rows, B = _exact_rounding(d.D, kind, (), forms, zeros, T, max_bits, zeros)
+    return ClassPolynomial(d.D, kind, None, tuple(row[0] for row in rows) + (1,),
+                           plan=ConjugatePlan(T, B))
 
 
 def hecke_T(kind, forms, masks, cosets):
@@ -339,9 +347,10 @@ def _majorant(S, M):
     return max(V_R, M[0] if len(M) == 1 else mp.fsum(m * V_R / s for m, s in zip(M, S)))
 
 
-# exact principal divisors by (D, kind, route), and their splits by
-# (D, kind, route, "split"), oldest first: a process that builds curves at
-# one discriminant for several primes recovers its polynomials once
+# exact principal divisors by (D, kind, route), their splits by
+# (D, kind, route, "split") and full polynomials by (D, kind, "full"), oldest
+# first: a process that builds curves at one discriminant for several primes
+# recovers its polynomials once
 _DIVISORS = {}
 _DIVISORS_MAX = 8
 
@@ -389,15 +398,21 @@ def _memoized(D, kind, max_bits, route, split):
         raise InvalidParameters(f"unknown route {route!r}")
     d = Discriminant.from_D(D)
     kind.validate_for(d)
-    key = (D, kind, route) + (("split",) if split else ())
+    return _memo((D, kind, route) + (("split",) if split else ()), max_bits,
+                 _recover, d, kind, route, max_bits, split)
+
+
+def _memo(key, max_bits, build, *args):
+    """``_DIVISORS[key]``, built by ``build(*args)`` on a miss, checked
+    against the cap by its plan's bits (B, or float_bits)."""
     got = _DIVISORS.get(key)
     if got is None:
-        got = _recover(d, kind, route, max_bits, split)
+        got = build(*args)
         if len(_DIVISORS) >= _DIVISORS_MAX:
             del _DIVISORS[next(iter(_DIVISORS))]
         _DIVISORS[key] = got
     plan = got.plan
-    _check_cap(D, plan.B if isinstance(plan, ConjugatePlan) else plan.float_bits, max_bits)
+    _check_cap(key[0], plan.B if isinstance(plan, ConjugatePlan) else plan.float_bits, max_bits)
     return got
 
 
@@ -519,7 +534,7 @@ def _exact_attempt(kind, qstars, forms, masks, B, T, cosets):
             eps = max(eps, err)
         if not N * eps < 0.25:
             raise PrecisionEscalation(
-                f"error bound {mp.nstr(N * eps, 5)} on N a_S at {B} bits")
+                f"error bound {approx_str(N * eps)} on N a_S at {B} bits")
         roots = root_products(qstars, prec + 64)
         for k in range(len(emb[0])):
             row = []
@@ -528,13 +543,13 @@ def _exact_attempt(kind, qstars, forms, masks, B, T, cosets):
                 r = int(mp.nint(mp.re(x)))
                 if not abs(x - r) < 0.25:
                     raise PrecisionEscalation(
-                        f"coordinate residual {mp.nstr(abs(x - r), 5)} at {B} bits")
+                        f"coordinate residual {approx_str(abs(x - r))} at {B} bits")
                 row.append(r)
             coeff = GFElem(qstars, row, N)
             miss = max(abs(got - e[k]) for got, e in zip(embeddings(coeff, prec + 64), emb))
             if not miss <= 2 * eps:
                 raise PrecisionEscalation(
-                    f"coefficient {k} misses an embedding by {mp.nstr(miss, 5)} at {B} bits")
+                    f"coefficient {k} misses an embedding by {approx_str(miss)} at {B} bits")
             _check_height(coeff, T, f"coefficient {k} at {B} bits")
             rows.append(row)
     return rows
@@ -553,7 +568,8 @@ def _hecke(values, coset, prec):
     c's values, a pair entering as the real quadratic
     x^2 - 2 Re(theta) x + |theta|^2 and a single value as x - theta, s_c is
     their sum, and R and each Q_c = prod_(c' != c) (Y - s_c') are products
-    of the s_c; then N_j = sum_c e_j(c) Q_c.  With one coset, R = Y - s,
+    of the s_c; then N_j = sum_c e_j(c) Q_c, whose top coefficient is
+    sum_c e_j(c), as Q_c is monic.  With one coset, R = Y - s,
     Q_c = 1 and N_j = e_j, and -s is e_(n-1) bit for bit: the genus's product.
 
     Error, u = 2^-prec, n values in the genus and n_c in coset c, each with
@@ -604,9 +620,13 @@ def _hecke(values, coset, prec):
           sum(b for _, b, paired in r if not paired), False) for r in roots]
     R = _product(s, P)
     Q = [_product(s[:i] + s[i + 1:], P) for i in range(len(s))]
-    N = [((sum(pr[j] * qr[i] - pi[j] * qi[i] for (pr, pi), (qr, qi) in zip(polys, Q)) >> P),
-          (sum(pr[j] * qi[i] + pi[j] * qr[i] for (pr, pi), (qr, qi) in zip(polys, Q)) >> P))
-         for j in range(len(polys[0][0]) - 2) for i in range(len(s))]
+    N = []
+    for j in range(len(polys[0][0]) - 2):
+        N += [((sum(pr[j] * qr[i] - pi[j] * qi[i] for (pr, pi), (qr, qi) in zip(polys, Q)) >> P),
+               (sum(pr[j] * qi[i] + pi[j] * qr[i] for (pr, pi), (qr, qi) in zip(polys, Q)) >> P))
+              for i in range(len(s) - 1)]
+        # Q_c is monic, 2^P + 0i at Y^(k-1), so N_j's top coefficient is sum_c e_j(c)
+        N.append((sum(pr[j] for pr, _ in polys), sum(pi[j] for _, pi in polys)))
     return _from_fixed([x for x, _ in N] + R[0][:-1], [y for _, y in N] + R[1][:-1], P), eps
 
 
@@ -642,7 +662,7 @@ def _divisor_attempt(kind, sel, plan, coset):
     with mp.workprec(prec + 64):
         if not 2 * err < plan.epsilon:
             raise PrecisionEscalation(
-                f"product error bound {mp.nstr(err, 5)} at {plan.float_bits} bits")
+                f"product error bound {approx_str(err)} at {plan.float_bits} bits")
         for k, c in enumerate(poly):
             g_re, g_im = c + mp.conj(c), c - mp.conj(c)
             z = basis.element(recover_coords(g_re, plan, REAL_PART), REAL_PART)
@@ -651,7 +671,7 @@ def _divisor_attempt(kind, sel, plan, coset):
             elif not abs(g_im) < plan.epsilon:
                 raise PrecisionEscalation(
                     f"coefficient of a real divisor has imaginary part "
-                    f"{mp.nstr(abs(g_im) / 2, 5)} at {plan.float_bits} bits")
+                    f"{approx_str(abs(g_im) / 2)} at {plan.float_bits} bits")
             coeffs.append(half * z)
             _check_height(coeffs[-1], plan.T0, f"coefficient {k} at {plan.float_bits} bits")
     return tuple(coeffs) + (gf_rational(basis.qstars, 1),)

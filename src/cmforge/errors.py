@@ -4,6 +4,8 @@ The CLI maps these onto exit codes, so library code should raise the most
 specific one that applies instead of bare ValueError/RuntimeError.
 """
 
+from mpmath import mp
+
 
 class CMForgeError(Exception):
     """Base class for everything raised on purpose by this package."""
@@ -30,3 +32,12 @@ class PrecisionExhausted(CMForgeError):
 
 class InternalInvariantError(CMForgeError):
     """A provably-true invariant failed; indicates a bug, not bad input."""
+
+
+def approx_str(x) -> str:
+    """The real x to 5 significant digits, for a message.  x is rounded to
+    53 bits first: mpmath's nstr scales by the exponent, so an mpf with a
+    mantissa above about 14,300 bits and a size beyond 2^(+-3500) exceeds
+    Python's limit on int-to-str conversion and raises ValueError."""
+    with mp.workprec(53):
+        return mp.nstr(mp.mpf(x), 5)

@@ -10,12 +10,13 @@ congruent mod 2N, the shape needed to evaluate level-N functions at roots.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 from mpmath import mp
 
-from .arith import Discriminant, _factorize, kronecker
+from .arith import Discriminant, kronecker
 from .errors import InternalInvariantError, InvalidParameters
 
 __all__ = [
@@ -153,43 +154,41 @@ def class_group(D: int) -> ClassGroup:
 
 
 def make_coprime(f: QuadForm, N: int) -> QuadForm:
-    """An equivalent form whose leading coefficient is coprime to N.
+    """An equivalent form whose A is coprime to N: f itself when it is, else
+    f by [[x, -w], [y, u]], xu + yw = 1, at the smallest f(x, y) coprime to
+    N over primitive (x, y), y > 0, max(|x|, y) <= s + 1, s the first such
+    bound that holds one; ties go to the smaller |x| + y, then to xB <= 0,
+    so (A, -B, C), whose value at (-x, y) is f(x, y), gets the mirror form."""
+    if N <= 0 or math.gcd(f.A, f.B, f.C) != 1:
+        raise InvalidParameters(f"need N > 0 and a primitive form, got N={N}, {f}")
+    if math.gcd(f.A, N) == 1:
+        return f
 
-    Walks the primes l | N in ascending order, fixing one at a time without
-    disturbing the ones already done (N0 = product of the processed primes).
-    """
-    if N <= 0:
-        raise InvalidParameters(f"N must be positive, got {N}")
-    A, B, C = f.A, f.B, f.C
-    g = QuadForm(A, B, C)
-    N0 = 1
-    for l in sorted(_factorize(N)):
-        A, B, C = g.A, g.B, g.C
-        if A % l == 0:
-            if (A + N0 * B + N0 * N0 * C) % l != 0:
-                g = g.transform(1, 0, N0, 1)
-            else:
-                # here l | C is impossible for a primitive form, so the
-                # determinant-1 matrix [[l, b], [N0, a]] with al - bN0 = 1 works
-                a = pow(l, -1, N0) if N0 > 1 else 1
-                b = (a * l - 1) // N0
-                g = g.transform(l, b, N0, a)
-        N0 *= l
-    if math.gcd(g.A, N) != 1:
+    def box(s):   # (f(x, y), |x| + y, xB > 0, y, x) at each candidate
+        return [(v, abs(x) + y, x * f.B > 0, y, x) for y in range(1, s + 1)
+                for x in range(-s, s + 1) if math.gcd(x, y) == 1
+                and math.gcd(v := f.A * x * x + f.B * x * y + f.C * y * y, N) == 1]
+
+    s = next(s for s in itertools.count(1) if box(s))
+    *_, y, x = min(box(s + 1))
+    _, u, w = _xgcd(x, y)
+    g = f.transform(x, -w, y, u)
+    if math.gcd(g.A, N) != 1 or g.disc != f.disc:
         raise InternalInvariantError(f"make_coprime failed: {f} -> {g} vs N={N}")
-    assert g.disc == f.disc
     return g
 
 
 @functools.lru_cache(maxsize=8)
 def n_system(D: int, N: int, b_target: int | None = None) -> tuple[QuadForm, ...]:
-    """One form per class of discriminant D with gcd(A, N) = 1, B = b (mod 2N).
+    """One form per class of discriminant D with gcd(A, N) = 1, B = b (mod 2N):
+    ``make_coprime`` of its reduced form, translated.
 
     b_target picks the shared residue (it must have the parity of D); by
     default the first class's B is used.  A final translation shrinks |B|,
     preserving the residue.  Its i-th form is in class_group(D).forms[i].
-    The last few are kept, so every route at one (D, N, b) shares one.
-    """
+    With b = -b (mod 2N) it holds the mirror of each form with B != 0 outside
+    an ambiguous class, as ``make_coprime`` commutes with the mirror.  The
+    last few are kept, so every route at one (D, N, b) shares one."""
     reps = class_group(D).forms
     out = []
     b = b_target

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .approx import ApproxRun, run_approx
-from .errors import InternalInvariantError, InvalidParameters, PrecisionEscalation
+from .errors import InternalInvariantError, InvalidParameters, PrecisionEscalation, \
+    approx_str
 from .genusfield import GenusBasis, adjugate, embeddings
 
 FLOAT_BITS_MARGIN = 64
@@ -209,7 +210,7 @@ def recover_coords(gamma, plan, side):
             r = int(mp.nint(v))
             if abs(v - r) >= 0.25:
                 raise PrecisionEscalation(
-                    f"rounding residual {mp.nstr(abs(v - r), 5)} at working "
+                    f"rounding residual {approx_str(abs(v - r))} at working "
                     f"precision {plan.float_bits}")
             rhs.append(r)
         b = _solve_adjugate(rec.det, rec.adj, rhs)
@@ -218,6 +219,6 @@ def recover_coords(gamma, plan, side):
         resid = abs(mp.fsum(c * v for c, v in zip(b, rec.values)) - mp.mpc(gamma))
         if not resid < plan.epsilon:
             raise PrecisionEscalation(
-                f"recovered value is {mp.nstr(resid, 5)} from its approximation, "
-                f"epsilon {mp.nstr(plan.epsilon, 5)}")
+                f"recovered value is {approx_str(resid)} from its approximation, "
+                f"epsilon {approx_str(plan.epsilon)}")
     return b

@@ -439,6 +439,64 @@ def test_divisor_memo_hits_and_cap():
     assert coset_product_check(full, class_poly_divisor(-40, J))
 
 
+def test_full_polynomial_memo_hits_and_cap(monkeypatch):
+    # further full-path curves at one D take the memoized polynomial: the
+    # first -2519 curve evaluates 33 theta values (64 forms, 31 mirror
+    # pairs), the second none; a hit keeps the cap rule of the divisors
+    calls = []
+    theta = classpoly.theta_value
+
+    def counting(kind, form, prec=96):
+        calls.append(form)
+        return theta(kind, form, prec)
+
+    monkeypatch.setattr(classpoly, "theta_value", counting)
+    pin_workers(monkeypatch, 1)
+    counts = []
+    for p, order in [(258749619880733665742487828236848938467,
+                      258749619880733665710707515980461272440),
+                     (298908655723650288295130869349976518497,
+                      298908655723650288261432268485596139520)]:
+        prm = next(x for x in admissible_params(-2519, p) if x.order == order)
+        assert gen_curve(-2519, p, prm.u, prm.v, path="full")["order"] == order
+        counts.append(len(calls))
+    assert counts == [33, 33]
+    full = classpoly._DIVISORS[-2519, J, "full"]
+    assert class_poly_full(-2519) is full and isinstance(full.plan, classpoly.ConjugatePlan)
+    assert class_poly_full(-2519, max_bits=full.plan.B) is full
+    with pytest.raises(PrecisionExhausted):
+        class_poly_full(-2519, max_bits=full.plan.B - 1)
+
+
+@pytest.mark.parametrize("D,invariant,want", [(-4000124, "weber", 465), (-92039, "gamma2", 256)])
+def test_theta_evaluations_per_n_system(D, invariant, want, monkeypatch):
+    # make_coprime gives each mirror pair of classes a mirror pair of forms,
+    # so the conjugate route evaluates theta once per pair: 465 values for
+    # 928 classes (777 with the prime walk) and 256 for 510 (379)
+    monkeypatch.setattr(classpoly, "theta_value", lambda kind, form, prec: mp.mpc(1))
+    kind = InvariantKind.parse(invariant)
+    d = Discriminant.from_D(D)
+    forms = n_system(D, kind.modulus(d), kind.b_target(d))
+    assert len(classpoly._theta_values(kind, forms, 1)) == want
+
+
+def test_escalation_message_at_a_long_mantissa(monkeypatch):
+    # at B = 18400 the embedding miss is a 4000-bit-small value with a
+    # mantissa of about 14,400 bits, which mpmath's nstr cannot print (the
+    # int-to-str limit): the attempt must still escalate
+    B = 18400
+    forms = n_system(-40, 1)
+
+    def crafted(kind, forms, prec):
+        with mp.workprec(prec):
+            return [(forms[0], mp.mpc(1 + mp.mpf(2) ** -4000 / 3), False),
+                    (forms[1], mp.mpc(2), False)]
+
+    monkeypatch.setattr(classpoly, "_theta_values", crafted)
+    with pytest.raises(PrecisionEscalation, match="misses an embedding by 5.0574e-1205"):
+        classpoly._exact_attempt(J, (), forms, [0, 0], B, mp.mpf(100), [0, 0])
+
+
 def test_coset_product_check_sees_a_perturbed_divisor():
     # the check multiplies the conjugates of the divisor it is given: one
     # wrong coefficient in that divisor must make it fail

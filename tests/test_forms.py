@@ -23,7 +23,8 @@ from cmforge.forms import (
     reduce_form,
     root_of_form,
 )
-from cmforge.modfns import InvariantKind
+from cmforge.modfns import InvariantKind, theta_value
+from test_golden import DIVISORS, FULL
 
 
 def dirichlet_class_number(d):
@@ -74,6 +75,24 @@ def phi_reference(f, disc):
     chi = tuple(kronecker(q, g.A) for q in disc.qstars)
     assert 0 not in chi and math.prod(chi) == 1
     return chi
+
+
+def make_coprime_reference(f, N):
+    """The prime walk that ``make_coprime``'s smallest-value search replaced,
+    kept as its reference: for each prime l | N in ascending order, with N0
+    the product of the primes done, f by [[1, 0], [N0, 1]] when l | A but
+    not l | f(1, N0), else by [[l, b], [N0, a]], al - bN0 = 1."""
+    g, N0 = f, 1
+    for l in sorted(set(_prime_factors(N))):
+        if g.A % l == 0:
+            if (g.A + N0 * g.B + N0 * N0 * g.C) % l != 0:
+                g = g.transform(1, 0, N0, 1)
+            else:
+                a = pow(l, -1, N0) if N0 > 1 else 1
+                g = g.transform(l, (a * l - 1) // N0, N0, a)
+        N0 *= l
+    assert math.gcd(g.A, N) == 1 and reduce_form(g) == reduce_form(f)
+    return g
 
 
 def _prime_factors(n):
@@ -138,6 +157,8 @@ def test_form_rejections():
         enumerate_reduced(-5)            # -5 = 3 (mod 4) is no discriminant
     with pytest.raises(InvalidParameters):
         make_coprime(QuadForm(1, 0, 10), 0)
+    with pytest.raises(InvalidParameters):
+        make_coprime(QuadForm(2, 2, 6), 2)   # not primitive: every value is even
 
 
 def test_reduced_forms_really_reduced():
@@ -168,6 +189,82 @@ def test_make_coprime_property(D, N):
     for f in enumerate_reduced(D)[:3]:
         g = make_coprime(f, N)
         assert math.gcd(g.A, N) == 1 and reduce_form(g) == f
+
+
+def test_make_coprime_keeps_a_coprime_form():
+    # N = 1 (every j N-system) and gcd(A, N) = 1 leave the form as it is
+    for f in enumerate_reduced(-2519):
+        assert make_coprime(f, 1) is f
+        if f.A % 3:
+            assert make_coprime(f, 3) is f
+
+
+@given(st.integers(-3000, -3).filter(lambda D: D % 4 in (0, 1)),
+       st.sampled_from([3, 6, 16, 30, 35, 48, 143, 210]))
+@settings(max_examples=150)
+def test_make_coprime_commutes_with_the_mirror(D, N):
+    # for B != 0, (A, -B, C) gets the mirror of f's form up to a
+    # translation; A is never larger than the prime walk's
+    for f in enumerate_reduced(D):
+        g = make_coprime(f, N)
+        assert g.A <= make_coprime_reference(f, N).A, f
+        if f.B:
+            h = make_coprime(QuadForm(f.A, -f.B, f.C), N)
+            assert h.A == g.A and (h.B + g.B) % (2 * g.A) == 0, f
+
+
+# every golden (D, invariant) whose N-system has N > 1
+GOLDEN_N = sorted({(D, inv) for D, inv, _ in DIVISORS + FULL if inv != "j"})
+
+
+@pytest.mark.parametrize("D,invariant", GOLDEN_N, ids=[f"{D}-{inv}" for D, inv in GOLDEN_N])
+def test_theta_agrees_at_the_prime_walks_n_system(D, invariant, monkeypatch):
+    # theta is a class invariant on N-system forms with one b, so its values
+    # at the prime walk's representatives and at make_coprime's agree within
+    # theta_value's contract, 2^-prec (1 + |theta|) each
+    kind = InvariantKind.parse(invariant)
+    d = Discriminant.from_D(D)
+    args = (D, kind.modulus(d), kind.b_target(d))
+    new = n_system(*args)
+    monkeypatch.setattr(forms_module, "make_coprime", make_coprime_reference)
+    old = n_system.__wrapped__(*args)
+    for f, g in zip(old, new):
+        a, b = theta_value(kind, f, 64), theta_value(kind, g, 64)
+        with mp.workprec(128):
+            assert abs(a - b) <= mp.mpf(2) ** -63 * (1 + abs(a)), (f, g)
+
+
+# gamma2, Weber and double eta at every pair of primes up to 13
+MIRROR_KINDS = [InvariantKind("gamma2"), InvariantKind("weber")] + [
+    InvariantKind.double_eta(p, q) for p in (2, 3, 5, 7, 11, 13)
+    for q in (2, 3, 5, 7, 11, 13) if p <= q]
+
+
+def test_mirror_closed_n_systems_keep_every_mirror_pair():
+    # an N-system closed under (A, B, C) -> (A, -B, C) holds the mirror of
+    # each of its forms with B != 0 outside an ambiguous class, so theta is
+    # evaluated once per pair
+    closed = 0
+    for D in range(-3, -2000, -1):
+        if D % 4 not in (0, 1):
+            continue
+        d = Discriminant.from_D(D)
+        for kind in MIRROR_KINDS:
+            try:
+                kind.validate_for(d)
+                b = kind.b_target(d)
+            except InvalidParameters:
+                continue
+            if not kind.conjugation_closed(d):
+                continue
+            closed += 1
+            fs = n_system(D, kind.modulus(d), b)
+            present = set(fs)
+            for f in fs:
+                mirror = QuadForm(f.A, -f.B, f.C)
+                if f.B and reduce_form(mirror) != reduce_form(f):
+                    assert mirror in present, (D, str(kind), f)
+    assert closed > 1000
 
 
 # --- N-systems --------------------------------------------------------------
@@ -316,18 +413,28 @@ def test_class_group_matches_the_references():
     assert even == {-4, 8, -8}
 
 
-# (D, invariant, k, sha256 of [k, [[A, B, C, mask, coset] per N-system form]]),
-# the values of the enumeration, characters and cosets the group replaced
+# (D, invariant, k, digests).  For j, one sha256 of [k, [[A, B, C, mask,
+# coset] per N-system form]], the values of the enumeration, characters and
+# cosets the group replaced.  For Weber, whose N-system rows moved when
+# make_coprime's prime walk gave way to the smallest coprime value: the
+# sha256 of [k, [[mask, coset] per class]], unchanged since the group came
+# in, and that of [[A, B, C] per N-system form]
 PINNED = [
-    (-2519, "j", 4, "e84575bc662d9e01bf8ae0c16671ce888b68168e1bc2d1f160096f434bcbd710"),
-    (-9911, "j", 2, "333371a879d28201ab45fc0332b2e1a2a1f3affa321c61e61c5fdb3d68c14f53"),
-    (-46151, "j", 4, "57895a67151f32cde34f6a4647c9f209d96262de020e4316eec40cf4faed28ff"),
-    (-92039, "j", 15, "c29e1fef8c8eb0de66f17367223bbc69d6c07863c3f28d55ce4f239e649fb0a7"),
+    (-2519, "j", 4, ("e84575bc662d9e01bf8ae0c16671ce888b68168e1bc2d1f160096f434bcbd710",)),
+    (-9911, "j", 2, ("333371a879d28201ab45fc0332b2e1a2a1f3affa321c61e61c5fdb3d68c14f53",)),
+    (-46151, "j", 4, ("57895a67151f32cde34f6a4647c9f209d96262de020e4316eec40cf4faed28ff",)),
+    (-92039, "j", 15, ("c29e1fef8c8eb0de66f17367223bbc69d6c07863c3f28d55ce4f239e649fb0a7",)),
     (-4000124, "weber", 16,
-     "9b4af71cadfdf9ff9b36166ce699bbe3a18512179d1add721869760480e484ac"),
+     ("a5c4918a092f45f1aa60b2c0ef42e89f3c4f8cba0ecb175a58adc3cf50a85d62",
+      "ff2dfeaa26d8f8fd9fee96a1c41f39a077f28f2a6177956927e4bee1c9b1be58")),
     (-40000316, "weber", 29,
-     "fc5fac11eee9055288a8db2b0c5b0d0b9c68f55d383bf88f3e3601012c2fbea2"),
+     ("27a77714ffcec4c51b370211273959dd84dff4794d92f5ff47989a743f3960e1",
+      "bc3ebe02ed686c0a36d996c3a3a13576fbaef9a618cb881d3f4449f1f5a075fb")),
 ]
+
+
+def sha256_json(x):
+    return hashlib.sha256(json.dumps(x, separators=(",", ":")).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("D,invariant,k,want", PINNED,
@@ -339,9 +446,12 @@ def test_class_group_data_is_pinned(D, invariant, k, want):
     group = class_group(D)
     got_k, cosets = group.split
     assert got_k == k
-    rows = [[g.A, g.B, g.C, mu, c] for g, mu, c in zip(fs, group.masks, cosets)]
-    blob = json.dumps([got_k, rows], separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == want
+    if len(want) == 1:
+        rows = [[g.A, g.B, g.C, mu, c] for g, mu, c in zip(fs, group.masks, cosets)]
+        assert sha256_json([got_k, rows]) == want[0]
+    else:
+        assert sha256_json([got_k, [[mu, c] for mu, c in zip(group.masks, cosets)]]) == want[0]
+        assert sha256_json([[g.A, g.B, g.C] for g in fs]) == want[1]
 
 
 def test_class_group_checks_raise(monkeypatch):

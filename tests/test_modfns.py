@@ -535,13 +535,15 @@ def test_kernel_meets_theta_contract(name):
                 assert abs(got - want) <= mp.mpf(2) ** -prec * (1 + abs(want)), (f, prec)
 
 
-# A -4000124 weber N-system form with Im tau = 0.00075, whose reduced form
-# is (3, 2, 333344).  Its series have |x| near 1 and terms near 1, and
-# P(x^2) for Weber is about 2^-121, so a relative error 2^-prec needs about
-# 2^-(prec + 141) on x: z and t are only prec + 64 bits wide, and at 64 bits
-# the contract fails by 20-23 bits.  gamma2 passes because it is about
-# 2^-1007 there.  Evaluating at the reduced argument, through eta's
-# transformation law, would keep every |x| <= e^(-pi sqrt3).
+# A -4000124 form with Im tau = 0.00075, whose reduced form is (3, 2, 333344):
+# the Weber N-system held it while make_coprime walked the primes of N, and
+# make_coprime's smallest coprime value now gives (333349, 2666784, 5333555),
+# at Im tau = 0.003.  At the old form the series have |x| near 1 and terms
+# near 1, and P(x^2) for Weber is about 2^-121, so a relative error 2^-prec
+# needs about 2^-(prec + 141) on x: z and t are only prec + 64 bits wide,
+# and at 64 bits the contract fails by 20-23 bits.  gamma2 passes because
+# it is about 2^-1007 there.  Evaluating at the reduced argument, through
+# eta's transformation law, would keep every |x| <= e^(-pi sqrt3).
 TINY_IM_FORM = QuadForm(1333415, -46669536, 408358537)
 _SHORT = pytest.mark.xfail(strict=True, reason="x is too short for the cancellation")
 
