@@ -87,8 +87,13 @@ def _miller_rabin(n: int, base: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic below 3.3e24, 64 fixed bases beyond that
-    (``_is_prime_64``, which remembers its last 64 decisions)."""
+    """Whether the integer n is prime.
+
+    Trial division by the primes below 72, then Miller-Rabin to the first
+    12 prime bases, which is deterministic below 3.3e24.  Above that, the
+    Baillie-PSW test (``_baillie_psw``, which remembers its last 64
+    decisions): no composite is known to pass it.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -98,20 +103,61 @@ def is_probable_prime(n: int) -> bool:
             return False
     if n < 3317044064679887385961981:
         return all(_miller_rabin(n, b) for b in _MR_BASES_SMALL)
-    return _is_prime_64(n)
+    return _baillie_psw(n)
 
 
 # search_fixed_D proves a prime that gen_curve's validate_params proves again
 # (and gencurve proves p in cornacchia and validate_params): the last
-# decisions of the 64-base test are remembered, not repeated
+# decisions of the Baillie-PSW test are remembered, not repeated
 @functools.lru_cache(maxsize=64)
-def _is_prime_64(n: int) -> bool:
-    return all(_miller_rabin(n, b) for b in _64_BASES)
+def _baillie_psw(n: int) -> bool:
+    """One strong base-2 round and one strong Lucas test on odd n
+    (Baillie & Wagstaff, Math. Comp. 35, 1980)."""
+    return _miller_rabin(n, 2) and _strong_lucas(n)
 
 
-# the first 64 primes (311 is the 64th); below 312 only the small
-# deterministic path runs
-_64_BASES = tuple(n for n in range(2, 312) if is_probable_prime(n))
+def _strong_lucas(n: int) -> bool:
+    """The strong Lucas probable-prime test on odd n > 1, with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1
+    and Q = (1 - D)/4.
+
+    For n + 1 = d 2^s, d odd, n passes when U_d = 0 or V_(d 2^r) = 0
+    (mod n) for some r < s.  A square has no such D, so it is refused
+    before the search.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        k = kronecker(D, n)
+        if k == -1:
+            break
+        if k == 0:   # |D| shares a factor with n: n is prime only as |D|
+            return n == abs(D)
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k from k = 1 up the bits of d: U_2k = U_k V_k,
+    # V_2k = V_k^2 - 2 Q^k, and with P = 1, U_(k+1) = (U_k + V_k)/2 and
+    # V_(k+1) = (D U_k + V_k)/2
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, (D * U + V) % n
+            U = (U + n if U & 1 else U) >> 1
+            V = (V + n if V & 1 else V) >> 1
+            Qk = Qk * Q % n
+    if U % n == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 def least_nonresidue(p: int) -> int:

@@ -495,28 +495,44 @@ def _twist_family(curve):
 
 
 def select_twist(curve, target_order, rng=None):
-    """(twist, index): the member of curve's twist family with the
-    prescribed order, and its index in ``_twist_family(curve)``.
+    """(twist, index): the member of curve's twist family with
+    target_order points, and its index in ``_twist_family(curve)``.
 
-    Each member is put to ``order_mismatch`` in turn, with one rng, and the
-    survivor must be unique (candidate orders are pairwise distinct for
-    ordinary curves, so ties mean the point test failed to separate and we
-    refuse to guess).  Order p + 1 is trace 0, which only supersingular
-    curves have, and all their twists share it.
+    curve is an ordinary curve over F_p, target_order the order sought,
+    and rng (default ``random.Random(0)``) draws the test points.  For
+    p <= 10^4 the exact count decides.  Above it, each member draws one
+    random point P, and target_order P != O rules that member out, which
+    is a proof.  The orders of an ordinary family are pairwise distinct,
+    so when target_order is one of them (as ``gen_curve`` guarantees:
+    4p = u^2 + |D|v^2 and j a root of a factor of H_D), the lone member
+    left standing is the twist.  Members still standing together draw
+    more points, up to 10 each, as in ``order_mismatch``.  None left means
+    no member has that order; several left after 10 means the points
+    failed to separate them, and no guess is returned.  Order p + 1 is
+    trace 0, which only supersingular curves have, and all their twists
+    share it.
     """
     if target_order == curve.p + 1:
         raise InvalidParameters(f"order p + 1 = {target_order} is supersingular")
     if rng is None:
         rng = random.Random(0)
-    passing = [(cand, i) for i, cand in enumerate(_twist_family(curve))
-               if order_mismatch(cand, target_order, rng) is None]
-    if len(passing) == 1:
-        return passing[0]
-    if not passing:
+    family = _twist_family(curve)
+    if curve.p <= 10 ** 4:
+        standing = [i for i, cand in enumerate(family) if naive_count(cand) == target_order]
+    else:
+        standing = range(len(family))
+        for _ in range(10):
+            standing = [i for i in standing if scalar_mul(
+                target_order, random_point(family[i], rng), family[i]) is None]
+            if len(standing) <= 1:
+                break
+    if len(standing) == 1:
+        return family[standing[0]], standing[0]
+    if not standing:
         raise InvalidParameters(
             f"no twist over F_{curve.p} has order {target_order}")
     raise InternalInvariantError(
-        f"twist selection ambiguous: {len(passing)} candidates pass")
+        f"twist selection ambiguous: {len(standing)} candidates pass")
 
 
 # ---------------------------------------------------------------------------

@@ -106,19 +106,23 @@ def test_primality_against_sympy_random():
         assert is_probable_prime(n) == sympy.isprime(n), n
 
 
+# Chernick: 6k+1, 12k+1 and 18k+1 are prime for k = 13700526, so their
+# product is a Carmichael number, just above Miller-Rabin's deterministic bound
+K = 13700526
+CHERNICK = (6 * K + 1) * (12 * K + 1) * (18 * K + 1)
+
+
 def test_primality_memo_proves_a_prime_once(monkeypatch):
-    # the 64-base branch remembers its decisions: a second call on a
+    # the Baillie-PSW branch remembers its decisions: a second call on a
     # 128-bit prime runs no Miller-Rabin round, and no answer changes
     p = int(sympy.nextprime(1 << 127))
-    k = 13700526   # Chernick: 6k+1, 12k+1, 18k+1 prime, so their product is Carmichael
-    carmichael = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
-    assert carmichael > 3317044064679887385961981
+    assert CHERNICK == 3332857419635169667705129 > 3317044064679887385961981
     cases = [(p, True), ((1 << 127) - 1, True), ((1 << 255) - 19, True),
-             (p * int(sympy.nextprime(1 << 64)), False), (carmichael, False)]
+             (p * int(sympy.nextprime(1 << 64)), False), (CHERNICK, False)]
     rounds = []
     mr = arith._miller_rabin
     monkeypatch.setattr(arith, "_miller_rabin", lambda n, b: rounds.append(n) or mr(n, b))
-    arith._is_prime_64.cache_clear()
+    arith._baillie_psw.cache_clear()
     for n, want in cases:
         assert is_probable_prime(n) is want, n
         assert n in rounds
@@ -126,6 +130,48 @@ def test_primality_memo_proves_a_prime_once(monkeypatch):
     for n, want in cases:
         assert is_probable_prime(n) is want, n
     assert rounds == []
+
+
+def test_baillie_psw_lucas_half_rejects_a_strong_base_2_pseudoprime():
+    # the Carmichael number passes the strong base-2 round, so the Lucas
+    # half is what rejects it
+    assert arith._miller_rabin(CHERNICK, 2)
+    assert not arith._strong_lucas(CHERNICK)
+    assert not is_probable_prime(CHERNICK)
+
+
+@pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
+def test_strong_lucas_pseudoprimes_fail_base_2(n):
+    # the first strong Lucas pseudoprimes for Selfridge's parameters: the
+    # Lucas half alone passes them, and the base-2 round does not
+    assert not sympy.isprime(n)
+    assert arith._strong_lucas(n)
+    assert not arith._miller_rabin(n, 2)
+
+
+def test_strong_lucas_against_sympy():
+    # primes pass, and the only composites that pass below 20000 are the
+    # five strong Lucas pseudoprimes above
+    passing = [n for n in range(3, 20000, 2) if arith._strong_lucas(n)]
+    assert [n for n in passing if not sympy.isprime(n)] == [5459, 5777, 10877, 16109, 18971]
+    assert len(passing) - 5 == sympy.primepi(20000) - 1
+
+
+def test_baillie_psw_rejects_a_square():
+    # a square has no D with (D/n) = -1: the Selfridge search would not end
+    q = int(sympy.nextprime(1 << 127))
+    assert not arith._strong_lucas(q * q)
+    assert not is_probable_prime(q * q)
+
+
+def test_primality_above_the_deterministic_bound_against_sympy():
+    rng = random.Random(5)
+    for bits in (82, 128, 256):
+        for _ in range(100):
+            n = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+            assert is_probable_prime(n) == sympy.isprime(n), n
+        q = int(sympy.nextprime(rng.getrandbits(bits)))
+        assert is_probable_prime(q)
 
 
 # --- sqrt_mod_p -------------------------------------------------------------

@@ -50,6 +50,13 @@ def test_params_needs_exactly_one_mode(capsys):
     assert rc == 2
 
 
+def test_params_refuses_a_strong_base_2_pseudoprime(capsys):
+    # a Carmichael number above 3.3e24 that passes the strong base-2 round
+    carmichael = 3332857419635169667705129
+    rc, _, err = run_cli(["params", "--fixed-p", str(carmichael)], capsys)
+    assert rc == 2 and f"needs a prime > 3, got {carmichael}" in err
+
+
 def test_module_entry_point_exits_with_the_code(monkeypatch, capsys):
     # python -m cmforge.cli, with a fixed p that is not prime: exit 2
     monkeypatch.setattr(sys, "argv", ["cmforge", "params", "--fixed-p", "12"])

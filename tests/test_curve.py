@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmforge.arith import cornacchia, kronecker, search_fixed_D, sqrt_mod_p
+from cmforge.arith import admissible_params, cornacchia, kronecker, search_fixed_D, \
+    sqrt_mod_p
 from cmforge import curve
 from cmforge.classpoly import ClassPolynomial, class_poly_divisor, class_poly_full, \
     class_poly_split, whole_split
@@ -548,8 +549,8 @@ def test_select_twist_large_p():
 
 
 def test_select_twist_draws_points_lazily(monkeypatch):
-    # the wrong twist fails on its first point and draws no more; the
-    # survivor is tested on all 10
+    # one point rules the wrong twist out, so the survivor stands alone and
+    # draws no second point: each member draws exactly one
     found = search_fixed_D(-420, p_bits=64, rng=random.Random(4))
     base = gen_curve(-420, found.p, found.u, found.v)["curve"]
     drawn = []
@@ -563,7 +564,56 @@ def test_select_twist_draws_points_lazily(monkeypatch):
     for good, order in ((base, found.order), (twist, 2 * found.p + 2 - found.order)):
         drawn.clear()
         assert select_twist(base, order, rng=random.Random(7)) == (good, family.index(good))
-        assert [drawn.count(c) for c in family] == [10 if c == good else 1 for c in family]
+        assert [drawn.count(c) for c in family] == [1, 1]
+
+
+def _ten_point_twist(base, order, rng):
+    # the rule select_twist replaced: every member put to order_mismatch's
+    # 10-point test in turn, and the one survivor taken
+    passing = [(cand, i) for i, cand in enumerate(_twist_family(base))
+               if order_mismatch(cand, order, rng) is None]
+    assert len(passing) == 1
+    return passing[0]
+
+
+@pytest.mark.parametrize("D,bits", [(-2519, 128), (-9911, 256)])
+def test_select_twist_matches_the_ten_point_rule(D, bits):
+    for seed in range(16):
+        found = search_fixed_D(D, p_bits=bits, rng=random.Random(seed))
+        res = gen_curve(D, found.p, found.u, found.v, seed=seed)
+        base = curve_from_j(res["j"], found.p)
+        want = _ten_point_twist(base, found.order, random.Random(seed))
+        assert select_twist(base, found.order, random.Random(seed)) == want
+        assert (res["curve"], res["transcript"]["twist"]) == want
+
+
+@pytest.mark.parametrize("D,j", [(-4, 1728), (-3, 0)])
+def test_select_twist_matches_the_ten_point_rule_on_quartic_and_sextic_families(D, j):
+    p = 10 ** 9 + 9           # = 1 (mod 12): both families are ordinary
+    base = curve_from_j(j, p)
+    orders = [par.order for par in admissible_params(D, p)]
+    assert len(orders) == len(_twist_family(base))
+    picked = {select_twist(base, order, random.Random(3))[1] for order in orders}
+    assert picked == set(range(len(orders)))
+    for seed, order in enumerate(orders):
+        want = _ten_point_twist(base, order, random.Random(seed))
+        assert select_twist(base, order, random.Random(seed)) == want
+
+
+def test_select_twist_refuses_an_order_no_member_has():
+    found = search_fixed_D(-420, p_bits=64, rng=random.Random(4))
+    base = gen_curve(-420, found.p, found.u, found.v)["curve"]
+    with pytest.raises(InvalidParameters, match="no twist"):
+        select_twist(base, found.order + 2, rng=random.Random(0))
+
+
+def test_select_twist_refuses_to_guess(monkeypatch):
+    # when no point rules any member out, 10 rounds leave both standing
+    found = search_fixed_D(-420, p_bits=64, rng=random.Random(4))
+    base = gen_curve(-420, found.p, found.u, found.v)["curve"]
+    monkeypatch.setattr(curve, "scalar_mul", lambda k, P, c: None)
+    with pytest.raises(InternalInvariantError, match="ambiguous"):
+        select_twist(base, found.order, rng=random.Random(0))
 
 
 @pytest.mark.parametrize("args,want", [
